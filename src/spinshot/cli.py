@@ -344,6 +344,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError(parser.format_usage())
+        if args.shots is not None and args.shots < 1:
+            raise UsageError(f"--shots must be >= 1, got {args.shots}")
         started = _utc_now()
         out = OutputDir(args.out_dir)
         report = _HANDLERS[args.command](args, out)

@@ -529,15 +529,13 @@ def empirical_fidelity(shots_bright, shots_dark):
     dark = np.asarray(shots_dark, dtype=np.int64)
     if bright.size == 0 or dark.size == 0:
         raise ValueError("both shot lists must be non-empty")
-    top = int(max(bright.max(), dark.max()))
-    best = None
-    for threshold in range(1, top + 2):
-        f_bright = float(np.mean(bright >= threshold))
-        f_dark = float(np.mean(dark < threshold))
-        f_min = min(f_bright, f_dark)
-        if best is None or f_min > best[0]:
-            best = (f_min, threshold, f_bright, f_dark)
-    f_min, threshold, f_bright, f_dark = best
+    thresholds = np.arange(1, int(max(bright.max(), dark.max())) + 2)
+    # shares of shots at or above / below every threshold, from sorted counts
+    f_bright = (bright.size - np.searchsorted(np.sort(bright), thresholds)) / bright.size
+    f_dark = np.searchsorted(np.sort(dark), thresholds) / dark.size
+    i = int(np.argmax(np.minimum(f_bright, f_dark)))    # ties: lowest threshold
+    threshold, f_bright, f_dark = int(thresholds[i]), float(f_bright[i]), float(f_dark[i])
+    f_min = min(f_bright, f_dark)
     se_b = math.sqrt(f_bright * (1.0 - f_bright) / bright.size)
     se_d = math.sqrt(f_dark * (1.0 - f_dark) / dark.size)
     return FidelityReport(

@@ -126,7 +126,7 @@ class PhotonRecords:
     @classmethod
     def from_file(cls, path) -> "PhotonRecords":
         shots = pulses = None
-        shot, pulse, ts, code = [], [], [], []
+        shot, pulse, ts, code, line_nos = [], [], [], [], []
         with open(path, "r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -140,19 +140,29 @@ class PhotonRecords:
                             pulses = int(token[7:])
                     continue
                 parts = line.split()
-                if len(parts) != 4 or parts[3] not in _ORIGINS:
-                    raise ValueError(f"{path}:{line_no}: expected "
-                                     f"'shot pulse timestamp origin' row, got {line!r}")
-                shot.append(int(parts[0]))
-                pulse.append(int(parts[1]))
-                ts.append(float(parts[2]))
+                try:
+                    if len(parts) != 4 or parts[3] not in _ORIGINS:
+                        raise ValueError
+                    shot.append(int(parts[0]))
+                    pulse.append(int(parts[1]))
+                    ts.append(float(parts[2]))
+                except ValueError:
+                    raise ValueError(f"{path}:{line_no}: expected 'shot pulse "
+                                     f"timestamp origin' row, got {line!r}") from None
                 code.append(_ORIGINS.index(parts[3]))
+                line_nos.append(line_no)
         shot = np.array(shot, dtype=np.int64)
         pulse = np.array(pulse, dtype=np.int64)
         if shots is None:
             shots = int(shot.max()) + 1 if len(shot) else 0
         if pulses is None:
             pulses = int(pulse.max()) + 1 if len(pulse) else 0
+        for name, column, size in (("shot_id", shot, shots),
+                                   ("pulse_index", pulse, pulses)):
+            bad = np.flatnonzero((column < 0) | (column >= size))
+            if bad.size:
+                raise ValueError(f"{path}:{line_nos[bad[0]]}: {name} "
+                                 f"{column[bad[0]]} outside 0..{size - 1}")
         return cls(shot, pulse, np.array(ts), np.array(code, dtype=np.int8),
                    shots, pulses)
 
@@ -598,6 +608,8 @@ def run_timeline(timeline, params: ReadoutParams, bath: BathParams | None = None
     off-resonant branch and are not detected.  MW pulse frequencies are
     offsets (MHz) from the nominal spin transition of the shot.
     """
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
     gates = [(i, e) for i, e in enumerate(timeline.events) if e.kind == "detect"]
     n_gates = len(gates)
     gate_counts = np.zeros((shots, max(n_gates, 1)), dtype=np.int64)

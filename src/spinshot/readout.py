@@ -189,37 +189,57 @@ def _check_capacity(n: int):
             f"n_pulses={n} exceeds the exact-DP capacity of {CAPACITY_PULSES}")
 
 
-def _dp_step(bright, dark, a, b, d):
-    """One pulse of the chain; count axis grows by the detect channel."""
-    new_bright = bright * ((1.0 - a) * (1.0 - d)) + dark * b
-    new_bright[1:] += bright[:-1] * ((1.0 - a) * d)
-    new_dark = bright * a + dark * (1.0 - b)
-    return new_bright, new_dark
-
-
-def _signal_pmf(params: ReadoutParams, initial: str) -> np.ndarray:
-    n = params.n_pulses
-    a, b, d = params.flip_bright, params.flip_dark, params.detection_probability
-    bright = np.zeros(n + 1)
-    dark = np.zeros(n + 1)
-    (bright if initial == "bright" else dark)[0] = 1.0
-    for _ in range(n):
-        bright, dark = _dp_step(bright, dark, a, b, d)
-    return bright + dark
+def _chain(a, b, d, starts, n_pulses):
+    """Yield the (count, pair) bright and dark probabilities after each
+    pulse for every (point, initial state) pair, in reused buffers.  Only
+    counts 0..k can be nonzero after pulse k; with the pair axis last and
+    full coefficient planes each update is one contiguous pass over them.
+    """
+    a, b = (np.repeat(np.asarray(x, dtype=float), len(starts)) for x in (a, b))
+    silent, detect, stay_dark, to_dark, to_bright = (
+        np.tile(c, (n_pulses + 1, 1))
+        for c in ((1.0 - a) * (1.0 - d), (1.0 - a) * d, 1.0 - b, a, b))
+    bright, dark, spare, term = np.zeros((4, n_pulses + 1, a.size))
+    for j, state in enumerate(starts):
+        (bright if state == "bright" else dark)[0, j::len(starts)] = 1.0
+    for k in range(1, n_pulses + 1):
+        live = slice(k + 1)
+        old, now_dark, now, t = bright[live], dark[live], spare[live], term[live]
+        np.multiply(old, silent[live], out=now)
+        now += np.multiply(now_dark, to_bright[live], out=t)
+        now[1:] += np.multiply(old[:-1], detect[:k], out=t[1:])
+        now_dark *= stay_dark[live]
+        now_dark += np.multiply(old, to_dark[live], out=t)
+        bright, spare = spare, bright
+        yield bright, dark
 
 
 def _poisson_pmf(mu: float) -> np.ndarray:
-    """Poisson pmf truncated once the missing tail is < 1e-13."""
+    """Poisson pmf truncated once the missing tail is < 1e-13.
+
+    From mu = 1 on, exp(-mu) may underflow (mu > ~745), so the pmf grows
+    outward from the mode in units of the mode term, each side stopping
+    below 1e-13 of it (~5e-15 of missing mass), and is then normalized.
+    """
     if mu <= 0.0:
         return np.array([1.0])
-    terms = [math.exp(-mu)]
-    cum = terms[0]
-    k = 0
-    while 1.0 - cum > _POISSON_TAIL:
-        k += 1
-        terms.append(terms[-1] * mu / k)
-        cum += terms[-1]
-    return np.array(terms)
+    if mu < 1.0:
+        terms = [math.exp(-mu)]
+        cum = terms[0]
+        k = 0
+        while 1.0 - cum > _POISSON_TAIL:
+            k += 1
+            terms.append(terms[-1] * mu / k)
+            cum += terms[-1]
+        return np.array(terms)
+    mode = math.floor(mu)
+    below, above = [1.0], [1.0]         # counts mode - i and mode + i
+    while len(below) <= mode and below[-1] >= _POISSON_TAIL:
+        below.append(below[-1] * (mode + 1 - len(below)) / mu)
+    while above[-1] >= _POISSON_TAIL:
+        above.append(above[-1] * mu / (mode + len(above)))
+    pmf = np.concatenate((np.zeros(mode + 1 - len(below)), below[:0:-1], above))
+    return pmf / pmf.sum()
 
 
 def _convolve_dark(pmf: np.ndarray, mu: float) -> np.ndarray:
@@ -228,12 +248,24 @@ def _convolve_dark(pmf: np.ndarray, mu: float) -> np.ndarray:
     return np.convolve(pmf, _poisson_pmf(mu))
 
 
+def _distributions(params: ReadoutParams, a, b, starts=_STATES):
+    """Count distributions at params' N, d and dark mean for every (a, b)
+    point and initial state, from one batched DP; indexed [point][state]."""
+    n = params.n_pulses
+    _check_capacity(n)
+    for bright, dark in _chain(a, b, params.detection_probability, starts, n):
+        pass
+    signal = np.ascontiguousarray((bright + dark).T).reshape(-1, len(starts), n + 1)
+    mu = params.dark_count_mean
+    return [[CountDistribution(_convolve_dark(pmf, mu), state, n)
+             for pmf, state in zip(point, starts)] for point in signal]
+
+
 def count_distribution(params: ReadoutParams, initial: str = "bright") -> CountDistribution:
     """Exact distribution of detected photons over the full sequence."""
     _check_state(initial)
-    _check_capacity(params.n_pulses)
-    pmf = _convolve_dark(_signal_pmf(params, initial), params.dark_count_mean)
-    return CountDistribution(pmf, initial, params.n_pulses)
+    return _distributions(params, [params.flip_bright], [params.flip_dark],
+                          (initial,))[0][0]
 
 
 def expected_trace(params: ReadoutParams, initial: str = "bright") -> np.ndarray:
@@ -324,25 +356,21 @@ def _best_threshold(pmf_bright, pmf_dark, n_pulses):
 def readout_report(params: ReadoutParams, threshold: int | None = None) -> FidelityReport:
     """Full fidelity report at fixed n_pulses, with duration and cyclicity.
 
-    threshold=None picks the best threshold.  Cyclicities come from
-    exponential fits to the expected traces of both initial states and
-    are left unset when the chain does not relax.
+    threshold=None picks the best threshold.  Both expected traces relax
+    by 1 - a - b per pulse, so every cyclicity is p_excite * N0 with
+    N0 = -1/ln(1 - a - b); all are unset unless the chain relaxes
+    observably (a > 0, b > 0, a + b < 1, d > 0).
     """
-    dist_b = count_distribution(params, "bright")
-    dist_d = count_distribution(params, "dark")
+    a, b = params.flip_bright, params.flip_dark
+    dist_b, dist_d = _distributions(params, [a], [b])[0]
     if threshold is None:
         threshold, _, _, _ = _best_threshold(
             dist_b.probabilities, dist_d.probabilities, params.n_pulses)
     report = readout_fidelity(dist_b, dist_d, threshold)
     report.readout_duration = params.duration_ms
-    try:
-        n0_bright = fit_decay_constant(expected_trace(params, "bright")).n0
-        n0_dark = fit_decay_constant(expected_trace(params, "dark")).n0
-    except (FitError, ValueError):
-        return report
-    report.cyclicity_bright = cyclicity(params.p_excite, n0_bright)
-    report.cyclicity_dark = cyclicity(params.p_excite, n0_dark)
-    report.cyclicity_mean = 0.5 * (report.cyclicity_bright + report.cyclicity_dark)
+    if a > 0.0 and b > 0.0 and a + b < 1.0 and params.detection_probability > 0.0:
+        zeta = cyclicity(params.p_excite, -1.0 / math.log1p(-(a + b)))
+        report.cyclicity_bright = report.cyclicity_dark = report.cyclicity_mean = zeta
     return report
 
 
@@ -377,26 +405,18 @@ def optimize_readout(params: ReadoutParams, n_range) -> OptimizeResult:
     if n_lo < 1 or n_lo > n_hi:
         raise ValueError(f"empty or invalid pulse range ({n_lo}, {n_hi})")
     _check_capacity(n_hi)
-    a, b, d = params.flip_bright, params.flip_dark, params.detection_probability
     dark_mean_per_pulse = params.dark_rate * params.gate_window * 1e-6
-
-    bright_b = np.zeros(n_hi + 1)
-    dark_b = np.zeros(n_hi + 1)
-    bright_b[0] = 1.0
-    bright_d = np.zeros(n_hi + 1)
-    dark_d = np.zeros(n_hi + 1)
-    dark_d[0] = 1.0
+    chain = _chain([params.flip_bright], [params.flip_dark],
+                   params.detection_probability, _STATES, n_hi)
 
     rows = []
     best = None
-    for pulse in range(1, n_hi + 1):
-        bright_b, dark_b = _dp_step(bright_b, dark_b, a, b, d)
-        bright_d, dark_d = _dp_step(bright_d, dark_d, a, b, d)
+    for pulse, (bright, dark) in enumerate(chain, start=1):
         if pulse < n_lo:
             continue
         mu = dark_mean_per_pulse * pulse
-        pmf_b = _convolve_dark((bright_b + dark_b)[:pulse + 1], mu)
-        pmf_d = _convolve_dark((bright_d + dark_d)[:pulse + 1], mu)
+        signal = (bright[:pulse + 1] + dark[:pulse + 1]).T
+        pmf_b, pmf_d = (_convolve_dark(pmf, mu) for pmf in signal)
         t, fb, fd, fm = _best_threshold(pmf_b, pmf_d, pulse)
         rows.append((pulse, t, fb, fd, fm))
         if best is None or fm > best[4]:
@@ -448,25 +468,25 @@ def calibrate_flip_asymmetry(relaxation_constant: float, target_f: float,
         flip_bright=0.0, flip_dark=0.0, dark_rate=dark_rate,
         gate_window=gate_window, pulse_period=pulse_period)
 
-    def fidelity(s: float) -> float:
-        params = replace(base, flip_bright=s / relaxation_constant,
-                         flip_dark=(1.0 - s) / relaxation_constant)
-        dist_b = count_distribution(params, "bright")
-        dist_d = count_distribution(params, "dark")
-        return readout_fidelity(dist_b, dist_d, threshold).f_min
+    def fidelity(*s: float) -> list[float]:     # one batched DP for all s
+        s = np.array(s)
+        points = _distributions(base, s / relaxation_constant,
+                                (1.0 - s) / relaxation_constant)
+        return [readout_fidelity(dist_b, dist_d, threshold).f_min
+                for dist_b, dist_d in points]
 
     lo, hi = 0.0, 1.0
     while hi - lo > 1e-10:
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
-        if fidelity(m1) < fidelity(m2):
+        f1, f2 = fidelity(m1, m2)
+        if f1 < f2:
             lo = m1
         else:
             hi = m2
     s_peak = 0.5 * (lo + hi)
-    f_max = fidelity(s_peak)
-    f_left = fidelity(0.0)
-    f_right = fidelity(1.0)
+    [f_max] = fidelity(s_peak)
+    f_left, f_right = fidelity(0.0, 1.0)
     if target_f > f_max + tol:
         raise CalibrationError(
             f"target fidelity {target_f:.6g} unreachable; attainable range "
@@ -488,7 +508,7 @@ def calibrate_flip_asymmetry(relaxation_constant: float, target_f: float,
     f_s = f_max
     for _ in range(200):
         s = 0.5 * (lo + hi)
-        f_s = fidelity(s)
+        [f_s] = fidelity(s)
         if abs(f_s - target_f) <= tol and hi - lo < 1e-6:
             break
         if (f_s < target_f) == rising:
@@ -514,10 +534,11 @@ def dark_count_penalty(params: ReadoutParams, threshold: int = 1) -> float:
     """Dark-state fidelity lost to detector dark counts at this threshold."""
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
-    with_dark = count_distribution(params, "dark").prob_below(threshold)
-    without = count_distribution(replace(params, dark_rate=0.0),
-                                 "dark").prob_below(threshold)
-    return without - with_dark
+    [[without]] = _distributions(replace(params, dark_rate=0.0),
+                                 [params.flip_bright], [params.flip_dark], ("dark",))
+    with_dark = CountDistribution(_convolve_dark(
+        without.probabilities, params.dark_count_mean), "dark", params.n_pulses)
+    return without.prob_below(threshold) - with_dark.prob_below(threshold)
 
 
 def format_fidelity_report(report: FidelityReport) -> str:

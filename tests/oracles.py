@@ -64,6 +64,21 @@ def convolve_poisson(dist, mean, tail=1e-13):
     return np.convolve(np.asarray(dist, dtype=float), pois)
 
 
+def best_threshold_scan(shots_bright, shots_dark):
+    """Reference threshold scan: (f_min, threshold, f_bright, f_dark) at
+    the first threshold 1..max+1 that maximizes min(F_bright, F_dark)."""
+    bright = np.asarray(shots_bright)
+    dark = np.asarray(shots_dark)
+    best = None
+    for threshold in range(1, int(max(bright.max(), dark.max())) + 2):
+        f_bright = float(np.mean(bright >= threshold))
+        f_dark = float(np.mean(dark < threshold))
+        f_min = min(f_bright, f_dark)
+        if best is None or f_min > best[0]:
+            best = (f_min, threshold, f_bright, f_dark)
+    return best
+
+
 def trace_closed_form(n_pulses, a, b, d, initial="bright"):
     """Expected per-pulse detection: d * P(bright at pulse k)."""
     p0 = 1.0 if initial == "bright" else 0.0

@@ -220,6 +220,29 @@ class TestExitCodes:
         assert run_cli(["simulate", str(tmp_path / "none.seq"),
                         "--out-dir", str(tmp_path / "o")], capsys)[0] == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "SEQ", "--shots", "0"],
+        ["simulate", "SEQ", "--shots", "-3"],
+        ["area-sweep", "--shots", "0"],
+    ])
+    def test_nonpositive_shots(self, argv, tmp_path, seq_file, capsys):
+        argv = [seq_file if arg == "SEQ" else arg for arg in argv]
+        code, cap = run_cli(argv + ["--out-dir", str(tmp_path / "o")], capsys)
+        assert code == 1
+        assert "--shots" in cap.err
+
+    def test_records_beyond_header(self, tmp_path, capsys):
+        path = tmp_path / "events.txt"
+        path.write_text("# photon records: shot_id pulse_index timestamp_us origin\n"
+                        "# shots=2 pulses=3\n"
+                        "0 1 12.5 emitter\n"
+                        "5 2 25.1 emitter\n")
+        code, cap = run_cli(["g2", str(path), "--out-dir", str(tmp_path / "o")],
+                            capsys)
+        assert code == 2
+        assert f"{path}:4:" in cap.err
+        assert "shot_id 5" in cap.err
+
     def test_numerical_failure(self, tmp_path, capsys):
         code, cap = run_cli(["calibrate", "--target-f", "0.9999",
                              "--out-dir", str(tmp_path / "o")], capsys)

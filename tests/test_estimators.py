@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import best_threshold_scan
 from spinshot.estimators import (FitError, NormalizationError,
                                  empirical_fidelity, fit_model, g2_pulsed,
                                  gaussian_fwhm_to_sigma, gaussian_sigma_to_fwhm,
@@ -287,6 +288,17 @@ class TestEmpiricalFidelity:
     def test_empty_input(self):
         with pytest.raises(ValueError):
             empirical_fidelity([], [1, 2])
+
+    def test_matches_per_threshold_scan(self):
+        # bitwise equal to the loop, ties included (small samples tie often)
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n_b, n_d = rng.integers(1, 40, size=2)
+            shots_b = rng.poisson(rng.uniform(0.0, 6.0), n_b)
+            shots_d = rng.poisson(rng.uniform(0.0, 2.0), n_d)
+            rep = empirical_fidelity(shots_b, shots_d)
+            assert (rep.f_min, rep.threshold, rep.f_bright, rep.f_dark) == \
+                best_threshold_scan(shots_b, shots_d)
 
 
 class TestSeriesCsv:

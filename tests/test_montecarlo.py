@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -136,6 +137,26 @@ class TestReadoutSimulation:
         assert np.allclose(back.timestamp_us, sim.records.timestamp_us,
                            rtol=1e-11, atol=1e-11)
         assert np.array_equal(back.origin_code, sim.records.origin_code)
+
+    @pytest.mark.parametrize("row,line,column", [
+        ("2 0 1.0 emitter", 4, "shot_id 2"),
+        ("-1 0 1.0 emitter", 4, "shot_id -1"),
+        ("1 3 1.0 dark", 4, "pulse_index 3"),
+        ("0 -2 1.0 dark", 4, "pulse_index -2"),
+    ])
+    def test_records_outside_header(self, tmp_path, row, line, column):
+        path = tmp_path / "events.txt"
+        path.write_text(f"# shots=2 pulses=3\n0 0 1.0 emitter\n\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: {column} ")):
+            PhotonRecords.from_file(path)
+
+    @pytest.mark.parametrize("row", [
+        "0 x 1.0 emitter", "0 1 abc dark", "0 1 1.0 laser", "0 1 1.0"])
+    def test_records_malformed_row(self, tmp_path, row):
+        path = tmp_path / "events.txt"
+        path.write_text(f"# shots=2 pulses=3\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: expected")):
+            PhotonRecords.from_file(path)
 
     def test_origin_codes(self):
         params = make_params(n=20, dark_rate=400.0)
@@ -325,6 +346,12 @@ READOUT_SEQ = ("repeat 40 { pulse optical A 0.02us 1pi\n"
 
 
 class TestTimeline:
+    def test_rejects_nonpositive_shots(self, transitions):
+        tl = compile_sequence(parse_sequence(READOUT_SEQ), transitions)
+        for shots in (0, -3):
+            with pytest.raises(ValueError, match="shots"):
+                run_timeline(tl, make_params(n=40), shots=shots)
+
     def test_gate_one_to_one(self, transitions):
         tl = compile_sequence(parse_sequence(READOUT_SEQ), transitions)
         params = make_params(n=40)

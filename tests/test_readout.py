@@ -1,4 +1,5 @@
 import math
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 
 from oracles import (convolve_poisson, decay_pulses_from_relaxation,
                      enumerate_count_distribution, trace_closed_form)
+from spinshot.config import load_config, readout_params
 from spinshot.readout import (CAPACITY_PULSES, CalibrationError, CapacityError,
                               CountDistribution, ReadoutParams,
+                              _distributions, _poisson_pmf,
                               calibrate_flip_asymmetry, count_distribution,
                               cyclicity, dark_count_penalty, expected_trace,
                               fit_decay_constant, optimize_readout,
@@ -24,6 +27,20 @@ def make_params(n=71, a=0.5 / 131, b=0.5 / 131, p=0.78, eta=0.10, **kw):
 
 flip_probs = st.floats(min_value=0.0, max_value=0.5, allow_nan=False)
 det_probs = st.floats(min_value=0.01, max_value=1.0, allow_nan=False)
+
+
+def within_seconds(seconds, fn, *args):
+    """Run fn(*args), raising TimeoutError if it has not returned in time."""
+    def expire(signum, frame):
+        raise TimeoutError(f"{fn.__name__}{args} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestCountDistribution:
@@ -54,6 +71,24 @@ class TestCountDistribution:
                                 got.probabilities - want)) < 1e-12, (
                                 n, a, b, d, initial)
 
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_batched_kernel(self, n):
+        # one batch of (a, b) points x both initial states against the
+        # enumeration oracle, and bitwise against one-row runs
+        a = np.array([0.0, 0.05, 0.3, 0.6, 0.95])
+        b = np.array([0.25, 0.0, 0.6, 0.05, 0.95])
+        params = make_params(n=n, p=0.4, eta=1.0)
+        batch = _distributions(params, a, b)
+        assert len(batch) == a.size
+        for i, point in enumerate(batch):
+            for dist, initial in zip(point, ("bright", "dark")):
+                assert dist.initial_state == initial
+                want = enumerate_count_distribution(n, a[i], b[i], 0.4, initial)
+                assert np.max(np.abs(dist.probabilities - want)) < 1e-12
+                [[single]] = _distributions(params, a[i:i + 1], b[i:i + 1],
+                                            (initial,))
+                assert np.array_equal(dist.probabilities, single.probabilities)
+
     @given(n=st.integers(min_value=1, max_value=40), a=flip_probs,
            b=flip_probs, d=det_probs,
            initial=st.sampled_from(["bright", "dark"]))
@@ -73,6 +108,25 @@ class TestCountDistribution:
         n = min(len(got), len(want))
         assert np.max(np.abs(got[:n] - want[:n])) < 1e-12
         assert abs(got.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("mu", [800.0, 1e4])
+    def test_poisson_beyond_exp_underflow(self, mu):
+        # exp(-mu) underflows to 0 above mu ~ 745
+        pmf = within_seconds(1.0, _poisson_pmf, mu)
+        assert np.all(pmf >= 0)
+        assert abs(pmf.sum() - 1.0) <= 1e-12
+        mean = float(np.arange(pmf.size) @ pmf)
+        assert mean == pytest.approx(mu, rel=1e-9)
+
+    def test_large_dark_mean(self):
+        # 26.7 kHz over 10000 gates of 3 us: mu = 800
+        quiet = make_params(n=10_000, gate_window=3.0)
+        noisy = replace(quiet, dark_rate=800.0 / (3.0e-6 * 10_000))
+        assert noisy.dark_count_mean == pytest.approx(800.0, rel=1e-12)
+        dist = count_distribution(noisy, "bright")
+        assert np.all(dist.probabilities >= 0)
+        want = count_distribution(quiet, "bright").mean() + noisy.dark_count_mean
+        assert dist.mean() == pytest.approx(want, rel=1e-9)
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
@@ -234,6 +288,32 @@ class TestFidelity:
         assert rb.f_bright == rs.f_bright
         assert rs.readout_duration == pytest.approx(2 * rb.readout_duration)
 
+    @pytest.mark.parametrize("s", [0.5, 0.9, 0.02])
+    def test_report_cyclicity_closed_form(self, s):
+        rep = readout_report(make_params(n=71, a=s / 131, b=(1 - s) / 131))
+        want = 0.78 * decay_pulses_from_relaxation(131.0)
+        for zeta in (rep.cyclicity_bright, rep.cyclicity_dark,
+                     rep.cyclicity_mean):
+            assert zeta == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("kw", [
+        dict(a=0.0), dict(b=0.0), dict(a=0.6, b=0.4), dict(a=0.7, b=0.5),
+        dict(eta=0.0)])
+    def test_report_cyclicity_unset_without_relaxation(self, kw):
+        rep = readout_report(make_params(n=71, **kw))
+        assert rep.cyclicity_bright is None
+        assert rep.cyclicity_dark is None
+        assert rep.cyclicity_mean is None
+
+    def test_report_fits_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("readout_report must not fit")
+
+        monkeypatch.setattr("spinshot.readout.fit_model", refuse)
+        rep = readout_report(make_params(n=71))
+        assert rep.cyclicity_mean == pytest.approx(
+            0.78 * decay_pulses_from_relaxation(131.0), rel=1e-12)
+
     def test_report_fields(self):
         rep = readout_report(make_params(n=71), 1)
         assert rep.n_pulses == 71
@@ -309,6 +389,22 @@ class TestCalibration:
             calibrate_flip_asymmetry(131.0, 0.999, 71, 1, 0.78, 0.10)
         lo, hi = exc.value.attainable
         assert 0.0 < lo < hi < 0.999
+
+    @pytest.mark.parametrize("n,frozen", [
+        (71, ("0.00512488994778", "0.00250869783848", "0.671360583159",
+              "0.86900004488", "0.927479509969")),
+        (500, ("0.00735225512122", "0.000281332665036", "0.96314542088",
+               "0.868999021802", "0.918926211321")),
+    ])
+    def test_paper_preset_values_frozen(self, n, frozen):
+        cfg = load_config("paper.cfg")
+        params = readout_params(cfg, n_pulses=n)
+        cal = calibrate_flip_asymmetry(
+            cfg.number("readout", "relaxation_constant"), 0.869, n, 1,
+            params.p_excite, params.eta_detect, dark_rate=params.dark_rate,
+            gate_window=params.gate_window, pulse_period=params.pulse_period)
+        got = (cal.a, cal.b, cal.asymmetry, cal.achieved_f, cal.f_max)
+        assert tuple(f"{v:.12g}" for v in got) == frozen
 
     def test_sum_constraint_always_held(self):
         cal = calibrate_flip_asymmetry(200.0, 0.9, 100, 1, 0.9, 0.2)
