@@ -17,6 +17,7 @@ here is exact arithmetic on the model — no sampling.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -190,41 +191,32 @@ def _check_capacity(n: int):
 
 
 def _chain(a, b, d, starts, n_pulses):
-    """Yield the (count, pair) bright and dark probabilities after each
-    pulse for every (point, initial state) pair, in reused buffers.  Only
-    counts 0..k can be nonzero after pulse k; with the pair axis last and
-    full coefficient planes each update is one contiguous pass over them.
-    """
-    a, b = (np.repeat(np.asarray(x, dtype=float), len(starts)) for x in (a, b))
-    silent, detect, stay_dark, to_dark, to_bright = (
-        np.tile(c, (n_pulses + 1, 1))
-        for c in ((1.0 - a) * (1.0 - d), (1.0 - a) * d, 1.0 - b, a, b))
-    bright, dark, spare, term = np.zeros((4, n_pulses + 1, a.size))
+    """Yield the (pair, count) bright and dark probabilities after each
+    pulse for every (point, initial state) pair of the batch."""
+    a, b = (np.repeat(np.asarray(x, dtype=float), len(starts))[:, None] for x in (a, b))
+    silent, detect, stay_dark = (1.0 - a) * (1.0 - d), (1.0 - a) * d, 1.0 - b
+    bright, dark = np.zeros((2, a.size, n_pulses + 1))
     for j, state in enumerate(starts):
-        (bright if state == "bright" else dark)[0, j::len(starts)] = 1.0
-    for k in range(1, n_pulses + 1):
-        live = slice(k + 1)
-        old, now_dark, now, t = bright[live], dark[live], spare[live], term[live]
-        np.multiply(old, silent[live], out=now)
-        now += np.multiply(now_dark, to_bright[live], out=t)
-        now[1:] += np.multiply(old[:-1], detect[:k], out=t[1:])
-        now_dark *= stay_dark[live]
-        now_dark += np.multiply(old, to_dark[live], out=t)
-        bright, spare = spare, bright
+        (bright if state == "bright" else dark)[j::len(starts), 0] = 1.0
+    for _ in range(n_pulses):
+        new_bright = bright * silent + dark * b
+        new_bright[:, 1:] += bright[:, :-1] * detect
+        bright, dark = new_bright, bright * a + dark * stay_dark
         yield bright, dark
 
 
 def _poisson_pmf(mu: float) -> np.ndarray:
     """Poisson pmf truncated once the missing tail is < 1e-13.
 
-    From mu = 1 on, exp(-mu) may underflow (mu > ~745), so the pmf grows
-    outward from the mode in units of the mode term, each side stopping
-    below 1e-13 of it (~5e-15 of missing mass), and is then normalized.
+    Once exp(-mu) leaves the normal float range (mu > ~708) the upward
+    recurrence from it can stall, so the pmf instead grows outward from
+    the mode in units of the mode term, each side stopping below 1e-13
+    of it (~5e-15 of missing mass), and is then normalized.
     """
     if mu <= 0.0:
         return np.array([1.0])
-    if mu < 1.0:
-        terms = [math.exp(-mu)]
+    terms = [math.exp(-mu)]
+    if terms[0] >= sys.float_info.min:
         cum = terms[0]
         k = 0
         while 1.0 - cum > _POISSON_TAIL:
@@ -234,7 +226,7 @@ def _poisson_pmf(mu: float) -> np.ndarray:
         return np.array(terms)
     mode = math.floor(mu)
     below, above = [1.0], [1.0]         # counts mode - i and mode + i
-    while len(below) <= mode and below[-1] >= _POISSON_TAIL:
+    while below[-1] >= _POISSON_TAIL:
         below.append(below[-1] * (mode + 1 - len(below)) / mu)
     while above[-1] >= _POISSON_TAIL:
         above.append(above[-1] * mu / (mode + len(above)))
@@ -255,7 +247,7 @@ def _distributions(params: ReadoutParams, a, b, starts=_STATES):
     _check_capacity(n)
     for bright, dark in _chain(a, b, params.detection_probability, starts, n):
         pass
-    signal = np.ascontiguousarray((bright + dark).T).reshape(-1, len(starts), n + 1)
+    signal = (bright + dark).reshape(-1, len(starts), n + 1)
     mu = params.dark_count_mean
     return [[CountDistribution(_convolve_dark(pmf, mu), state, n)
              for pmf, state in zip(point, starts)] for point in signal]
@@ -415,7 +407,7 @@ def optimize_readout(params: ReadoutParams, n_range) -> OptimizeResult:
         if pulse < n_lo:
             continue
         mu = dark_mean_per_pulse * pulse
-        signal = (bright[:pulse + 1] + dark[:pulse + 1]).T
+        signal = bright[:, :pulse + 1] + dark[:, :pulse + 1]
         pmf_b, pmf_d = (_convolve_dark(pmf, mu) for pmf in signal)
         t, fb, fd, fm = _best_threshold(pmf_b, pmf_d, pulse)
         rows.append((pulse, t, fb, fd, fm))

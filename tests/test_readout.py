@@ -109,9 +109,9 @@ class TestCountDistribution:
         assert np.max(np.abs(got[:n] - want[:n])) < 1e-12
         assert abs(got.sum() - 1.0) <= 1e-12
 
-    @pytest.mark.parametrize("mu", [800.0, 1e4])
+    @pytest.mark.parametrize("mu", [720.0, 800.0, 1e4])
     def test_poisson_beyond_exp_underflow(self, mu):
-        # exp(-mu) underflows to 0 above mu ~ 745
+        # exp(-mu) is subnormal above mu ~ 708 and underflows to 0 above ~ 745
         pmf = within_seconds(1.0, _poisson_pmf, mu)
         assert np.all(pmf >= 0)
         assert abs(pmf.sum() - 1.0) <= 1e-12
