@@ -24,8 +24,10 @@ from .config import (ConfigError, bath_params, cavity_config, emitter_config,
                      load_config, microwave_settings, readout_params,
                      zeeman_config)
 from .estimators import (FitError, NormalizationError, fit_model,
-                         format_fit_report, g2_pulsed, read_series_csv)
-from .montecarlo import PhotonRecords, pulse_area_scan, run_timeline
+                         format_fit_report, g2_pulsed, read_series_csv,
+                         write_csv)
+from .montecarlo import (PhotonRecords, pulse_area_scan, run_protocol,
+                         run_timeline)
 from .physics import (cavity_linewidth, effective_lifetime, zeeman_transitions)
 from .readout import (CalibrationError, calibrate_flip_asymmetry,
                       dark_count_penalty, format_fidelity_report,
@@ -37,6 +39,20 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+
+# `protocols`: sweep grid and fit model (with component count) per protocol
+PROTOCOL_SWEEPS = {
+    "t1": np.linspace(0.0, 2.2, 24),        # s
+    "odmr": np.linspace(-6.0, 6.0, 49),     # MHz around the drive
+    "rabi": np.linspace(0.05, 20.0, 120),   # us
+    "echo": np.linspace(0.0, 120.0, 30),    # us total evolution
+}
+PROTOCOL_MODELS = {
+    "t1": ("exp_decay", None),
+    "odmr": ("gaussian_sum", 3),
+    "rabi": ("damped_sine", None),
+    "echo": ("gaussian_echo", None),
+}
 
 
 class UsageError(Exception):
@@ -140,6 +156,9 @@ def build_parser() -> _Parser:
     p.add_argument("--n-pulses", type=int, default=None,
                    help="pulse count (default: [readout] n_pulses)")
 
+    sub.add_parser("protocols", parents=[common],
+                   help="T1, ODMR, Rabi and echo curves, each with its fit")
+
     return parser
 
 
@@ -152,10 +171,9 @@ def _cmd_levels(args, out: OutputDir) -> str:
     em, cav, z = emitter_config(cfg), cavity_config(cfg), zeeman_config(cfg)
     levels = zeeman_transitions(em, z)
     kappa = cavity_linewidth(cav)
-    lines = ["label,frequency_ghz"]
-    for label, freq in levels.by_label().items():
-        lines.append(f"{label},{freq:.12g}")
-    out.write_text("levels.csv", "\n".join(lines) + "\n")
+    by_label = levels.by_label()
+    write_csv(out.record("levels.csv"), "label,frequency_ghz",
+              by_label.keys(), by_label.values())
     report = [
         f"optical transitions at B = {z.magnetic_field_t:g} T "
         f"(axis {z.field_axis}):",
@@ -231,20 +249,21 @@ def _cmd_fit(args, out: OutputDir) -> str:
     kind = args.model
     result = fit_model(kind, x, y, sigma=sigma,
                        n_components=args.components if kind == "gaussian_sum" else None)
-    lines = ["parameter,value,uncertainty"]
-    for name, value in result.params.items():
-        lines.append(f"{name},{value:.12g},{result.uncertainties[name]:.12g}")
-    out.write_text("fit_params.csv", "\n".join(lines) + "\n")
+    _write_fit_csv(out.record("fit_params.csv"), result)
     return format_fit_report(result)
+
+
+def _write_fit_csv(path, result):
+    write_csv(path, "parameter,value,uncertainty", result.params.keys(),
+              result.params.values(),
+              [result.uncertainties[name] for name in result.params])
 
 
 def _cmd_g2(args, out: OutputDir) -> str:
     records = PhotonRecords.from_file(args.records)
     result = g2_pulsed(records, args.pulse_period, n_lags=args.lags)
-    lines = ["lag,pair_rate"]
-    for lag, rate in zip(result.lags, result.pair_rates):
-        lines.append(f"{lag},{rate:.12g}")
-    out.write_text("g2.csv", "\n".join(lines) + "\n")
+    write_csv(out.record("g2.csv"), "lag,pair_rate", result.lags,
+              result.pair_rates)
     return (f"events: {len(records)}   shots: {records.n_shots}   "
             f"pulses per shot: {records.n_pulses}\n"
             f"g2(0) = {result.g2_zero:.12g} "
@@ -296,11 +315,8 @@ def _cmd_calibrate(args, out: OutputDir) -> str:
         p_excite=params.p_excite, eta_detect=params.eta_detect,
         dark_rate=params.dark_rate, gate_window=params.gate_window,
         pulse_period=params.pulse_period)
-    out.write_text(
-        "calibration.csv",
-        "a,b,asymmetry,achieved_f,f_max\n"
-        f"{cal.a:.12g},{cal.b:.12g},{cal.asymmetry:.12g},"
-        f"{cal.achieved_f:.12g},{cal.f_max:.12g}\n")
+    write_csv(out.record("calibration.csv"), "a,b,asymmetry,achieved_f,f_max",
+              [cal.a], [cal.b], [cal.asymmetry], [cal.achieved_f], [cal.f_max])
     return (
         f"relaxation constant: {relaxation:g} pulses\n"
         f"target fidelity: {target:.12g} at N={params.n_pulses}, "
@@ -312,6 +328,26 @@ def _cmd_calibrate(args, out: OutputDir) -> str:
         f"(model maximum {cal.f_max:.12g})\n")
 
 
+def _cmd_protocols(args, out: OutputDir) -> str:
+    cfg = load_config(args.config)
+    bath = bath_params(cfg)
+    mw = microwave_settings(cfg)
+    shots = args.shots if args.shots is not None else 5000
+    sections = []
+    for name, sweep in PROTOCOL_SWEEPS.items():
+        curve = run_protocol(name, sweep, bath, shots=shots, seed=args.seed,
+                             **mw)
+        curve.to_csv(out.record(f"{name}_curve.csv"))
+        kind, n_components = PROTOCOL_MODELS[name]
+        result = fit_model(kind, curve.x, curve.mean,
+                           sigma=np.clip(curve.stderr, 1e-4, None),
+                           n_components=n_components)
+        _write_fit_csv(out.record(f"{name}_fit.csv"), result)
+        sections.append(f"--- {name} ({name}_curve.csv, {name}_fit.csv) ---\n"
+                        + format_fit_report(result))
+    return "\n".join(sections)
+
+
 _HANDLERS = {
     "levels": _cmd_levels,
     "readout-optimize": _cmd_readout_optimize,
@@ -320,6 +356,7 @@ _HANDLERS = {
     "g2": _cmd_g2,
     "area-sweep": _cmd_area_sweep,
     "calibrate": _cmd_calibrate,
+    "protocols": _cmd_protocols,
 }
 
 

@@ -191,13 +191,10 @@ def cavity_config(cfg: Config) -> CavityConfig:
         resonance_frequency_ghz=cfg.number("cavity", "resonance_frequency_ghz"),
         quality_factor=cfg.number("cavity", "quality_factor"),
         purcell_on_resonance=cfg.number("cavity", "purcell_on_resonance"),
-        mode_volume=cfg.number("cavity", "mode_volume", 0.83),
         eta_waveguide=cfg.number("detection", "eta_waveguide", 1.0),
         eta_offchip=cfg.number("detection", "eta_offchip", 1.0),
         eta_switch=cfg.number("detection", "eta_switch", 1.0),
         eta_detector=cfg.number("detection", "eta_detector", 1.0),
-        flip_dipole_projection=cfg.number(
-            "cavity", "flip_dipole_projection", 1.0),
     )
 
 

@@ -27,6 +27,7 @@ __all__ = [
     "gaussian_sigma_to_fwhm",
     "lorentzian_fwhm_to_hwhm",
     "read_series_csv",
+    "write_csv",
     "format_fit_report",
 ]
 
@@ -576,6 +577,23 @@ def read_series_csv(path):
     data = np.array(rows)
     sigma = data[:, 2] if width == 3 else None
     return data[:, 0], data[:, 1], sigma
+
+
+def write_csv(path, header, *columns):
+    """Write equal-length columns under a comma-separated header line.
+
+    Floats are written with ``.12g``, everything else with ``str()``;
+    every CSV the package writes goes through here.
+    """
+    def cell(value):
+        if isinstance(value, (float, np.floating)):
+            return f"{value:.12g}"
+        return str(value)
+
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in zip(*columns, strict=True):
+            fh.write(",".join(map(cell, row)) + "\n")
 
 
 def format_fit_report(result: FitResult) -> str:

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimators import FitError, gaussian_fwhm_to_sigma
+from .estimators import FitError, gaussian_fwhm_to_sigma, write_csv
+from .physics import lorentzian_suppression
 from .readout import (CountDistribution, ReadoutParams, cyclicity,
                       fit_decay_constant, readout_report)
 
@@ -125,7 +126,7 @@ class PhotonRecords:
 
     @classmethod
     def from_file(cls, path) -> "PhotonRecords":
-        shots = pulses = None
+        header = {"shots": None, "pulses": None}
         shot, pulse, ts, code, line_nos = [], [], [], [], []
         with open(path, "r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -134,10 +135,13 @@ class PhotonRecords:
                     continue
                 if line.startswith("#"):
                     for token in line[1:].split():
-                        if token.startswith("shots="):
-                            shots = int(token[6:])
-                        elif token.startswith("pulses="):
-                            pulses = int(token[7:])
+                        key, _, value = token.partition("=")
+                        if key in header:
+                            if not (value.isascii() and value.isdigit()):
+                                raise ValueError(
+                                    f"{path}:{line_no}: header {key}= needs a "
+                                    f"non-negative integer, got {value!r}")
+                            header[key] = int(value)
                     continue
                 parts = line.split()
                 try:
@@ -153,6 +157,7 @@ class PhotonRecords:
                 line_nos.append(line_no)
         shot = np.array(shot, dtype=np.int64)
         pulse = np.array(pulse, dtype=np.int64)
+        shots, pulses = header["shots"], header["pulses"]
         if shots is None:
             shots = int(shot.max()) + 1 if len(shot) else 0
         if pulses is None:
@@ -399,10 +404,8 @@ class ProtocolCurve:
     shots: int
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("x,mean,stderr,shots\n")
-            for x, m, s in zip(self.x, self.mean, self.stderr):
-                fh.write(f"{x:.12g},{m:.12g},{s:.12g},{self.shots}\n")
+        write_csv(path, "x,mean,stderr,shots", self.x, self.mean, self.stderr,
+                  [self.shots] * len(self.x))
 
 
 def _bernoulli_stats(rng, p, shots):
@@ -453,9 +456,7 @@ def run_protocol(protocol: str, sweep, bath: BathParams, shots: int = 1000,
             spins = np.tile([0.0, 0.0, 1.0], (shots, 1))
             spins = _rotate(spins, mw_rabi_khz, detuning, _pi_time_us(mw_rabi_khz))
             p_flip = 0.5 * (1.0 - spins[:, 2])
-            hits = rng.random(shots) < p_flip
-            m = float(hits.mean())
-            mean[i], stderr[i] = m, math.sqrt(max(m * (1 - m), 0.0) / shots)
+            mean[i], stderr[i] = _bernoulli_stats(rng, p_flip, shots)
         elif protocol == "rabi":
             detuning = rng.normal(0.0, detuning_sigma_khz, shots)
             omega = np.full(shots, mw_rabi_khz)
@@ -465,9 +466,7 @@ def run_protocol(protocol: str, sweep, bath: BathParams, shots: int = 1000,
             spins = np.tile([0.0, 0.0, 1.0], (shots, 1))
             spins = _rotate(spins, omega, detuning, value)
             p_flip = 0.5 * (1.0 - spins[:, 2])
-            hits = rng.random(shots) < p_flip
-            m = float(hits.mean())
-            mean[i], stderr[i] = m, math.sqrt(max(m * (1 - m), 0.0) / shots)
+            mean[i], stderr[i] = _bernoulli_stats(rng, p_flip, shots)
         else:  # echo
             offsets_khz = _sample_mixture(rng, bath, shots) * 1e3
             damping = math.exp(-((value / bath.t2_echo) ** bath.echo_exponent))
@@ -522,12 +521,9 @@ class AreaScanResult:
     mean_detected_before_flip: np.ndarray
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("area,p_excite,n0,cyclicity,threshold,f_min\n")
-            for a, p, n0, z, t, f in zip(self.area, self.p_excite, self.n0,
-                                         self.zeta, self.threshold, self.f_min):
-                fh.write(f"{a:.12g},{p:.12g},{n0:.12g},{z:.12g},"
-                         f"{int(t)},{f:.12g}\n")
+        write_csv(path, "area,p_excite,n0,cyclicity,threshold,f_min",
+                  self.area, self.p_excite, self.n0, self.zeta,
+                  self.threshold, self.f_min)
 
 
 def pulse_area_scan(areas, flip_bright_model, flip_dark_model,
@@ -581,15 +577,6 @@ class TimelineRun:
     per_gate_mean: np.ndarray
 
 
-def _lorentzian_weight(offset_mhz: float, fwhm_mhz: float) -> float:
-    if offset_mhz is None or offset_mhz == 0.0:
-        return 1.0
-    if fwhm_mhz <= 0.0:
-        return 0.0
-    u = 2.0 * offset_mhz / fwhm_mhz
-    return 1.0 / (1.0 + u * u)
-
-
 def run_timeline(timeline, params: ReadoutParams, bath: BathParams | None = None,
                  shots: int = 1000, seed: int = 0,
                  emission_lifetime_us: float = 0.803,
@@ -637,8 +624,14 @@ def run_timeline(timeline, params: ReadoutParams, bath: BathParams | None = None
                     p_area_cache[area] = excitation_probability(area)
                 p_area = p_area_cache[area]
                 if label in (None, "A"):
-                    weight = _lorentzian_weight(event.params["offset_mhz"],
-                                                spectral_diffusion_fwhm_mhz)
+                    offset = event.params["offset_mhz"]
+                    if not offset:          # labelled A or zero detuning
+                        weight = 1.0
+                    elif spectral_diffusion_fwhm_mhz > 0.0:
+                        weight = lorentzian_suppression(
+                            offset, spectral_diffusion_fwhm_mhz)
+                    else:                   # no line: detuned pulses miss
+                        weight = 0.0
                     r_flip, r_exc, r_t = rng.random(3)
                     if bright:
                         if r_flip < params.flip_bright:

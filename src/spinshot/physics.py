@@ -45,22 +45,15 @@ class EmitterConfig:
 
 @dataclass(frozen=True)
 class CavityConfig:
-    """Resonator properties plus the photon collection chain.
-
-    ``flip_dipole_projection`` scales the dipole of the spin-flip
-    transition relative to the readout transition when predicting
-    branching ratios (assumed 1 by default; knob, not a measurement).
-    """
+    """Resonator properties plus the photon collection chain."""
 
     resonance_frequency_ghz: float
     quality_factor: float
     purcell_on_resonance: float
-    mode_volume: float = 0.83
     eta_waveguide: float = 1.0
     eta_offchip: float = 1.0
     eta_switch: float = 1.0
     eta_detector: float = 1.0
-    flip_dipole_projection: float = 1.0
 
     def __post_init__(self):
         if self.quality_factor <= 0:

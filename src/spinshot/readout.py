@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimators import FitError, FitResult, fit_model
+from .estimators import FitError, FitResult, fit_model, write_csv
 
 __all__ = [
     "CAPACITY_PULSES",
@@ -142,10 +142,8 @@ class CountDistribution:
         return float(self.probabilities[:threshold].sum())
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("count,probability\n")
-            for k, p in enumerate(self.probabilities):
-                fh.write(f"{k},{p:.12g}\n")
+        write_csv(path, "count,probability",
+                  range(len(self.probabilities)), self.probabilities)
 
 
 @dataclass
@@ -168,11 +166,9 @@ class FidelityReport:
             raise ValueError("f_min must equal min(f_bright, f_dark)")
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("n,threshold,f_bright,f_dark,f_min\n")
-            fh.write(f"{self.n_pulses},{self.threshold},"
-                     f"{self.f_bright:.12g},{self.f_dark:.12g},"
-                     f"{self.f_min:.12g}\n")
+        write_csv(path, "n,threshold,f_bright,f_dark,f_min",
+                  [self.n_pulses], [self.threshold], [self.f_bright],
+                  [self.f_dark], [self.f_min])
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +374,9 @@ class OptimizeResult:
     f_values: np.ndarray
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("n,threshold,f_bright,f_dark,f_min\n")
-            for n, t, fb, fd, fm in zip(self.n_values, self.threshold_values,
-                                        self.f_bright_values, self.f_dark_values,
-                                        self.f_values):
-                fh.write(f"{n},{t},{fb:.12g},{fd:.12g},{fm:.12g}\n")
+        write_csv(path, "n,threshold,f_bright,f_dark,f_min",
+                  self.n_values, self.threshold_values, self.f_bright_values,
+                  self.f_dark_values, self.f_values)
 
 
 def optimize_readout(params: ReadoutParams, n_range) -> OptimizeResult:

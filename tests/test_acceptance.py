@@ -336,6 +336,7 @@ def test_c13_cli_determinism(capsys, tmp_path, monkeypatch):
             ("g2", [str(events)]),
             ("area-sweep", ["--points", "3", "--shots", "2000"]),
             ("calibrate", []),
+            ("protocols", ["--shots", "400"]),
         ]
         for command, extra in matrix:
             trees = []
@@ -354,5 +355,5 @@ def test_c13_cli_determinism(capsys, tmp_path, monkeypatch):
                 trees.append(tree)
             assert trees[0] == trees[1], f"{command}: rerun differs"
             assert trees[0] == trees[2], f"{command}: thread count leaks"
-        info["detail"] = ("7 subcommands byte-identical across reruns and "
+        info["detail"] = ("8 subcommands byte-identical across reruns and "
                           "SPINSHOT_THREADS=1 vs 4")

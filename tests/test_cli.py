@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from spinshot import cli
+from spinshot.estimators import FitError
 
 SEQ_TEXT = ("repeat 25 { pulse optical A 0.02us 1pi\n"
             " detect 3us\n wait 6.98us }\n")
@@ -127,6 +129,37 @@ class TestSubcommands:
         assert code == 0
         assert "achieved fidelity: 0.869" in cap.out
 
+    def test_protocols(self, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        code, cap = run_cli(["protocols", "--shots", "1000", "--out-dir", out],
+                            capsys)
+        assert code == 0
+        for name in ("t1", "odmr", "rabi", "echo"):
+            with open(os.path.join(out, f"{name}_curve.csv")) as fh:
+                assert fh.readline().strip() == "x,mean,stderr,shots"
+            with open(os.path.join(out, f"{name}_fit.csv")) as fh:
+                assert fh.readline().strip() == "parameter,value,uncertainty"
+        assert "model: damped_sine" in cap.out
+        assert len(manifest_of(out)["outputs"]) == 9
+
+    def test_protocols_read_microwave_section(self, tmp_path, capsys):
+        from spinshot.config import resolve_config_path
+        with open(resolve_config_path("paper.cfg")) as fh:
+            text = fh.read()
+        assert "drive_jitter = 0\n" in text
+        jittered = tmp_path / "jitter.cfg"
+        jittered.write_text(text.replace("drive_jitter = 0\n",
+                                         "drive_jitter = 0.05\n"))
+        trees = []
+        for tag, config in (("nominal", "paper.cfg"), ("jitter", str(jittered))):
+            out = str(tmp_path / tag)
+            code, _ = run_cli(["protocols", "--shots", "1000", "--config", config,
+                               "--out-dir", out], capsys)
+            assert code == 0
+            trees.append(tree_bytes(out))
+        assert trees[0]["t1_curve.csv"] == trees[1]["t1_curve.csv"]
+        assert trees[0]["rabi_curve.csv"] != trees[1]["rabi_curve.csv"]
+
     def test_console_script(self, tmp_path):
         res = subprocess.run(
             [sys.executable, "-m", "spinshot.cli", "levels",
@@ -243,11 +276,34 @@ class TestExitCodes:
         assert f"{path}:4:" in cap.err
         assert "shot_id 5" in cap.err
 
+    @pytest.mark.parametrize("header", ["# shots=abc pulses=3",
+                                        "# shots=2 pulses=-1",
+                                        "# shots= pulses=3"])
+    def test_records_bad_header(self, header, tmp_path, capsys):
+        path = tmp_path / "events.txt"
+        path.write_text("# photon records: shot_id pulse_index timestamp_us origin\n"
+                        f"{header}\n"
+                        "0 1 12.5 emitter\n")
+        code, cap = run_cli(["g2", str(path), "--out-dir", str(tmp_path / "o")],
+                            capsys)
+        assert code == 2
+        assert f"{path}:2:" in cap.err
+        assert "non-negative integer" in cap.err
+
     def test_numerical_failure(self, tmp_path, capsys):
         code, cap = run_cli(["calibrate", "--target-f", "0.9999",
                              "--out-dir", str(tmp_path / "o")], capsys)
         assert code == 3
         assert "unreachable" in cap.err
+
+    def test_protocols_fit_failure(self, tmp_path, capsys, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise FitError("no start converged")
+        monkeypatch.setattr(cli, "fit_model", no_fit)
+        code, cap = run_cli(["protocols", "--shots", "50",
+                             "--out-dir", str(tmp_path / "o")], capsys)
+        assert code == 3
+        assert "no start converged" in cap.err
 
 
 class TestHelp:
@@ -260,6 +316,7 @@ class TestHelp:
         ("area-sweep", ["--area-min", "--area-max", "--points",
                         "--flip-slope"]),
         ("calibrate", ["--target-f", "--threshold", "--n-pulses"]),
+        ("protocols", ["--shots", "--seed", "--config"]),
     ])
     def test_subcommand_help_documents_flags(self, command, flags, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -268,3 +325,57 @@ class TestHelp:
         text = capsys.readouterr().out
         for flag in flags:
             assert flag in text, (command, flag)
+
+
+HAND_RECORDS = ("# photon records: shot_id pulse_index timestamp_us origin\n"
+                "# shots=3 pulses=4\n"
+                "0 0 0.5 emitter\n"
+                "0 0 1.25 dark\n"
+                "0 2 20.75 emitter\n"
+                "1 1 10.125 emitter\n"
+                "1 2 21 dark\n"
+                "1 3 30.5 emitter\n"
+                "2 0 2.5 emitter\n"
+                "2 1 11 emitter\n"
+                "2 1 12.25 dark\n")
+
+
+# frozen before the CSV writers were merged into estimators.write_csv
+GOLDEN_SHA256 = {
+    "levels.csv":
+        "dc4778f16f27dbc87a3ca246b2e5007e0a17b07cb505b5e6427da9a1d200d6cd",
+    "fidelity_vs_n.csv":
+        "a5790a4f19033ccdce416c2156af43075a9637b59440ae8a6235f3b773fcdfae",
+    "fit_params.csv":
+        "c339566b2d008785727c4bf2d2dc6ac58b68133fff9793d2637e97ac92747329",
+    "calibration.csv":
+        "61222d322a4984ab0dc1a7504c719189972f035902e713ee9467173e3ec576ee",
+    "g2.csv":
+        "190932f4fd1b4de01c3698b70158f513599debaddf1b5f787c0c43d6207e7f42",
+}
+
+
+class TestGoldenOutputs:
+    """sha256 of every CSV written by the commands that draw no random
+    numbers; any change to the CSV format or to the numbers shows here."""
+
+    @pytest.mark.parametrize("command,extra,csv_name", [
+        ("levels", [], "levels.csv"),
+        ("readout-optimize", ["--n-max", "90"], "fidelity_vs_n.csv"),
+        ("fit", ["SERIES", "--model", "exp_decay"], "fit_params.csv"),
+        ("calibrate", [], "calibration.csv"),
+        ("g2", ["RECORDS", "--lags", "2"], "g2.csv"),
+    ])
+    def test_csv_sha256(self, command, extra, csv_name, tmp_path, series_file,
+                        capsys):
+        records = tmp_path / "hand.txt"
+        records.write_text(HAND_RECORDS)
+        names = {"SERIES": series_file, "RECORDS": str(records)}
+        out = str(tmp_path / "o")
+        code, _ = run_cli([command, *(names.get(a, a) for a in extra),
+                           "--out-dir", out], capsys)
+        assert code == 0
+        got = {name: hashlib.sha256(data).hexdigest()
+               for name, data in tree_bytes(out).items()
+               if name.endswith(".csv")}
+        assert got == {csv_name: GOLDEN_SHA256[csv_name]}

@@ -129,6 +129,16 @@ class TestBuilders:
         with pytest.raises(ConfigError):
             readout_params(load_config(str(p)))
 
+    def test_removed_cavity_keys_still_load(self):
+        # mode_volume and flip_dipole_projection were never read; configs
+        # that still set them load unchanged
+        cfg = parse_config(
+            "[cavity]\nresonance_frequency_ghz = 194954.05\n"
+            "quality_factor = 82000\npurcell_on_resonance = 177\n"
+            "mode_volume = 0.83\nflip_dipole_projection = 1.0\n",
+            origin="inline")
+        assert cavity_config(cfg).quality_factor == 82000.0
+
     def test_load_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/definitely/not/here.cfg")

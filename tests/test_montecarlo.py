@@ -394,6 +394,30 @@ class TestTimeline:
             params, shots=10_000, seed=7)
         assert pumped.histogram.mean() < 0.2 * plain.histogram.mean()
 
+    def test_detuned_pulse_at_half_width_halves_mean(self, transitions):
+        # a literal offset of FWHM/2 weights the excitation by exactly 1/2,
+        # and the mean count is linear in that weight
+        seq = READOUT_SEQ.replace("optical A", "optical 6.75MHz")
+        tl = compile_sequence(parse_sequence(seq), transitions)
+        params = make_params(n=40)
+        shots = 3000
+        run = run_timeline(tl, params, shots=shots, seed=11,
+                           emission_lifetime_us=0.01,
+                           spectral_diffusion_fwhm_mhz=13.5)
+        dp = count_distribution(replace(params, p_excite=0.5 * params.p_excite),
+                                "bright")
+        k = np.arange(len(dp.probabilities))
+        sd = math.sqrt(float(dp.probabilities @ k**2) - dp.mean() ** 2)
+        assert abs(run.histogram.mean() - dp.mean()) < 5.0 * sd / math.sqrt(shots)
+
+    def test_detuned_pulse_without_linewidth_emits_nothing(self, transitions):
+        seq = READOUT_SEQ.replace("optical A", "optical 6.75MHz")
+        tl = compile_sequence(parse_sequence(seq), transitions)
+        run = run_timeline(tl, make_params(n=40), shots=300, seed=12,
+                           spectral_diffusion_fwhm_mhz=0.0)
+        assert run.histogram.mean() == 0.0
+        assert len(run.records) == 0
+
     def test_histogram_independent_of_collect_flag(self, transitions):
         tl = compile_sequence(parse_sequence(READOUT_SEQ), transitions)
         params = make_params(n=40, dark_rate=40.0)

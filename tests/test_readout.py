@@ -128,6 +128,30 @@ class TestCountDistribution:
         want = count_distribution(quiet, "bright").mean() + noisy.dark_count_mean
         assert dist.mean() == pytest.approx(want, rel=1e-9)
 
+    @pytest.mark.parametrize("corner", ["frozen", "always_flip", "a_gg_b",
+                                        "b_gg_a", "paper_mu_800",
+                                        "paper_mu_1e4"])
+    @pytest.mark.parametrize("initial", ["bright", "dark"])
+    def test_invariants_at_capacity(self, corner, initial):
+        n = CAPACITY_PULSES
+        paper = readout_params(load_config("paper.cfg"), n_pulses=n)
+        per_mu = paper.gate_window * 1e-6 * n     # dark mean per Hz
+        params = {
+            "frozen": replace(paper, flip_bright=0.0, flip_dark=0.0),
+            "always_flip": replace(paper, flip_bright=1.0, flip_dark=1.0),
+            "a_gg_b": replace(paper, flip_bright=0.5, flip_dark=1e-9),
+            "b_gg_a": replace(paper, flip_bright=1e-9, flip_dark=0.5),
+            "paper_mu_800": replace(paper, dark_rate=800.0 / per_mu),
+            "paper_mu_1e4": replace(paper, dark_rate=1e4 / per_mu),
+        }[corner]
+        # CountDistribution rejects a negative pmf or a sum off by > 1e-12;
+        # the explicit checks below say so for the reader
+        dist = count_distribution(params, initial)
+        p = dist.probabilities
+        assert np.all(p >= 0)
+        assert abs(p.sum() - 1.0) <= 1e-12
+        assert (dist.initial_state, dist.n_pulses) == (initial, n)
+
     def test_capacity(self):
         with pytest.raises(CapacityError):
             count_distribution(make_params(n=CAPACITY_PULSES + 1), "bright")
