@@ -339,9 +339,12 @@ def _cmd_protocols(args, out: OutputDir) -> str:
                              **mw)
         curve.to_csv(out.record(f"{name}_curve.csv"))
         kind, n_components = PROTOCOL_MODELS[name]
-        result = fit_model(kind, curve.x, curve.mean,
-                           sigma=np.clip(curve.stderr, 1e-4, None),
-                           n_components=n_components)
+        try:
+            result = fit_model(kind, curve.x, curve.mean,
+                               sigma=np.clip(curve.stderr, 1e-4, None),
+                               n_components=n_components)
+        except FitError as exc:
+            raise FitError(f"{name}: {exc}", exc.diagnostics) from None
         _write_fit_csv(out.record(f"{name}_fit.csv"), result)
         sections.append(f"--- {name} ({name}_curve.csv, {name}_fit.csv) ---\n"
                         + format_fit_report(result))

@@ -410,7 +410,14 @@ def fit_model(kind, x, y, sigma=None, initial=None, n_components=None,
             continue
         theta, cost, jac, converged, iters = _lm_minimize(
             residuals, _to_internal(p0, pos_mask), max_iter=max_iter)
-        diagnostics.append((i, "converged" if converged else "not converged", cost))
+        if converged:
+            # a log parameter can converge beyond exp's range
+            with np.errstate(over="ignore"):
+                converged = bool(np.all(np.isfinite(_to_external(theta, pos_mask))))
+            status = "converged" if converged else "non-finite parameters"
+        else:
+            status = "not converged"
+        diagnostics.append((i, status, cost))
         if converged and (best is None or cost < best[1]):
             best = (theta, cost, jac, iters)
     if best is None:

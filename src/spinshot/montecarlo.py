@@ -1,10 +1,10 @@
 """Stochastic shot-by-shot simulation of the readout and spin protocols.
 
 Random numbers come from counter-based Philox streams keyed by (seed,
-block/shot index), so results are bitwise reproducible regardless of
+block index), so results are bitwise reproducible regardless of
 execution order or the number of worker threads (SPINSHOT_THREADS).
-The readout engine vectorizes over shots in fixed-size blocks and
-reduces the blocks in index order.
+The readout engine and the timeline executor both vectorize over shots
+in fixed-size blocks and reduce the blocks in index order.
 
 Unit conventions: optical lifetimes and gate/pulse times in us, MW
 Rabi/detuning frequencies in kHz, spectroscopy offsets in MHz, spin
@@ -23,9 +23,13 @@ from .estimators import FitError, gaussian_fwhm_to_sigma, write_csv
 from .physics import lorentzian_suppression
 from .readout import (CountDistribution, ReadoutParams, cyclicity,
                       fit_decay_constant, readout_report)
+from .sequence import _TRANSITION_LABELS, DETECT, MW, OPTICAL
+
+_LABEL = {name: code for code, name in enumerate(_TRANSITION_LABELS)}
 
 __all__ = [
     "BLOCK_SHOTS",
+    "TIMELINE_BLOCK_CELLS",
     "ShotState",
     "PhotonRecords",
     "BathParams",
@@ -67,6 +71,18 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
 def rng_stream(seed: int, shot_index: int) -> np.random.Generator:
     """Independent, reproducible random stream for one shot."""
     return _stream(seed, shot_index)
+
+
+def _map_blocks(run_block, n_blocks: int):
+    """Yield run_block(i) for i = 0 .. n_blocks - 1 in order, computed on up
+    to worker_count() threads; each block owns its stream, so the results
+    ignore the thread count."""
+    workers = min(worker_count(), n_blocks)
+    if workers <= 1:
+        yield from map(run_block, range(n_blocks))
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(run_block, range(n_blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -116,13 +132,13 @@ class PhotonRecords:
         return flat.reshape(self.n_shots, self.n_pulses)
 
     def to_file(self, path):
+        rows = zip(self.shot_id.tolist(), self.pulse_index.tolist(),
+                   self.timestamp_us.tolist(), self.origin_code.tolist())
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("# photon records: shot_id pulse_index timestamp_us origin\n")
             fh.write(f"# shots={self.n_shots} pulses={self.n_pulses}\n")
-            origins = self.origin
-            for s, p, t, o in zip(self.shot_id, self.pulse_index,
-                                  self.timestamp_us, origins):
-                fh.write(f"{s} {p} {t:.12g} {o}\n")
+            fh.writelines(f"{s} {p} {t:.12g} {_ORIGINS[c != 0]}\n"
+                          for s, p, t, c in rows)
 
     @classmethod
     def from_file(cls, path) -> "PhotonRecords":
@@ -318,17 +334,11 @@ def simulate_readout_shots(params: ReadoutParams, initial: str = "bright",
     block_sizes = [min(BLOCK_SHOTS, shots - s)
                    for s in range(0, shots, BLOCK_SHOTS)]
 
-    def run_block(i):
-        rng = _stream(seed, *_key, i)
-        return _readout_block(params, initial, block_sizes[i], rng,
-                              collect_records, emission_lifetime_us)
-
-    workers = min(worker_count(), len(block_sizes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_block, range(len(block_sizes))))
-    else:
-        results = [run_block(i) for i in range(len(block_sizes))]
+    results = list(_map_blocks(
+        lambda i: _readout_block(params, initial, block_sizes[i],
+                                 _stream(seed, *_key, i), collect_records,
+                                 emission_lifetime_us),
+        len(block_sizes)))
 
     counts = np.concatenate([r[0] for r in results])
     trace = np.sum([r[1] for r in results], axis=0) / shots
@@ -360,7 +370,8 @@ def simulate_readout_shots(params: ReadoutParams, initial: str = "bright",
 
 def _rotate(spins, rabi_khz, detuning_khz, duration_us, phase_rad=0.0):
     """Rodrigues rotation of Bloch vectors about the driven-frame axis
-    (O cos phi, O sin phi, Delta)/O_eff by angle 2*pi*O_eff*t."""
+    (O cos phi, O sin phi, Delta)/O_eff by angle 2*pi*O_eff*t; every
+    parameter is a scalar or one value per vector."""
     spins = np.asarray(spins, dtype=float)
     single = spins.ndim == 1
     v = spins.reshape(1, 3) if single else spins
@@ -369,8 +380,8 @@ def _rotate(spins, rabi_khz, detuning_khz, duration_us, phase_rad=0.0):
     eff = np.hypot(omega, delta)
     angle = 2.0 * np.pi * eff * duration_us * 1e-3
     safe = np.where(eff > 0.0, eff, 1.0)
-    axis = np.stack([omega * math.cos(phase_rad) / safe,
-                     omega * math.sin(phase_rad) / safe,
+    axis = np.stack([omega * np.cos(phase_rad) / safe,
+                     omega * np.sin(phase_rad) / safe,
                      delta / safe], axis=1)
     cos_t = np.cos(angle)[:, None]
     sin_t = np.sin(angle)[:, None]
@@ -577,13 +588,168 @@ class TimelineRun:
     per_gate_mean: np.ndarray
 
 
+# Executor block size in cells (optical pulses plus gates, times shots); a
+# block holds about 100 bytes per cell, more where MW pulses precede an
+# optical pulse.  At least one shot per block.
+TIMELINE_BLOCK_CELLS = 1 << 14
+
+
+def _apply_map(code, state):
+    """A map {dark, bright} -> {dark, bright} (1 = bright) is coded
+    f(dark) + 2 f(bright); its value at ``state``."""
+    return (code >> state) & 1
+
+
+# _COMPOSE[g, f] codes "f, then g"
+_COMPOSE = np.array([[_apply_map(g, _apply_map(f, 0))
+                      + 2 * _apply_map(g, _apply_map(f, 1)) for f in range(4)]
+                     for g in range(4)], dtype=np.int8)
+
+
+def _prefix_compose(codes):
+    """Inclusive scan over axis 0: out[k] codes codes[0], ..., codes[k]
+    applied in order (Hillis-Steele, log2 depth)."""
+    out = codes.copy()
+    step = 1
+    while step < len(out):
+        out[step:] = _COMPOSE[out[step:], out[:-step]]
+        step *= 2
+    return out
+
+
+@dataclass(frozen=True)
+class _TimelinePlan:
+    """Shot-independent arrays of a timeline for the block executor."""
+    opt_end: np.ndarray        # end time of each optical pulse
+    first_gate: np.ndarray     # first gate after each optical pulse
+    keep_below: np.ndarray     # bright stays bright if r >= keep_below
+    gain_below: np.ndarray     # dark turns bright if r < gain_below
+    emit_below: np.ndarray     # a bright, unflipped spin emits if r < emit_below
+    mw_runs: np.ndarray        # optical pulses preceded by MW pulses
+    mw_steps: tuple            # per position in a run: (rows, MHz, us, rad)
+    gate_start: np.ndarray
+    gate_end: np.ndarray
+    gate_mu: np.ndarray        # dark-count mean per gate
+
+    @property
+    def cells_per_shot(self) -> int:
+        return len(self.opt_end) + len(self.gate_start)
+
+
+def _plan_timeline(tl, params: ReadoutParams, fwhm_mhz: float) -> _TimelinePlan:
+    opt = np.flatnonzero(tl.kind == OPTICAL)
+    gate = np.flatnonzero(tl.kind == DETECT)
+    mw = np.flatnonzero(tl.kind == MW)
+
+    label = tl.label[opt]
+    p_area = np.sin(tl.area_pi[opt] * np.pi / 2.0) ** 2
+    offset = np.nan_to_num(tl.offset_mhz[opt])       # labelled pulses: 0
+    readout = (label == _LABEL["A"]) | (label == -1)  # -1: a literal offset
+    if fwhm_mhz > 0.0:
+        weight = lorentzian_suppression(offset, fwhm_mhz)
+    else:                                            # no line: detuned pulses miss
+        weight = (offset == 0.0).astype(float)
+    pump_dark, pump_bright = label == _LABEL["C"], label == _LABEL["D"]
+    keep = np.select([readout, pump_dark], [params.flip_bright, p_area], 0.0)
+    gain = np.select([readout, pump_bright], [params.flip_dark, p_area], 0.0)
+    emit = np.where(readout, params.p_excite * p_area * weight, 0.0)
+
+    # MW pulses act on the spin before the next optical pulse; a run is the
+    # MW pulses between two optical pulses, and those after the last are idle
+    run_of = np.searchsorted(opt, mw)
+    live = run_of < len(opt)
+    mw, run_of = mw[live], run_of[live]
+    runs, row_of = np.unique(run_of, return_inverse=True)
+    position = np.arange(len(mw)) - np.searchsorted(run_of, run_of)
+    steps = []
+    for j in range(int(position.max()) + 1 if len(mw) else 0):
+        at = position == j
+        steps.append((row_of[at], tl.frequency_mhz[mw[at]],
+                      tl.duration_us[mw[at]], np.radians(tl.phase_deg[mw[at]])))
+
+    gate_start = tl.start_us[gate]
+    return _TimelinePlan(
+        opt_end=tl.start_us[opt] + tl.duration_us[opt],
+        first_gate=np.searchsorted(gate, opt),
+        keep_below=keep, gain_below=gain, emit_below=emit,
+        mw_runs=runs, mw_steps=tuple(steps),
+        gate_start=gate_start, gate_end=gate_start + tl.duration_us[gate],
+        gate_mu=params.dark_rate * tl.duration_us[gate] * 1e-6)
+
+
+def _timeline_block(plan: _TimelinePlan, params: ReadoutParams, bath, n_block,
+                    rng, collect, lifetime_us, mw_rabi_khz):
+    """(per-shot totals, per-gate sums, records columns) of one block."""
+    n_opt, n_gates = len(plan.opt_end), len(plan.gate_start)
+    offsets = (_sample_mixture(rng, bath, n_block) if bath is not None
+               else np.zeros(n_block))
+
+    # z of the spin before each optical pulse, rotated from +z through the
+    # preceding MW run; from -z it is the negative (rotations are linear)
+    z = np.ones((n_opt, n_block))
+    if plan.mw_steps:
+        spins = np.zeros((len(plan.mw_runs), n_block, 3))
+        spins[..., 2] = 1.0
+        for rows, freq, duration, phase in plan.mw_steps:
+            detuning = (freq[:, None] - offsets) * 1e3
+            spins[rows] = _rotate(
+                spins[rows].reshape(-1, 3), mw_rabi_khz, detuning.ravel(),
+                np.repeat(duration, n_block), np.repeat(phase, n_block),
+            ).reshape(len(rows), n_block, 3)
+        z[plan.mw_runs] = spins[..., 2]
+
+    # optical pulses are projective; evaluate each pulse's map from both
+    # prior states on the same draws, then chain the maps
+    u_collapse = rng.random((n_opt, n_block))
+    r_flip = rng.random((n_opt, n_block))
+    r_emit = rng.random((n_opt, n_block))
+    from_bright = u_collapse < 0.5 * (1.0 + z)
+    from_dark = u_collapse < 0.5 * (1.0 - z)
+    stay = r_flip >= plan.keep_below[:, None]
+    gain = r_flip < plan.gain_below[:, None]
+    codes = (np.where(from_dark, stay, gain).view(np.int8)
+             + 2 * np.where(from_bright, stay, gain).view(np.int8))
+    after = _apply_map(_prefix_compose(codes), 1)    # every shot starts bright
+    before = np.ones_like(after)
+    before[1:] = after[:-1]
+    emits = (np.where(before == 1, from_bright, from_dark) & stay
+             & (r_emit < plan.emit_below[:, None]))
+
+    # an emission is seen by the first later gate that has not ended yet,
+    # if that gate has already opened
+    k, shot = np.nonzero(emits)
+    t = plan.opt_end[k] - lifetime_us * np.log1p(-rng.random(k.size))
+    gate = np.maximum(np.searchsorted(plan.gate_end, t), plan.first_gate[k])
+    covered = gate < n_gates
+    covered[covered] = t[covered] >= plan.gate_start[gate[covered]]
+    seen = covered & (rng.random(k.size) < params.eta_detect)
+    shot, gate, t = shot[seen], gate[seen], t[seen]
+    n_dark = rng.poisson(plan.gate_mu, (n_block, n_gates))
+    totals = np.bincount(shot, minlength=n_block) + n_dark.sum(axis=1)
+    gate_sums = np.bincount(gate, minlength=n_gates) + n_dark.sum(axis=0)
+    if not collect:
+        return totals, gate_sums, None
+
+    dark_shot, dark_gate = np.nonzero(n_dark)
+    reps = n_dark[dark_shot, dark_gate]
+    dark_shot, dark_gate = np.repeat(dark_shot, reps), np.repeat(dark_gate, reps)
+    dark_t = plan.gate_start[dark_gate] + rng.random(dark_gate.size) * (
+        plan.gate_end - plan.gate_start)[dark_gate]
+    code = np.repeat(np.array([0, 1], dtype=np.int8), [shot.size, dark_shot.size])
+    shot = np.concatenate([shot, dark_shot])
+    gate = np.concatenate([gate, dark_gate])
+    t = np.concatenate([t, dark_t])
+    order = np.lexsort((t, shot))
+    return totals, gate_sums, (shot[order], gate[order], t[order], code[order])
+
+
 def run_timeline(timeline, params: ReadoutParams, bath: BathParams | None = None,
                  shots: int = 1000, seed: int = 0,
                  emission_lifetime_us: float = 0.803,
                  mw_rabi_khz: float = 217.4,
                  spectral_diffusion_fwhm_mhz: float = 13.5,
                  collect_records: bool = True) -> TimelineRun:
-    """Execute a compiled sequence timeline shot by shot.
+    """Execute a compiled sequence timeline for ``shots`` shots.
 
     Semantics per event: optical pulses on the readout transition (A,
     or a literal detuning weighted by the Lorentzian spectral-diffusion
@@ -592,109 +758,43 @@ def run_timeline(timeline, params: ReadoutParams, bath: BathParams | None = None
     covers it (unlike the calibrated readout engine, which conditions
     the timestamp on detection).  Pulses on C/D act as optical pumping
     between the ground states; pulses on B are emission on the
-    off-resonant branch and are not detected.  MW pulse frequencies are
-    offsets (MHz) from the nominal spin transition of the shot.
+    off-resonant branch and are not detected.  Every optical pulse
+    projects the spin.  MW pulse frequencies are offsets (MHz) from the
+    nominal spin transition of the shot.  Dark counts are Poisson per
+    gate with uniform timestamps.
+
+    Shots run in blocks of TIMELINE_BLOCK_CELLS // (optical pulses +
+    gates) shots (at least one); block i draws from the Philox stream
+    keyed by (seed, i), vectorized over (event, shot), and blocks are
+    reduced in index order, so results depend on neither
+    SPINSHOT_THREADS nor ``collect_records``.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    gates = [(i, e) for i, e in enumerate(timeline.events) if e.kind == "detect"]
-    n_gates = len(gates)
-    gate_counts = np.zeros((shots, max(n_gates, 1)), dtype=np.int64)
-    rec_shot, rec_pulse, rec_time, rec_code = [], [], [], []
-    p_area_cache = {}
+    plan = _plan_timeline(timeline, params, spectral_diffusion_fwhm_mhz)
+    n_gates = len(plan.gate_start)
+    block = max(1, TIMELINE_BLOCK_CELLS // max(plan.cells_per_shot, 1))
+    sizes = [min(block, shots - s) for s in range(0, shots, block)]
+    blocks = _map_blocks(
+        lambda i: _timeline_block(plan, params, bath, sizes[i], _stream(seed, i),
+                                  collect_records, emission_lifetime_us,
+                                  mw_rabi_khz),
+        len(sizes))
 
-    for shot in range(shots):
-        rng = rng_stream(seed, shot)
-        offset_mhz = (float(_sample_mixture(rng, bath, 1)[0])
-                      if bath is not None else 0.0)
-        spin = np.array([0.0, 0.0, 1.0])
-        pending = []            # emission times awaiting a gate
-        gate_idx = 0
-        for event in timeline.events:
-            if event.kind == "mw":
-                detuning = (event.params["frequency_mhz"] - offset_mhz) * 1e3
-                spin = _rotate(spin, mw_rabi_khz, detuning, event.duration_us,
-                               math.radians(event.params["phase_deg"]))
-            elif event.kind == "optical":
-                # collapse the spin: optical pulses are projective
-                bright = rng.random() < 0.5 * (1.0 + spin[2])
-                label = event.params["transition"]
-                area = event.params["area_pi"]
-                if area not in p_area_cache:
-                    p_area_cache[area] = excitation_probability(area)
-                p_area = p_area_cache[area]
-                if label in (None, "A"):
-                    offset = event.params["offset_mhz"]
-                    if not offset:          # labelled A or zero detuning
-                        weight = 1.0
-                    elif spectral_diffusion_fwhm_mhz > 0.0:
-                        weight = lorentzian_suppression(
-                            offset, spectral_diffusion_fwhm_mhz)
-                    else:                   # no line: detuned pulses miss
-                        weight = 0.0
-                    r_flip, r_exc, r_t = rng.random(3)
-                    if bright:
-                        if r_flip < params.flip_bright:
-                            bright = False
-                        elif r_exc < params.p_excite * p_area * weight:
-                            pending.append(event.end_us - emission_lifetime_us *
-                                           math.log1p(-r_t))
-                    else:
-                        if r_flip < params.flip_dark:
-                            bright = True
-                elif label == "C":      # pumps bright -> dark
-                    if bright and rng.random() < p_area:
-                        bright = False
-                elif label == "D":      # pumps dark -> bright
-                    if not bright and rng.random() < p_area:
-                        bright = True
-                # label B: off-resonant emission, nothing detected
-                spin = np.array([0.0, 0.0, 1.0 if bright else -1.0])
-            elif event.kind == "detect":
-                start, end = event.start_us, event.end_us
-                kept = []
-                for t_emit in pending:
-                    if start <= t_emit <= end:
-                        if rng.random() < params.eta_detect:
-                            gate_counts[shot, gate_idx] += 1
-                            if collect_records:
-                                rec_shot.append(shot)
-                                rec_pulse.append(gate_idx)
-                                rec_time.append(t_emit)
-                                rec_code.append(0)
-                    elif t_emit > end:
-                        kept.append(t_emit)
-                pending = kept
-                mu = params.dark_rate * event.duration_us * 1e-6
-                if mu > 0.0:
-                    n_dark = rng.poisson(mu)
-                    if n_dark:
-                        gate_counts[shot, gate_idx] += n_dark
-                        # draw timestamps whether or not we keep them, so
-                        # the stream (and histogram) ignores collect_records
-                        u_times = rng.random(n_dark)
-                        if collect_records:
-                            for u in u_times:
-                                rec_shot.append(shot)
-                                rec_pulse.append(gate_idx)
-                                rec_time.append(start + u * event.duration_us)
-                                rec_code.append(1)
-                gate_idx += 1
-
-    totals = gate_counts.sum(axis=1) if n_gates else np.zeros(shots, dtype=np.int64)
+    # reduce as blocks arrive: nothing of size shots x gates is kept
+    totals, parts = [], []
+    gate_sums = np.zeros(n_gates, dtype=np.int64)
+    for i, (block_totals, block_gate_sums, rows) in enumerate(blocks):
+        totals.append(block_totals)
+        gate_sums += block_gate_sums
+        if rows is not None:
+            parts.append((rows[0] + i * block,) + rows[1:])
+    totals = np.concatenate(totals)
     histogram = CountDistribution(np.bincount(totals) / shots, "bright",
                                   max(n_gates, 1))
     records = None
     if collect_records:
-        shot_arr = np.array(rec_shot, dtype=np.int64)
-        pulse_arr = np.array(rec_pulse, dtype=np.int64)
-        time_arr = np.array(rec_time, dtype=float)
-        code_arr = np.array(rec_code, dtype=np.int8)
-        order = np.lexsort((time_arr, shot_arr))
-        records = PhotonRecords(shot_arr[order], pulse_arr[order],
-                                time_arr[order], code_arr[order],
-                                shots, max(n_gates, 1))
-    per_gate = (gate_counts.mean(axis=0) if n_gates
-                else np.zeros(0))
+        columns = (np.concatenate(column) for column in zip(*parts))
+        records = PhotonRecords(*columns, shots, max(n_gates, 1))
     return TimelineRun(histogram=histogram, records=records,
-                       gate_count=n_gates, per_gate_mean=per_gate)
+                       gate_count=n_gates, per_gate_mean=gate_sums / shots)

@@ -13,8 +13,12 @@ blocks into a flat, strictly sequential timeline of timed events.
 """
 from __future__ import annotations
 
+import math
 import re
+from collections import abc
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = [
     "ParseError",
@@ -28,6 +32,7 @@ __all__ = [
     "SequenceProgram",
     "TimedEvent",
     "Timeline",
+    "KINDS",
     "BlockTiming",
     "DurationReport",
     "parse_sequence",
@@ -35,11 +40,17 @@ __all__ = [
     "compile_sequence",
     "duration_report",
     "MAX_EVENTS",
+    "BYTES_PER_EVENT",
     "MAX_NESTING",
     "DEFAULT_OVERHEAD_US",
 ]
 
-MAX_EVENTS = 10_000_000
+# Peak bytes per event of compile_sequence plus one single-shot block of
+# run_timeline: 50 in the timeline columns, the rest in the block (measured
+# worst case 226, alternating MW and optical pulses).  MAX_EVENTS holds a
+# program near 512 MiB; each further executor thread adds a block.
+BYTES_PER_EVENT = 240
+MAX_EVENTS = (512 << 20) // BYTES_PER_EVENT
 MAX_NESTING = 16
 # switching overhead between one pulse+gate cycle and the next at max rate
 DEFAULT_OVERHEAD_US = 0.08
@@ -317,6 +328,10 @@ def format_sequence(program: SequenceProgram) -> str:
 # compiler
 # ---------------------------------------------------------------------------
 
+KINDS = ("optical", "mw", "wait", "detect")
+OPTICAL, MW, WAIT, DETECT = range(len(KINDS))
+
+
 @dataclass(frozen=True)
 class TimedEvent:
     start_us: float
@@ -329,13 +344,75 @@ class TimedEvent:
         return self.start_us + self.duration_us
 
 
-@dataclass(frozen=True)
+class _EventView(abc.Sequence):
+    """Read-only sequence of a timeline's events, built on access."""
+
+    __slots__ = ("_timeline",)
+
+    def __init__(self, timeline):
+        self._timeline = timeline
+
+    def __len__(self):
+        return len(self._timeline.start_us)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._timeline.event(j) for j in range(*i.indices(len(self)))]
+        return self._timeline.event(i)
+
+    def __iter__(self):
+        return map(self._timeline.event, range(len(self)))
+
+
+@dataclass(frozen=True, eq=False)
 class Timeline:
-    events: tuple
+    """Flat event timeline as columns, one entry per event in each.
+
+    Parameter columns hold 0 (NaN for ``offset_mhz``) where they do not
+    apply to an event's kind.
+    """
+    start_us: np.ndarray
+    duration_us: np.ndarray
+    kind: np.ndarray            # int8 index into KINDS
+    label: np.ndarray           # int8 index into A-D; -1 unless a labelled optical pulse
+    area_pi: np.ndarray         # optical pulse area
+    offset_mhz: np.ndarray      # literal optical detuning
+    frequency_mhz: np.ndarray   # MW drive offset
+    phase_deg: np.ndarray       # MW phase
     total_duration_us: float
+    frequencies_ghz: dict = field(default_factory=dict)  # label -> GHz
+
+    @property
+    def events(self) -> abc.Sequence:
+        return _EventView(self)
+
+    def event(self, i) -> TimedEvent:
+        kind = KINDS[self.kind[i]]
+        if kind == "optical":
+            label = (_TRANSITION_LABELS[self.label[i]] if self.label[i] >= 0
+                     else None)
+            params = {
+                "transition": label,
+                "offset_mhz": None if label else float(self.offset_mhz[i]),
+                "area_pi": float(self.area_pi[i]),
+                "frequency_ghz": self.frequencies_ghz.get(label),
+            }
+        elif kind == "mw":
+            params = {"frequency_mhz": float(self.frequency_mhz[i]),
+                      "phase_deg": float(self.phase_deg[i])}
+        else:
+            params = {}
+        return TimedEvent(float(self.start_us[i]), float(self.duration_us[i]),
+                          kind, params)
 
     def gates(self):
-        return [e for e in self.events if e.kind == "detect"]
+        return [self.event(i) for i in np.flatnonzero(self.kind == DETECT)]
+
+
+# (column, dtype) of a compiled block; starts are added after unrolling
+_COLUMNS = (("duration_us", np.float64), ("kind", np.int8), ("label", np.int8),
+            ("area_pi", np.float64), ("offset_mhz", np.float64),
+            ("frequency_mhz", np.float64), ("phase_deg", np.float64))
 
 
 def _statement_event_count(stmt) -> int:
@@ -356,53 +433,75 @@ def _statement_duration(stmt) -> float:
     raise TypeError(f"unknown statement {stmt!r}")
 
 
+def _event_row(stmt) -> tuple:
+    """One event's values in _COLUMNS order."""
+    nan = math.nan
+    if isinstance(stmt, OpticalPulse):
+        label = (_TRANSITION_LABELS.index(stmt.transition) if stmt.transition
+                 else -1)
+        offset = stmt.offset_mhz if stmt.offset_mhz is not None else nan
+        return (stmt.duration_us, OPTICAL, label, stmt.area_pi, offset, 0.0, 0.0)
+    if isinstance(stmt, MwPulse):
+        return (stmt.duration_us, MW, -1, 0.0, nan, stmt.frequency_mhz,
+                stmt.phase_deg)
+    if isinstance(stmt, Wait):
+        return (stmt.duration_us, WAIT, -1, 0.0, nan, 0.0, 0.0)
+    if isinstance(stmt, Detect):
+        return (stmt.window_us, DETECT, -1, 0.0, nan, 0.0, 0.0)
+    raise TypeError(f"unknown statement {stmt!r}")
+
+
+def _compile_block(statements) -> list:
+    """Columns of one pass through ``statements``; each repeat body is
+    compiled once and tiled."""
+    parts, rows = [], []
+
+    def flush():
+        if rows:
+            parts.append([np.array(col, dtype=dtype)
+                          for col, (_, dtype) in zip(zip(*rows), _COLUMNS)])
+            rows.clear()
+
+    for stmt in statements:
+        if isinstance(stmt, Repeat):
+            flush()
+            body = _compile_block(stmt.block)
+            parts.append([np.tile(col, stmt.count) for col in body])
+        else:
+            rows.append(_event_row(stmt))
+    flush()
+    if len(parts) == 1:
+        return parts[0]
+    if not parts:
+        return [np.zeros(0, dtype=dtype) for _, dtype in _COLUMNS]
+    return [np.concatenate(cols) for cols in zip(*parts)]
+
+
 def compile_sequence(program: SequenceProgram, transitions=None) -> Timeline:
     """Unroll to a flat event timeline with absolute start times.
 
     ``transitions`` (a physics TransitionSet) resolves optical labels
-    A-D to absolute frequencies; without it labels stay symbolic.
+    A-D to absolute frequencies; without it labels stay symbolic.  The
+    event count is checked against MAX_EVENTS before anything is
+    allocated.
     """
     total_events = sum(_statement_event_count(s) for s in program.statements)
     if total_events > MAX_EVENTS:
         raise TimelineCapacityError(
             f"unrolled sequence has {total_events} events, "
             f"exceeding the capacity of {MAX_EVENTS}")
+    columns = dict(zip((name for name, _ in _COLUMNS),
+                       _compile_block(program.statements)))
+    durations = columns["duration_us"]
+    # np.cumsum adds in order, so each start has the bits of a running sum
+    start = np.zeros(total_events)
+    np.cumsum(durations[:-1], out=start[1:])
+    total = float(start[-1] + durations[-1]) if total_events else 0.0
+    for column in (start, *columns.values()):
+        column.flags.writeable = False
     by_label = transitions.by_label() if transitions is not None else {}
-
-    events = []
-    cursor = 0.0
-
-    def emit(stmt):
-        nonlocal cursor
-        if isinstance(stmt, Repeat):
-            for _ in range(stmt.count):
-                for inner in stmt.block:
-                    emit(inner)
-            return
-        if isinstance(stmt, OpticalPulse):
-            params = {
-                "transition": stmt.transition,
-                "offset_mhz": stmt.offset_mhz,
-                "area_pi": stmt.area_pi,
-                "frequency_ghz": by_label.get(stmt.transition),
-            }
-            events.append(TimedEvent(cursor, stmt.duration_us, "optical", params))
-            cursor += stmt.duration_us
-        elif isinstance(stmt, MwPulse):
-            params = {"frequency_mhz": stmt.frequency_mhz,
-                      "phase_deg": stmt.phase_deg}
-            events.append(TimedEvent(cursor, stmt.duration_us, "mw", params))
-            cursor += stmt.duration_us
-        elif isinstance(stmt, Wait):
-            events.append(TimedEvent(cursor, stmt.duration_us, "wait", {}))
-            cursor += stmt.duration_us
-        elif isinstance(stmt, Detect):
-            events.append(TimedEvent(cursor, stmt.window_us, "detect", {}))
-            cursor += stmt.window_us
-
-    for stmt in program.statements:
-        emit(stmt)
-    return Timeline(events=tuple(events), total_duration_us=cursor)
+    return Timeline(start_us=start, total_duration_us=total,
+                    frequencies_ghz=dict(by_label), **columns)
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,29 @@ class TestExitCodes:
         assert "no start converged" in cap.err
 
 
+    def test_protocols_fit_failure_names_protocol(self, tmp_path, capsys):
+        # the three-component ODMR fit finds no converged start at 300 shots
+        code, cap = run_cli(["protocols", "--shots", "300", "--seed", "0",
+                             "--out-dir", str(tmp_path / "o")], capsys)
+        assert code == 3
+        assert "numerical failure: odmr: no start converged" in cap.err
+
+    def test_protocols_fit_parameters_finite(self, tmp_path):
+        # at this seed the Rabi fit's best start drives log(tau) past exp's range
+        out = tmp_path / "o"
+        res = subprocess.run(
+            [sys.executable, "-m", "spinshot.cli", "protocols", "--seed", "3",
+             "--shots", "200", "--out-dir", str(out)],
+            capture_output=True, text=True)
+        assert "Warning" not in res.stderr
+        assert res.returncode in (0, 3)
+        if res.returncode == 0:
+            for name in ("t1", "odmr", "rabi", "echo"):
+                rows = (out / f"{name}_fit.csv").read_text().splitlines()[1:]
+                values = [float(row.split(",")[1]) for row in rows]
+                assert np.all(np.isfinite(values)), name
+
+
 class TestHelp:
     @pytest.mark.parametrize("command,flags", [
         ("levels", ["--config", "--out-dir", "--format"]),

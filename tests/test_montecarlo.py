@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enumerate_count_distribution
+from oracles import enumerate_count_distribution, run_timeline_per_shot
+from test_readout import within_seconds
 from spinshot.estimators import fit_model
-from spinshot.montecarlo import (BathParams, PhotonRecords, ShotState,
+from spinshot.montecarlo import (TIMELINE_BLOCK_CELLS, BathParams,
+                                 PhotonRecords, ShotState,
                                  apply_mw_pulse, excitation_probability,
                                  pulse_area_scan, rng_stream, run_protocol,
                                  run_timeline, simulate_readout_shots,
@@ -437,3 +439,154 @@ class TestTimeline:
         inside = (t[:, None] >= starts[None, :] - 1e-9) & \
                  (t[:, None] <= ends[None, :] + 1e-9)
         assert np.all(inside.any(axis=1))
+
+
+def assert_same_count_distribution(a, b):
+    """Two samples of per-shot counts from one law: means within 5 SE, and
+    total variation within the mean plus 5 SD of its null distribution
+    (normal approximation per count bin, pooled frequencies)."""
+    a, b = np.asarray(a), np.asarray(b)
+    se = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
+    assert abs(a.mean() - b.mean()) <= 5.0 * se
+    size = int(max(a.max(), b.max())) + 1
+    pa = np.bincount(a, minlength=size) / a.size
+    pb = np.bincount(b, minlength=size) / b.size
+    pooled = (pa * a.size + pb * b.size) / (a.size + b.size)
+    sd = np.sqrt(pooled * (1.0 - pooled) * (1.0 / a.size + 1.0 / b.size))
+    bound = 0.5 * (math.sqrt(2.0 / math.pi) * sd.sum()
+                   + 5.0 * math.sqrt((1.0 - 2.0 / math.pi) * (sd ** 2).sum()))
+    assert 0.5 * np.abs(pa - pb).sum() <= bound
+
+
+def run_totals(run):
+    return np.bincount(run.records.shot_id, minlength=run.records.n_shots)
+
+
+NARROW_BATH = BathParams(odmr_centers=(-0.1, 0.0, 0.1), odmr_sigma=0.05)
+MW_RUN_OF_TWO = ("pulse mw 0MHz 1.15us 0deg\n wait 1us\n"
+                 " pulse mw 0MHz 1.15us 0deg\n")
+PUMPS = ("pulse mw 0MHz 1.15us 0deg\n pulse optical C 1us 0.5pi\n"
+         " pulse mw 0MHz 0.6us 45deg\n pulse optical D 1us 0.7pi\n")
+GATE_EDGE = ("repeat 30 { detect 1us\n pulse optical A 0us 1pi\n"
+             " detect 0.5us\n wait 0.2us }")
+
+
+class TestTimelineExecutor:
+    """The block executor against the per-shot reference executor."""
+
+    @pytest.mark.parametrize("case", [
+        # README readout: MW after the last optical pulse is idle
+        dict(seq=READOUT_SEQ + "\npulse mw 3598.43MHz 2.3us 0deg",
+             bath=BathParams(), ref_shots=1500),
+        # two MW pulses in one run, pi/2 each, about a pi in total
+        dict(seq=MW_RUN_OF_TWO + READOUT_SEQ, bath=NARROW_BATH, ref_shots=1500),
+        dict(seq=PUMPS + READOUT_SEQ, bath=None, ref_shots=1500),
+        dict(seq=READOUT_SEQ.replace("optical A", "optical 6.75MHz")
+             + "\npulse optical -20MHz 0.02us 1pi\n detect 3us",
+             bath=None, ref_shots=1500),
+        dict(seq=GATE_EDGE, bath=None, ref_shots=2000, lifetime=0.5),
+        dict(seq=GATE_EDGE, bath=None, ref_shots=2000, lifetime=0.0),
+    ], ids=["readme", "mw-run-of-two", "c-d-pumps", "literal-detuning",
+            "zero-length-pulse-at-gate-edge", "zero-lifetime-at-gate-edge"])
+    def test_matches_per_shot_reference(self, transitions, case):
+        tl = compile_sequence(parse_sequence(case["seq"]), transitions)
+        params = make_params(n=40, eta=0.3, dark_rate=2000.0)
+        kw = dict(emission_lifetime_us=case.get("lifetime", 0.803),
+                  mw_rabi_khz=500.0 / 2.3, spectral_diffusion_fwhm_mhz=13.5)
+        run = run_timeline(tl, params, case["bath"], shots=20_000, seed=21, **kw)
+        ref_totals, ref_counts, _ = run_timeline_per_shot(
+            tl, params, case["bath"], shots=case["ref_shots"], seed=22, **kw)
+        totals = run_totals(run)
+        assert_same_count_distribution(totals, ref_totals)
+        assert np.array_equal(np.bincount(totals) / 20_000,
+                              run.histogram.probabilities)
+        se = np.sqrt(run.per_gate_mean / 20_000
+                     + ref_counts.var(axis=0, ddof=1) / case["ref_shots"])
+        assert np.all(np.abs(run.per_gate_mean - ref_counts.mean(axis=0))
+                      <= 5.0 * se + 1e-12)
+
+    def test_partial_last_block(self, transitions):
+        seq = "repeat 5 { pulse optical A 0.02us 1pi\n detect 3us\n wait 1us }"
+        tl = compile_sequence(parse_sequence(seq), transitions)
+        per_block = TIMELINE_BLOCK_CELLS // 10
+        shots = 2 * per_block + per_block // 3
+        params = make_params(n=5, eta=0.5, dark_rate=5000.0)
+        run = run_timeline(tl, params, shots=shots, seed=3)
+        ref_totals, _, _ = run_timeline_per_shot(tl, params, shots=shots, seed=4)
+        totals = run_totals(run)
+        assert totals.size == shots
+        # shots of the last, partial block are simulated like the others
+        assert totals[2 * per_block:].mean() > 0
+        assert_same_count_distribution(totals, ref_totals)
+        assert_same_count_distribution(totals[2 * per_block:], ref_totals)
+
+    def test_thread_count_gives_identical_records(self, transitions, monkeypatch):
+        tl = compile_sequence(parse_sequence(PUMPS + READOUT_SEQ), transitions)
+        params = make_params(n=40, dark_rate=500.0)
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SPINSHOT_THREADS", threads)
+            runs.append(run_timeline(tl, params, BathParams(), shots=3000, seed=5))
+        a, b = (r.records for r in runs)
+        assert 3000 > TIMELINE_BLOCK_CELLS // (41 + 40)   # several blocks
+        for column in ("shot_id", "pulse_index", "timestamp_us", "origin_code"):
+            assert getattr(a, column).tobytes() == getattr(b, column).tobytes()
+        assert np.array_equal(runs[0].histogram.probabilities,
+                              runs[1].histogram.probabilities)
+        assert runs[0].per_gate_mean.tobytes() == runs[1].per_gate_mean.tobytes()
+
+    def test_records_match_totals(self, transitions):
+        tl = compile_sequence(parse_sequence(GATE_EDGE), transitions)
+        run = run_timeline(tl, make_params(n=30, dark_rate=3000.0), shots=500,
+                           seed=2, emission_lifetime_us=0.5)
+        rec = run.records
+        totals = np.bincount(rec.shot_id, minlength=500)
+        assert np.array_equal(np.bincount(totals) / 500,
+                              run.histogram.probabilities)
+        assert np.array_equal(np.bincount(rec.pulse_index, minlength=60) / 500,
+                              run.per_gate_mean)
+        assert np.all(np.diff(rec.shot_id) >= 0)
+        same_shot = np.diff(rec.shot_id) == 0
+        assert np.all(np.diff(rec.timestamp_us)[same_shot] >= 0)
+
+    def test_no_gates(self, transitions):
+        tl = compile_sequence(parse_sequence("pulse optical A 0.02us 1pi"),
+                              transitions)
+        run = run_timeline(tl, make_params(n=1), shots=10, seed=0)
+        assert run.gate_count == 0
+        assert run.histogram.probabilities.tolist() == [1.0]
+        assert len(run.records) == 0 and run.per_gate_mean.shape == (0,)
+
+    def test_long_sequence_runs_in_bounded_time(self, transitions):
+        rounds = ("repeat 1000 {\n pulse mw 0MHz 2.3us 0deg\n"
+                  " pulse optical D 0.02us 1pi\n repeat 71 {\n"
+                  "  pulse optical A 0.02us 1pi\n detect 3us\n wait 6.98us\n }\n}\n")
+
+        def compile_and_run():
+            tl = compile_sequence(parse_sequence(rounds), transitions)
+            return tl, run_timeline(tl, make_params(n=71), BathParams(),
+                                    shots=2, seed=1)
+
+        tl, run = within_seconds(30.0, compile_and_run)
+        assert len(tl.events) == 215_000
+        assert run.gate_count == 71_000
+
+
+class TestRecordsFile:
+    def test_bytes_match_line_by_line_writer(self, tmp_path):
+        rng = np.random.default_rng(0)
+        n = 500
+        records = PhotonRecords(
+            np.sort(rng.integers(0, 40, n)), rng.integers(0, 71, n),
+            np.concatenate([rng.random(n - 3) * 700.0, [0.0, 1e-300, 123456.789]]),
+            rng.integers(0, 2, n).astype(np.int8), 40, 71)
+        path = tmp_path / "events.txt"
+        records.to_file(path)
+        lines = ["# photon records: shot_id pulse_index timestamp_us origin\n",
+                 "# shots=40 pulses=71\n"]
+        for s, p, t, o in zip(records.shot_id, records.pulse_index,
+                              records.timestamp_us, records.origin):
+            lines.append(f"{s} {p} {t:.12g} {o}\n")
+        assert path.read_bytes() == "".join(lines).encode("utf-8")
+        back = PhotonRecords.from_file(path)
+        assert np.array_equal(back.origin_code, records.origin_code)

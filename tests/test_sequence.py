@@ -1,12 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinshot.physics import EmitterConfig, ZeemanConfig, zeeman_transitions
-from spinshot.sequence import (Detect, MwPulse, OpticalPulse, ParseError,
-                               Repeat, SequenceProgram, TimelineCapacityError,
-                               Wait, compile_sequence, duration_report,
+from spinshot.montecarlo import BathParams, run_timeline
+from spinshot.readout import ReadoutParams
+from spinshot.sequence import (BYTES_PER_EVENT, MAX_EVENTS, Detect, MwPulse,
+                               OpticalPulse, ParseError, Repeat,
+                               SequenceProgram, TimelineCapacityError, Wait,
+                               compile_sequence, duration_report,
                                format_sequence, parse_sequence)
 
 READOUT_TEXT = ("repeat 500 { pulse optical A 0.02us 0.5pi\n"
@@ -185,12 +190,102 @@ class TestCompile:
         with pytest.raises(TimelineCapacityError):
             compile_sequence(parse_sequence(text))
 
+    def test_capacity_checked_before_allocation(self):
+        over = parse_sequence(f"repeat {MAX_EVENTS + 1} {{ wait 1us }}")
+        huge = parse_sequence("repeat 1000000 { repeat 1000000 { wait 1us } }")
+        for program, count in ((over, MAX_EVENTS + 1), (huge, 10 ** 12)):
+            tracemalloc.start()
+            with pytest.raises(TimelineCapacityError, match=f"{count} events"):
+                compile_sequence(program)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 1 << 20
+
+    @pytest.mark.parametrize("body", [
+        "pulse mw 0MHz 1us 0deg\n pulse optical A 0.02us 1pi",
+        "pulse optical A 0.02us 1pi\n detect 3us",
+        "pulse optical A 0.02us 1pi",
+        "detect 3us",
+    ])
+    def test_capacity_covers_compile_and_one_shot_block(self, body):
+        # MAX_EVENTS is sized from BYTES_PER_EVENT: the peak of compiling
+        # and running one shot must stay below it
+        program = parse_sequence(f"repeat 20000 {{ {body} }}")
+        params = ReadoutParams(n_pulses=1, p_excite=0.78, eta_detect=0.1,
+                               flip_bright=0.004, flip_dark=0.004,
+                               dark_rate=5000.0)
+        tracemalloc.start()
+        tl = compile_sequence(program)
+        run_timeline(tl, params, BathParams(), shots=1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= BYTES_PER_EVENT * len(tl.events)
+        assert MAX_EVENTS * BYTES_PER_EVENT <= 512 << 20
+
     def test_gates_accessor(self, transitions):
         tl = compile_sequence(parse_sequence(READOUT_TEXT), transitions)
         gates = tl.gates()
         assert len(gates) == 500
         for ev in gates:
             assert ev.kind == "detect"
+
+
+def _unroll_by_cursor(statements, by_label, out, cursor=0.0):
+    """Reference compile: (start, duration, kind, params) per event, with
+    start times from a running `cursor +=` sum."""
+    for stmt in statements:
+        if isinstance(stmt, Repeat):
+            for _ in range(stmt.count):
+                cursor = _unroll_by_cursor(stmt.block, by_label, out, cursor)
+            continue
+        if isinstance(stmt, OpticalPulse):
+            event = (stmt.duration_us, "optical",
+                     {"transition": stmt.transition, "offset_mhz": stmt.offset_mhz,
+                      "area_pi": stmt.area_pi,
+                      "frequency_ghz": by_label.get(stmt.transition)})
+        elif isinstance(stmt, MwPulse):
+            event = (stmt.duration_us, "mw", {"frequency_mhz": stmt.frequency_mhz,
+                                              "phase_deg": stmt.phase_deg})
+        elif isinstance(stmt, Wait):
+            event = (stmt.duration_us, "wait", {})
+        else:
+            event = (stmt.window_us, "detect", {})
+        out.append((cursor,) + event)
+        cursor += event[0]
+    return cursor
+
+
+class TestColumnarTimeline:
+    @given(stmts=st.lists(statements, min_size=1, max_size=6).map(tuple))
+    @settings(max_examples=80)
+    def test_matches_cursor_unrolling_bit_for_bit(self, stmts, transitions):
+        tl = compile_sequence(SequenceProgram(stmts), transitions)
+        want = []
+        total = _unroll_by_cursor(stmts, transitions.by_label(), want)
+        assert len(tl.events) == len(want)
+        assert tl.total_duration_us.hex() == total.hex()
+        for event, (start, duration, kind, params) in zip(tl.events, want):
+            assert event.start_us.hex() == start.hex()
+            assert event.duration_us.hex() == duration.hex()
+            assert event.kind == kind
+            assert event.params == params
+
+    def test_event_view(self, transitions):
+        tl = compile_sequence(parse_sequence(READOUT_TEXT), transitions)
+        events = tl.events
+        assert len(events) == 1500
+        assert events[-1] == events[1499] == list(events)[-1]
+        assert events[3:6] == [events[3], events[4], events[5]]
+        assert [e.kind for e in events[:3]] == ["optical", "wait", "detect"]
+        with pytest.raises(IndexError):
+            events[1500]
+        with pytest.raises(ValueError):
+            tl.start_us[0] = 1.0
+
+    def test_empty_program(self):
+        tl = compile_sequence(parse_sequence(""))
+        assert len(tl.events) == 0 and tl.total_duration_us == 0.0
+        assert tl.gates() == []
 
 
 class TestDurationReport:
