@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -62,6 +63,12 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{message}\n{self.format_usage()}")
+
+
+def _at_least_one(flag: str, value):
+    """Usage error unless an integer flag is unset or >= 1."""
+    if value is not None and value < 1:
+        raise UsageError(f"{flag} must be >= 1, got {value}")
 
 
 def _utc_now() -> str:
@@ -193,6 +200,10 @@ def _cmd_levels(args, out: OutputDir) -> str:
 
 
 def _cmd_readout_optimize(args, out: OutputDir) -> str:
+    _at_least_one("--n-min", args.n_min)
+    _at_least_one("--n-max", args.n_max)
+    if args.n_min > args.n_max:
+        raise UsageError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     cfg = load_config(args.config)
     params = readout_params(cfg, n_pulses=args.n_max)
     result = optimize_readout(params, (args.n_min, args.n_max))
@@ -271,13 +282,25 @@ def _cmd_g2(args, out: OutputDir) -> str:
 
 
 def _cmd_area_sweep(args, out: OutputDir) -> str:
+    _at_least_one("--points", args.points)
+    for flag, value in (("--area-min", args.area_min),
+                        ("--area-max", args.area_max),
+                        ("--flip-slope", args.flip_slope)):
+        if not math.isfinite(value):
+            raise UsageError(f"{flag} must be finite, got {value}")
+    reach = max(abs(args.area_min), abs(args.area_max))
+    if not math.isfinite(2.0 * reach * max(abs(args.flip_slope), 1.0)):
+        raise UsageError("--area-min, --area-max and --flip-slope overflow "
+                         "the area grid or a(area)")
     cfg = load_config(args.config)
     params = readout_params(cfg)
-    if args.points < 1:
-        raise UsageError("--points must be >= 1")
     areas = np.linspace(args.area_min, args.area_max, args.points)
     a0, b0 = params.flip_bright, params.flip_dark
     slope = args.flip_slope
+    negative = np.flatnonzero(a0 + slope * areas < 0.0)
+    if negative.size:
+        raise UsageError(f"--flip-slope {slope:g} gives a(area) = {a0:.6g} + "
+                         f"{slope:g}*area < 0 at area {areas[negative[0]]:g}")
 
     def flip_bright_model(area):
         return min(a0 + slope * area, 1.0)
@@ -303,6 +326,8 @@ def _cmd_area_sweep(args, out: OutputDir) -> str:
 
 
 def _cmd_calibrate(args, out: OutputDir) -> str:
+    _at_least_one("--n-pulses", args.n_pulses)
+    _at_least_one("--threshold", args.threshold)
     cfg = load_config(args.config)
     params = readout_params(cfg, n_pulses=args.n_pulses)
     relaxation = cfg.number("readout", "relaxation_constant")
@@ -384,8 +409,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError(parser.format_usage())
-        if args.shots is not None and args.shots < 1:
-            raise UsageError(f"--shots must be >= 1, got {args.shots}")
+        _at_least_one("--shots", args.shots)
         started = _utc_now()
         out = OutputDir(args.out_dir)
         report = _HANDLERS[args.command](args, out)

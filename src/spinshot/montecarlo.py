@@ -4,7 +4,10 @@ Random numbers come from counter-based Philox streams keyed by (seed,
 block index), so results are bitwise reproducible regardless of
 execution order or the number of worker threads (SPINSHOT_THREADS).
 The readout engine and the timeline executor both vectorize over shots
-in fixed-size blocks and reduce the blocks in index order.
+in fixed-size blocks and reduce the blocks in index order.  The readout
+engine draws one uniform per (shot, pulse) and one Poisson dark-count
+total per shot; draws that only place photons in time come last and
+only when records are kept.
 
 Unit conventions: optical lifetimes and gate/pulse times in us, MW
 Rabi/detuning frequencies in kHz, spectroscopy offsets in MHz, spin
@@ -253,63 +256,58 @@ def _truncated_exponential(u, lifetime_us, window_us):
 
 def _readout_block(params: ReadoutParams, initial: str, n_block: int,
                    rng, collect: bool, lifetime_us: float):
+    """(per-shot counts, per-pulse detections, total detections before
+    each shot's first bright-to-dark flip, records columns or None) of
+    one block of shots.
+
+    Each (shot, pulse) cell draws one uniform u: a bright spin flips if
+    u < a and is detected if a <= u < a + (1-a) d; a dark spin flips if
+    u < b.  The dark counts of a shot, a sum of N independent Poisson
+    gate counts, are one Poisson draw with the total mean.  Records
+    draws (emission delays, each dark count's gate and time) come after
+    every count draw, so the counts ignore ``collect``.
+    """
     n = params.n_pulses
     a, b = params.flip_bright, params.flip_dark
-    d = params.detection_probability
-    window, period = params.gate_window, params.pulse_period
-    mu_gate = params.dark_rate * window * 1e-6
+    detect_below = a + (1.0 - a) * params.detection_probability
 
     bright = np.full(n_block, initial == "bright")
-    counts = np.zeros(n_block, dtype=np.int64)
     unflipped = np.ones(n_block, dtype=bool)
-    before_flip = np.zeros(n_block, dtype=np.int64)
+    detected = np.zeros(n_block, dtype=np.int32)   # int32 adds bools faster
+    before_flip = 0
     trace = np.zeros(n)
-    rec_shot, rec_pulse, rec_time, rec_code = [], [], [], []
-
+    hits = []
     for k in range(n):
-        r_flip = rng.random(n_block)
-        r_det = rng.random(n_block)
-        r_time = rng.random(n_block)
-        flip_b = bright & (r_flip < a)
-        flip_d = ~bright & (r_flip < b)
-        detect = bright & ~flip_b & (r_det < d)
-        counts += detect
-        trace[k] = detect.sum()
-        before_flip += detect & unflipped
+        u = rng.random(n_block)
+        flip_b = bright & (u < a)
+        detect = bright & ~flip_b & (u < detect_below)
+        flip_d = ~bright & (u < b)
+        detected += detect
+        before_flip += np.count_nonzero(detect & unflipped)
         unflipped &= ~flip_b
-        bright = (bright & ~flip_b) | flip_d
-
-        gate_start = k * period
-        if mu_gate > 0.0:
-            n_dark = rng.poisson(mu_gate, n_block)
-            counts += n_dark
-            total_dark = int(n_dark.sum())
-            t_dark = rng.random(total_dark)
-        else:
-            n_dark = None
+        bright ^= flip_b | flip_d
+        trace[k] = np.count_nonzero(detect)
         if collect:
-            idx = np.nonzero(detect)[0]
-            if idx.size:
-                rec_shot.append(idx)
-                rec_pulse.append(np.full(idx.size, k, dtype=np.int64))
-                rec_time.append(gate_start +
-                                _truncated_exponential(r_time[idx], lifetime_us, window))
-                rec_code.append(np.zeros(idx.size, dtype=np.int8))
-            if n_dark is not None and total_dark:
-                dark_idx = np.repeat(np.arange(n_block), n_dark)
-                rec_shot.append(dark_idx)
-                gate_of = np.full(total_dark, k, dtype=np.int64)
-                rec_pulse.append(gate_of)
-                rec_time.append(gate_start + t_dark * window)
-                rec_code.append(np.ones(total_dark, dtype=np.int8))
+            hits.append(np.flatnonzero(detect))
 
-    def _concat(parts, dtype):
-        return (np.concatenate(parts) if parts
-                else np.array([], dtype=dtype))
+    mu = params.dark_count_mean
+    n_dark = rng.poisson(mu, n_block) if mu > 0.0 else np.zeros(n_block, np.int64)
+    counts = detected + n_dark
+    if not collect:
+        return counts, trace, before_flip, None
 
+    window, period = params.gate_window, params.pulse_period
+    shot = np.concatenate(hits)
+    pulse = np.repeat(np.arange(n), [h.size for h in hits])
+    t = pulse * period + _truncated_exponential(rng.random(shot.size),
+                                                lifetime_us, window)
+    dark_shot = np.repeat(np.arange(n_block), n_dark)
+    dark_pulse = rng.integers(0, n, dark_shot.size)
+    dark_t = dark_pulse * period + rng.random(dark_shot.size) * window
+    code = np.repeat(np.array([0, 1], dtype=np.int8), [shot.size, dark_shot.size])
     return (counts, trace, before_flip,
-            _concat(rec_shot, np.int64), _concat(rec_pulse, np.int64),
-            _concat(rec_time, float), _concat(rec_code, np.int8))
+            (np.concatenate([shot, dark_shot]), np.concatenate([pulse, dark_pulse]),
+             np.concatenate([t, dark_t]), code))
 
 
 def simulate_readout_shots(params: ReadoutParams, initial: str = "bright",
@@ -320,11 +318,14 @@ def simulate_readout_shots(params: ReadoutParams, initial: str = "bright",
     """Shot-by-shot sampling of the pulsed-readout outcome model.
 
     Counts follow exactly the per-pulse chain of
-    :func:`spinshot.readout.count_distribution`; emission timestamps
-    are exponential with the effective lifetime, conditioned to fall
-    inside the 'gate that detected them; dark counts are Poisson per
-    gate with uniform timestamps.  The count statistics do not depend
-    on ``collect_records``.
+    :func:`spinshot.readout.count_distribution`, one uniform per shot
+    and pulse.  Each shot's dark counts are one Poisson draw with mean
+    ``params.dark_count_mean``; in records mode each gets a uniform gate
+    and a uniform time in it.  Emission timestamps are exponential with
+    the effective lifetime, conditioned to fall inside the gate that
+    detected them.  Shots run in blocks of BLOCK_SHOTS, block i on the
+    Philox stream keyed by (seed, *_key, i), and the count statistics
+    depend on neither SPINSHOT_THREADS nor ``collect_records``.
     """
     if initial not in ("bright", "dark"):
         raise ValueError("initial must be 'bright' or 'dark'")
@@ -342,16 +343,14 @@ def simulate_readout_shots(params: ReadoutParams, initial: str = "bright",
 
     counts = np.concatenate([r[0] for r in results])
     trace = np.sum([r[1] for r in results], axis=0) / shots
-    before_flip = np.concatenate([r[2] for r in results])
     histogram = CountDistribution(np.bincount(counts) / shots, initial, n)
 
     records = None
     if collect_records:
-        offsets = np.cumsum([0] + block_sizes[:-1])
-        shot_id = np.concatenate([r[3] + off for r, off in zip(results, offsets)])
-        pulse = np.concatenate([r[4] for r in results])
-        times = np.concatenate([r[5] for r in results])
-        code = np.concatenate([r[6] for r in results])
+        shot_id = np.concatenate([r[3][0] + i * BLOCK_SHOTS
+                                  for i, r in enumerate(results)])
+        pulse, times, code = (np.concatenate([r[3][j] for r in results])
+                              for j in (1, 2, 3))
         order = np.lexsort((times, shot_id))
         records = PhotonRecords(shot_id[order], pulse[order], times[order],
                                 code[order], shots, n)
@@ -360,7 +359,7 @@ def simulate_readout_shots(params: ReadoutParams, initial: str = "bright",
         trace=trace,
         per_shot_counts=counts,
         records=records,
-        mean_detected_before_flip=float(before_flip.mean()),
+        mean_detected_before_flip=sum(r[2] for r in results) / shots,
     )
 
 

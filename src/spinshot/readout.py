@@ -257,10 +257,13 @@ def count_distribution(params: ReadoutParams, initial: str = "bright") -> CountD
 
 
 def expected_trace(params: ReadoutParams, initial: str = "bright") -> np.ndarray:
-    """Per-pulse detection probability d * P(bright at pulse k).
+    """d * P(bright before pulse k), for k = 0 .. N-1.
 
-    The two-state chain relaxes toward pi = b/(a+b) with per-pulse
-    factor (1 - a - b); a = b = 0 freezes the chain (constant trace).
+    This is not the detection probability of pulse k: a spin that flips
+    in a pulse is not detected in it, so the chain (and the Monte Carlo
+    trace) detects with (1 - a) times this.  The two-state chain relaxes
+    toward pi = b/(a+b) with per-pulse factor (1 - a - b); a = b = 0
+    freezes the chain (constant trace).
     """
     _check_state(initial)
     a, b = params.flip_bright, params.flip_dark

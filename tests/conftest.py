@@ -1,7 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import spinshot
 from spinshot.config import load_config
 from spinshot.physics import CavityConfig, EmitterConfig, ZeemanConfig
 from spinshot.readout import ReadoutParams
@@ -11,6 +14,16 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def child_pythonpath():
+    """Subprocesses started by tests import the spinshot pytest imported."""
+    src = os.path.dirname(os.path.dirname(spinshot.__file__))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 @pytest.fixture(scope="session")

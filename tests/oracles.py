@@ -4,6 +4,8 @@ Everything here is written the slow, obvious way on purpose: exhaustive
 path enumeration and closed-form expressions, sharing no code with the
 package internals they verify.
 """
+from __future__ import annotations
+
 import math
 from functools import lru_cache
 
@@ -80,13 +82,88 @@ def best_threshold_scan(shots_bright, shots_dark):
 
 
 def trace_closed_form(n_pulses, a, b, d, initial="bright"):
-    """Expected per-pulse detection: d * P(bright at pulse k)."""
+    """d * P(bright before pulse k); the expected detections in pulse k
+    are (1 - a) times this, since a spin that flips is not detected."""
     p0 = 1.0 if initial == "bright" else 0.0
     if a + b == 0.0:
         return np.full(n_pulses, d * p0)
     pi = b / (a + b)
     k = np.arange(n_pulses)
     return d * (pi + (p0 - pi) * (1.0 - a - b) ** k)
+
+
+def _truncated_exponential(u, lifetime_us, window_us):
+    """Emission delay inside [0, window] given detection happened there."""
+    if lifetime_us <= 0.0:
+        return np.zeros_like(u)
+    cap = 1.0 - math.exp(-window_us / lifetime_us)
+    return -lifetime_us * np.log1p(-u * cap)
+
+
+def readout_block_three_draw(params: ReadoutParams, initial: str, n_block: int,
+                             rng, collect: bool, lifetime_us: float):
+    """The readout engine's former sampler, kept verbatim: three uniforms
+    per (shot, pulse) cell (flip, detect, emission delay) and one Poisson
+    draw per (shot, gate) for the dark counts.  Returns (per-shot counts,
+    per-pulse detections, per-shot detections before the first flip, and
+    the records columns shot, pulse, time, origin code)."""
+    n = params.n_pulses
+    a, b = params.flip_bright, params.flip_dark
+    d = params.detection_probability
+    window, period = params.gate_window, params.pulse_period
+    mu_gate = params.dark_rate * window * 1e-6
+
+    bright = np.full(n_block, initial == "bright")
+    counts = np.zeros(n_block, dtype=np.int64)
+    unflipped = np.ones(n_block, dtype=bool)
+    before_flip = np.zeros(n_block, dtype=np.int64)
+    trace = np.zeros(n)
+    rec_shot, rec_pulse, rec_time, rec_code = [], [], [], []
+
+    for k in range(n):
+        r_flip = rng.random(n_block)
+        r_det = rng.random(n_block)
+        r_time = rng.random(n_block)
+        flip_b = bright & (r_flip < a)
+        flip_d = ~bright & (r_flip < b)
+        detect = bright & ~flip_b & (r_det < d)
+        counts += detect
+        trace[k] = detect.sum()
+        before_flip += detect & unflipped
+        unflipped &= ~flip_b
+        bright = (bright & ~flip_b) | flip_d
+
+        gate_start = k * period
+        if mu_gate > 0.0:
+            n_dark = rng.poisson(mu_gate, n_block)
+            counts += n_dark
+            total_dark = int(n_dark.sum())
+            t_dark = rng.random(total_dark)
+        else:
+            n_dark = None
+        if collect:
+            idx = np.nonzero(detect)[0]
+            if idx.size:
+                rec_shot.append(idx)
+                rec_pulse.append(np.full(idx.size, k, dtype=np.int64))
+                rec_time.append(gate_start +
+                                _truncated_exponential(r_time[idx], lifetime_us, window))
+                rec_code.append(np.zeros(idx.size, dtype=np.int8))
+            if n_dark is not None and total_dark:
+                dark_idx = np.repeat(np.arange(n_block), n_dark)
+                rec_shot.append(dark_idx)
+                gate_of = np.full(total_dark, k, dtype=np.int64)
+                rec_pulse.append(gate_of)
+                rec_time.append(gate_start + t_dark * window)
+                rec_code.append(np.ones(total_dark, dtype=np.int8))
+
+    def _concat(parts, dtype):
+        return (np.concatenate(parts) if parts
+                else np.array([], dtype=dtype))
+
+    return (counts, trace, before_flip,
+            _concat(rec_shot, np.int64), _concat(rec_pulse, np.int64),
+            _concat(rec_time, float), _concat(rec_code, np.int8))
 
 
 def decay_pulses_from_relaxation(relaxation_constant):

@@ -264,6 +264,29 @@ class TestExitCodes:
         assert code == 1
         assert "--shots" in cap.err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["readout-optimize", "--n-min", "0"], "--n-min"),
+        (["readout-optimize", "--n-max", "0"], "--n-max"),
+        (["readout-optimize", "--n-min", "5", "--n-max", "3"], "--n-min"),
+        (["calibrate", "--n-pulses", "0"], "--n-pulses"),
+        (["calibrate", "--threshold", "0"], "--threshold"),
+        (["area-sweep", "--area-min", "nan"], "--area-min"),
+        (["area-sweep", "--area-max", "inf"], "--area-max"),
+        (["area-sweep", "--flip-slope", "nan"], "--flip-slope"),
+        (["area-sweep", "--area-min=-1e308", "--area-max=1e308"], "--area-min"),
+        (["area-sweep", "--flip-slope", "-1"], "--flip-slope"),
+        (["area-sweep", "--area-min", "-1", "--flip-slope", "0.004"],
+         "--flip-slope"),
+    ], ids=["n-min-0", "n-max-0", "n-min-above-n-max", "n-pulses-0",
+            "threshold-0", "area-min-nan", "area-max-inf", "flip-slope-nan",
+            "area-span-overflows",
+            "flip-slope-negative-a", "negative-area-negative-a"])
+    def test_flag_out_of_range(self, argv, flag, tmp_path, capsys):
+        code, cap = run_cli(argv + ["--shots", "200",
+                                    "--out-dir", str(tmp_path / "o")], capsys)
+        assert code == 1
+        assert cap.err.startswith(flag)
+
     def test_records_beyond_header(self, tmp_path, capsys):
         path = tmp_path / "events.txt"
         path.write_text("# photon records: shot_id pulse_index timestamp_us origin\n"

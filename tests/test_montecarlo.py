@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enumerate_count_distribution, run_timeline_per_shot
+from oracles import (enumerate_count_distribution, readout_block_three_draw,
+                     run_timeline_per_shot)
 from test_readout import within_seconds
 from spinshot.estimators import fit_model
 from spinshot.montecarlo import (TIMELINE_BLOCK_CELLS, BathParams,
@@ -17,7 +18,7 @@ from spinshot.montecarlo import (TIMELINE_BLOCK_CELLS, BathParams,
                                  run_timeline, simulate_readout_shots,
                                  worker_count)
 from spinshot.physics import EmitterConfig, ZeemanConfig, zeeman_transitions
-from spinshot.readout import ReadoutParams, count_distribution
+from spinshot.readout import ReadoutParams, count_distribution, expected_trace
 from spinshot.sequence import compile_sequence, parse_sequence
 
 
@@ -171,6 +172,62 @@ class TestReadoutSimulation:
         sim = simulate_readout_shots(params, "bright", shots=30_000, seed=12)
         mat = sim.records.counts_matrix()
         assert np.allclose(sim.trace, mat.mean(axis=0))
+
+
+ENGINE_CASES = {
+    "nominal": make_params(dark_rate=10.0),
+    "dark-rate-5000Hz": make_params(n=40, eta=0.3, dark_rate=5000.0),
+    "a=0": make_params(n=40, a=0.0, b=0.01, eta=0.3, dark_rate=400.0),
+    "b=0": make_params(n=40, a=0.02, b=0.0, eta=0.3, dark_rate=400.0),
+    "a=1": make_params(n=40, a=1.0, b=0.05, dark_rate=400.0),
+    "d=1": make_params(n=40, a=0.02, b=0.01, p=1.0, eta=1.0, dark_rate=400.0),
+}
+
+
+class TestReadoutEngineVsOracle:
+    """The one-uniform engine against the former three-draw sampler."""
+
+    @pytest.mark.parametrize("initial", ["bright", "dark"])
+    @pytest.mark.parametrize("case", list(ENGINE_CASES))
+    def test_same_law(self, case, initial):
+        params, shots = ENGINE_CASES[case], 20_000
+        sim = simulate_readout_shots(params, initial, shots=shots, seed=31,
+                                     collect_records=False)
+        counts, trace, before_flip, *_ = readout_block_three_draw(
+            params, initial, shots, rng_stream(32, 0), False, 0.803)
+        assert_same_count_distribution(sim.per_shot_counts, counts)
+        assert np.array_equal(np.bincount(sim.per_shot_counts) / shots,
+                              sim.histogram.probabilities)
+        pooled = 0.5 * (sim.trace + trace / shots)
+        se = np.sqrt(pooled * (1.0 - pooled) * 2.0 / shots)
+        assert np.all(np.abs(sim.trace - trace / shots) <= 5.0 * se + 1e-12)
+        se = before_flip.std(ddof=1) * math.sqrt(2.0 / shots)
+        assert abs(sim.mean_detected_before_flip - before_flip.mean()) \
+            <= 5.0 * se + 1e-12
+
+    def test_dark_count_gates_uniform(self):
+        # 20 gates, about 0.06 dark counts per gate and shot
+        params = make_params(n=20, p=0.0, dark_rate=20_000.0)
+        sim = simulate_readout_shots(params, "bright", shots=5000, seed=13)
+        gates = sim.records.pulse_index[sim.records.origin_code == 1]
+        assert gates.size == sim.per_shot_counts.sum() > 5000
+        observed = np.bincount(gates, minlength=20)
+        expected = gates.size / 20
+        chi2 = float(((observed - expected) ** 2).sum() / expected)
+        # chi-square with 19 degrees of freedom: mean 19, SD sqrt(38)
+        assert chi2 <= 19 + 5.0 * math.sqrt(38.0), observed
+
+    @pytest.mark.parametrize("initial", ["bright", "dark"])
+    @pytest.mark.parametrize("params", [
+        make_params(), make_params(n=30, a=0.2, b=0.1, p=1.0, eta=0.5)],
+        ids=["nominal", "a=0.2"])
+    def test_trace_is_one_minus_a_times_expected_trace(self, params, initial):
+        shots = 50_000
+        sim = simulate_readout_shots(params, initial, shots=shots, seed=14,
+                                     collect_records=False)
+        want = (1.0 - params.flip_bright) * expected_trace(params, initial)
+        se = np.sqrt(want * (1.0 - want) / shots)
+        assert np.all(np.abs(sim.trace - want) <= 5.0 * se + 1e-12)
 
 
 class TestBloch:
