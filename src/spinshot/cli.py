@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .config import (ConfigError, bath_params, cavity_config, emitter_config,
                      load_config, microwave_settings, readout_params,
-                     zeeman_config)
+                     relaxation_constant, zeeman_config)
 from .estimators import (FitError, NormalizationError, fit_model,
                          format_fit_report, g2_pulsed, read_series_csv,
                          write_csv)
@@ -328,12 +328,18 @@ def _cmd_area_sweep(args, out: OutputDir) -> str:
 def _cmd_calibrate(args, out: OutputDir) -> str:
     _at_least_one("--n-pulses", args.n_pulses)
     _at_least_one("--threshold", args.threshold)
+    target = args.target_f
+    if target is not None and not 0.0 < target < 1.0:
+        raise UsageError(f"--target-f must be in (0, 1), got {target}")
     cfg = load_config(args.config)
     params = readout_params(cfg, n_pulses=args.n_pulses)
-    relaxation = cfg.number("readout", "relaxation_constant")
-    target = args.target_f
+    if args.threshold > params.n_pulses:
+        raise UsageError(f"--threshold {args.threshold} exceeds the pulse "
+                         f"count {params.n_pulses}")
+    relaxation = relaxation_constant(cfg)
     if target is None:
-        target = cfg.number("readout", "target_fidelity")
+        target = cfg.bounded("readout", "target_fidelity", 0.0, 1.0,
+                             open_low=True)
     cal = calibrate_flip_asymmetry(
         relaxation_constant=relaxation, target_f=target,
         n_pulses=params.n_pulses, threshold=args.threshold,

@@ -8,6 +8,7 @@ presets (so `--config paper.cfg` works from any directory).
 """
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ __all__ = [
     "cavity_config",
     "zeeman_config",
     "readout_params",
+    "relaxation_constant",
     "bath_params",
     "microwave_settings",
 ]
@@ -71,6 +73,20 @@ class Config:
             return float(value)
         raise ConfigError(f"{self.origin}: [{section}] {key} must be a number, "
                           f"got {value!r}")
+
+    def bounded(self, section: str, key: str, low: float, high: float = math.inf,
+                default=_MISSING, open_low: bool = False, open_high: bool = True):
+        """number() that must be finite and inside the interval from low to
+        high, each end closed unless open_low/open_high."""
+        value = self.number(section, key, default)
+        inside = ((low < value if open_low else low <= value)
+                  and (value < high if open_high else value <= high))
+        if not (math.isfinite(value) and inside):
+            interval = (f"{'(' if open_low else '['}{low:g}, "
+                        f"{high:g}{')' if open_high else ']'}")
+            raise ConfigError(f"{self.origin}: [{section}] {key} must be "
+                              f"finite and in {interval}, got {value:g}")
+        return value
 
     def integer(self, section: str, key: str, default=_MISSING):
         try:
@@ -219,29 +235,32 @@ def readout_params(cfg: Config, n_pulses: int | None = None) -> ReadoutParams:
     flip_bright = cfg.number(section, "flip_bright", None)
     flip_dark = cfg.number(section, "flip_dark", None)
     if flip_bright is None or flip_dark is None:
-        relaxation = cfg.number(section, "relaxation_constant")
-        asymmetry = cfg.number(section, "flip_asymmetry", 0.5)
-        if relaxation <= 1.0:
-            raise ConfigError(f"{cfg.origin}: [readout] relaxation_constant "
-                              f"must exceed 1 pulse")
-        if not (0.0 <= asymmetry <= 1.0):
-            raise ConfigError(f"{cfg.origin}: [readout] flip_asymmetry must "
-                              f"be in [0, 1]")
+        relaxation = relaxation_constant(cfg)
+        asymmetry = cfg.bounded(section, "flip_asymmetry", 0.0, 1.0, 0.5,
+                                open_high=False)
         flip_bright = asymmetry / relaxation
         flip_dark = (1.0 - asymmetry) / relaxation
+    fields = dict(
+        n_pulses=n_pulses,
+        p_excite=cfg.number(section, "p_excite"),
+        eta_detect=cfg.number(section, "eta_detect"),
+        flip_bright=flip_bright,
+        flip_dark=flip_dark,
+        dark_rate=cfg.bounded("detection", "dark_rate_hz", 0.0, default=0.0),
+        gate_window=cfg.bounded("detection", "gate_window_us", 0.0, default=3.0),
+        pulse_period=cfg.bounded(section, "pulse_period_us", 0.0, default=10.0,
+                                 open_low=True),
+    )
     try:
-        return ReadoutParams(
-            n_pulses=n_pulses,
-            p_excite=cfg.number(section, "p_excite"),
-            eta_detect=cfg.number(section, "eta_detect"),
-            flip_bright=flip_bright,
-            flip_dark=flip_dark,
-            dark_rate=cfg.number("detection", "dark_rate_hz", 0.0),
-            gate_window=cfg.number("detection", "gate_window_us", 3.0),
-            pulse_period=cfg.number(section, "pulse_period_us", 10.0),
-        )
+        return ReadoutParams(**fields)
     except ValueError as exc:
         raise ConfigError(f"{cfg.origin}: [readout] {exc}") from exc
+
+
+def relaxation_constant(cfg: Config) -> float:
+    """[readout] relaxation_constant: the two-state chain's 1/e constant,
+    in pulses, which must exceed 1 pulse."""
+    return cfg.bounded("readout", "relaxation_constant", 1.0, open_low=True)
 
 
 def bath_params(cfg: Config) -> BathParams:

@@ -91,12 +91,12 @@ class ReadoutParams:
             raise ValueError(f"n_pulses must be >= 1, got {self.n_pulses}")
         for name in ("p_excite", "eta_detect", "flip_bright", "flip_dark"):
             _probability(name, getattr(self, name))
-        if self.dark_rate < 0:
-            raise ValueError("dark_rate must be >= 0")
-        if self.gate_window < 0:
-            raise ValueError("gate_window must be >= 0")
-        if self.pulse_period <= 0:
-            raise ValueError("pulse_period must be > 0")
+        for name, positive in (("dark_rate", False), ("gate_window", False),
+                               ("pulse_period", True)):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+                raise ValueError(f"{name} must be finite and "
+                                 f"{'>' if positive else '>='} 0, got {value}")
 
     @property
     def detection_probability(self) -> float:
@@ -432,6 +432,55 @@ class FlipCalibration:
     f_max: float
 
 
+def _increasing_roots(evaluate, grid, values, coeffs, eps):
+    """Roots in [0, 1] of K non-decreasing functions y_k = coeffs[k] . (v, 1)
+    of the values v that ``evaluate`` returns per point, all advanced in
+    one batched ``evaluate`` call per step.
+
+    ``values`` holds v at the uniform ``grid``, which brackets each root;
+    a root is clamped to 0 (1) when y_k >= 0 (< 0) on the whole grid.
+    Each bracket [lo, hi] with y(lo) < 0 <= y(hi) is then shrunk by ITP
+    (Oliveira & Takahashi, ACM TOMS 47(1), 2020): a truncated regula-falsi
+    step, projected into a shrinking ball around the midpoint, so the
+    bracket converges superlinearly on smooth arms but never takes more
+    steps than bisection plus one.  Returns the final (lo, hi) per root,
+    both evaluated, hi - lo <= 2 * eps.
+    """
+    y = values @ coeffs[:, :-1].T + coeffs[:, -1]       # (grid point, root)
+    above = y >= 0.0
+    first = np.where(above.any(axis=0), above.argmax(axis=0), len(grid))
+    inner = np.clip(first, 1, len(grid) - 1)
+    k = np.arange(len(coeffs))
+    lo = np.where(first == len(grid), 1.0, grid[inner - 1])
+    hi = np.where(first == 0, 0.0, grid[inner])
+    y_lo, y_hi = y[inner - 1, k], y[inner, k]
+    width = grid[1] - grid[0]
+    # a light truncation (kappa1 = 0.01/width, not the paper's 0.2/width)
+    # wastes fewer early steps: the arms are smooth, so regula falsi
+    # lands close to the root from the first step
+    kappa1, kappa2, n0 = 0.01 / width, 2.0, 1
+    n_max = math.ceil(math.log2(width / (2.0 * eps))) + n0
+    for j in range(n_max):
+        active = np.flatnonzero(hi - lo > 2.0 * eps)
+        if active.size == 0:
+            break
+        a, b, ya, yb = lo[active], hi[active], y_lo[active], y_hi[active]
+        middle = 0.5 * (a + b)
+        falsi = (yb * a - ya * b) / (yb - ya)
+        sigma = np.sign(middle - falsi)
+        # floored at eps, so the step still crosses a root that regula
+        # falsi has already pinned closer than float spacing resolves
+        delta = np.maximum(kappa1 * (b - a) ** kappa2, eps)
+        step = np.where(delta <= np.abs(middle - falsi), falsi + sigma * delta, middle)
+        radius = eps * 2.0 ** (n_max - j) - 0.5 * (b - a)
+        x = np.where(np.abs(step - middle) <= radius, step, middle - sigma * radius)
+        y_x = (evaluate(x) * coeffs[active, :-1]).sum(axis=1) + coeffs[active, -1]
+        right = y_x >= 0.0
+        hi[active[right]], y_hi[active[right]] = x[right], y_x[right]
+        lo[active[~right]], y_lo[active[~right]] = x[~right], y_x[~right]
+    return lo, hi
+
+
 def calibrate_flip_asymmetry(relaxation_constant: float, target_f: float,
                              n_pulses: int, threshold: int,
                              p_excite: float, eta_detect: float,
@@ -441,74 +490,73 @@ def calibrate_flip_asymmetry(relaxation_constant: float, target_f: float,
     """Invert the DP model for the flip asymmetry at fixed relaxation.
 
     With a = s/R and b = (1-s)/R (R = relaxation_constant, so a + b is
-    pinned to 1/R), the min-fidelity is unimodal in s: the dark-state
-    arm rises with s while the bright arm falls.  The peak is located
-    by ternary search and the requested fidelity is then bisected on
-    the rising branch (falling branch as fallback), i.e. the solution
-    with the *larger* dark-state stability is preferred.
+    pinned to 1/R), the bright arm F_bright falls with s and the dark
+    arm F_dark rises, so their minimum peaks where F_dark - F_bright
+    changes sign (or at an endpoint when it does not).  One batched DP
+    pass over nine s-points, 0 and 1 included, brackets that peak and
+    the target: a root of F_dark - target on the rising branch
+    (s <= peak), or, only if the target is below the s = 0 fidelity, of
+    F_bright - target on the falling branch.  The rising-branch solution
+    thus wins: it has the smaller s, i.e. the smaller bright-state flip
+    probability a.  Both roots are refined together by ITP, one batched
+    DP pass per step, to a bracket of 2e-12 in s; the result must reach
+    the target within ``tol``.
     """
-    if relaxation_constant <= 1.0:
-        raise ValueError("relaxation_constant must exceed 1 pulse")
+    if not (math.isfinite(relaxation_constant) and relaxation_constant > 1.0):
+        raise ValueError("relaxation_constant must be finite and exceed 1 pulse, "
+                         f"got {relaxation_constant}")
     if not (0.0 < target_f < 1.0):
         raise ValueError("target_f must be in (0, 1)")
     base = ReadoutParams(
         n_pulses=n_pulses, p_excite=p_excite, eta_detect=eta_detect,
         flip_bright=0.0, flip_dark=0.0, dark_rate=dark_rate,
         gate_window=gate_window, pulse_period=pulse_period)
+    arms = {}                       # s -> (F_bright, F_dark)
 
-    def fidelity(*s: float) -> list[float]:     # one batched DP for all s
-        s = np.array(s)
-        points = _distributions(base, s / relaxation_constant,
-                                (1.0 - s) / relaxation_constant)
-        return [readout_fidelity(dist_b, dist_d, threshold).f_min
-                for dist_b, dist_d in points]
+    def evaluate(s):                # one batched DP for all s
+        reports = [readout_fidelity(dist_b, dist_d, threshold)
+                   for dist_b, dist_d in _distributions(
+                       base, s / relaxation_constant,
+                       (1.0 - s) / relaxation_constant)]
+        values = [(report.f_bright, report.f_dark) for report in reports]
+        arms.update(zip(s.tolist(), values))
+        return np.array(values)
 
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-10:
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        f1, f2 = fidelity(m1, m2)
-        if f1 < f2:
-            lo = m1
-        else:
-            hi = m2
-    s_peak = 0.5 * (lo + hi)
-    [f_max] = fidelity(s_peak)
-    f_left, f_right = fidelity(0.0, 1.0)
+    def f_min(s):
+        return min(arms[s])
+
+    grid = np.linspace(0.0, 1.0, 9)
+    values = evaluate(grid)
+    f_left, f_right = f_min(0.0), f_min(1.0)
+    # each root is of a non-decreasing c_bright*F_bright + c_dark*F_dark + c
+    roots = [(-1.0, 1.0, 0.0)]                  # peak: F_dark - F_bright
+    if target_f >= f_left:                      # rising branch
+        roots.append((0.0, 1.0, -target_f))
+    elif target_f >= f_right:                   # falling branch
+        roots.append((-1.0, 0.0, target_f))
+    lo, hi = _increasing_roots(evaluate, grid, values, np.array(roots), 1e-12)
+    s_peak = float(max(lo[0], hi[0], key=f_min))
+    f_max = f_min(s_peak)
+    attainable = (min(f_left, f_right), f_max)
     if target_f > f_max + tol:
         raise CalibrationError(
             f"target fidelity {target_f:.6g} unreachable; attainable range "
-            f"[{min(f_left, f_right):.6g}, {f_max:.6g}] at "
+            f"[{attainable[0]:.6g}, {f_max:.6g}] at "
             f"relaxation_constant={relaxation_constant:g}",
-            attainable=(min(f_left, f_right), f_max))
-
-    if target_f >= f_left:            # rising branch: fidelity grows with s
-        lo, hi, rising = 0.0, s_peak, True
-    elif target_f >= f_right:         # falling branch
-        lo, hi, rising = s_peak, 1.0, False
-    else:
+            attainable=attainable)
+    if len(roots) == 1:
         raise CalibrationError(
             f"target fidelity {target_f:.6g} below both endpoints "
             f"({f_left:.6g}, {f_right:.6g})",
-            attainable=(min(f_left, f_right), f_max))
+            attainable=attainable)
 
-    s = s_peak
-    f_s = f_max
-    for _ in range(200):
-        s = 0.5 * (lo + hi)
-        [f_s] = fidelity(s)
-        if abs(f_s - target_f) <= tol and hi - lo < 1e-6:
-            break
-        if (f_s < target_f) == rising:
-            lo = s
-        else:
-            hi = s
-        if hi - lo < 1e-14:
-            break
+    s = float(min(lo[1], hi[1], key=lambda x: abs(f_min(x) - target_f)))
+    s = min(s, s_peak) if target_f >= f_left else max(s, s_peak)
+    f_s = f_min(s)
     if abs(f_s - target_f) > tol:
         raise CalibrationError(
-            f"bisection stalled at fidelity {f_s:.6g} for target {target_f:.6g}",
-            attainable=(min(f_left, f_right), f_max))
+            f"root search stalled at fidelity {f_s:.6g} for target {target_f:.6g}",
+            attainable=attainable)
     return FlipCalibration(
         a=s / relaxation_constant,
         b=(1.0 - s) / relaxation_constant,

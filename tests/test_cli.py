@@ -270,6 +270,12 @@ class TestExitCodes:
         (["readout-optimize", "--n-min", "5", "--n-max", "3"], "--n-min"),
         (["calibrate", "--n-pulses", "0"], "--n-pulses"),
         (["calibrate", "--threshold", "0"], "--threshold"),
+        (["calibrate", "--threshold", "100"], "--threshold"),
+        (["calibrate", "--n-pulses", "500", "--threshold", "501"],
+         "--threshold"),
+        (["calibrate", "--target-f", "nan"], "--target-f"),
+        (["calibrate", "--target-f", "0"], "--target-f"),
+        (["calibrate", "--target-f", "1.5"], "--target-f"),
         (["area-sweep", "--area-min", "nan"], "--area-min"),
         (["area-sweep", "--area-max", "inf"], "--area-max"),
         (["area-sweep", "--flip-slope", "nan"], "--flip-slope"),
@@ -278,7 +284,9 @@ class TestExitCodes:
         (["area-sweep", "--area-min", "-1", "--flip-slope", "0.004"],
          "--flip-slope"),
     ], ids=["n-min-0", "n-max-0", "n-min-above-n-max", "n-pulses-0",
-            "threshold-0", "area-min-nan", "area-max-inf", "flip-slope-nan",
+            "threshold-0", "threshold-above-pulses",
+            "threshold-above-n-pulses-flag", "target-f-nan", "target-f-0",
+            "target-f-above-1", "area-min-nan", "area-max-inf", "flip-slope-nan",
             "area-span-overflows",
             "flip-slope-negative-a", "negative-area-negative-a"])
     def test_flag_out_of_range(self, argv, flag, tmp_path, capsys):
@@ -386,7 +394,9 @@ HAND_RECORDS = ("# photon records: shot_id pulse_index timestamp_us origin\n"
                 "2 1 12.25 dark\n")
 
 
-# frozen before the CSV writers were merged into estimators.write_csv
+# frozen before the CSV writers were merged into estimators.write_csv;
+# calibration.csv re-frozen when calibration became a bracketed root find
+# (its contract is checked in test_readout.TestCalibration)
 GOLDEN_SHA256 = {
     "levels.csv":
         "dc4778f16f27dbc87a3ca246b2e5007e0a17b07cb505b5e6427da9a1d200d6cd",
@@ -395,7 +405,7 @@ GOLDEN_SHA256 = {
     "fit_params.csv":
         "c339566b2d008785727c4bf2d2dc6ac58b68133fff9793d2637e97ac92747329",
     "calibration.csv":
-        "61222d322a4984ab0dc1a7504c719189972f035902e713ee9467173e3ec576ee",
+        "55561a89276781b571431d2a6c508b6dcac8e5291df62ac38f3936bf5876ebea",
     "g2.csv":
         "190932f4fd1b4de01c3698b70158f513599debaddf1b5f787c0c43d6207e7f42",
 }

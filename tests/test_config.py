@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from spinshot import cli
 from spinshot.config import (ConfigError, bath_params, cavity_config,
                              emitter_config, load_config, microwave_settings,
                              parse_config, readout_params, resolve_config_path,
@@ -129,6 +132,14 @@ class TestBuilders:
         with pytest.raises(ConfigError):
             readout_params(load_config(str(p)))
 
+    def test_missing_key_names_origin_once(self, tmp_path):
+        p = tmp_path / "r.cfg"
+        p.write_text("[readout]\nn_pulses = 10\neta_detect = 0.2\n"
+                     "flip_bright = 0.01\nflip_dark = 0.002\n")
+        with pytest.raises(ConfigError) as exc:
+            readout_params(load_config(str(p)))
+        assert str(exc.value) == f"{p}: missing key 'p_excite' in [readout]"
+
     def test_removed_cavity_keys_still_load(self):
         # mode_volume and flip_dipole_projection were never read; configs
         # that still set them load unchanged
@@ -142,3 +153,38 @@ class TestBuilders:
     def test_load_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/definitely/not/here.cfg")
+
+
+class TestReadoutKeyRanges:
+    """Every [readout]/[detection] number calibrate reads is checked as
+    finite and in range, so NaN cannot slip past a `x < 0` test and the
+    message names the key, not a derived quantity."""
+
+    @pytest.mark.parametrize("section,key,value", [
+        (section, key, value)
+        for section, key in (("detection", "dark_rate_hz"),
+                             ("detection", "gate_window_us"),
+                             ("readout", "pulse_period_us"),
+                             ("readout", "relaxation_constant"),
+                             ("readout", "flip_asymmetry"),
+                             ("readout", "target_fidelity"))
+        for value in ("nan", "inf")
+    ] + [("readout", "target_fidelity", "0"),
+         ("readout", "target_fidelity", "1.5"),
+         ("readout", "relaxation_constant", "1"),
+         ("readout", "pulse_period_us", "0"),
+         ("detection", "dark_rate_hz", "-1")])
+    def test_calibrate_rejects_key(self, section, key, value, tmp_path,
+                                   capsys):
+        with open(resolve_config_path("paper.cfg"), encoding="utf-8") as fh:
+            text = fh.read()
+        text, hits = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+        assert hits == 1
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        code = cli.main(["calibrate", "--config", str(path),
+                         "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {path}: [{section}] {key} must be "
+                              "finite and in ")

@@ -1,3 +1,4 @@
+import functools
 import math
 import signal
 from dataclasses import replace
@@ -17,6 +18,7 @@ from spinshot.readout import (CAPACITY_PULSES, CalibrationError, CapacityError,
                               cyclicity, dark_count_penalty, expected_trace,
                               fit_decay_constant, optimize_readout,
                               readout_fidelity, readout_report)
+from spinshot import readout as readout_module
 from spinshot.estimators import FitError
 
 
@@ -389,6 +391,60 @@ class TestOptimize:
         assert head == "n,threshold,f_bright,f_dark,f_min"
 
 
+def line_arms(params, relaxation, s, threshold=1, chunk=64):
+    """F_bright and F_dark of ``params`` along the calibration line
+    a = s/R, b = (1-s)/R, from batched DP passes of <= ``chunk`` points."""
+    f_bright, f_dark = [], []
+    for lo in range(0, len(s), chunk):
+        part = s[lo:lo + chunk]
+        for dist_b, dist_d in _distributions(params, part / relaxation,
+                                             (1.0 - part) / relaxation):
+            report = readout_fidelity(dist_b, dist_d, threshold)
+            f_bright.append(report.f_bright)
+            f_dark.append(report.f_dark)
+    return np.array(f_bright), np.array(f_dark)
+
+
+def paper_params(n):
+    cfg = load_config("paper.cfg")
+    return cfg.number("readout", "relaxation_constant"), readout_params(cfg, n)
+
+
+@functools.lru_cache(maxsize=None)
+def paper_arms(n, points):
+    """s grid and the threshold-1 arms of the paper.cfg readout at N = n."""
+    relaxation, params = paper_params(n)
+    s = np.linspace(0.0, 1.0, points)
+    return (s, *line_arms(params, relaxation, s))
+
+
+def paper_calibration(n, target=0.869):
+    relaxation, params = paper_params(n)
+    return calibrate_flip_asymmetry(
+        relaxation, target, n, 1, params.p_excite, params.eta_detect,
+        dark_rate=params.dark_rate, gate_window=params.gate_window,
+        pulse_period=params.pulse_period)
+
+
+def fidelity_at(params, a, b, threshold=1):
+    params = replace(params, flip_bright=a, flip_dark=b)
+    return readout_fidelity(count_distribution(params, "bright"),
+                            count_distribution(params, "dark"), threshold)
+
+
+class TestCalibrationArms:
+    """The calibration search brackets roots of F_dark - F_bright and of
+    each arm minus the target, so it relies on F_bright falling and
+    F_dark rising along a = s/R, b = (1-s)/R."""
+
+    @pytest.mark.parametrize("n,points", [(71, 2001), (500, 257)])
+    def test_arms_monotone_in_asymmetry(self, n, points):
+        _, f_bright, f_dark = paper_arms(n, points)
+        assert np.all(np.diff(f_bright) <= 0.0)
+        assert np.all(np.diff(f_dark) >= 0.0)
+        assert f_bright[0] > f_bright[-1] and f_dark[0] < f_dark[-1]
+
+
 class TestCalibration:
     def test_symmetric_fixed_point(self):
         # target the fidelity of the symmetric split; expect s = 1/2
@@ -414,21 +470,100 @@ class TestCalibration:
         lo, hi = exc.value.attainable
         assert 0.0 < lo < hi < 0.999
 
-    @pytest.mark.parametrize("n,frozen", [
-        (71, ("0.00512488994778", "0.00250869783848", "0.671360583159",
-              "0.86900004488", "0.927479509969")),
-        (500, ("0.00735225512122", "0.000281332665036", "0.96314542088",
-               "0.868999021802", "0.918926211321")),
-    ])
-    def test_paper_preset_values_frozen(self, n, frozen):
-        cfg = load_config("paper.cfg")
-        params = readout_params(cfg, n_pulses=n)
-        cal = calibrate_flip_asymmetry(
-            cfg.number("readout", "relaxation_constant"), 0.869, n, 1,
-            params.p_excite, params.eta_detect, dark_rate=params.dark_rate,
-            gate_window=params.gate_window, pulse_period=params.pulse_period)
-        got = (cal.a, cal.b, cal.asymmetry, cal.achieved_f, cal.f_max)
-        assert tuple(f"{v:.12g}" for v in got) == frozen
+    @pytest.mark.parametrize("n,points", [(71, 2001), (500, 257)])
+    def test_paper_preset_contract(self, n, points):
+        target, tol = 0.869, 1e-4
+        cal = paper_calibration(n, target)
+        s, f_bright, f_dark = paper_arms(n, points)
+        f_min = np.minimum(f_bright, f_dark)
+        assert abs(cal.achieved_f - target) <= tol
+        # f_max is no worse than any grid point and no better than the
+        # bound the monotone arms put on the peak near the grid maximum
+        i = int(np.argmax(f_min))
+        assert cal.f_max >= f_min[i] - 1e-9
+        assert cal.f_max <= min(f_bright[i - 1], f_dark[i + 1]) + 1e-12
+        # the target is reachable on the rising branch (above f_left), so
+        # the answer lies there: F_dark is the smaller arm
+        relaxation, params = paper_params(n)
+        assert f_min[0] <= target
+        report = fidelity_at(params, cal.a, cal.b)
+        assert report.f_dark <= report.f_bright
+        assert cal.asymmetry <= s[i + 1]
+        assert abs(report.f_min - cal.achieved_f) <= 1e-12
+        assert cal.a + cal.b == pytest.approx(1.0 / relaxation, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [71, 500])
+    def test_dp_pass_count(self, n, monkeypatch):
+        passes = []
+        chain = readout_module._chain
+
+        def counting(*args):
+            passes.append(args)
+            return chain(*args)
+
+        monkeypatch.setattr(readout_module, "_chain", counting)
+        paper_calibration(n)
+        assert 0 < len(passes) <= 20
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def oracle(n, threshold, dark_rate, points=2001):
+        params = make_params(n=n, dark_rate=dark_rate)
+        s = np.linspace(0.0, 1.0, points)
+        f_bright, f_dark = line_arms(params, 131.0, s, threshold)
+        return params, s, f_bright, f_dark, np.minimum(f_bright, f_dark)
+
+    def test_falling_branch_fallback(self):
+        # at threshold 3 the s = 0 fidelity exceeds the s = 1 one, so a
+        # target between them is met only right of the peak
+        params, s, f_bright, f_dark, f_min = self.oracle(71, 3, 10.0)
+        target = 0.75
+        assert f_min[-1] <= target < f_min[0]
+        cal = calibrate_flip_asymmetry(131.0, target, 71, 3, 0.78, 0.10,
+                                       dark_rate=10.0)
+        assert abs(cal.achieved_f - target) <= 1e-4
+        assert cal.asymmetry >= s[int(np.argmax(f_min)) - 1]
+        report = fidelity_at(params, cal.a, cal.b, 3)
+        assert report.f_bright <= report.f_dark
+        assert abs(report.f_min - cal.achieved_f) <= 1e-12
+        assert cal.f_max >= f_min.max() - 1e-9
+
+    @pytest.mark.parametrize("n,dark_rate,end,sign", [(20, 10.0, 0, 1),
+                                                      (71, 1000.0, -1, -1)],
+                             ids=["peak-at-s0", "peak-at-s1"])
+    def test_peak_at_endpoint(self, n, dark_rate, end, sign):
+        # F_dark - F_bright keeps one sign, so min(F_bright, F_dark) is
+        # monotone and peaks at an end of the line
+        params, s, f_bright, f_dark, f_min = self.oracle(n, 1, dark_rate)
+        assert np.all(np.sign(f_dark - f_bright) == sign)
+        target = f_min[end] + 0.5e-4
+        cal = calibrate_flip_asymmetry(131.0, target, n, 1, 0.78, 0.10,
+                                       dark_rate=dark_rate)
+        assert cal.asymmetry == s[end]
+        assert cal.f_max == cal.achieved_f == f_min[end]
+
+    def test_unreachable_keeps_message_and_range(self):
+        params, s, f_bright, f_dark, f_min = self.oracle(71, 1, 10.0)
+        target = f_min.max() + 2e-4
+        with pytest.raises(CalibrationError,
+                           match="unreachable; attainable range") as exc:
+            calibrate_flip_asymmetry(131.0, target, 71, 1, 0.78, 0.10,
+                                     dark_rate=10.0)
+        lo, hi = exc.value.attainable
+        assert lo == min(f_min[0], f_min[-1])
+        assert f_min.max() - 1e-9 <= hi < target - 1e-4
+
+    def test_below_both_endpoints(self):
+        params, s, f_bright, f_dark, f_min = self.oracle(71, 1, 10.0)
+        target = 0.5
+        assert target < min(f_min[0], f_min[-1])
+        with pytest.raises(CalibrationError,
+                           match="below both endpoints") as exc:
+            calibrate_flip_asymmetry(131.0, target, 71, 1, 0.78, 0.10,
+                                     dark_rate=10.0)
+        lo, hi = exc.value.attainable
+        assert lo == min(f_min[0], f_min[-1])
+        assert hi >= f_min.max() - 1e-9
 
     def test_sum_constraint_always_held(self):
         cal = calibrate_flip_asymmetry(200.0, 0.9, 100, 1, 0.9, 0.2)
