@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .config import (ConfigError, bath_params, cavity_config, emitter_config,
                      load_config, microwave_settings, readout_params,
-                     relaxation_constant, zeeman_config)
+                     relaxation_constant, resolve_config_path, zeeman_config)
 from .estimators import (FitError, NormalizationError, fit_model,
                          format_fit_report, g2_pulsed, read_series_csv,
                          write_csv)
@@ -142,8 +142,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("g2", parents=[common],
                        help="pulsed autocorrelation of a photon-records file")
     p.add_argument("records", help="event file: shot_id pulse_index timestamp origin")
-    p.add_argument("--pulse-period", type=float, default=10.0,
-                   help="pulse period in us (default 10)")
     p.add_argument("--lags", type=int, default=20,
                    help="cross lags used for normalization (default 20)")
 
@@ -272,7 +270,7 @@ def _write_fit_csv(path, result):
 
 def _cmd_g2(args, out: OutputDir) -> str:
     records = PhotonRecords.from_file(args.records)
-    result = g2_pulsed(records, args.pulse_period, n_lags=args.lags)
+    result = g2_pulsed(records, n_lags=args.lags)
     write_csv(out.record("g2.csv"), "lag,pair_rate", result.lags,
               result.pair_rates)
     return (f"events: {len(records)}   shots: {records.n_shots}   "
@@ -312,10 +310,13 @@ def _cmd_area_sweep(args, out: OutputDir) -> str:
     scan.to_csv(out.record("area_sweep.csv"))
     finite = np.isfinite(scan.zeta)
     if finite.any():
+        zeta_se = (scan.p_excite * scan.n0_se)[finite]
         zeta_line = (f"cyclicity range: {scan.zeta[finite].min():.6g}"
-                     f"..{scan.zeta[finite].max():.6g}")
+                     f"..{scan.zeta[finite].max():.6g} "
+                     f"(largest SE {zeta_se.max():.3g})")
     else:
-        zeta_line = "cyclicity: no finite values (trace fits failed)"
+        zeta_line = ("cyclicity: no finite values (needs p_excite > 0, an "
+                     "observed spin flip and a + b < 1)")
     lines = [
         f"areas: {args.area_min:g}..{args.area_max:g} ({args.points} points)",
         f"flip model: a(area) = {a0:.6g} + {slope:.6g}*area, b = {b0:.6g}",
@@ -398,7 +399,6 @@ def _config_fields(args):
     fields = {"config": None, "config_sha256": None}
     if getattr(args, "config", None):
         try:
-            from .config import resolve_config_path
             path = resolve_config_path(args.config)
             with open(path, "rb") as fh:
                 data = fh.read()

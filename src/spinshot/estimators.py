@@ -1,5 +1,5 @@
-"""Nonlinear least-squares fitting, pulsed autocorrelation and
-empirical two-histogram fidelity estimates.
+"""Nonlinear least-squares fitting, pulsed autocorrelation, and series
+and CSV I/O.
 
 The fitter is a damped Gauss-Newton (Levenberg-Marquardt) loop with a
 finite-difference Jacobian and a deterministic multi-start policy; no
@@ -22,7 +22,6 @@ __all__ = [
     "fit_model",
     "model_param_names",
     "g2_pulsed",
-    "empirical_fidelity",
     "gaussian_fwhm_to_sigma",
     "gaussian_sigma_to_fwhm",
     "lorentzian_fwhm_to_hwhm",
@@ -470,31 +469,20 @@ class G2Result:
     pair_counts: np.ndarray
 
 
-def g2_pulsed(records, pulse_period_us: float, n_lags: int = 20) -> G2Result:
+def g2_pulsed(records, n_lags: int = 20) -> G2Result:
     """Pulse-wise autocorrelation from detected-photon records.
 
     Same-pulse (ordered) pair rate over the mean of the pair rates at
     lags 1..n_lags.  Records need ``shot_id``/``pulse_index`` arrays
-    plus ``n_shots``/``n_pulses``; ``pulse_period_us`` is used to fold
-    timestamps into pulse slots when an index is missing (< 0).
+    plus ``n_shots``/``n_pulses``.
     """
     shot = np.asarray(records.shot_id, dtype=np.int64)
     pulse = np.asarray(records.pulse_index, dtype=np.int64)
     if shot.size < 2:
         raise NormalizationError("need at least two detected events")
-    if np.any(pulse < 0):
-        t = np.asarray(records.timestamp_us, dtype=float)
-        pulse = pulse.copy()
-        missing = pulse < 0
-        folded = np.floor(t[missing] / pulse_period_us).astype(np.int64)
-        # only pulse separations matter; rebasing the folded indices to
-        # zero makes the result invariant under shifting every timestamp
-        # by a whole number of periods
-        folded -= folded.min()
-        pulse[missing] = folded
     n_shots = int(records.n_shots)
     n_pulses = int(records.n_pulses)
-    if np.any(pulse >= n_pulses):
+    if np.any((pulse < 0) | (pulse >= n_pulses)):
         raise ValueError("pulse indices fall outside the declared pulse grid")
     counts = np.bincount(shot * n_pulses + pulse, minlength=n_shots * n_pulses)
     counts = counts.reshape(n_shots, n_pulses).astype(np.int64)
@@ -518,42 +506,6 @@ def g2_pulsed(records, pulse_period_us: float, n_lags: int = 20) -> G2Result:
         lags=np.arange(n_lags + 1),
         pair_rates=pair_rates,
         pair_counts=pair_counts,
-    )
-
-
-# ---------------------------------------------------------------------------
-# empirical two-histogram fidelity
-# ---------------------------------------------------------------------------
-
-def empirical_fidelity(shots_bright, shots_dark):
-    """Best-threshold readout fidelity from per-shot photon counts.
-
-    Scans all thresholds, returns the report at the threshold that
-    maximizes min(F_bright, F_dark); binomial standard errors attached.
-    """
-    from .readout import FidelityReport  # deferred: readout imports us
-
-    bright = np.asarray(shots_bright, dtype=np.int64)
-    dark = np.asarray(shots_dark, dtype=np.int64)
-    if bright.size == 0 or dark.size == 0:
-        raise ValueError("both shot lists must be non-empty")
-    thresholds = np.arange(1, int(max(bright.max(), dark.max())) + 2)
-    # shares of shots at or above / below every threshold, from sorted counts
-    f_bright = (bright.size - np.searchsorted(np.sort(bright), thresholds)) / bright.size
-    f_dark = np.searchsorted(np.sort(dark), thresholds) / dark.size
-    i = int(np.argmax(np.minimum(f_bright, f_dark)))    # ties: lowest threshold
-    threshold, f_bright, f_dark = int(thresholds[i]), float(f_bright[i]), float(f_dark[i])
-    f_min = min(f_bright, f_dark)
-    se_b = math.sqrt(f_bright * (1.0 - f_bright) / bright.size)
-    se_d = math.sqrt(f_dark * (1.0 - f_dark) / dark.size)
-    return FidelityReport(
-        f_bright=f_bright,
-        f_dark=f_dark,
-        f_min=f_min,
-        threshold=threshold,
-        n_pulses=0,
-        f_bright_se=se_b,
-        f_dark_se=se_d,
     )
 
 

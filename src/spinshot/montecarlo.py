@@ -22,10 +22,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimators import FitError, gaussian_fwhm_to_sigma, write_csv
+from .estimators import gaussian_fwhm_to_sigma, write_csv
 from .physics import lorentzian_suppression
-from .readout import (CountDistribution, ReadoutParams, cyclicity,
-                      fit_decay_constant, readout_report)
+from .readout import CountDistribution, ReadoutParams, cyclicity, readout_report
 from .sequence import _TRANSITION_LABELS, DETECT, MW, OPTICAL
 
 _LABEL = {name: code for code, name in enumerate(_TRANSITION_LABELS)}
@@ -33,17 +32,14 @@ _LABEL = {name: code for code, name in enumerate(_TRANSITION_LABELS)}
 __all__ = [
     "BLOCK_SHOTS",
     "TIMELINE_BLOCK_CELLS",
-    "ShotState",
     "PhotonRecords",
     "BathParams",
     "ReadoutSimResult",
     "ProtocolCurve",
     "AreaScanResult",
     "TimelineRun",
-    "rng_stream",
     "worker_count",
     "simulate_readout_shots",
-    "apply_mw_pulse",
     "run_protocol",
     "pulse_area_scan",
     "run_timeline",
@@ -71,11 +67,6 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-def rng_stream(seed: int, shot_index: int) -> np.random.Generator:
-    """Independent, reproducible random stream for one shot."""
-    return _stream(seed, shot_index)
-
-
 def _map_blocks(run_block, n_blocks: int):
     """Yield run_block(i) for i = 0 .. n_blocks - 1 in order, computed on up
     to worker_count() threads; each block owns its stream, so the results
@@ -91,22 +82,6 @@ def _map_blocks(run_block, n_blocks: int):
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ShotState:
-    """Bloch vector (z > 0 = bright side), excitation flag, and the
-    static per-shot spin-frequency offset (MHz)."""
-    spin: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
-    excited: bool = False
-    frequency_offset: float = 0.0
-
-    def __post_init__(self):
-        self.spin = np.asarray(self.spin, dtype=float)
-        if self.spin.shape != (3,):
-            raise ValueError("spin must be a 3-vector")
-        if np.linalg.norm(self.spin) > 1.0 + 1e-9:
-            raise ValueError("Bloch vector norm exceeds 1")
-
 
 _ORIGINS = ("emitter", "dark")
 
@@ -244,6 +219,7 @@ class ReadoutSimResult:
     per_shot_counts: np.ndarray
     records: PhotonRecords | None
     mean_detected_before_flip: float
+    transitions: np.ndarray    # (from, to) cell counts over (bright, dark)
 
 
 def _truncated_exponential(u, lifetime_us, window_us):
@@ -257,8 +233,9 @@ def _truncated_exponential(u, lifetime_us, window_us):
 def _readout_block(params: ReadoutParams, initial: str, n_block: int,
                    rng, collect: bool, lifetime_us: float):
     """(per-shot counts, per-pulse detections, total detections before
-    each shot's first bright-to-dark flip, records columns or None) of
-    one block of shots.
+    each shot's first bright-to-dark flip, transition counts, records
+    columns or None) of one block of shots.  The transition counts are
+    the (from, to) numbers of (shot, pulse) cells over (bright, dark).
 
     Each (shot, pulse) cell draws one uniform u: a bright spin flips if
     u < a and is detected if a <= u < a + (1-a) d; a dark spin flips if
@@ -274,7 +251,7 @@ def _readout_block(params: ReadoutParams, initial: str, n_block: int,
     bright = np.full(n_block, initial == "bright")
     unflipped = np.ones(n_block, dtype=bool)
     detected = np.zeros(n_block, dtype=np.int32)   # int32 adds bools faster
-    before_flip = 0
+    before_flip = exposed_bright = flips_bright = flips_dark = 0
     trace = np.zeros(n)
     hits = []
     for k in range(n):
@@ -282,6 +259,9 @@ def _readout_block(params: ReadoutParams, initial: str, n_block: int,
         flip_b = bright & (u < a)
         detect = bright & ~flip_b & (u < detect_below)
         flip_d = ~bright & (u < b)
+        exposed_bright += np.count_nonzero(bright)
+        flips_bright += np.count_nonzero(flip_b)
+        flips_dark += np.count_nonzero(flip_d)
         detected += detect
         before_flip += np.count_nonzero(detect & unflipped)
         unflipped &= ~flip_b
@@ -293,8 +273,10 @@ def _readout_block(params: ReadoutParams, initial: str, n_block: int,
     mu = params.dark_count_mean
     n_dark = rng.poisson(mu, n_block) if mu > 0.0 else np.zeros(n_block, np.int64)
     counts = detected + n_dark
+    transitions = np.array([[exposed_bright - flips_bright, flips_bright],
+                            [flips_dark, n_block * n - exposed_bright - flips_dark]])
     if not collect:
-        return counts, trace, before_flip, None
+        return counts, trace, before_flip, transitions, None
 
     window, period = params.gate_window, params.pulse_period
     shot = np.concatenate(hits)
@@ -305,7 +287,7 @@ def _readout_block(params: ReadoutParams, initial: str, n_block: int,
     dark_pulse = rng.integers(0, n, dark_shot.size)
     dark_t = dark_pulse * period + rng.random(dark_shot.size) * window
     code = np.repeat(np.array([0, 1], dtype=np.int8), [shot.size, dark_shot.size])
-    return (counts, trace, before_flip,
+    return (counts, trace, before_flip, transitions,
             (np.concatenate([shot, dark_shot]), np.concatenate([pulse, dark_pulse]),
              np.concatenate([t, dark_t]), code))
 
@@ -347,9 +329,9 @@ def simulate_readout_shots(params: ReadoutParams, initial: str = "bright",
 
     records = None
     if collect_records:
-        shot_id = np.concatenate([r[3][0] + i * BLOCK_SHOTS
+        shot_id = np.concatenate([r[4][0] + i * BLOCK_SHOTS
                                   for i, r in enumerate(results)])
-        pulse, times, code = (np.concatenate([r[3][j] for r in results])
+        pulse, times, code = (np.concatenate([r[4][j] for r in results])
                               for j in (1, 2, 3))
         order = np.lexsort((times, shot_id))
         records = PhotonRecords(shot_id[order], pulse[order], times[order],
@@ -360,6 +342,7 @@ def simulate_readout_shots(params: ReadoutParams, initial: str = "bright",
         per_shot_counts=counts,
         records=records,
         mean_detected_before_flip=sum(r[2] for r in results) / shots,
+        transitions=sum(r[3] for r in results),
     )
 
 
@@ -388,17 +371,6 @@ def _rotate(spins, rabi_khz, detuning_khz, duration_us, phase_rad=0.0):
     out = v * cos_t + np.cross(axis, v) * sin_t + axis * dot * (1.0 - cos_t)
     out = np.where((eff > 0.0)[:, None], out, v)
     return out[0] if single else out
-
-
-def apply_mw_pulse(state: ShotState, rabi_frequency: float, detuning: float,
-                   duration: float, phase: float = 0.0) -> ShotState:
-    """Rotate the spin by a MW pulse (Rabi and detuning in kHz, duration
-    in us, phase in radians); returns a new state."""
-    if duration < 0:
-        raise ValueError("duration must be >= 0")
-    spin = _rotate(state.spin, rabi_frequency, detuning, duration, phase)
-    return ShotState(spin=spin, excited=state.excited,
-                     frequency_offset=state.frequency_offset)
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +497,7 @@ class AreaScanResult:
     area: np.ndarray
     p_excite: np.ndarray
     n0: np.ndarray
+    n0_se: np.ndarray
     zeta: np.ndarray
     f_min: np.ndarray
     threshold: np.ndarray
@@ -536,19 +509,42 @@ class AreaScanResult:
                   self.threshold, self.f_min)
 
 
+def _decay_pulses(transitions):
+    """(N0, its standard error) from (from, to) transition counts over
+    (bright, dark).
+
+    a = flips/exposures of the bright state and b of the dark state are
+    the maximum-likelihood transition probabilities of a two-state
+    Markov chain (Anderson & Goodman, Ann. Math. Stat. 28, 89, 1957);
+    N0 = -1/ln(1 - a - b), with a delta-method error from the binomial
+    variances of a and b.  Both are NaN when a state was never occupied
+    or a + b is outside (0, 1).
+    """
+    exposed = transitions.sum(axis=1)
+    if not exposed.all():
+        return math.nan, math.nan
+    a, b = transitions[0, 1] / exposed[0], transitions[1, 0] / exposed[1]
+    if not 0.0 < a + b < 1.0:
+        return math.nan, math.nan
+    n0 = -1.0 / math.log1p(-(a + b))
+    variance = a * (1.0 - a) / exposed[0] + b * (1.0 - b) / exposed[1]
+    return n0, n0 * n0 / (1.0 - a - b) * math.sqrt(variance)
+
+
 def pulse_area_scan(areas, flip_bright_model, flip_dark_model,
                     params: ReadoutParams, shots: int = 20000,
                     seed: int = 0) -> AreaScanResult:
     """Cyclicity and fidelity vs excitation pulse area.
 
     For each area: excitation probability sin^2(area*pi/2), per-pulse
-    flip probabilities from the two model callables, Monte Carlo trace
-    with an exponential fit for N0, cyclicity p*N0, and the exact
-    best-threshold fidelity at the same pulse count.
+    flip probabilities from the two model callables, a Monte Carlo run
+    whose transition counts give N0 in closed form (see
+    :func:`_decay_pulses`), cyclicity p*N0 (NaN when p = 0 or N0 is),
+    and the exact best-threshold fidelity at the same pulse count.
     """
     areas = np.asarray(areas, dtype=float)
     out = {k: np.empty(areas.size) for k in
-           ("p", "n0", "zeta", "f", "t", "before")}
+           ("p", "n0", "se", "zeta", "f", "t", "before")}
     for i, area in enumerate(areas):
         p = excitation_probability(area)
         point = replace(params, p_excite=p,
@@ -556,21 +552,17 @@ def pulse_area_scan(areas, flip_bright_model, flip_dark_model,
                         flip_dark=float(flip_dark_model(area)))
         sim = simulate_readout_shots(point, "bright", shots, seed,
                                      collect_records=False, _key=(i,))
-        try:
-            n0 = fit_decay_constant(sim.trace).n0
-            zeta = cyclicity(p, n0) if p > 0 else math.nan
-        except (FitError, ValueError):
-            n0, zeta = math.nan, math.nan
+        n0, out["se"][i] = _decay_pulses(sim.transitions)
         report = readout_report(point)
         out["p"][i] = p
         out["n0"][i] = n0
-        out["zeta"][i] = zeta
+        out["zeta"][i] = cyclicity(p, n0) if p > 0 else math.nan
         out["f"][i] = report.f_min
         out["t"][i] = report.threshold
         out["before"][i] = sim.mean_detected_before_flip
     return AreaScanResult(
-        area=areas, p_excite=out["p"], n0=out["n0"], zeta=out["zeta"],
-        f_min=out["f"], threshold=out["t"].astype(int),
+        area=areas, p_excite=out["p"], n0=out["n0"], n0_se=out["se"],
+        zeta=out["zeta"], f_min=out["f"], threshold=out["t"].astype(int),
         mean_detected_before_flip=out["before"],
     )
 

@@ -12,7 +12,8 @@ channel:
 with d = p_excite * eta_detect.  The full count distribution is computed
 by dynamic programming over (pulse, state, count) and convolved with a
 Poisson dark-count background over the total gated time.  Everything
-here is exact arithmetic on the model — no sampling.
+here is exact arithmetic on the model — no sampling — apart from
+:func:`empirical_fidelity`, the same threshold scan on measured counts.
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ __all__ = [
     "fit_decay_constant",
     "cyclicity",
     "readout_fidelity",
+    "empirical_fidelity",
     "readout_report",
     "optimize_readout",
     "calibrate_flip_asymmetry",
@@ -329,6 +331,36 @@ def readout_fidelity(dist_bright: CountDistribution, dist_dark: CountDistributio
         f_min=min(f_bright, f_dark),
         threshold=threshold,
         n_pulses=dist_bright.n_pulses,
+    )
+
+
+def empirical_fidelity(shots_bright, shots_dark) -> FidelityReport:
+    """Best-threshold readout fidelity from per-shot photon counts.
+
+    Scans all thresholds, returns the report at the threshold that
+    maximizes min(F_bright, F_dark); binomial standard errors attached.
+    """
+    bright = np.asarray(shots_bright, dtype=np.int64)
+    dark = np.asarray(shots_dark, dtype=np.int64)
+    if bright.size == 0 or dark.size == 0:
+        raise ValueError("both shot lists must be non-empty")
+    thresholds = np.arange(1, int(max(bright.max(), dark.max())) + 2)
+    # shares of shots at or above / below every threshold, from sorted counts
+    f_bright = (bright.size - np.searchsorted(np.sort(bright), thresholds)) / bright.size
+    f_dark = np.searchsorted(np.sort(dark), thresholds) / dark.size
+    i = int(np.argmax(np.minimum(f_bright, f_dark)))    # ties: lowest threshold
+    threshold, f_bright, f_dark = int(thresholds[i]), float(f_bright[i]), float(f_dark[i])
+    f_min = min(f_bright, f_dark)
+    se_b = math.sqrt(f_bright * (1.0 - f_bright) / bright.size)
+    se_d = math.sqrt(f_dark * (1.0 - f_dark) / dark.size)
+    return FidelityReport(
+        f_bright=f_bright,
+        f_dark=f_dark,
+        f_min=f_min,
+        threshold=threshold,
+        n_pulses=0,
+        f_bright_se=se_b,
+        f_dark_se=se_d,
     )
 
 

@@ -271,7 +271,7 @@ def test_c12_g2_sanity(capsys):
 
         sim = simulate_readout_shots(params(0.0), "bright", shots=4000,
                                      seed=11)
-        single = g2_pulsed(sim.records, 10.0)
+        single = g2_pulsed(sim.records)
         assert single.g2_zero == 0.0
 
         # Poissonian benchmark: synthetic records, 1e6 pulses; the SE
@@ -285,7 +285,7 @@ def test_c12_g2_sanity(capsys):
         ts = pulse * 10.0 + rng.random(counts.sum()) * 3.0
         rec = PhotonRecords(shot, pulse, ts,
                             np.zeros(counts.sum(), np.int8), shots, pulses)
-        g_full = g2_pulsed(rec, 10.0).g2_zero
+        g_full = g2_pulsed(rec).g2_zero
         per = shots // n_blocks
         blocks = []
         for k in range(n_blocks):
@@ -293,7 +293,7 @@ def test_c12_g2_sanity(capsys):
             sub = PhotonRecords(rec.shot_id[m] - k * per, rec.pulse_index[m],
                                 rec.timestamp_us[m], rec.origin_code[m],
                                 per, pulses)
-            blocks.append(g2_pulsed(sub, 10.0).g2_zero)
+            blocks.append(g2_pulsed(sub).g2_zero)
         se = float(np.std(blocks, ddof=1) / math.sqrt(n_blocks))
         assert abs(g_full - 1.0) <= 3 * se, (g_full, se)
 
@@ -302,7 +302,7 @@ def test_c12_g2_sanity(capsys):
         for rate in rates:
             sim = simulate_readout_shots(params(rate), "bright",
                                          shots=20000, seed=29)
-            g_dark.append(g2_pulsed(sim.records, 10.0).g2_zero)
+            g_dark.append(g2_pulsed(sim.records).g2_zero)
         assert g_dark[0] < g_dark[1] < g_dark[2]
 
         info["detail"] = (

@@ -307,6 +307,19 @@ class TestExitCodes:
         assert f"{path}:4:" in cap.err
         assert "shot_id 5" in cap.err
 
+    def test_records_negative_pulse_index(self, tmp_path, capsys):
+        # every row carries its pulse index, so g2 needs no pulse period
+        path = tmp_path / "events.txt"
+        path.write_text("# shots=1 pulses=3\n0 -1 12.5 emitter\n")
+        code, cap = run_cli(["g2", str(path), "--out-dir", str(tmp_path / "o")],
+                            capsys)
+        assert code == 2
+        assert "pulse_index -1 outside 0..2" in cap.err
+        code, cap = run_cli(["g2", str(path), "--pulse-period", "10",
+                             "--out-dir", str(tmp_path / "o")], capsys)
+        assert code == 1
+        assert "--pulse-period" in cap.err
+
     @pytest.mark.parametrize("header", ["# shots=abc pulses=3",
                                         "# shots=2 pulses=-1",
                                         "# shots= pulses=3"])
@@ -366,7 +379,7 @@ class TestHelp:
         ("readout-optimize", ["--n-min", "--n-max", "--seed"]),
         ("simulate", ["--shots", "--seed", "--config"]),
         ("fit", ["--model", "--components"]),
-        ("g2", ["--pulse-period", "--lags"]),
+        ("g2", ["--lags"]),
         ("area-sweep", ["--area-min", "--area-max", "--points",
                         "--flip-slope"]),
         ("calibrate", ["--target-f", "--threshold", "--n-pulses"]),

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from oracles import best_threshold_scan
-from spinshot.estimators import (FitError, NormalizationError,
-                                 empirical_fidelity, fit_model, g2_pulsed,
-                                 gaussian_fwhm_to_sigma, gaussian_sigma_to_fwhm,
-                                 lorentzian_fwhm_to_hwhm, model_param_names,
-                                 read_series_csv)
+from spinshot.estimators import (FitError, NormalizationError, fit_model,
+                                 g2_pulsed, gaussian_fwhm_to_sigma,
+                                 gaussian_sigma_to_fwhm, lorentzian_fwhm_to_hwhm,
+                                 model_param_names, read_series_csv)
 from spinshot.montecarlo import PhotonRecords
-from spinshot.readout import ReadoutParams, count_distribution, readout_fidelity
+from spinshot.readout import (ReadoutParams, count_distribution,
+                              empirical_fidelity, readout_fidelity)
 
 # (kind, params, x grid, n_components)
 CASES = [
@@ -201,7 +201,7 @@ class TestG2:
         shots, pulses = 300, 40
         shot, pulse = np.nonzero(rng.random((shots, pulses)) < 0.3)
         rec = make_records(shot, pulse, pulse * 10.0, shots, pulses)
-        res = g2_pulsed(rec, 10.0)
+        res = g2_pulsed(rec)
         assert res.g2_zero == 0.0
         assert res.pair_counts[0] == 0
 
@@ -214,51 +214,26 @@ class TestG2:
             [np.repeat(np.arange(pulses), row) for row in counts])
         rec = make_records(shot_idx, pulse_idx, pulse_idx * 10.0,
                            shots, pulses)
-        res = g2_pulsed(rec, 10.0)
+        res = g2_pulsed(rec)
         n_pairs = res.pair_counts[0]
         se = 3.0 / max(np.sqrt(n_pairs), 1.0)
         assert res.g2_zero == pytest.approx(1.0, abs=max(3 * se, 0.05))
 
-    def test_time_translation_invariance(self):
-        rng = np.random.default_rng(9)
-        shots, pulses = 200, 30
-        counts = rng.poisson(0.5, size=(shots, pulses))
-        shot_idx = np.repeat(np.arange(shots), counts.sum(axis=1))
-        pulse_idx = np.concatenate(
-            [np.repeat(np.arange(pulses), row) for row in counts])
-        t = pulse_idx * 10.0 + rng.uniform(0.0, 3.0, pulse_idx.size)
-        base = make_records(shot_idx, np.full_like(shot_idx, -1), t,
-                            shots, pulses)
-        shifted = make_records(shot_idx, np.full_like(shot_idx, -1),
-                               t + 7 * 10.0, shots, pulses)
-        r0 = g2_pulsed(base, 10.0)
-        r1 = g2_pulsed(shifted, 10.0)
-        assert r0.g2_zero == r1.g2_zero
-        assert np.array_equal(r0.pair_counts, r1.pair_counts)
-
-    def test_folding_matches_explicit_indices(self):
-        rng = np.random.default_rng(11)
-        shots, pulses = 150, 25
-        counts = rng.poisson(0.4, size=(shots, pulses))
-        shot_idx = np.repeat(np.arange(shots), counts.sum(axis=1))
-        pulse_idx = np.concatenate(
-            [np.repeat(np.arange(pulses), row) for row in counts])
-        t = pulse_idx * 10.0 + rng.uniform(0.0, 3.0, pulse_idx.size)
-        explicit = make_records(shot_idx, pulse_idx, t, shots, pulses)
-        folded = make_records(shot_idx, np.full_like(shot_idx, -1), t,
-                              shots, pulses)
-        assert np.array_equal(g2_pulsed(explicit, 10.0).pair_counts,
-                              g2_pulsed(folded, 10.0).pair_counts)
+    @pytest.mark.parametrize("pulse", [-1, 5])
+    def test_pulse_index_off_grid_raises(self, pulse):
+        rec = make_records([0, 0, 1], [0, pulse, 1], [1.0, 2.0, 3.0], 2, 5)
+        with pytest.raises(ValueError, match="outside the declared pulse grid"):
+            g2_pulsed(rec)
 
     def test_no_cross_coincidences_raises(self):
         rec = make_records([0, 1], [0, 0], [1.0, 1.0], 2, 5)
         with pytest.raises(NormalizationError):
-            g2_pulsed(rec, 10.0)
+            g2_pulsed(rec)
 
     def test_too_few_events(self):
         rec = make_records([0], [0], [1.0], 1, 5)
         with pytest.raises(NormalizationError):
-            g2_pulsed(rec, 10.0)
+            g2_pulsed(rec)
 
 
 class TestEmpiricalFidelity:

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,13 +11,13 @@ from hypothesis import strategies as st
 from oracles import (enumerate_count_distribution, readout_block_three_draw,
                      run_timeline_per_shot)
 from test_readout import within_seconds
+from spinshot.config import readout_params
 from spinshot.estimators import fit_model
 from spinshot.montecarlo import (TIMELINE_BLOCK_CELLS, BathParams,
-                                 PhotonRecords, ShotState,
-                                 apply_mw_pulse, excitation_probability,
-                                 pulse_area_scan, rng_stream, run_protocol,
-                                 run_timeline, simulate_readout_shots,
-                                 worker_count)
+                                 PhotonRecords, _decay_pulses, _rotate, _stream,
+                                 excitation_probability, pulse_area_scan,
+                                 run_protocol, run_timeline,
+                                 simulate_readout_shots, worker_count)
 from spinshot.physics import EmitterConfig, ZeemanConfig, zeeman_transitions
 from spinshot.readout import ReadoutParams, count_distribution, expected_trace
 from spinshot.sequence import compile_sequence, parse_sequence
@@ -38,20 +39,20 @@ def tv_distance(hist, dist):
 
 class TestRngStreams:
     def test_reproducible(self):
-        a = rng_stream(7, 3).random(5)
-        b = rng_stream(7, 3).random(5)
+        a = _stream(7, 3).random(5)
+        b = _stream(7, 3).random(5)
         assert np.array_equal(a, b)
 
     def test_distinct_streams(self):
-        a = rng_stream(7, 0).random(100)
-        b = rng_stream(7, 1).random(100)
-        c = rng_stream(8, 0).random(100)
+        a = _stream(7, 0).random(100)
+        b = _stream(7, 1).random(100)
+        c = _stream(8, 0).random(100)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_streams_look_independent(self):
         # coarse independence check: correlation across 200 streams
-        draws = np.array([rng_stream(3, i).random(200) for i in range(50)])
+        draws = np.array([_stream(3, i).random(200) for i in range(50)])
         corr = np.corrcoef(draws)
         off_diag = corr[~np.eye(50, dtype=bool)]
         assert np.max(np.abs(off_diag)) < 0.35
@@ -194,7 +195,7 @@ class TestReadoutEngineVsOracle:
         sim = simulate_readout_shots(params, initial, shots=shots, seed=31,
                                      collect_records=False)
         counts, trace, before_flip, *_ = readout_block_three_draw(
-            params, initial, shots, rng_stream(32, 0), False, 0.803)
+            params, initial, shots, _stream(32, 0), False, 0.803)
         assert_same_count_distribution(sim.per_shot_counts, counts)
         assert np.array_equal(np.bincount(sim.per_shot_counts) / shots,
                               sim.histogram.probabilities)
@@ -230,6 +231,9 @@ class TestReadoutEngineVsOracle:
         assert np.all(np.abs(sim.trace - want) <= 5.0 * se + 1e-12)
 
 
+UP = np.array([0.0, 0.0, 1.0])
+
+
 class TestBloch:
     @given(theta=st.floats(0, math.pi), phi=st.floats(0, 2 * math.pi),
            rabi=st.floats(min_value=10.0, max_value=1000.0),
@@ -238,38 +242,36 @@ class TestBloch:
            phase=st.floats(0, 2 * math.pi))
     @settings(max_examples=120)
     def test_norm_conserved(self, theta, phi, rabi, det, dur, phase):
-        state = ShotState(spin=np.array([math.sin(theta) * math.cos(phi),
-                                         math.sin(theta) * math.sin(phi),
-                                         math.cos(theta)]))
-        out = apply_mw_pulse(state, rabi, det, dur, phase)
-        assert abs(np.linalg.norm(out.spin) - 1.0) < 1e-9
+        spin = np.array([math.sin(theta) * math.cos(phi),
+                         math.sin(theta) * math.sin(phi), math.cos(theta)])
+        out = _rotate(spin, rabi, det, dur, phase)
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-9
 
     def test_resonant_pi_pulse_flips(self):
-        out = apply_mw_pulse(ShotState(), 250.0, 0.0, 2.0)  # 250kHz * 2us
-        assert out.spin[2] == pytest.approx(-1.0, abs=1e-9)
+        out = _rotate(UP, 250.0, 0.0, 2.0)  # 250kHz * 2us
+        assert out[2] == pytest.approx(-1.0, abs=1e-9)
 
     def test_nominal_pi_time(self):
         # 217.4 kHz drive: the pi pulse takes 500/217.4 ~ 2.3 us
         t_pi = 500.0 / 217.4
         assert t_pi == pytest.approx(2.3, abs=0.0005)
-        out = apply_mw_pulse(ShotState(), 217.4, 0.0, t_pi)
-        assert out.spin[2] == pytest.approx(-1.0, abs=1e-9)
+        out = _rotate(UP, 217.4, 0.0, t_pi)
+        assert out[2] == pytest.approx(-1.0, abs=1e-9)
 
     def test_two_pi_identity(self):
-        state = ShotState(spin=np.array([0.6, 0.0, 0.8]))
-        out = apply_mw_pulse(state, 250.0, 0.0, 4.0)
-        assert np.max(np.abs(out.spin - state.spin)) < 1e-9
+        spin = np.array([0.6, 0.0, 0.8])
+        out = _rotate(spin, 250.0, 0.0, 4.0)
+        assert np.max(np.abs(out - spin)) < 1e-9
 
     def test_detuned_pulse_partial_flip(self):
         # delta = rabi, nominal pi duration: flip prob 0.5*sin^2(pi/sqrt2)
-        out = apply_mw_pulse(ShotState(), 250.0, 250.0, 2.0)
+        out = _rotate(UP, 250.0, 250.0, 2.0)
         want_flip = 0.5 * math.sin(math.pi / math.sqrt(2)) ** 2
-        assert 0.5 * (1 - out.spin[2]) == pytest.approx(want_flip, abs=1e-9)
+        assert 0.5 * (1 - out[2]) == pytest.approx(want_flip, abs=1e-9)
 
     def test_phase_sets_rotation_axis(self):
-        half_x = apply_mw_pulse(ShotState(), 250.0, 0.0, 1.0, phase=0.0).spin
-        half_y = apply_mw_pulse(ShotState(), 250.0, 0.0, 1.0,
-                                phase=math.pi / 2).spin
+        half_x = _rotate(UP, 250.0, 0.0, 1.0, 0.0)
+        half_y = _rotate(UP, 250.0, 0.0, 1.0, math.pi / 2)
         assert half_x[1] == pytest.approx(-half_y[0], abs=1e-9)
         assert abs(half_x[2]) < 1e-9 and abs(half_y[2]) < 1e-9
 
@@ -382,6 +384,68 @@ class TestAreaScan:
         assert scan.zeta[1] == pytest.approx(
             scan.p_excite[1] * scan.n0[1], rel=1e-12)
         assert ratio < 2.0
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("slope,points", [(0.0, 10), (0.004, 20)],
+                             ids=["default", "flip-slope-0.004"])
+    def test_n0_matches_closed_form(self, paper_cfg, seed, slope, points):
+        # the area-sweep command's grid and flip model at its default shots
+        params = readout_params(paper_cfg)
+        a0, b0 = params.flip_bright, params.flip_dark
+        areas = np.linspace(0.1, 1.0, points)
+        scan = pulse_area_scan(areas, lambda area: min(a0 + slope * area, 1.0),
+                               lambda area: b0, params, shots=20000, seed=seed)
+        exact = -1.0 / np.log1p(-(a0 + slope * areas + b0))
+        assert np.all(np.isfinite(scan.n0)) and np.all(scan.n0_se > 0)
+        assert np.all(np.abs(scan.n0 - exact) <= 5.0 * scan.n0_se), \
+            (scan.n0 - exact) / scan.n0_se
+        assert np.array_equal(scan.zeta, scan.p_excite * scan.n0)
+
+    def test_no_flips_give_nan_without_warning(self):
+        params = make_params(n=50, a=0.0, b=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scan = pulse_area_scan(np.array([1.0]), lambda area: 0.0,
+                                   lambda area: 0.0, params, shots=500, seed=1)
+        assert math.isnan(scan.n0[0]) and math.isnan(scan.n0_se[0])
+        assert math.isnan(scan.zeta[0])
+
+    def test_zero_area_gives_nan_cyclicity(self):
+        params = make_params(n=71, a=0.01, b=0.01)
+        scan = pulse_area_scan(np.array([0.0]), lambda area: 0.01,
+                               lambda area: 0.01, params, shots=5000, seed=2)
+        assert scan.p_excite[0] == 0.0
+        assert math.isfinite(scan.n0[0])
+        assert math.isnan(scan.zeta[0])
+
+    def test_no_dark_flips_stay_finite(self):
+        a = 0.01
+        scan = pulse_area_scan(np.array([1.0]), lambda area: a, lambda area: 0.0,
+                               make_params(n=71), shots=20000, seed=4)
+        exact = -1.0 / math.log1p(-a)
+        assert math.isfinite(scan.n0[0]) and math.isfinite(scan.zeta[0])
+        assert abs(scan.n0[0] - exact) <= 5.0 * scan.n0_se[0]
+
+    def test_decay_pulses_closed_form(self):
+        # a = 10/100, b = 5/100
+        n0, se = _decay_pulses(np.array([[90, 10], [5, 95]]))
+        assert n0 == pytest.approx(-1.0 / math.log1p(-0.15), rel=1e-12)
+        var = 0.1 * 0.9 / 100 + 0.05 * 0.95 / 100
+        assert se == pytest.approx(n0 ** 2 / 0.85 * math.sqrt(var), rel=1e-12)
+        for counts in ([[5, 0], [0, 0]], [[0, 5], [5, 0]], [[0, 0], [0, 5]]):
+            assert all(map(math.isnan, _decay_pulses(np.array(counts))))
+
+    @pytest.mark.parametrize("a,want", [
+        (0.0, [[5, 0], [0, 0]]),     # never leaves the bright state
+        (1.0, [[0, 3], [2, 0]]),     # flips on every pulse
+    ])
+    def test_transition_counts_exact(self, a, want):
+        # more shots than one block: the counts are summed over blocks
+        shots = 65536 + 100
+        params = make_params(n=5, a=a, b=a)
+        sim = simulate_readout_shots(params, "bright", shots=shots, seed=6,
+                                     collect_records=False)
+        assert np.array_equal(sim.transitions, shots * np.array(want))
 
     def test_csv(self, tmp_path):
         params = make_params(n=50)
