@@ -17,7 +17,7 @@ from importlib import resources
 from .estimators import gaussian_fwhm_to_sigma
 from .montecarlo import BathParams
 from .physics import CavityConfig, EmitterConfig, ZeemanConfig
-from .readout import ReadoutParams
+from .readout import CapacityError, ReadoutParams
 
 __all__ = [
     "ConfigError",
@@ -192,31 +192,38 @@ def load_config(path: str) -> Config:
 # ---------------------------------------------------------------------------
 
 def emitter_config(cfg: Config) -> EmitterConfig:
+    section = "emitter"
     return EmitterConfig(
-        zero_field_frequency_ghz=cfg.number("emitter", "frequency_ghz"),
-        g_ground=cfg.number("emitter", "g_ground"),
-        g_excited=cfg.number("emitter", "g_excited"),
-        bulk_lifetime_us=cfg.number("emitter", "bulk_lifetime_us"),
-        spectral_diffusion_fwhm_mhz=cfg.number(
-            "emitter", "spectral_diffusion_fwhm_mhz", 13.5),
+        zero_field_frequency_ghz=cfg.bounded(section, "frequency_ghz", 0.0,
+                                             open_low=True),
+        g_ground=cfg.bounded(section, "g_ground", 0.0, open_low=True),
+        g_excited=cfg.bounded(section, "g_excited", 0.0, open_low=True),
+        bulk_lifetime_us=cfg.bounded(section, "bulk_lifetime_us", 0.0,
+                                     open_low=True),
+        spectral_diffusion_fwhm_mhz=cfg.bounded(
+            section, "spectral_diffusion_fwhm_mhz", 0.0, default=13.5),
     )
 
 
 def cavity_config(cfg: Config) -> CavityConfig:
+    """[cavity] plus the collection efficiencies of [detection].  The
+    cavity adds (purcell_on_resonance - 1) times the bulk decay rate, so
+    that key is at least 1."""
+    eta = {f"eta_{stage}": cfg.bounded("detection", f"eta_{stage}", 0.0, 1.0,
+                                       default=1.0, open_high=False)
+           for stage in ("waveguide", "offchip", "switch", "detector")}
     return CavityConfig(
-        resonance_frequency_ghz=cfg.number("cavity", "resonance_frequency_ghz"),
-        quality_factor=cfg.number("cavity", "quality_factor"),
-        purcell_on_resonance=cfg.number("cavity", "purcell_on_resonance"),
-        eta_waveguide=cfg.number("detection", "eta_waveguide", 1.0),
-        eta_offchip=cfg.number("detection", "eta_offchip", 1.0),
-        eta_switch=cfg.number("detection", "eta_switch", 1.0),
-        eta_detector=cfg.number("detection", "eta_detector", 1.0),
+        resonance_frequency_ghz=cfg.bounded("cavity", "resonance_frequency_ghz",
+                                            0.0, open_low=True),
+        quality_factor=cfg.bounded("cavity", "quality_factor", 0.0, open_low=True),
+        purcell_on_resonance=cfg.bounded("cavity", "purcell_on_resonance", 1.0),
+        **eta,
     )
 
 
 def zeeman_config(cfg: Config) -> ZeemanConfig:
     return ZeemanConfig(
-        magnetic_field_t=cfg.number("field", "magnetic_field_t"),
+        magnetic_field_t=cfg.bounded("field", "magnetic_field_t", 0.0),
         field_axis=cfg.string("field", "axis", "(100)"),
     )
 
@@ -253,6 +260,9 @@ def readout_params(cfg: Config, n_pulses: int | None = None) -> ReadoutParams:
     )
     try:
         return ReadoutParams(**fields)
+    except CapacityError as exc:
+        raise ConfigError(f"{cfg.origin}: [detection] dark_rate_hz = "
+                          f"{fields['dark_rate']:g} is too high: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{cfg.origin}: [readout] {exc}") from exc
 

@@ -354,6 +354,29 @@ def _lm_minimize(resid, theta0, max_iter=200):
     return theta, cost, jac, converged, iters
 
 
+_FREQUENCIES = frozenset({"frequency"})
+_TIME_CONSTANTS = frozenset({"tau", "t2"})
+
+
+def _identifiable(names, p, x) -> bool:
+    """Whether the sampling grid x can pin the parameters p down: every
+    frequency at most the Nyquist rate 1 / (2 min dx), and every time
+    constant within [min dx / 10, 1000 * span].  Past 1000 spans a decay
+    changes the curve by < 0.1% over the grid; the `protocols` Rabi curve
+    itself decays over 77-119 spans (5000 shots, seeds 0-11), so a bound
+    of 100 spans would reject its honest fits."""
+    # np.unique would import numpy.ma (~15 ms) on its first call
+    steps = np.diff(np.sort(x))
+    steps = steps[steps > 0]
+    dx = float(steps.min()) if steps.size else _span(x)
+    for name, value in zip(names, p):
+        if name in _FREQUENCIES and value > 0.5 / dx:
+            return False
+        if name in _TIME_CONSTANTS and not dx / 10.0 <= value <= 1000.0 * _span(x):
+            return False
+    return True
+
+
 def fit_model(kind, x, y, sigma=None, initial=None, n_components=None,
               max_iter=200) -> FitResult:
     """Least-squares fit of a named model to an (x, y[, sigma]) series.
@@ -412,8 +435,13 @@ def fit_model(kind, x, y, sigma=None, initial=None, n_components=None,
         if converged:
             # a log parameter can converge beyond exp's range
             with np.errstate(over="ignore"):
-                converged = bool(np.all(np.isfinite(_to_external(theta, pos_mask))))
-            status = "converged" if converged else "non-finite parameters"
+                p_end = _to_external(theta, pos_mask)
+            if not np.all(np.isfinite(p_end)):
+                converged, status = False, "non-finite parameters"
+            elif not _identifiable(spec.names, p_end, x):
+                converged, status = False, "unidentifiable"
+            else:
+                status = "converged"
         else:
             status = "not converged"
         diagnostics.append((i, status, cost))
@@ -421,7 +449,9 @@ def fit_model(kind, x, y, sigma=None, initial=None, n_components=None,
             best = (theta, cost, jac, iters)
     if best is None:
         raise FitError(
-            f"no start converged for model {kind!r}",
+            f"no start converged for model {kind!r} ("
+            + "; ".join(f"start {i}: {status}" for i, status, _ in diagnostics)
+            + ")",
             diagnostics=diagnostics,
         )
 

@@ -27,6 +27,7 @@ from .estimators import FitError, FitResult, fit_model, write_csv
 
 __all__ = [
     "CAPACITY_PULSES",
+    "CAPACITY_DARK_MEAN",
     "CapacityError",
     "CalibrationError",
     "ReadoutParams",
@@ -49,12 +50,19 @@ __all__ = [
 ]
 
 CAPACITY_PULSES = 10_000
+# largest dark-count mean over all gates: its truncated Poisson pmf spans
+# about mu + 8 sqrt(mu) counts, 1.008e6 here, on every distribution's
+# count axis
+CAPACITY_DARK_MEAN = 1e6
 _STATES = ("bright", "dark")
 _POISSON_TAIL = 1e-13
+_SUPPORT_STEP = 16      # pulses between checks of the DP's top counts
+_SCAN_BLOCK = 64        # pulses whose threshold scans share one cumsum
 
 
 class CapacityError(ValueError):
-    """Pulse count exceeds what the exact DP is rated for."""
+    """Pulse count or dark-count mean exceeds what the exact model is
+    rated for."""
 
 
 class CalibrationError(RuntimeError):
@@ -99,6 +107,11 @@ class ReadoutParams:
             if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
                 raise ValueError(f"{name} must be finite and "
                                  f"{'>' if positive else '>='} 0, got {value}")
+        if not self.dark_count_mean <= CAPACITY_DARK_MEAN:
+            raise CapacityError(
+                f"the dark-count mean {self.dark_count_mean:g} over "
+                f"{self.n_pulses} gates of {self.gate_window:g} us exceeds "
+                f"the exact model's capacity of {CAPACITY_DARK_MEAN:g}")
 
     @property
     def detection_probability(self) -> float:
@@ -190,17 +203,40 @@ def _check_capacity(n: int):
 
 def _chain(a, b, d, starts, n_pulses):
     """Yield the (pair, count) bright and dark probabilities after each
-    pulse for every (point, initial state) pair of the batch."""
+    pulse for every (point, initial state) pair of the batch.
+
+    Each yielded array holds only counts 0 .. w - 1 of the n_pulses + 1;
+    every count at or above its width w is an exact zero.  Count c is
+    read only from counts c and c - 1 of the previous pulse, so a zero
+    tail stays zero (0 * x + 0 * y = 0) and the support grows by at most
+    one count per pulse; in floating point it grows much more slowly,
+    as the top counts underflow (at ``paper.cfg`` the last nonzero count
+    is 956 at N = 3000, 1996 at N = 10000).  Every _SUPPORT_STEP pulses
+    the width therefore grows by _SUPPORT_STEP counts if any of its top
+    _SUPPORT_STEP counts is nonzero, so the support cannot reach the
+    width before the next check.  The kept counts go through the same
+    floating-point operations as on the full axis and keep their bits.
+    """
     a, b = (np.repeat(np.asarray(x, dtype=float), len(starts))[:, None] for x in (a, b))
-    silent, detect, stay_dark = (1.0 - a) * (1.0 - d), (1.0 - a) * d, 1.0 - b
-    bright, dark = np.zeros((2, a.size, n_pulses + 1))
+    # probs[state] gains probs[bright] * from_bright[state] and
+    # probs[dark] * from_dark[state]; a detection also shifts the count
+    from_bright = np.stack(((1.0 - a) * (1.0 - d), a))
+    from_dark = np.stack((b, 1.0 - b))
+    detect = (1.0 - a) * d
+    step = _SUPPORT_STEP
+    width = min(n_pulses + 1, 1 + step)
+    probs = np.zeros((2, a.size, width))
     for j, state in enumerate(starts):
-        (bright if state == "bright" else dark)[j::len(starts), 0] = 1.0
-    for _ in range(n_pulses):
-        new_bright = bright * silent + dark * b
-        new_bright[:, 1:] += bright[:, :-1] * detect
-        bright, dark = new_bright, bright * a + dark * stay_dark
-        yield bright, dark
+        probs[_STATES.index(state), j::len(starts), 0] = 1.0
+    for pulse in range(1, n_pulses + 1):
+        new = probs[0] * from_bright + probs[1] * from_dark
+        new[0, :, 1:] += probs[0, :, :-1] * detect
+        probs = new
+        if pulse % step == 0 and width <= n_pulses and probs[:, :, -step:].any():
+            grow = min(step, n_pulses + 1 - width)
+            probs = np.concatenate((probs, np.zeros((2, a.size, grow))), axis=2)
+            width += grow
+        yield probs[0], probs[1]
 
 
 def _poisson_pmf(mu: float) -> np.ndarray:
@@ -232,10 +268,12 @@ def _poisson_pmf(mu: float) -> np.ndarray:
     return pmf / pmf.sum()
 
 
-def _convolve_dark(pmf: np.ndarray, mu: float) -> np.ndarray:
+def _convolve_dark(pmfs, mu: float) -> list:
+    """Each pmf convolved with one Poisson dark-count pmf of mean mu."""
     if mu <= 0.0:
-        return pmf
-    return np.convolve(pmf, _poisson_pmf(mu))
+        return list(pmfs)
+    dark = _poisson_pmf(mu)
+    return [np.convolve(pmf, dark) for pmf in pmfs]
 
 
 def _distributions(params: ReadoutParams, a, b, starts=_STATES):
@@ -245,10 +283,11 @@ def _distributions(params: ReadoutParams, a, b, starts=_STATES):
     _check_capacity(n)
     for bright, dark in _chain(a, b, params.detection_probability, starts, n):
         pass
-    signal = (bright + dark).reshape(-1, len(starts), n + 1)
-    mu = params.dark_count_mean
-    return [[CountDistribution(_convolve_dark(pmf, mu), state, n)
-             for pmf, state in zip(point, starts)] for point in signal]
+    signal = np.zeros((bright.shape[0], n + 1))
+    signal[:, :bright.shape[1]] = bright + dark
+    rows, k = _convolve_dark(signal, params.dark_count_mean), len(starts)
+    return [[CountDistribution(pmf, state, n) for pmf, state in zip(rows[i:i + k], starts)]
+            for i in range(0, len(rows), k)]
 
 
 def count_distribution(params: ReadoutParams, initial: str = "bright") -> CountDistribution:
@@ -364,18 +403,6 @@ def empirical_fidelity(shots_bright, shots_dark) -> FidelityReport:
     )
 
 
-def _best_threshold(pmf_bright, pmf_dark, n_pulses):
-    """Scan thresholds 1..n_pulses; ties keep the lowest threshold."""
-    cum_b = np.cumsum(pmf_bright)
-    cum_d = np.cumsum(pmf_dark)
-    top = min(n_pulses, len(cum_b) - 1)
-    f_bright = 1.0 - cum_b[:top]
-    f_dark = cum_d[:top]
-    f_min = np.minimum(f_bright, f_dark)
-    i = int(np.argmax(f_min))
-    return i + 1, float(f_bright[i]), float(f_dark[i]), float(f_min[i])
-
-
 def readout_report(params: ReadoutParams, threshold: int | None = None) -> FidelityReport:
     """Full fidelity report at fixed n_pulses, with duration and cyclicity.
 
@@ -387,8 +414,9 @@ def readout_report(params: ReadoutParams, threshold: int | None = None) -> Fidel
     a, b = params.flip_bright, params.flip_dark
     dist_b, dist_d = _distributions(params, [a], [b])[0]
     if threshold is None:
-        threshold, _, _, _ = _best_threshold(
-            dist_b.probabilities, dist_d.probabilities, params.n_pulses)
+        n = params.n_pulses
+        [(_, threshold, _, _, _)] = _scan(
+            [(dist_b.probabilities, dist_d.probabilities)], [n], [n])
     report = readout_fidelity(dist_b, dist_d, threshold)
     report.readout_duration = params.duration_ms
     if a > 0.0 and b > 0.0 and a + b < 1.0 and params.detection_probability > 0.0:
@@ -414,12 +442,81 @@ class OptimizeResult:
                   self.f_dark_values, self.f_values)
 
 
+def _prefix_pmfs(pulse, bright, dark, dark_pmf, top):
+    """Both arms' pmfs after ``pulse`` pulses, exact in their first
+    ``top`` counts, and whether they are exact in all of them.
+
+    Count c of the signal and of its convolution with the dark pmf
+    depends only on counts <= c, through the same dot products as on
+    the full axis as long as the signal prefix is at least as long as
+    the dark pmf (np.convolve swaps a shorter first argument); a prefix
+    shorter than that is the full signal.
+    """
+    size = min(pulse + 1, max(top, 0 if dark_pmf is None else len(dark_pmf)))
+    live = min(size, bright.shape[1])
+    signal = np.zeros((2, size))
+    signal[:, :live] = bright[:, :live] + dark[:, :live]
+    if dark_pmf is not None:
+        signal = [np.convolve(pmf, dark_pmf) for pmf in signal]
+    return signal, size == pulse + 1
+
+
+def _scan(arms, tops, pulses):
+    """(N, threshold, F_bright, F_dark, F_min) at the lowest best
+    threshold below each ``top``, per (bright, dark) pmf pair of
+    ``arms``; None where the arms do not cross below a top short of N.
+
+    F_bright(t) = 1 - CDF_b(t - 1) never increases and F_dark(t) =
+    CDF_d(t - 1) never decreases, in floating point too, since every pmf
+    entry is >= 0 and cumsum adds in order.  So min(F_bright, F_dark)
+    rises up to the first threshold t_c with F_dark >= F_bright and
+    falls after it, and its lowest-index maximum lies at or before t_c:
+    a scan that reaches t_c finds the threshold, with the same bits,
+    that the scan of all thresholds 1..N finds.
+    """
+    tops, pulses = np.array(tops), np.array(pulses)
+    pmfs = np.zeros((len(arms), 2, tops.max()))
+    for row, top, (bright, dark) in zip(pmfs, tops.tolist(), arms):
+        row[0, :top], row[1, :top] = bright[:top], dark[:top]
+    cum = np.cumsum(pmfs, axis=2)
+    f_bright, f_dark = 1.0 - cum[:, 0], cum[:, 1]
+    inside = np.arange(pmfs.shape[2]) < tops[:, None]
+    crossed = np.any((f_dark >= f_bright) & inside, axis=1) | (tops == pulses)
+    f_min = np.where(inside, np.minimum(f_bright, f_dark), -np.inf)
+    i = np.argmax(f_min, axis=1)
+    k = np.arange(len(arms))
+    rows = zip(pulses.tolist(), (i + 1).tolist(), f_bright[k, i].tolist(),
+               f_dark[k, i].tolist(), f_min[k, i].tolist())
+    return [row if ok else None for ok, row in zip(crossed.tolist(), rows)]
+
+
+def _scan_block(block, window):
+    """_scan of each (N, bright, dark, dark pmf) of ``block`` over the
+    thresholds up to ``window``, and over all thresholds for an N whose
+    arms do not cross there."""
+    pulses = [entry[0] for entry in block]
+    tops = [min(pulse, window) for pulse in pulses]
+    prefixes = [_prefix_pmfs(*entry, top) for entry, top in zip(block, tops)]
+    rows = _scan([arms for arms, _ in prefixes], tops, pulses)
+    for j, (entry, (arms, complete)) in enumerate(zip(block, prefixes)):
+        if rows[j] is None:
+            if not complete:
+                arms, _ = _prefix_pmfs(*entry, entry[0])
+            [rows[j]] = _scan([arms], [entry[0]], [entry[0]])
+    return rows
+
+
 def optimize_readout(params: ReadoutParams, n_range) -> OptimizeResult:
     """Exhaustive (pulse count, threshold) scan of the min-fidelity.
 
     Runs the DP once up to the top of ``n_range`` and reads off every
     intermediate pulse count, which is bitwise identical to rerunning
     the DP per N.  Ties resolve to the smallest N, then threshold.
+
+    The thresholds of _SCAN_BLOCK consecutive N are scanned together,
+    each only up to a window past the previous block's last best
+    threshold, and all of them where the arms do not cross inside it
+    (:func:`_scan` says why that keeps every bit).
     """
     n_lo, n_hi = int(n_range[0]), int(n_range[1])
     if n_lo < 1 or n_lo > n_hi:
@@ -429,18 +526,18 @@ def optimize_readout(params: ReadoutParams, n_range) -> OptimizeResult:
     chain = _chain([params.flip_bright], [params.flip_dark],
                    params.detection_probability, _STATES, n_hi)
 
-    rows = []
-    best = None
+    rows, block, threshold = [], [], 0
     for pulse, (bright, dark) in enumerate(chain, start=1):
         if pulse < n_lo:
             continue
         mu = dark_mean_per_pulse * pulse
-        signal = bright[:, :pulse + 1] + dark[:, :pulse + 1]
-        pmf_b, pmf_d = (_convolve_dark(pmf, mu) for pmf in signal)
-        t, fb, fd, fm = _best_threshold(pmf_b, pmf_d, pulse)
-        rows.append((pulse, t, fb, fd, fm))
-        if best is None or fm > best[4]:
-            best = (pulse, t, fb, fd, fm)
+        block.append((pulse, bright, dark, _poisson_pmf(mu) if mu > 0.0 else None))
+        if len(block) == _SCAN_BLOCK or pulse == n_hi:
+            # room for the crossing to move on within the block
+            window = threshold + max(8, threshold // 4) + len(block) // 4
+            rows += _scan_block(block, window)
+            threshold, block = rows[-1][1], []
+    best = max(rows, key=lambda row: row[4])    # first maximum: smallest N
 
     n_values, t_values, fb_values, fd_values, f_values = map(np.array, zip(*rows))
     return OptimizeResult(
@@ -604,8 +701,8 @@ def dark_count_penalty(params: ReadoutParams, threshold: int = 1) -> float:
         raise ValueError("threshold must be >= 1")
     [[without]] = _distributions(replace(params, dark_rate=0.0),
                                  [params.flip_bright], [params.flip_dark], ("dark",))
-    with_dark = CountDistribution(_convolve_dark(
-        without.probabilities, params.dark_count_mean), "dark", params.n_pulses)
+    [with_dark] = _convolve_dark([without.probabilities], params.dark_count_mean)
+    with_dark = CountDistribution(with_dark, "dark", params.n_pulses)
     return without.prob_below(threshold) - with_dark.prob_below(threshold)
 
 

@@ -78,12 +78,19 @@ class TimelineCapacityError(CompileError):
 # AST
 # ---------------------------------------------------------------------------
 
+# every statement's ``origin`` is "file:line:col" of its keyword when
+# parsed; it takes no part in equality
+def _origin():
+    return field(default=None, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class OpticalPulse:
     duration_us: float
     area_pi: float
     transition: str | None = None     # one of A-D
     offset_mhz: float | None = None   # literal detuning instead of a label
+    origin: str | None = _origin()
 
 
 @dataclass(frozen=True)
@@ -91,22 +98,26 @@ class MwPulse:
     frequency_mhz: float
     duration_us: float
     phase_deg: float
+    origin: str | None = _origin()
 
 
 @dataclass(frozen=True)
 class Wait:
     duration_us: float
+    origin: str | None = _origin()
 
 
 @dataclass(frozen=True)
 class Detect:
     window_us: float
+    origin: str | None = _origin()
 
 
 @dataclass(frozen=True)
 class Repeat:
     count: int
     block: tuple
+    origin: str | None = _origin()
 
 
 @dataclass(frozen=True)
@@ -166,6 +177,14 @@ class _TokenStream:
     def error(self, tok: _Token, message: str):
         raise ParseError(self.filename, tok.line, tok.col, message)
 
+    def finite(self, tok: _Token, value: float, what: str) -> float:
+        if not math.isfinite(value):
+            self.error(tok, f"{what} must be finite, got {tok.text!r}")
+        return value
+
+    def origin(self, tok: _Token) -> str:
+        return f"{self.filename}:{tok.line}:{tok.col}"
+
 
 _NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _DURATION_RE = re.compile(rf"^({_NUMBER})(us|ns)$")
@@ -180,7 +199,7 @@ def _parse_duration(stream, what):
     m = _DURATION_RE.match(tok.text)
     if not m:
         stream.error(tok, f"expected {what} with unit us|ns, got {tok.text!r}")
-    value = float(m.group(1))
+    value = stream.finite(tok, float(m.group(1)), what)
     if value < 0:
         stream.error(tok, f"{what} must be >= 0")
     return value if m.group(2) == "us" else value * 1e-3
@@ -192,7 +211,7 @@ def _parse_frequency_mhz(stream, what):
     if not m:
         stream.error(tok, f"expected {what} with unit MHz|GHz, got {tok.text!r}")
     value = float(m.group(1))
-    return value if m.group(2) == "MHz" else value * 1e3
+    return stream.finite(tok, value if m.group(2) == "MHz" else value * 1e3, what)
 
 
 def _parse_phase_deg(stream):
@@ -201,7 +220,8 @@ def _parse_phase_deg(stream):
     if not m:
         stream.error(tok, f"expected phase with unit deg|pi, got {tok.text!r}")
     value = float(m.group(1))
-    return value if m.group(2) == "deg" else value * 180.0
+    return stream.finite(tok, value if m.group(2) == "deg" else value * 180.0,
+                         "phase")
 
 
 def _parse_area(stream):
@@ -209,7 +229,7 @@ def _parse_area(stream):
     m = _AREA_RE.match(tok.text)
     if not m:
         stream.error(tok, f"expected pulse area with unit pi, got {tok.text!r}")
-    value = float(m.group(1))
+    value = stream.finite(tok, float(m.group(1)), "pulse area")
     if value < 0:
         stream.error(tok, "pulse area must be >= 0")
     return value
@@ -225,19 +245,21 @@ def _parse_statements(stream, depth):
         if tok is None or tok.text == "}":
             return tuple(statements)
         stream.pos += 1
+        origin = stream.origin(tok)
         if tok.text == "pulse":
-            statements.append(_parse_pulse(stream))
+            statements.append(_parse_pulse(stream, origin))
         elif tok.text == "wait":
-            statements.append(Wait(_parse_duration(stream, "wait duration")))
+            statements.append(Wait(_parse_duration(stream, "wait duration"), origin))
         elif tok.text == "detect":
-            statements.append(Detect(_parse_duration(stream, "detection window")))
+            statements.append(Detect(_parse_duration(stream, "detection window"),
+                                     origin))
         elif tok.text == "repeat":
-            statements.append(_parse_repeat(stream, depth))
+            statements.append(_parse_repeat(stream, depth, origin))
         else:
             stream.error(tok, f"unknown keyword {tok.text!r}")
 
 
-def _parse_pulse(stream):
+def _parse_pulse(stream, origin):
     kind = stream.next("channel optical|mw")
     if kind.text == "optical":
         target = stream.next("transition label A-D or detuning with unit")
@@ -249,21 +271,24 @@ def _parse_pulse(stream):
             if not m:
                 stream.error(target, "expected transition label A-D or "
                                      f"detuning with unit MHz|GHz, got {target.text!r}")
-            offset = float(m.group(1)) * (1.0 if m.group(2) == "MHz" else 1e3)
+            offset = stream.finite(
+                target, float(m.group(1)) * (1.0 if m.group(2) == "MHz" else 1e3),
+                "detuning")
         duration = _parse_duration(stream, "pulse duration")
         area = _parse_area(stream)
         return OpticalPulse(duration_us=duration, area_pi=area,
-                            transition=transition, offset_mhz=offset)
+                            transition=transition, offset_mhz=offset,
+                            origin=origin)
     if kind.text == "mw":
         frequency = _parse_frequency_mhz(stream, "drive frequency")
         duration = _parse_duration(stream, "pulse duration")
         phase = _parse_phase_deg(stream)
         return MwPulse(frequency_mhz=frequency, duration_us=duration,
-                       phase_deg=phase)
+                       phase_deg=phase, origin=origin)
     stream.error(kind, f"expected channel optical|mw, got {kind.text!r}")
 
 
-def _parse_repeat(stream, depth):
+def _parse_repeat(stream, depth, origin):
     count_tok = stream.next("repeat count")
     if not _INT_RE.match(count_tok.text):
         stream.error(count_tok, f"expected integer repeat count, got {count_tok.text!r}")
@@ -277,7 +302,7 @@ def _parse_repeat(stream, depth):
     closing = stream.next("'}'")
     if closing.text != "}":
         stream.error(closing, f"expected '}}', got {closing.text!r}")
-    return Repeat(count=count, block=block)
+    return Repeat(count=count, block=block, origin=origin)
 
 
 def parse_sequence(text: str, filename: str = "<sequence>") -> SequenceProgram:
@@ -477,13 +502,26 @@ def _compile_block(statements) -> list:
     return [np.concatenate(cols) for cols in zip(*parts)]
 
 
+def _statement_at(statements, i):
+    """The statement that emits event i of one pass through statements."""
+    for stmt in statements:
+        count = _statement_event_count(stmt)
+        if i < count:
+            if isinstance(stmt, Repeat):
+                return _statement_at(stmt.block, i % (count // stmt.count))
+            return stmt
+        i -= count
+    raise IndexError(i)
+
+
 def compile_sequence(program: SequenceProgram, transitions=None) -> Timeline:
     """Unroll to a flat event timeline with absolute start times.
 
     ``transitions`` (a physics TransitionSet) resolves optical labels
     A-D to absolute frequencies; without it labels stay symbolic.  The
     event count is checked against MAX_EVENTS before anything is
-    allocated.
+    allocated.  A time that overflows the float range is a CompileError
+    naming the statement of the first event that ends past it.
     """
     total_events = sum(_statement_event_count(s) for s in program.statements)
     if total_events > MAX_EVENTS:
@@ -495,8 +533,16 @@ def compile_sequence(program: SequenceProgram, transitions=None) -> Timeline:
     durations = columns["duration_us"]
     # np.cumsum adds in order, so each start has the bits of a running sum
     start = np.zeros(total_events)
-    np.cumsum(durations[:-1], out=start[1:])
-    total = float(start[-1] + durations[-1]) if total_events else 0.0
+    with np.errstate(over="ignore"):
+        np.cumsum(durations[:-1], out=start[1:])
+        total = float(start[-1] + durations[-1]) if total_events else 0.0
+    if not math.isfinite(total):
+        with np.errstate(over="ignore"):
+            i = int(np.argmin(np.isfinite(start + durations)))
+        stmt = _statement_at(program.statements, i)
+        raise CompileError(
+            f"{stmt.origin or '<sequence>'}: event {i} starts at "
+            f"{start[i]:g} us and ends past the largest finite time")
     for column in (start, *columns.values()):
         column.flags.writeable = False
     by_label = transitions.by_label() if transitions is not None else {}

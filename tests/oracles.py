@@ -267,3 +267,64 @@ def run_timeline_per_shot(timeline, params, bath=None, shots=1000, seed=0,
                         records.append((shot, gate_idx, start + u * event.duration_us, 1))
                 gate_idx += 1
     return counts.sum(axis=1), counts, records
+
+
+def chain_full_axis(a, b, d, starts, n_pulses):
+    """The count DP before it was trimmed to its live support, kept
+    verbatim: every pulse steps all n_pulses + 1 counts."""
+    a, b = (np.repeat(np.asarray(x, dtype=float), len(starts))[:, None] for x in (a, b))
+    silent, detect, stay_dark = (1.0 - a) * (1.0 - d), (1.0 - a) * d, 1.0 - b
+    bright, dark = np.zeros((2, a.size, n_pulses + 1))
+    for j, state in enumerate(starts):
+        (bright if state == "bright" else dark)[j::len(starts), 0] = 1.0
+    for _ in range(n_pulses):
+        new_bright = bright * silent + dark * b
+        new_bright[:, 1:] += bright[:, :-1] * detect
+        bright, dark = new_bright, bright * a + dark * stay_dark
+        yield bright, dark
+
+
+def _best_threshold_full(pmf_bright, pmf_dark, n_pulses):
+    """Scan thresholds 1..n_pulses; ties keep the lowest threshold."""
+    cum_b = np.cumsum(pmf_bright)
+    cum_d = np.cumsum(pmf_dark)
+    top = min(n_pulses, len(cum_b) - 1)
+    f_bright = 1.0 - cum_b[:top]
+    f_dark = cum_d[:top]
+    f_min = np.minimum(f_bright, f_dark)
+    i = int(np.argmax(f_min))
+    return i + 1, float(f_bright[i]), float(f_dark[i]), float(f_min[i])
+
+
+def optimize_readout_full_scan(params, n_range, poisson_pmf):
+    """The (pulse count, threshold) scan before the crossing window, kept
+    verbatim: per pulse it convolves and scans both full arms, with a
+    Poisson pmf computed per arm.  ``poisson_pmf`` is the package's
+    truncated Poisson pmf, which this oracle does not check.  Returns
+    (n*, t*, f*) and the five columns n, threshold, F_bright, F_dark,
+    F_min."""
+    def convolve_dark(pmf, mu):
+        if mu <= 0.0:
+            return pmf
+        return np.convolve(pmf, poisson_pmf(mu))
+
+    n_lo, n_hi = int(n_range[0]), int(n_range[1])
+    dark_mean_per_pulse = params.dark_rate * params.gate_window * 1e-6
+    chain = chain_full_axis([params.flip_bright], [params.flip_dark],
+                            params.detection_probability, ("bright", "dark"), n_hi)
+
+    rows = []
+    best = None
+    for pulse, (bright, dark) in enumerate(chain, start=1):
+        if pulse < n_lo:
+            continue
+        mu = dark_mean_per_pulse * pulse
+        signal = bright[:, :pulse + 1] + dark[:, :pulse + 1]
+        pmf_b, pmf_d = (convolve_dark(pmf, mu) for pmf in signal)
+        t, fb, fd, fm = _best_threshold_full(pmf_b, pmf_d, pulse)
+        rows.append((pulse, t, fb, fd, fm))
+        if best is None or fm > best[4]:
+            best = (pulse, t, fb, fd, fm)
+
+    columns = tuple(map(np.array, zip(*rows)))
+    return (int(best[0]), int(best[1]), float(best[4])), columns

@@ -2,13 +2,17 @@ import filecmp
 import hashlib
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from spinshot import cli
+from spinshot.config import load_config
 from spinshot.estimators import FitError
 
 SEQ_TEXT = ("repeat 25 { pulse optical A 0.02us 1pi\n"
@@ -50,6 +54,34 @@ def records_file(tmp_path):
     p = tmp_path / "events.txt"
     sim.records.to_file(p)
     return str(p)
+
+
+class Expired(BaseException):
+    """Raised from SIGALRM; not an Exception, so main() cannot catch it."""
+
+
+def run_cli_within(seconds, argv, capsys):
+    """run_cli, failing the test if main() has not returned in time."""
+    def expire(signum, frame):
+        raise Expired(f"{argv[0]} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return run_cli(argv, capsys)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def paper_with(tmp_path, key, value):
+    """paper.cfg with ``key`` set to ``value``; returns its path."""
+    text, n = re.subn(rf"^{key}\s*=.*$", f"{key} = {value}",
+                      load_config("paper.cfg").text, flags=re.M)
+    assert n == 1, key
+    path = tmp_path / f"{key}.cfg"
+    path.write_text(text)
+    return str(path)
 
 
 def manifest_of(out_dir):
@@ -371,6 +403,82 @@ class TestExitCodes:
                 rows = (out / f"{name}_fit.csv").read_text().splitlines()[1:]
                 values = [float(row.split(",")[1]) for row in rows]
                 assert np.all(np.isfinite(values)), name
+
+
+class TestInputsFailFast:
+    @pytest.mark.parametrize("rate,argv,code", [
+        ("1e300", ["readout-optimize", "--n-max", "5"], 2),
+        ("1e300", ["calibrate"], 2),
+        ("1e300", ["area-sweep", "--points", "2", "--shots", "200"], 2),
+        ("1e300", ["simulate", "SEQ", "--shots", "50"], 2),
+        # a high but rated dark rate works as before (calibrate's target
+        # is out of reach at any asymmetry)
+        ("1e9", ["readout-optimize", "--n-max", "5"], 0),
+        ("1e9", ["calibrate"], 3),
+        ("1e9", ["area-sweep", "--points", "2", "--shots", "200"], 0),
+        ("1e9", ["simulate", "SEQ", "--shots", "50"], 0),
+    ])
+    def test_dark_rate(self, rate, argv, code, tmp_path, capsys):
+        config = paper_with(tmp_path, "dark_rate_hz", rate)
+        seq = tmp_path / "one.seq"
+        seq.write_text("pulse optical A 0.02us 1pi\ndetect 3us\n")
+        argv = [str(seq) if arg == "SEQ" else arg for arg in argv]
+        got, cap = run_cli_within(2.0, argv + [
+            "--config", config, "--out-dir", str(tmp_path / "o")], capsys)
+        assert got == code, cap.err
+        if code == 2:
+            assert "[detection] dark_rate_hz" in cap.err
+        assert "Traceback" not in cap.err and "Warning" not in cap.err
+
+    # (section, key, whether 0 is in range)
+    KEYS = [("emitter", "frequency_ghz", False), ("emitter", "g_ground", False),
+            ("emitter", "g_excited", False),
+            ("emitter", "bulk_lifetime_us", False),
+            ("emitter", "spectral_diffusion_fwhm_mhz", True),
+            ("cavity", "resonance_frequency_ghz", False),
+            ("cavity", "quality_factor", False),
+            ("cavity", "purcell_on_resonance", False),
+            ("detection", "eta_waveguide", True),
+            ("detection", "eta_offchip", True),
+            ("detection", "eta_switch", True),
+            ("detection", "eta_detector", True),
+            ("field", "magnetic_field_t", True)]
+
+    @pytest.mark.parametrize("section,key,zero_ok", KEYS,
+                             ids=[key for _, key, _ in KEYS])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_level_structure_keys(self, section, key, zero_ok, value,
+                                  tmp_path, capsys):
+        config = paper_with(tmp_path, key, value)
+        code, cap = run_cli(["levels", "--config", config,
+                             "--out-dir", str(tmp_path / "o")], capsys)
+        if value == "0" and zero_ok:
+            assert code == 0, cap.err
+        else:
+            assert code == 2
+            assert f"[{section}] {key} must be finite and in" in cap.err
+
+    def test_overflowing_sequence_time(self, tmp_path, capsys):
+        seq = tmp_path / "long.seq"
+        seq.write_text("pulse optical A 1e308us 1pi\n"
+                       "pulse optical A 1e308us 1pi\n"
+                       "detect 3us\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, cap = run_cli(["simulate", str(seq), "--shots", "20",
+                                 "--out-dir", str(tmp_path / "o")], capsys)
+        assert code == 2
+        assert f"error: {seq}:2:1: event 1 starts at 1e+308 us" in cap.err
+        assert "Warning" not in cap.err
+
+    def test_unidentifiable_rabi_fit_names_protocol(self, tmp_path, capsys):
+        # every converged start of this Rabi curve has a frequency far
+        # above the grid's Nyquist rate (one was written as 2.17e172)
+        code, cap = run_cli(["protocols", "--seed", "3", "--shots", "200",
+                             "--out-dir", str(tmp_path / "o")], capsys)
+        assert code == 3
+        assert "numerical failure: rabi: no start converged" in cap.err
+        assert "unidentifiable" in cap.err
 
 
 class TestHelp:

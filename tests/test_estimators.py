@@ -175,6 +175,37 @@ class TestFitPlumbing:
         assert exc.value.diagnostics
 
 
+class TestIdentifiability:
+    """A converged start counts only if the grid can identify it."""
+
+    X = np.arange(40.0)     # Nyquist rate 0.5, span 39
+
+    def test_aliased_frequency_is_unidentifiable(self):
+        # at integer x a frequency of 1.2 is indistinguishable from 0.2
+        y = 0.5 * np.cos(2 * np.pi * 0.2 * self.X) * np.exp(-self.X / 30) + 0.5
+        aliased = [0.5, 1.2, 30.0, 0.0, 0.5]
+        with pytest.raises(FitError, match="start 0: unidentifiable") as err:
+            fit_model("damped_sine", self.X, y, initial=aliased)
+        [(_, status, cost)] = err.value.diagnostics
+        assert status == "unidentifiable" and cost < 1e-20
+        result = fit_model("damped_sine", self.X, y,
+                           initial=[aliased, [0.5, 0.21, 25.0, 0.0, 0.5]])
+        assert result["frequency"] == pytest.approx(0.2, rel=1e-9)
+
+    @pytest.mark.parametrize("tau", [1e-3, 1e6])
+    def test_time_constant_outside_grid(self, tau):
+        # below dx / 10 = 0.1 or above 1000 * span = 39000
+        y = 0.3 * np.exp(-self.X / tau) + 0.1
+        with pytest.raises(FitError, match="unidentifiable"):
+            fit_model("exp_decay", self.X, y, initial=[0.3, tau, 0.1])
+
+    @pytest.mark.parametrize("tau", [0.5, 3000.0])
+    def test_time_constant_inside_grid(self, tau):
+        y = 0.3 * np.exp(-self.X / tau) + 0.1
+        result = fit_model("exp_decay", self.X, y, initial=[0.3, tau, 0.1])
+        assert result["tau"] == pytest.approx(tau, rel=1e-6)
+
+
 class TestConversions:
     def test_gaussian_round_trip(self):
         assert gaussian_sigma_to_fwhm(1.0) == pytest.approx(2.3548200450309493)

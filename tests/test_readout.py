@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (convolve_poisson, decay_pulses_from_relaxation,
-                     enumerate_count_distribution, trace_closed_form)
+from oracles import (chain_full_axis, convolve_poisson,
+                     decay_pulses_from_relaxation, enumerate_count_distribution,
+                     optimize_readout_full_scan, trace_closed_form)
 from spinshot.config import load_config, readout_params
-from spinshot.readout import (CAPACITY_PULSES, CalibrationError, CapacityError,
+from spinshot.readout import (CAPACITY_DARK_MEAN, CAPACITY_PULSES,
+                              CalibrationError, CapacityError,
                               CountDistribution, ReadoutParams,
                               _distributions, _poisson_pmf,
                               calibrate_flip_asymmetry, count_distribution,
@@ -391,6 +393,91 @@ class TestOptimize:
         assert head == "n,threshold,f_bright,f_dark,f_min"
 
 
+def full_scans(monkeypatch):
+    """Pulse counts that optimize_readout scans again over all
+    thresholds because the arms do not cross inside the window."""
+    missed, scan = [], readout_module._scan
+
+    def recording(arms, tops, pulses):
+        rows = scan(arms, tops, pulses)
+        missed.extend(p for p, row in zip(pulses, rows) if row is None)
+        return rows
+
+    monkeypatch.setattr(readout_module, "_scan", recording)
+    return missed
+
+
+def assert_same_bits_as_full_scan(params, n_range):
+    got = optimize_readout(params, n_range)
+    star, columns = optimize_readout_full_scan(params, n_range, _poisson_pmf)
+    assert (got.n_star, got.threshold_star, got.f_star) == star
+    for name, want in zip(("n_values", "threshold_values", "f_bright_values",
+                           "f_dark_values", "f_values"), columns):
+        assert np.array_equal(getattr(got, name), want), name
+
+
+class TestOptimizeAgainstFullScan:
+    """optimize_readout scans a window of thresholds on a DP trimmed to
+    its support; every column must keep the bits of the full scan."""
+
+    def test_paper_preset(self):
+        params = readout_params(load_config("paper.cfg"), n_pulses=3000)
+        assert_same_bits_as_full_scan(params, (1, 3000))
+
+    @pytest.mark.parametrize("case,kw,n_range,falls_back", [
+        # the dark pmf is longer than the signal: np.convolve swaps
+        ("pmf_longer_than_n", dict(n=40, dark_rate=2e6), (1, 40), True),
+        # the threshold climbs ~2 counts per pulse, past the window
+        ("dark_outruns_window", dict(n=400, dark_rate=6.7e5), (1, 400), True),
+        ("eta_outruns_window", dict(n=200, p=1.0, eta=1.0), (1, 200), True),
+        # the arms never cross: every pulse is scanned in full
+        ("frozen_d1", dict(n=300, a=0.0, b=0.0, p=1.0, eta=1.0, dark_rate=10.0),
+         (1, 300), True),
+        ("frozen", dict(n=200, a=0.0, b=0.0, dark_rate=10.0), (1, 200), False),
+        ("d0", dict(n=200, eta=0.0, dark_rate=10.0), (1, 200), False),
+        ("d1", dict(n=200, p=1.0, eta=1.0, a=0.02, b=0.01), (1, 200), False),
+        ("no_dark_offset_range", dict(n=200), (3, 200), False),
+    ])
+    def test_corner(self, case, kw, n_range, falls_back, monkeypatch):
+        scanned = full_scans(monkeypatch)
+        assert_same_bits_as_full_scan(make_params(**kw), n_range)
+        assert bool(scanned) == falls_back
+
+    @settings(max_examples=40)
+    @given(a=st.one_of(st.just(0.0), flip_probs),
+           b=st.one_of(st.just(0.0), flip_probs),
+           p=st.floats(min_value=0.0, max_value=1.0),
+           eta=st.floats(min_value=0.0, max_value=1.0),
+           dark_rate=st.one_of(st.just(0.0),
+                               st.floats(min_value=1.0, max_value=1e6)),
+           n_lo=st.integers(min_value=1, max_value=150),
+           extra=st.integers(min_value=0, max_value=250))
+    def test_drawn(self, a, b, p, eta, dark_rate, n_lo, extra):
+        n_hi = n_lo + extra
+        params = make_params(n=n_hi, a=a, b=b, p=p, eta=eta, dark_rate=dark_rate)
+        assert_same_bits_as_full_scan(params, (n_lo, n_hi))
+
+
+class TestChainSupport:
+    @pytest.mark.parametrize("a,b,d,n", [
+        ([0.5 / 131], [0.5 / 131], 0.078, 3000),
+        ([0.0, 0.05, 0.5 / 131, 1.0], [0.25, 0.0, 0.5 / 131, 1.0], 0.3, 500),
+        ([0.01], [0.02], 1.0, 200),       # the support grows every pulse
+        ([0.01], [0.02], 0.0, 100),
+        ([0.01], [0.02], 0.5, 12),        # narrower than one growth step
+    ])
+    @pytest.mark.parametrize("starts", [("bright", "dark"), ("dark",)])
+    def test_live_counts_match_full_axis(self, a, b, d, n, starts):
+        trimmed = readout_module._chain(a, b, d, starts, n)
+        full = chain_full_axis(a, b, d, starts, n)
+        for pulse, got, want in zip(range(1, n + 1), trimmed, full):
+            for arm, full_arm in zip(got, want):
+                width = arm.shape[1]
+                assert width <= n + 1
+                assert np.array_equal(arm, full_arm[:, :width]), pulse
+                assert not full_arm[:, width:].any(), pulse
+
+
 def line_arms(params, relaxation, s, threshold=1, chunk=64):
     """F_bright and F_dark of ``params`` along the calibration line
     a = s/R, b = (1-s)/R, from batched DP passes of <= ``chunk`` points."""
@@ -611,3 +698,14 @@ class TestParamsValidation:
     def test_dark_count_mean(self):
         p = make_params(n=71, dark_rate=10.0, gate_window=3.0)
         assert p.dark_count_mean == pytest.approx(2.13e-3, rel=1e-12)
+
+    @pytest.mark.parametrize("dark_rate,gate_window", [
+        (1e300, 3.0), (1e300, 1e300), (CAPACITY_DARK_MEAN / (3e-6 * 71) * 1.01, 3.0)])
+    def test_dark_count_mean_capacity(self, dark_rate, gate_window):
+        with pytest.raises(CapacityError, match="dark-count mean"):
+            within_seconds(1.0, lambda: make_params(
+                dark_rate=dark_rate, gate_window=gate_window))
+
+    def test_dark_count_mean_at_capacity(self):
+        params = make_params(n=1, dark_rate=CAPACITY_DARK_MEAN / 3e-6)
+        assert params.dark_count_mean <= CAPACITY_DARK_MEAN

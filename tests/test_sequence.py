@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from spinshot.physics import EmitterConfig, ZeemanConfig, zeeman_transitions
 from spinshot.montecarlo import BathParams, run_timeline
 from spinshot.readout import ReadoutParams
-from spinshot.sequence import (BYTES_PER_EVENT, MAX_EVENTS, Detect, MwPulse,
-                               OpticalPulse, ParseError, Repeat,
+from spinshot.sequence import (BYTES_PER_EVENT, MAX_EVENTS, CompileError,
+                               Detect, MwPulse, OpticalPulse, ParseError, Repeat,
                                SequenceProgram, TimelineCapacityError, Wait,
                                compile_sequence, duration_report,
                                format_sequence, parse_sequence)
@@ -94,6 +95,25 @@ class TestParse:
     def test_zero_repeat_rejected(self):
         with pytest.raises(ParseError):
             parse_sequence("repeat 0 { wait 1us }")
+
+    @pytest.mark.parametrize("text,col", [
+        ("wait 1e309us", 6), ("detect 1e400ns", 8),
+        ("pulse optical A 1e309us 1pi", 17), ("pulse optical A 1us 1e309pi", 21),
+        ("pulse optical 1e306GHz 1us 1pi", 15),
+        ("pulse mw 1e309MHz 1us 0deg", 10), ("pulse mw 1MHz 1us 1e307pi", 19),
+    ])
+    def test_non_finite_literal(self, text, col):
+        with pytest.raises(ParseError, match="must be finite") as err:
+            parse_sequence(text, filename="x.seq")
+        assert (err.value.line, err.value.col) == (1, col)
+
+    def test_statements_carry_origin_outside_equality(self):
+        prog = parse_sequence("wait 1us\nrepeat 2 {\n  detect 3us }",
+                              filename="x.seq")
+        wait, repeat = prog.statements
+        assert (wait.origin, repeat.origin) == ("x.seq:1:1", "x.seq:2:1")
+        assert repeat.block[0].origin == "x.seq:3:3"
+        assert prog == SequenceProgram((Wait(1.0), Repeat(2, (Detect(3.0),))))
 
 
 # strategies for random programs (idempotence property)
@@ -184,6 +204,30 @@ class TestCompile:
         total = sum(e.duration_us for e in tl.events)
         assert tl.total_duration_us == pytest.approx(total, rel=1e-12)
         assert len(tl.events) == reps * len(stmts)
+
+    @pytest.mark.parametrize("text,where", [
+        ("pulse optical A 1e308us 1pi\npulse optical A 1e308us 1pi\n"
+         "detect 3us\n", "x.seq:2:1: event 1 starts at 1e+308 us"),
+        ("repeat 3 {\n wait 1us\n repeat 2 { pulse optical A 8e307us 1pi\n"
+         " detect 3us }\n}\n", "x.seq:3:13: event 6 starts at 1.6e+308 us"),
+        ("wait 1.7e308us\nrepeat 1000 { wait 1e305us }\n",
+         "x.seq:2:15: event 98 starts at 1.797e+308 us"),
+    ])
+    def test_time_overflow_is_compile_error(self, text, where):
+        program = parse_sequence(text, filename="x.seq")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CompileError, match="past the largest finite time") as err:
+                compile_sequence(program)
+        assert str(err.value).startswith(where)
+
+    def test_large_finite_times_compile(self):
+        program = parse_sequence("pulse optical A 8e307us 1pi\n"
+                                 "pulse optical A 8e307us 1pi\ndetect 3us\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            timeline = compile_sequence(program)
+        assert timeline.total_duration_us == 1.6e308 + 3.0
 
     def test_capacity_error(self):
         text = "repeat 4000 { repeat 4000 { wait 1us } }"
