@@ -228,8 +228,7 @@ def _cmd_simulate(args, out: OutputDir) -> str:
         text = fh.read()
     program = parse_sequence(text, filename=args.sequence)
     em, cav = emitter_config(cfg), cavity_config(cfg)
-    levels = zeeman_transitions(em, zeeman_config(cfg))
-    timeline = compile_sequence(program, levels)
+    timeline = compile_sequence(program)
     params = readout_params(cfg)
     bath = bath_params(cfg)
     mw = microwave_settings(cfg)

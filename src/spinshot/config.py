@@ -17,7 +17,7 @@ from importlib import resources
 from .estimators import gaussian_fwhm_to_sigma
 from .montecarlo import BathParams
 from .physics import CavityConfig, EmitterConfig, ZeemanConfig
-from .readout import CapacityError, ReadoutParams
+from .readout import CAPACITY_PULSES, CapacityError, ReadoutParams
 
 __all__ = [
     "ConfigError",
@@ -95,7 +95,8 @@ class Config:
             if default is _MISSING:
                 raise
             return default
-        if not isinstance(value, (int, float)) or value != int(value):
+        if not (isinstance(value, (int, float)) and math.isfinite(value)
+                and value == int(value)):
             raise ConfigError(f"{self.origin}: [{section}] {key} must be an "
                               f"integer, got {value!r}")
         return int(value)
@@ -238,6 +239,7 @@ def readout_params(cfg: Config, n_pulses: int | None = None) -> ReadoutParams:
     """
     section = "readout"
     if n_pulses is None:
+        cfg.bounded(section, "n_pulses", 1.0, CAPACITY_PULSES, open_high=False)
         n_pulses = cfg.integer(section, "n_pulses")
     flip_bright = cfg.number(section, "flip_bright", None)
     flip_dark = cfg.number(section, "flip_dark", None)
@@ -274,23 +276,36 @@ def relaxation_constant(cfg: Config) -> float:
 
 
 def bath_params(cfg: Config) -> BathParams:
+    """[bath]: one finite ODMR weight per finite center, a finite
+    linewidth >= 0, and finite lifetimes and echo exponent > 0."""
+    section = "bath"
+    centers = cfg.numbers(section, "odmr_centers_mhz", (-3.3, 0.0, 3.3))
+    weights = cfg.numbers(section, "odmr_weights", (0.25, 0.5, 0.25))
+    for key, values in (("odmr_centers_mhz", centers), ("odmr_weights", weights)):
+        if len(values) != len(centers) or not all(map(math.isfinite, values)):
+            raise ConfigError(
+                f"{cfg.origin}: [{section}] {key} must be {len(centers)} finite "
+                f"numbers, one per odmr_centers_mhz value, got "
+                f"{', '.join(f'{v:g}' for v in values)}")
+    fwhm = cfg.bounded(section, "odmr_fwhm_mhz", 0.0, default=2.37)
+    positive = {name: cfg.bounded(section, key, 0.0, default=default,
+                                  open_low=True)
+                for name, key, default in (("t1_spin", "t1_spin_s", 0.44),
+                                           ("t2_echo", "t2_echo_us", 48.0),
+                                           ("echo_exponent", "echo_exponent", 2.0))}
     try:
-        return BathParams(
-            odmr_centers=cfg.numbers("bath", "odmr_centers_mhz", (-3.3, 0.0, 3.3)),
-            odmr_weights=cfg.numbers("bath", "odmr_weights", (0.25, 0.5, 0.25)),
-            odmr_sigma=gaussian_fwhm_to_sigma(
-                cfg.number("bath", "odmr_fwhm_mhz", 2.37)),
-            t1_spin=cfg.number("bath", "t1_spin_s", 0.44),
-            t2_echo=cfg.number("bath", "t2_echo_us", 48.0),
-            echo_exponent=cfg.number("bath", "echo_exponent", 2.0),
-        )
+        return BathParams(odmr_centers=centers, odmr_weights=weights,
+                          odmr_sigma=gaussian_fwhm_to_sigma(fwhm), **positive)
     except ValueError as exc:
-        raise ConfigError(f"{cfg.origin}: [bath] {exc}") from exc
+        raise ConfigError(f"{cfg.origin}: [{section}] {exc}") from exc
 
 
 def microwave_settings(cfg: Config) -> dict:
+    section = "microwave"
     return {
-        "mw_rabi_khz": cfg.number("microwave", "rabi_khz", 217.4),
-        "detuning_sigma_khz": cfg.number("microwave", "detuning_sigma_khz", 20.0),
-        "drive_jitter": cfg.number("microwave", "drive_jitter", 0.0),
+        "mw_rabi_khz": cfg.bounded(section, "rabi_khz", 0.0, default=217.4,
+                                   open_low=True),
+        "detuning_sigma_khz": cfg.bounded(section, "detuning_sigma_khz", 0.0,
+                                          default=20.0),
+        "drive_jitter": cfg.bounded(section, "drive_jitter", 0.0, default=0.0),
     }

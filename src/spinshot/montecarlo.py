@@ -1,13 +1,12 @@
 """Stochastic shot-by-shot simulation of the readout and spin protocols.
 
-Random numbers come from counter-based Philox streams keyed by (seed,
-block index), so results are bitwise reproducible regardless of
-execution order or the number of worker threads (SPINSHOT_THREADS).
-The readout engine and the timeline executor both vectorize over shots
-in fixed-size blocks and reduce the blocks in index order.  The readout
-engine draws one uniform per (shot, pulse) and one Poisson dark-count
-total per shot; draws that only place photons in time come last and
-only when records are kept.
+The readout engine and the timeline executor each vectorize their own
+kernel over a block of shots and run the blocks through one runner,
+:func:`_run_blocks`, whose docstring states how blocks, Philox streams
+and worker threads (SPINSHOT_THREADS) keep every result bitwise
+reproducible.  The readout engine draws one uniform per (shot, pulse)
+and one Poisson dark-count total per shot; draws that only place
+photons in time come last and only when records are kept.
 
 Unit conventions: optical lifetimes and gate/pulse times in us, MW
 Rabi/detuning frequencies in kHz, spectroscopy offsets in MHz, spin
@@ -18,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -67,16 +67,35 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-def _map_blocks(run_block, n_blocks: int):
-    """Yield run_block(i) for i = 0 .. n_blocks - 1 in order, computed on up
-    to worker_count() threads; each block owns its stream, so the results
-    ignore the thread count."""
-    workers = min(worker_count(), n_blocks)
-    if workers <= 1:
-        yield from map(run_block, range(n_blocks))
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(run_block, range(n_blocks))
+def _run_blocks(run_block, shots: int, block: int, seed: int, key: tuple = ()):
+    """Simulate ``shots`` shots in blocks of ``block`` (the last may be
+    short) and join the blocks.
+
+    ``run_block(n, rng)`` simulates n shots and returns (per-shot totals,
+    a tuple of arrays to sum over blocks, record columns or None); record
+    columns start with the shot id inside the block and are sorted by
+    (shot, time).  Block i draws only from the Philox stream keyed by
+    (seed, *key, i).  Blocks run on up to worker_count() threads, with no
+    pool for one, and are reduced in index order as they arrive, so
+    nothing of size shots x cells is kept and no result depends on the
+    thread count.  Block i's shot ids are offset by i * block.  Returns
+    (totals, sums, columns or None).
+    """
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    sizes = [min(block, shots - s) for s in range(0, shots, block)]
+    workers = min(worker_count(), len(sizes))
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        results = (pool.map if pool else map)(
+            lambda i: run_block(sizes[i], _stream(seed, *key, i)), range(len(sizes)))
+        totals, parts, sums = [], [], None
+        for i, (block_totals, block_sums, columns) in enumerate(results):
+            totals.append(block_totals)
+            sums = block_sums if sums is None else tuple(map(np.add, sums, block_sums))
+            if columns is not None:
+                parts.append((columns[0] + i * block,) + tuple(columns[1:]))
+    columns = tuple(map(np.concatenate, zip(*parts))) if parts else None
+    return np.concatenate(totals), sums, columns
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +185,16 @@ class PhotonRecords:
                    shots, pulses)
 
 
+def _sorted_records(emitted, dark):
+    """Record columns (shot, pulse or gate, time, origin code) of a block's
+    emitted and dark detections, each given as (shot, pulse or gate, time),
+    sorted by (shot, time)."""
+    code = np.repeat(np.array([0, 1], dtype=np.int8), [emitted[0].size, dark[0].size])
+    shot, index, t = map(np.concatenate, zip(emitted, dark))
+    order = np.lexsort((t, shot))
+    return shot[order], index[order], t[order], code[order]
+
+
 def _nominal_sigma():
     return gaussian_fwhm_to_sigma(2.37)
 
@@ -218,7 +247,6 @@ class ReadoutSimResult:
     trace: np.ndarray
     per_shot_counts: np.ndarray
     records: PhotonRecords | None
-    mean_detected_before_flip: float
     transitions: np.ndarray    # (from, to) cell counts over (bright, dark)
 
 
@@ -230,12 +258,12 @@ def _truncated_exponential(u, lifetime_us, window_us):
     return -lifetime_us * np.log1p(-u * cap)
 
 
-def _readout_block(params: ReadoutParams, initial: str, n_block: int,
-                   rng, collect: bool, lifetime_us: float):
-    """(per-shot counts, per-pulse detections, total detections before
-    each shot's first bright-to-dark flip, transition counts, records
-    columns or None) of one block of shots.  The transition counts are
-    the (from, to) numbers of (shot, pulse) cells over (bright, dark).
+def _readout_block(params: ReadoutParams, initial: str, collect: bool,
+                   lifetime_us: float, n_block: int, rng):
+    """(per-shot counts, (per-pulse detections, transition counts), records
+    columns or None) of one block of shots, for :func:`_run_blocks`.  The
+    transition counts are the (from, to) numbers of (shot, pulse) cells
+    over (bright, dark).
 
     Each (shot, pulse) cell draws one uniform u: a bright spin flips if
     u < a and is detected if a <= u < a + (1-a) d; a dark spin flips if
@@ -249,9 +277,8 @@ def _readout_block(params: ReadoutParams, initial: str, n_block: int,
     detect_below = a + (1.0 - a) * params.detection_probability
 
     bright = np.full(n_block, initial == "bright")
-    unflipped = np.ones(n_block, dtype=bool)
     detected = np.zeros(n_block, dtype=np.int32)   # int32 adds bools faster
-    before_flip = exposed_bright = flips_bright = flips_dark = 0
+    exposed_bright = flips_bright = flips_dark = 0
     trace = np.zeros(n)
     hits = []
     for k in range(n):
@@ -263,8 +290,6 @@ def _readout_block(params: ReadoutParams, initial: str, n_block: int,
         flips_bright += np.count_nonzero(flip_b)
         flips_dark += np.count_nonzero(flip_d)
         detected += detect
-        before_flip += np.count_nonzero(detect & unflipped)
-        unflipped &= ~flip_b
         bright ^= flip_b | flip_d
         trace[k] = np.count_nonzero(detect)
         if collect:
@@ -276,7 +301,7 @@ def _readout_block(params: ReadoutParams, initial: str, n_block: int,
     transitions = np.array([[exposed_bright - flips_bright, flips_bright],
                             [flips_dark, n_block * n - exposed_bright - flips_dark]])
     if not collect:
-        return counts, trace, before_flip, transitions, None
+        return counts, (trace, transitions), None
 
     window, period = params.gate_window, params.pulse_period
     shot = np.concatenate(hits)
@@ -286,10 +311,8 @@ def _readout_block(params: ReadoutParams, initial: str, n_block: int,
     dark_shot = np.repeat(np.arange(n_block), n_dark)
     dark_pulse = rng.integers(0, n, dark_shot.size)
     dark_t = dark_pulse * period + rng.random(dark_shot.size) * window
-    code = np.repeat(np.array([0, 1], dtype=np.int8), [shot.size, dark_shot.size])
-    return (counts, trace, before_flip, transitions,
-            (np.concatenate([shot, dark_shot]), np.concatenate([pulse, dark_pulse]),
-             np.concatenate([t, dark_t]), code))
+    records = _sorted_records((shot, pulse, t), (dark_shot, dark_pulse, dark_t))
+    return counts, (trace, transitions), records
 
 
 def simulate_readout_shots(params: ReadoutParams, initial: str = "bright",
@@ -305,44 +328,23 @@ def simulate_readout_shots(params: ReadoutParams, initial: str = "bright",
     ``params.dark_count_mean``; in records mode each gets a uniform gate
     and a uniform time in it.  Emission timestamps are exponential with
     the effective lifetime, conditioned to fall inside the gate that
-    detected them.  Shots run in blocks of BLOCK_SHOTS, block i on the
-    Philox stream keyed by (seed, *_key, i), and the count statistics
-    depend on neither SPINSHOT_THREADS nor ``collect_records``.
+    detected them.  Shots run through :func:`_run_blocks` in blocks of
+    BLOCK_SHOTS keyed by (seed, *_key), and the count statistics do not
+    depend on ``collect_records``.
     """
     if initial not in ("bright", "dark"):
         raise ValueError("initial must be 'bright' or 'dark'")
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    counts, (trace, transitions), columns = _run_blocks(
+        lambda n_block, rng: _readout_block(params, initial, collect_records,
+                                            emission_lifetime_us, n_block, rng),
+        shots, BLOCK_SHOTS, seed, _key)
     n = params.n_pulses
-    block_sizes = [min(BLOCK_SHOTS, shots - s)
-                   for s in range(0, shots, BLOCK_SHOTS)]
-
-    results = list(_map_blocks(
-        lambda i: _readout_block(params, initial, block_sizes[i],
-                                 _stream(seed, *_key, i), collect_records,
-                                 emission_lifetime_us),
-        len(block_sizes)))
-
-    counts = np.concatenate([r[0] for r in results])
-    trace = np.sum([r[1] for r in results], axis=0) / shots
-    histogram = CountDistribution(np.bincount(counts) / shots, initial, n)
-
-    records = None
-    if collect_records:
-        shot_id = np.concatenate([r[4][0] + i * BLOCK_SHOTS
-                                  for i, r in enumerate(results)])
-        pulse, times, code = (np.concatenate([r[4][j] for r in results])
-                              for j in (1, 2, 3))
-        order = np.lexsort((times, shot_id))
-        records = PhotonRecords(shot_id[order], pulse[order], times[order],
-                                code[order], shots, n)
     return ReadoutSimResult(
-        histogram=histogram,
-        trace=trace,
+        histogram=CountDistribution(np.bincount(counts) / shots, initial, n),
+        trace=trace / shots,
         per_shot_counts=counts,
-        records=records,
-        mean_detected_before_flip=sum(r[2] for r in results) / shots,
-        transitions=sum(r[3] for r in results),
+        records=PhotonRecords(*columns, shots, n) if collect_records else None,
+        transitions=transitions,
     )
 
 
@@ -430,7 +432,8 @@ def run_protocol(protocol: str, sweep, bath: BathParams, shots: int = 1000,
     for i, value in enumerate(x):
         rng = _stream(seed, i)
         if protocol == "t1":
-            z = math.exp(-value / bath.t1_spin)
+            with np.errstate(over="ignore"):   # a ratio past the float range relaxes fully
+                z = math.exp(-value / bath.t1_spin)
             mean[i], stderr[i] = _bernoulli_stats(rng, 0.5 * (1.0 + z), shots)
         elif protocol == "odmr":
             offsets = _sample_mixture(rng, bath, shots)
@@ -451,7 +454,8 @@ def run_protocol(protocol: str, sweep, bath: BathParams, shots: int = 1000,
             mean[i], stderr[i] = _bernoulli_stats(rng, p_flip, shots)
         else:  # echo
             offsets_khz = _sample_mixture(rng, bath, shots) * 1e3
-            damping = math.exp(-((value / bath.t2_echo) ** bath.echo_exponent))
+            with np.errstate(over="ignore"):   # a power past the float range damps to 0
+                damping = math.exp(-((value / bath.t2_echo) ** bath.echo_exponent))
             results = []
             for phase in (math.pi, 0.0):   # first pi/2 about -x, then +x
                 spins = np.tile([0.0, 0.0, 1.0], (shots, 1))
@@ -501,7 +505,6 @@ class AreaScanResult:
     zeta: np.ndarray
     f_min: np.ndarray
     threshold: np.ndarray
-    mean_detected_before_flip: np.ndarray
 
     def to_csv(self, path):
         write_csv(path, "area,p_excite,n0,cyclicity,threshold,f_min",
@@ -544,7 +547,7 @@ def pulse_area_scan(areas, flip_bright_model, flip_dark_model,
     """
     areas = np.asarray(areas, dtype=float)
     out = {k: np.empty(areas.size) for k in
-           ("p", "n0", "se", "zeta", "f", "t", "before")}
+           ("p", "n0", "se", "zeta", "f", "t")}
     for i, area in enumerate(areas):
         p = excitation_probability(area)
         point = replace(params, p_excite=p,
@@ -559,11 +562,9 @@ def pulse_area_scan(areas, flip_bright_model, flip_dark_model,
         out["zeta"][i] = cyclicity(p, n0) if p > 0 else math.nan
         out["f"][i] = report.f_min
         out["t"][i] = report.threshold
-        out["before"][i] = sim.mean_detected_before_flip
     return AreaScanResult(
         area=areas, p_excite=out["p"], n0=out["n0"], n0_se=out["se"],
         zeta=out["zeta"], f_min=out["f"], threshold=out["t"].astype(int),
-        mean_detected_before_flip=out["before"],
     )
 
 
@@ -574,7 +575,7 @@ def pulse_area_scan(areas, flip_bright_model, flip_dark_model,
 @dataclass
 class TimelineRun:
     histogram: CountDistribution
-    records: PhotonRecords | None
+    records: PhotonRecords
     gate_count: int
     per_gate_mean: np.ndarray
 
@@ -668,9 +669,10 @@ def _plan_timeline(tl, params: ReadoutParams, fwhm_mhz: float) -> _TimelinePlan:
         gate_mu=params.dark_rate * tl.duration_us[gate] * 1e-6)
 
 
-def _timeline_block(plan: _TimelinePlan, params: ReadoutParams, bath, n_block,
-                    rng, collect, lifetime_us, mw_rabi_khz):
-    """(per-shot totals, per-gate sums, records columns) of one block."""
+def _timeline_block(plan: _TimelinePlan, params: ReadoutParams, bath,
+                    lifetime_us, mw_rabi_khz, n_block, rng):
+    """(per-shot totals, (per-gate sums,), records columns) of one block,
+    for :func:`_run_blocks`."""
     n_opt, n_gates = len(plan.opt_end), len(plan.gate_start)
     offsets = (_sample_mixture(rng, bath, n_block) if bath is not None
                else np.zeros(n_block))
@@ -718,28 +720,21 @@ def _timeline_block(plan: _TimelinePlan, params: ReadoutParams, bath, n_block,
     n_dark = rng.poisson(plan.gate_mu, (n_block, n_gates))
     totals = np.bincount(shot, minlength=n_block) + n_dark.sum(axis=1)
     gate_sums = np.bincount(gate, minlength=n_gates) + n_dark.sum(axis=0)
-    if not collect:
-        return totals, gate_sums, None
 
     dark_shot, dark_gate = np.nonzero(n_dark)
     reps = n_dark[dark_shot, dark_gate]
     dark_shot, dark_gate = np.repeat(dark_shot, reps), np.repeat(dark_gate, reps)
     dark_t = plan.gate_start[dark_gate] + rng.random(dark_gate.size) * (
         plan.gate_end - plan.gate_start)[dark_gate]
-    code = np.repeat(np.array([0, 1], dtype=np.int8), [shot.size, dark_shot.size])
-    shot = np.concatenate([shot, dark_shot])
-    gate = np.concatenate([gate, dark_gate])
-    t = np.concatenate([t, dark_t])
-    order = np.lexsort((t, shot))
-    return totals, gate_sums, (shot[order], gate[order], t[order], code[order])
+    records = _sorted_records((shot, gate, t), (dark_shot, dark_gate, dark_t))
+    return totals, (gate_sums,), records
 
 
 def run_timeline(timeline, params: ReadoutParams, bath: BathParams | None = None,
                  shots: int = 1000, seed: int = 0,
                  emission_lifetime_us: float = 0.803,
                  mw_rabi_khz: float = 217.4,
-                 spectral_diffusion_fwhm_mhz: float = 13.5,
-                 collect_records: bool = True) -> TimelineRun:
+                 spectral_diffusion_fwhm_mhz: float = 13.5) -> TimelineRun:
     """Execute a compiled sequence timeline for ``shots`` shots.
 
     Semantics per event: optical pulses on the readout transition (A,
@@ -754,38 +749,19 @@ def run_timeline(timeline, params: ReadoutParams, bath: BathParams | None = None
     nominal spin transition of the shot.  Dark counts are Poisson per
     gate with uniform timestamps.
 
-    Shots run in blocks of TIMELINE_BLOCK_CELLS // (optical pulses +
-    gates) shots (at least one); block i draws from the Philox stream
-    keyed by (seed, i), vectorized over (event, shot), and blocks are
-    reduced in index order, so results depend on neither
-    SPINSHOT_THREADS nor ``collect_records``.
+    Shots run through :func:`_run_blocks` in blocks of
+    TIMELINE_BLOCK_CELLS // (optical pulses + gates) shots (at least
+    one) keyed by the seed, each vectorized over (event, shot).
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
     plan = _plan_timeline(timeline, params, spectral_diffusion_fwhm_mhz)
     n_gates = len(plan.gate_start)
-    block = max(1, TIMELINE_BLOCK_CELLS // max(plan.cells_per_shot, 1))
-    sizes = [min(block, shots - s) for s in range(0, shots, block)]
-    blocks = _map_blocks(
-        lambda i: _timeline_block(plan, params, bath, sizes[i], _stream(seed, i),
-                                  collect_records, emission_lifetime_us,
-                                  mw_rabi_khz),
-        len(sizes))
-
-    # reduce as blocks arrive: nothing of size shots x gates is kept
-    totals, parts = [], []
-    gate_sums = np.zeros(n_gates, dtype=np.int64)
-    for i, (block_totals, block_gate_sums, rows) in enumerate(blocks):
-        totals.append(block_totals)
-        gate_sums += block_gate_sums
-        if rows is not None:
-            parts.append((rows[0] + i * block,) + rows[1:])
-    totals = np.concatenate(totals)
-    histogram = CountDistribution(np.bincount(totals) / shots, "bright",
-                                  max(n_gates, 1))
-    records = None
-    if collect_records:
-        columns = (np.concatenate(column) for column in zip(*parts))
-        records = PhotonRecords(*columns, shots, max(n_gates, 1))
-    return TimelineRun(histogram=histogram, records=records,
-                       gate_count=n_gates, per_gate_mean=gate_sums / shots)
+    totals, (gate_sums,), columns = _run_blocks(
+        lambda n_block, rng: _timeline_block(plan, params, bath,
+                                             emission_lifetime_us, mw_rabi_khz,
+                                             n_block, rng),
+        shots, max(1, TIMELINE_BLOCK_CELLS // max(plan.cells_per_shot, 1)), seed)
+    return TimelineRun(
+        histogram=CountDistribution(np.bincount(totals) / shots, "bright",
+                                    max(n_gates, 1)),
+        records=PhotonRecords(*columns, shots, max(n_gates, 1)),
+        gate_count=n_gates, per_gate_mean=gate_sums / shots)

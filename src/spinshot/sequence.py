@@ -405,7 +405,6 @@ class Timeline:
     frequency_mhz: np.ndarray   # MW drive offset
     phase_deg: np.ndarray       # MW phase
     total_duration_us: float
-    frequencies_ghz: dict = field(default_factory=dict)  # label -> GHz
 
     @property
     def events(self) -> abc.Sequence:
@@ -420,7 +419,6 @@ class Timeline:
                 "transition": label,
                 "offset_mhz": None if label else float(self.offset_mhz[i]),
                 "area_pi": float(self.area_pi[i]),
-                "frequency_ghz": self.frequencies_ghz.get(label),
             }
         elif kind == "mw":
             params = {"frequency_mhz": float(self.frequency_mhz[i]),
@@ -430,32 +428,11 @@ class Timeline:
         return TimedEvent(float(self.start_us[i]), float(self.duration_us[i]),
                           kind, params)
 
-    def gates(self):
-        return [self.event(i) for i in np.flatnonzero(self.kind == DETECT)]
-
 
 # (column, dtype) of a compiled block; starts are added after unrolling
 _COLUMNS = (("duration_us", np.float64), ("kind", np.int8), ("label", np.int8),
             ("area_pi", np.float64), ("offset_mhz", np.float64),
             ("frequency_mhz", np.float64), ("phase_deg", np.float64))
-
-
-def _statement_event_count(stmt) -> int:
-    if isinstance(stmt, Repeat):
-        return stmt.count * sum(_statement_event_count(s) for s in stmt.block)
-    return 1
-
-
-def _statement_duration(stmt) -> float:
-    if isinstance(stmt, Repeat):
-        return stmt.count * sum(_statement_duration(s) for s in stmt.block)
-    if isinstance(stmt, OpticalPulse) or isinstance(stmt, MwPulse):
-        return stmt.duration_us
-    if isinstance(stmt, Wait):
-        return stmt.duration_us
-    if isinstance(stmt, Detect):
-        return stmt.window_us
-    raise TypeError(f"unknown statement {stmt!r}")
 
 
 def _event_row(stmt) -> tuple:
@@ -502,10 +479,26 @@ def _compile_block(statements) -> list:
     return [np.concatenate(cols) for cols in zip(*parts)]
 
 
+def _measure(statements) -> tuple:
+    """(events, duration, pulse time, gate time) of one pass through
+    ``statements`` with every repeat unrolled; a wait adds to the
+    duration only.  Each sum runs in statement order from zero."""
+    totals = [0, 0.0, 0.0, 0.0]
+    for stmt in statements:
+        if isinstance(stmt, Repeat):
+            part = [stmt.count * x for x in _measure(stmt.block)]
+        else:
+            duration, kind = _event_row(stmt)[:2]
+            part = (1, duration, duration if kind in (OPTICAL, MW) else 0.0,
+                    duration if kind == DETECT else 0.0)
+        totals = [total + x for total, x in zip(totals, part)]
+    return tuple(totals)
+
+
 def _statement_at(statements, i):
     """The statement that emits event i of one pass through statements."""
     for stmt in statements:
-        count = _statement_event_count(stmt)
+        count = _measure((stmt,))[0]
         if i < count:
             if isinstance(stmt, Repeat):
                 return _statement_at(stmt.block, i % (count // stmt.count))
@@ -514,16 +507,15 @@ def _statement_at(statements, i):
     raise IndexError(i)
 
 
-def compile_sequence(program: SequenceProgram, transitions=None) -> Timeline:
+def compile_sequence(program: SequenceProgram) -> Timeline:
     """Unroll to a flat event timeline with absolute start times.
 
-    ``transitions`` (a physics TransitionSet) resolves optical labels
-    A-D to absolute frequencies; without it labels stay symbolic.  The
-    event count is checked against MAX_EVENTS before anything is
-    allocated.  A time that overflows the float range is a CompileError
-    naming the statement of the first event that ends past it.
+    Optical labels A-D stay symbolic.  The event count is checked
+    against MAX_EVENTS before anything is allocated.  A time that
+    overflows the float range is a CompileError naming the statement of
+    the first event that ends past it.
     """
-    total_events = sum(_statement_event_count(s) for s in program.statements)
+    total_events = _measure(program.statements)[0]
     if total_events > MAX_EVENTS:
         raise TimelineCapacityError(
             f"unrolled sequence has {total_events} events, "
@@ -545,9 +537,7 @@ def compile_sequence(program: SequenceProgram, transitions=None) -> Timeline:
             f"{start[i]:g} us and ends past the largest finite time")
     for column in (start, *columns.values()):
         column.flags.writeable = False
-    by_label = transitions.by_label() if transitions is not None else {}
-    return Timeline(start_us=start, total_duration_us=total,
-                    frequencies_ghz=dict(by_label), **columns)
+    return Timeline(start_us=start, total_duration_us=total, **columns)
 
 
 # ---------------------------------------------------------------------------
@@ -570,21 +560,6 @@ class DurationReport:
     overhead_us: float
 
 
-def _active_durations(statements):
-    """(pulse time, gate time) inside a block, waits excluded."""
-    pulse = gate = 0.0
-    for stmt in statements:
-        if isinstance(stmt, (OpticalPulse, MwPulse)):
-            pulse += stmt.duration_us
-        elif isinstance(stmt, Detect):
-            gate += stmt.window_us
-        elif isinstance(stmt, Repeat):
-            p, g = _active_durations(stmt.block)
-            pulse += stmt.count * p
-            gate += stmt.count * g
-    return pulse, gate
-
-
 def duration_report(program: SequenceProgram, max_rate: bool = False,
                     overhead_us: float = DEFAULT_OVERHEAD_US) -> DurationReport:
     """Wall-clock totals per top-level block.
@@ -598,16 +573,14 @@ def duration_report(program: SequenceProgram, max_rate: bool = False,
     for i, stmt in enumerate(program.statements):
         if isinstance(stmt, Repeat):
             label = f"block {i}: repeat x{stmt.count}"
-            period = sum(_statement_duration(s) for s in stmt.block)
-            if max_rate:
-                pulse, gate = _active_durations(stmt.block)
-                if pulse > 0 and gate > 0:
-                    period = pulse + gate + overhead_us
+            _, period, pulse, gate = _measure(stmt.block)
+            if max_rate and pulse > 0 and gate > 0:
+                period = pulse + gate + overhead_us
             block_total = stmt.count * period
             blocks.append(BlockTiming(label, stmt.count, period, block_total))
         else:
             label = f"block {i}: {type(stmt).__name__.lower()}"
-            block_total = _statement_duration(stmt)
+            block_total = _event_row(stmt)[0]
             blocks.append(BlockTiming(label, 1, block_total, block_total))
         total_us += block_total
     return DurationReport(total_ms=total_us * 1e-3, blocks=tuple(blocks),

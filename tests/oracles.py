@@ -11,6 +11,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from spinshot.sequence import Detect, MwPulse, OpticalPulse, Repeat, Wait
+
 BRIGHT, DARK = 0, 1
 
 
@@ -328,3 +330,63 @@ def optimize_readout_full_scan(params, n_range, poisson_pmf):
 
     columns = tuple(map(np.array, zip(*rows)))
     return (int(best[0]), int(best[1]), float(best[4])), columns
+
+
+# The sequence layer's three tree walkers before they became one fold,
+# kept verbatim, and the duration report built on them.
+
+def _statement_event_count(stmt) -> int:
+    if isinstance(stmt, Repeat):
+        return stmt.count * sum(_statement_event_count(s) for s in stmt.block)
+    return 1
+
+
+def _statement_duration(stmt) -> float:
+    if isinstance(stmt, Repeat):
+        return stmt.count * sum(_statement_duration(s) for s in stmt.block)
+    if isinstance(stmt, OpticalPulse) or isinstance(stmt, MwPulse):
+        return stmt.duration_us
+    if isinstance(stmt, Wait):
+        return stmt.duration_us
+    if isinstance(stmt, Detect):
+        return stmt.window_us
+    raise TypeError(f"unknown statement {stmt!r}")
+
+
+def _active_durations(statements):
+    """(pulse time, gate time) inside a block, waits excluded."""
+    pulse = gate = 0.0
+    for stmt in statements:
+        if isinstance(stmt, (OpticalPulse, MwPulse)):
+            pulse += stmt.duration_us
+        elif isinstance(stmt, Detect):
+            gate += stmt.window_us
+        elif isinstance(stmt, Repeat):
+            p, g = _active_durations(stmt.block)
+            pulse += stmt.count * p
+            gate += stmt.count * g
+    return pulse, gate
+
+
+def event_count_by_walkers(program):
+    return sum(_statement_event_count(s) for s in program.statements)
+
+
+def duration_report_by_walkers(program, max_rate, overhead_us):
+    """(total ms, [(period us, block total us)] per top-level statement)."""
+    blocks = []
+    total_us = 0.0
+    for stmt in program.statements:
+        if isinstance(stmt, Repeat):
+            period = sum(_statement_duration(s) for s in stmt.block)
+            if max_rate:
+                pulse, gate = _active_durations(stmt.block)
+                if pulse > 0 and gate > 0:
+                    period = pulse + gate + overhead_us
+            block_total = stmt.count * period
+            blocks.append((period, block_total))
+        else:
+            block_total = _statement_duration(stmt)
+            blocks.append((block_total, block_total))
+        total_us += block_total
+    return total_us * 1e-3, blocks

@@ -458,6 +458,41 @@ class TestInputsFailFast:
             assert code == 2
             assert f"[{section}] {key} must be finite and in" in cap.err
 
+    # the keys that protocols, simulate and calibrate read besides the level
+    # structure; a list key gets the value in each of its three slots
+    SPIN_KEYS = [("readout", "n_pulses"), ("bath", "odmr_centers_mhz"),
+                 ("bath", "odmr_weights"), ("bath", "odmr_fwhm_mhz"),
+                 ("bath", "t1_spin_s"), ("bath", "t2_echo_us"),
+                 ("bath", "echo_exponent"), ("microwave", "rabi_khz"),
+                 ("microwave", "detuning_sigma_khz"),
+                 ("microwave", "drive_jitter")]
+
+    @pytest.mark.parametrize("section,key", SPIN_KEYS,
+                             ids=[key for _, key in SPIN_KEYS])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "1e300"])
+    def test_spin_and_pulse_count_keys(self, section, key, value, tmp_path,
+                                       capsys):
+        listed = key in ("odmr_centers_mhz", "odmr_weights")
+        config = paper_with(tmp_path, key, ", ".join([value] * 3) if listed
+                            else value)
+        seq = tmp_path / "mw.seq"
+        seq.write_text("pulse mw 0MHz 2.3us 0deg\npulse optical A 0.02us 1pi\n"
+                       "detect 3us\n")
+        commands = ([["calibrate"]] if section == "readout" else
+                    [["protocols", "--shots", "500"],
+                     ["simulate", str(seq), "--shots", "20"]])
+        for argv in commands:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, cap = run_cli_within(10.0, argv + [
+                    "--config", config, "--format", "csv",
+                    "--out-dir", str(tmp_path / "o")], capsys)
+            assert code in (0, 1, 2, 3), (argv[0], code)
+            assert "Traceback" not in cap.err and "Warning" not in cap.err
+            if code == 2 or value in ("nan", "inf", "-inf"):
+                assert code == 2 and f"[{section}] {key}" in cap.err, \
+                    (argv[0], cap.err)
+
     def test_overflowing_sequence_time(self, tmp_path, capsys):
         seq = tmp_path / "long.seq"
         seq.write_text("pulse optical A 1e308us 1pi\n"

@@ -6,23 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinshot.physics import EmitterConfig, ZeemanConfig, zeeman_transitions
+from oracles import duration_report_by_walkers, event_count_by_walkers
 from spinshot.montecarlo import BathParams, run_timeline
 from spinshot.readout import ReadoutParams
 from spinshot.sequence import (BYTES_PER_EVENT, MAX_EVENTS, CompileError,
                                Detect, MwPulse, OpticalPulse, ParseError, Repeat,
                                SequenceProgram, TimelineCapacityError, Wait,
-                               compile_sequence, duration_report,
+                               _measure, compile_sequence, duration_report,
                                format_sequence, parse_sequence)
 
 READOUT_TEXT = ("repeat 500 { pulse optical A 0.02us 0.5pi\n"
                 " wait 6.88us\n detect 3us }")
-
-
-@pytest.fixture(scope="module")
-def transitions():
-    em = EmitterConfig(194954.05, 0.857, 1.2, 142.0, 13.5)
-    return zeeman_transitions(em, ZeemanConfig(0.3))
 
 
 class TestParse:
@@ -155,15 +149,15 @@ class TestPrintRoundTrip:
 
 
 class TestCompile:
-    def test_readout_unrolls_to_1500_events(self, transitions):
-        tl = compile_sequence(parse_sequence(READOUT_TEXT), transitions)
+    def test_readout_unrolls_to_1500_events(self):
+        tl = compile_sequence(parse_sequence(READOUT_TEXT))
         assert len(tl.events) == 1500
         assert tl.total_duration_us == pytest.approx(500 * 9.9)
 
-    def test_period_padded_to_10us(self, transitions):
+    def test_period_padded_to_10us(self):
         text = ("repeat 500 { pulse optical A 0.02us 0.5pi\n"
                 " wait 6.98us\n detect 3us }")
-        tl = compile_sequence(parse_sequence(text), transitions)
+        tl = compile_sequence(parse_sequence(text))
         assert tl.total_duration_us == pytest.approx(5000.0)
 
     def test_pump_probe_event_count(self):
@@ -180,25 +174,17 @@ class TestCompile:
         assert len(tl.events) == 1
         assert tl.total_duration_us == pytest.approx(5.0)
 
-    def test_label_resolution(self, transitions):
-        tl = compile_sequence(parse_sequence("pulse optical A 0.02us 1pi"),
-                              transitions)
-        (ev,) = tl.events
-        assert ev.params["frequency_ghz"] == pytest.approx(
-            transitions.freq_a_ghz)
-
     def test_label_without_transitions_stays_symbolic(self):
         tl = compile_sequence(parse_sequence("pulse optical A 0.02us 1pi"))
         (ev,) = tl.events
         assert ev.params["transition"] == "A"
-        assert ev.params["frequency_ghz"] is None
 
     @given(stmts=st.lists(leaf, min_size=1, max_size=8).map(tuple),
            reps=st.integers(min_value=1, max_value=6))
     @settings(max_examples=60)
-    def test_times_sorted_and_durations_sum(self, stmts, reps, transitions):
+    def test_times_sorted_and_durations_sum(self, stmts, reps):
         prog = SequenceProgram((Repeat(reps, stmts),))
-        tl = compile_sequence(prog, transitions)
+        tl = compile_sequence(prog)
         starts = [e.start_us for e in tl.events]
         assert starts == sorted(starts)
         total = sum(e.duration_us for e in tl.events)
@@ -266,27 +252,25 @@ class TestCompile:
         assert peak <= BYTES_PER_EVENT * len(tl.events)
         assert MAX_EVENTS * BYTES_PER_EVENT <= 512 << 20
 
-    def test_gates_accessor(self, transitions):
-        tl = compile_sequence(parse_sequence(READOUT_TEXT), transitions)
-        gates = tl.gates()
+    def test_gates_accessor(self):
+        tl = compile_sequence(parse_sequence(READOUT_TEXT))
+        gates = [ev for ev in tl.events if ev.kind == "detect"]
         assert len(gates) == 500
-        for ev in gates:
-            assert ev.kind == "detect"
+        assert [ev.start_us for ev in gates[:2]] == pytest.approx([6.9, 16.8])
 
 
-def _unroll_by_cursor(statements, by_label, out, cursor=0.0):
+def _unroll_by_cursor(statements, out, cursor=0.0):
     """Reference compile: (start, duration, kind, params) per event, with
     start times from a running `cursor +=` sum."""
     for stmt in statements:
         if isinstance(stmt, Repeat):
             for _ in range(stmt.count):
-                cursor = _unroll_by_cursor(stmt.block, by_label, out, cursor)
+                cursor = _unroll_by_cursor(stmt.block, out, cursor)
             continue
         if isinstance(stmt, OpticalPulse):
             event = (stmt.duration_us, "optical",
                      {"transition": stmt.transition, "offset_mhz": stmt.offset_mhz,
-                      "area_pi": stmt.area_pi,
-                      "frequency_ghz": by_label.get(stmt.transition)})
+                      "area_pi": stmt.area_pi})
         elif isinstance(stmt, MwPulse):
             event = (stmt.duration_us, "mw", {"frequency_mhz": stmt.frequency_mhz,
                                               "phase_deg": stmt.phase_deg})
@@ -302,10 +286,10 @@ def _unroll_by_cursor(statements, by_label, out, cursor=0.0):
 class TestColumnarTimeline:
     @given(stmts=st.lists(statements, min_size=1, max_size=6).map(tuple))
     @settings(max_examples=80)
-    def test_matches_cursor_unrolling_bit_for_bit(self, stmts, transitions):
-        tl = compile_sequence(SequenceProgram(stmts), transitions)
+    def test_matches_cursor_unrolling_bit_for_bit(self, stmts):
+        tl = compile_sequence(SequenceProgram(stmts))
         want = []
-        total = _unroll_by_cursor(stmts, transitions.by_label(), want)
+        total = _unroll_by_cursor(stmts, want)
         assert len(tl.events) == len(want)
         assert tl.total_duration_us.hex() == total.hex()
         for event, (start, duration, kind, params) in zip(tl.events, want):
@@ -314,8 +298,8 @@ class TestColumnarTimeline:
             assert event.kind == kind
             assert event.params == params
 
-    def test_event_view(self, transitions):
-        tl = compile_sequence(parse_sequence(READOUT_TEXT), transitions)
+    def test_event_view(self):
+        tl = compile_sequence(parse_sequence(READOUT_TEXT))
         events = tl.events
         assert len(events) == 1500
         assert events[-1] == events[1499] == list(events)[-1]
@@ -329,10 +313,25 @@ class TestColumnarTimeline:
     def test_empty_program(self):
         tl = compile_sequence(parse_sequence(""))
         assert len(tl.events) == 0 and tl.total_duration_us == 0.0
-        assert tl.gates() == []
 
 
 class TestDurationReport:
+    @given(stmts=st.lists(statements, min_size=1, max_size=6).map(tuple),
+           overhead=st.floats(min_value=0.0, max_value=10.0))
+    @settings(max_examples=120)
+    def test_fold_matches_tree_walkers_bit_for_bit(self, stmts, overhead):
+        program = SequenceProgram(stmts)
+        count = event_count_by_walkers(program)
+        assert _measure(stmts)[0] == len(compile_sequence(program).events) == count
+        for max_rate in (False, True):
+            report = duration_report(program, max_rate=max_rate,
+                                     overhead_us=overhead)
+            total_ms, blocks = duration_report_by_walkers(program, max_rate,
+                                                          overhead)
+            assert report.total_ms.hex() == total_ms.hex()
+            assert [(b.period_us.hex(), b.total_us.hex()) for b in report.blocks] \
+                == [(period.hex(), total.hex()) for period, total in blocks]
+
     def test_nominal_readout_duration(self):
         text = ("repeat 71 { pulse optical A 0.02us 1pi\n"
                 " detect 3us\n wait 6.98us }")
