@@ -6,47 +6,34 @@ All numeric output files are CSV with documented headers; every run
 writes a manifest.json recording the inputs and the produced files
 (timestamps live only in the manifest, so reruns with the same config
 and seed are byte-identical elsewhere).
+
+The module level imports only the standard library: each handler imports
+the spinshot modules it calls, so `fit` and `g2` never load the
+simulator stack.
 """
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import __version__
-from .config import (ConfigError, bath_params, cavity_config, emitter_config,
-                     load_config, microwave_settings, readout_params,
-                     relaxation_constant, resolve_config_path, zeeman_config)
-from .estimators import (FitError, NormalizationError, fit_model,
-                         format_fit_report, g2_pulsed, read_series_csv,
-                         write_csv)
-from .montecarlo import (PhotonRecords, pulse_area_scan, run_protocol,
-                         run_timeline)
-from .physics import (cavity_linewidth, effective_lifetime, zeeman_transitions)
-from .readout import (CalibrationError, calibrate_flip_asymmetry,
-                      dark_count_penalty, format_fidelity_report,
-                      optimize_readout, readout_report)
-from .sequence import (CompileError, ParseError, compile_sequence,
-                       duration_report, parse_sequence)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-# `protocols`: sweep grid and fit model (with component count) per protocol
+# `protocols`: sweep grid (np.linspace arguments) and fit model (with
+# component count) per protocol
 PROTOCOL_SWEEPS = {
-    "t1": np.linspace(0.0, 2.2, 24),        # s
-    "odmr": np.linspace(-6.0, 6.0, 49),     # MHz around the drive
-    "rabi": np.linspace(0.05, 20.0, 120),   # us
-    "echo": np.linspace(0.0, 120.0, 30),    # us total evolution
+    "t1": (0.0, 2.2, 24),         # s
+    "odmr": (-6.0, 6.0, 49),      # MHz around the drive
+    "rabi": (0.05, 20.0, 120),    # us
+    "echo": (0.0, 120.0, 30),     # us total evolution
 }
 PROTOCOL_MODELS = {
     "t1": ("exp_decay", None),
@@ -103,8 +90,6 @@ class OutputDir:
 
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--config", default="paper.cfg",
-                        help="config file (falls back to packaged presets)")
     common.add_argument("--seed", type=int, default=0,
                         help="random seed (default 0)")
     common.add_argument("--shots", type=int, default=None,
@@ -113,20 +98,24 @@ def build_parser() -> _Parser:
                         help="output directory (default ./spinshot-out)")
     common.add_argument("--format", choices=("csv", "report"), default="report",
                         help="csv: data files only; report: also a text report")
+    # every command but fit and g2 reads a config
+    configured = _Parser(add_help=False, parents=[common])
+    configured.add_argument("--config", default="paper.cfg",
+                            help="config file (falls back to packaged presets)")
 
     parser = _Parser(prog="spinshot",
                      description="Cavity-enhanced single-spin readout toolkit")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p = sub.add_parser("levels", parents=[common],
+    p = sub.add_parser("levels", parents=[configured],
                        help="optical transition frequencies for a config")
 
-    p = sub.add_parser("readout-optimize", parents=[common],
+    p = sub.add_parser("readout-optimize", parents=[configured],
                        help="scan pulse number and threshold for best fidelity")
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, default=150)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[configured],
                        help="Monte Carlo run of a pulse-sequence file")
     p.add_argument("sequence", help="sequence DSL file")
 
@@ -145,7 +134,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lags", type=int, default=20,
                    help="cross lags used for normalization (default 20)")
 
-    p = sub.add_parser("area-sweep", parents=[common],
+    p = sub.add_parser("area-sweep", parents=[configured],
                        help="cyclicity and fidelity vs excitation pulse area")
     p.add_argument("--area-min", type=float, default=0.1)
     p.add_argument("--area-max", type=float, default=1.0)
@@ -153,7 +142,7 @@ def build_parser() -> _Parser:
     p.add_argument("--flip-slope", type=float, default=0.0,
                    help="extra bright-state flip probability per unit area")
 
-    p = sub.add_parser("calibrate", parents=[common],
+    p = sub.add_parser("calibrate", parents=[configured],
                        help="invert the flip asymmetry for a target fidelity")
     p.add_argument("--target-f", type=float, default=None,
                    help="target fidelity (default: [readout] target_fidelity)")
@@ -161,7 +150,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n-pulses", type=int, default=None,
                    help="pulse count (default: [readout] n_pulses)")
 
-    sub.add_parser("protocols", parents=[common],
+    sub.add_parser("protocols", parents=[configured],
                    help="T1, ODMR, Rabi and echo curves, each with its fit")
 
     return parser
@@ -172,6 +161,10 @@ def build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 def _cmd_levels(args, out: OutputDir) -> str:
+    from .config import cavity_config, emitter_config, load_config, zeeman_config
+    from .estimators import write_csv
+    from .physics import cavity_linewidth, effective_lifetime, zeeman_transitions
+
     cfg = load_config(args.config)
     em, cav, z = emitter_config(cfg), cavity_config(cfg), zeeman_config(cfg)
     levels = zeeman_transitions(em, z)
@@ -202,6 +195,12 @@ def _cmd_readout_optimize(args, out: OutputDir) -> str:
     _at_least_one("--n-max", args.n_max)
     if args.n_min > args.n_max:
         raise UsageError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
+    from dataclasses import replace
+
+    from .config import load_config, readout_params
+    from .readout import (dark_count_penalty, format_fidelity_report,
+                          optimize_readout, readout_report)
+
     cfg = load_config(args.config)
     params = readout_params(cfg, n_pulses=args.n_max)
     result = optimize_readout(params, (args.n_min, args.n_max))
@@ -223,6 +222,12 @@ def _cmd_readout_optimize(args, out: OutputDir) -> str:
 
 
 def _cmd_simulate(args, out: OutputDir) -> str:
+    from .config import (bath_params, cavity_config, emitter_config, load_config,
+                         microwave_settings, readout_params)
+    from .montecarlo import run_timeline
+    from .physics import effective_lifetime
+    from .sequence import compile_sequence, duration_report, parse_sequence
+
     cfg = load_config(args.config)
     with open(args.sequence, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -253,6 +258,9 @@ def _cmd_simulate(args, out: OutputDir) -> str:
 
 
 def _cmd_fit(args, out: OutputDir) -> str:
+    _at_least_one("--components", args.components)
+    from .estimators import fit_model, format_fit_report, read_series_csv
+
     x, y, sigma = read_series_csv(args.series)
     kind = args.model
     result = fit_model(kind, x, y, sigma=sigma,
@@ -262,12 +270,17 @@ def _cmd_fit(args, out: OutputDir) -> str:
 
 
 def _write_fit_csv(path, result):
+    from .estimators import write_csv
+
     write_csv(path, "parameter,value,uncertainty", result.params.keys(),
               result.params.values(),
               [result.uncertainties[name] for name in result.params])
 
 
 def _cmd_g2(args, out: OutputDir) -> str:
+    _at_least_one("--lags", args.lags)
+    from .estimators import PhotonRecords, g2_pulsed, write_csv
+
     records = PhotonRecords.from_file(args.records)
     result = g2_pulsed(records, n_lags=args.lags)
     write_csv(out.record("g2.csv"), "lag,pair_rate", result.lags,
@@ -289,6 +302,11 @@ def _cmd_area_sweep(args, out: OutputDir) -> str:
     if not math.isfinite(2.0 * reach * max(abs(args.flip_slope), 1.0)):
         raise UsageError("--area-min, --area-max and --flip-slope overflow "
                          "the area grid or a(area)")
+    import numpy as np
+
+    from .config import load_config, readout_params
+    from .montecarlo import pulse_area_scan
+
     cfg = load_config(args.config)
     params = readout_params(cfg)
     areas = np.linspace(args.area_min, args.area_max, args.points)
@@ -331,6 +349,10 @@ def _cmd_calibrate(args, out: OutputDir) -> str:
     target = args.target_f
     if target is not None and not 0.0 < target < 1.0:
         raise UsageError(f"--target-f must be in (0, 1), got {target}")
+    from .config import load_config, readout_params, relaxation_constant
+    from .estimators import write_csv
+    from .readout import calibrate_flip_asymmetry
+
     cfg = load_config(args.config)
     params = readout_params(cfg, n_pulses=args.n_pulses)
     if args.threshold > params.n_pulses:
@@ -360,14 +382,20 @@ def _cmd_calibrate(args, out: OutputDir) -> str:
 
 
 def _cmd_protocols(args, out: OutputDir) -> str:
+    import numpy as np
+
+    from .config import bath_params, load_config, microwave_settings
+    from .estimators import FitError, fit_model, format_fit_report
+    from .montecarlo import run_protocol
+
     cfg = load_config(args.config)
     bath = bath_params(cfg)
     mw = microwave_settings(cfg)
     shots = args.shots if args.shots is not None else 5000
     sections = []
-    for name, sweep in PROTOCOL_SWEEPS.items():
-        curve = run_protocol(name, sweep, bath, shots=shots, seed=args.seed,
-                             **mw)
+    for name, grid in PROTOCOL_SWEEPS.items():
+        curve = run_protocol(name, np.linspace(*grid), bath, shots=shots,
+                             seed=args.seed, **mw)
         curve.to_csv(out.record(f"{name}_curve.csv"))
         kind, n_components = PROTOCOL_MODELS[name]
         try:
@@ -397,6 +425,9 @@ _HANDLERS = {
 def _config_fields(args):
     fields = {"config": None, "config_sha256": None}
     if getattr(args, "config", None):
+        import hashlib
+
+        from .config import ConfigError, resolve_config_path
         try:
             path = resolve_config_path(args.config)
             with open(path, "rb") as fh:
@@ -409,6 +440,8 @@ def _config_fields(args):
 
 
 def main(argv=None) -> int:
+    from .estimators import NumericalError
+
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -434,10 +467,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    except (ConfigError, ParseError, CompileError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:   # config, parse and compile errors too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FitError, CalibrationError, NormalizationError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -34,6 +34,11 @@ __all__ = [
     "microwave_settings",
 ]
 
+# Ceiling of the [bath] and [microwave] frequency scales: 1 THz, far past
+# any spin transition, and low enough that every rotation angle 2*pi*f*t
+# the protocols build stays finite.
+MAX_SPIN_FREQUENCY_MHZ = 1e6
+
 _MISSING = object()
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_.-]+)\]$")
 _KEY_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
@@ -276,18 +281,23 @@ def relaxation_constant(cfg: Config) -> float:
 
 
 def bath_params(cfg: Config) -> BathParams:
-    """[bath]: one finite ODMR weight per finite center, a finite
-    linewidth >= 0, and finite lifetimes and echo exponent > 0."""
+    """[bath]: one finite ODMR weight per center, centers and linewidth
+    within MAX_SPIN_FREQUENCY_MHZ (linewidth >= 0), and finite lifetimes
+    and echo exponent > 0."""
     section = "bath"
     centers = cfg.numbers(section, "odmr_centers_mhz", (-3.3, 0.0, 3.3))
     weights = cfg.numbers(section, "odmr_weights", (0.25, 0.5, 0.25))
-    for key, values in (("odmr_centers_mhz", centers), ("odmr_weights", weights)):
-        if len(values) != len(centers) or not all(map(math.isfinite, values)):
+    for key, values, limit in (("odmr_centers_mhz", centers, MAX_SPIN_FREQUENCY_MHZ),
+                               ("odmr_weights", weights, math.inf)):
+        if len(values) != len(centers) or not all(
+                math.isfinite(v) and abs(v) <= limit for v in values):
+            within = f" in [-{limit:g}, {limit:g}]" if limit < math.inf else ""
             raise ConfigError(
                 f"{cfg.origin}: [{section}] {key} must be {len(centers)} finite "
-                f"numbers, one per odmr_centers_mhz value, got "
+                f"numbers{within}, one per odmr_centers_mhz value, got "
                 f"{', '.join(f'{v:g}' for v in values)}")
-    fwhm = cfg.bounded(section, "odmr_fwhm_mhz", 0.0, default=2.37)
+    fwhm = cfg.bounded(section, "odmr_fwhm_mhz", 0.0, MAX_SPIN_FREQUENCY_MHZ,
+                       default=2.37, open_high=False)
     positive = {name: cfg.bounded(section, key, 0.0, default=default,
                                   open_low=True)
                 for name, key, default in (("t1_spin", "t1_spin_s", 0.44),
@@ -301,11 +311,15 @@ def bath_params(cfg: Config) -> BathParams:
 
 
 def microwave_settings(cfg: Config) -> dict:
+    """[microwave]: Rabi frequency and detuning spread within
+    MAX_SPIN_FREQUENCY_MHZ, and a fractional drive jitter of at most 1."""
     section = "microwave"
+    max_khz = 1e3 * MAX_SPIN_FREQUENCY_MHZ
     return {
-        "mw_rabi_khz": cfg.bounded(section, "rabi_khz", 0.0, default=217.4,
-                                   open_low=True),
+        "mw_rabi_khz": cfg.bounded(section, "rabi_khz", 0.0, max_khz,
+                                   default=217.4, open_low=True, open_high=False),
         "detuning_sigma_khz": cfg.bounded(section, "detuning_sigma_khz", 0.0,
-                                          default=20.0),
-        "drive_jitter": cfg.bounded(section, "drive_jitter", 0.0, default=0.0),
+                                          max_khz, default=20.0, open_high=False),
+        "drive_jitter": cfg.bounded(section, "drive_jitter", 0.0, 1.0, default=0.0,
+                                    open_high=False),
     }

@@ -1,5 +1,5 @@
-"""Nonlinear least-squares fitting, pulsed autocorrelation, and series
-and CSV I/O.
+"""Nonlinear least-squares fitting, pulsed autocorrelation, photon
+records, and series and CSV I/O.
 
 The fitter is a damped Gauss-Newton (Levenberg-Marquardt) loop with a
 finite-difference Jacobian and a deterministic multi-start policy; no
@@ -15,10 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "NumericalError",
     "FitError",
     "NormalizationError",
     "FitResult",
     "G2Result",
+    "PhotonRecords",
     "fit_model",
     "model_param_names",
     "g2_pulsed",
@@ -46,7 +48,12 @@ def lorentzian_fwhm_to_hwhm(fwhm: float) -> float:
     return fwhm / 2.0
 
 
-class FitError(RuntimeError):
+class NumericalError(RuntimeError):
+    """A computation on valid inputs has no meaningful result (exit 3 in
+    the command-line front end)."""
+
+
+class FitError(NumericalError):
     """No start converged; carries per-start diagnostics."""
 
     def __init__(self, message, diagnostics=None):
@@ -54,7 +61,7 @@ class FitError(RuntimeError):
         self.diagnostics = diagnostics or []
 
 
-class NormalizationError(RuntimeError):
+class NormalizationError(NumericalError):
     """Autocorrelation normalization is undefined (no cross-lag pairs)."""
 
 
@@ -266,7 +273,7 @@ def _gaussian_sum_spec(k: int) -> _ModelSpec:
 
 def _resolve_spec(kind: str, n_components) -> _ModelSpec:
     if kind == "gaussian_sum":
-        return _gaussian_sum_spec(int(n_components or 3))
+        return _gaussian_sum_spec(3 if n_components is None else int(n_components))
     if kind not in _MODELS:
         raise ValueError(f"unknown model kind {kind!r}; known: "
                          f"{sorted(_MODELS)} + ['gaussian_sum']")
@@ -488,8 +495,91 @@ def fit_model(kind, x, y, sigma=None, initial=None, n_components=None,
 
 
 # ---------------------------------------------------------------------------
-# pulsed autocorrelation
+# photon records and pulsed autocorrelation
 # ---------------------------------------------------------------------------
+
+_ORIGINS = ("emitter", "dark")
+
+
+@dataclass
+class PhotonRecords:
+    """Columnar table of detected photons across shots."""
+    shot_id: np.ndarray
+    pulse_index: np.ndarray
+    timestamp_us: np.ndarray
+    origin_code: np.ndarray      # 0 = emitter, 1 = dark
+    n_shots: int
+    n_pulses: int
+
+    def __len__(self):
+        return len(self.shot_id)
+
+    @property
+    def origin(self) -> np.ndarray:
+        return np.where(self.origin_code == 0, "emitter", "dark")
+
+    def counts_matrix(self) -> np.ndarray:
+        """(n_shots, n_pulses) detected-photon counts."""
+        flat = np.bincount(self.shot_id * self.n_pulses + self.pulse_index,
+                           minlength=self.n_shots * self.n_pulses)
+        return flat.reshape(self.n_shots, self.n_pulses)
+
+    def to_file(self, path):
+        rows = zip(self.shot_id.tolist(), self.pulse_index.tolist(),
+                   self.timestamp_us.tolist(), self.origin_code.tolist())
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("# photon records: shot_id pulse_index timestamp_us origin\n")
+            fh.write(f"# shots={self.n_shots} pulses={self.n_pulses}\n")
+            fh.writelines(f"{s} {p} {t:.12g} {_ORIGINS[c != 0]}\n"
+                          for s, p, t, c in rows)
+
+    @classmethod
+    def from_file(cls, path) -> "PhotonRecords":
+        header = {"shots": None, "pulses": None}
+        shot, pulse, ts, code, line_nos = [], [], [], [], []
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    for token in line[1:].split():
+                        key, _, value = token.partition("=")
+                        if key in header:
+                            if not (value.isascii() and value.isdigit()):
+                                raise ValueError(
+                                    f"{path}:{line_no}: header {key}= needs a "
+                                    f"non-negative integer, got {value!r}")
+                            header[key] = int(value)
+                    continue
+                parts = line.split()
+                try:
+                    if len(parts) != 4 or parts[3] not in _ORIGINS:
+                        raise ValueError
+                    shot.append(int(parts[0]))
+                    pulse.append(int(parts[1]))
+                    ts.append(float(parts[2]))
+                except ValueError:
+                    raise ValueError(f"{path}:{line_no}: expected 'shot pulse "
+                                     f"timestamp origin' row, got {line!r}") from None
+                code.append(_ORIGINS.index(parts[3]))
+                line_nos.append(line_no)
+        shot = np.array(shot, dtype=np.int64)
+        pulse = np.array(pulse, dtype=np.int64)
+        shots, pulses = header["shots"], header["pulses"]
+        if shots is None:
+            shots = int(shot.max()) + 1 if len(shot) else 0
+        if pulses is None:
+            pulses = int(pulse.max()) + 1 if len(pulse) else 0
+        for name, column, size in (("shot_id", shot, shots),
+                                   ("pulse_index", pulse, pulses)):
+            bad = np.flatnonzero((column < 0) | (column >= size))
+            if bad.size:
+                raise ValueError(f"{path}:{line_nos[bad[0]]}: {name} "
+                                 f"{column[bad[0]]} outside 0..{size - 1}")
+        return cls(shot, pulse, np.array(ts), np.array(code, dtype=np.int8),
+                   shots, pulses)
+
 
 @dataclass
 class G2Result:
@@ -503,9 +593,11 @@ def g2_pulsed(records, n_lags: int = 20) -> G2Result:
     """Pulse-wise autocorrelation from detected-photon records.
 
     Same-pulse (ordered) pair rate over the mean of the pair rates at
-    lags 1..n_lags.  Records need ``shot_id``/``pulse_index`` arrays
-    plus ``n_shots``/``n_pulses``.
+    lags 1..n_lags (n_lags >= 1, capped at the pulse count - 1).  Records
+    need ``shot_id``/``pulse_index`` arrays plus ``n_shots``/``n_pulses``.
     """
+    if n_lags < 1:
+        raise ValueError(f"n_lags must be >= 1, got {n_lags}")
     shot = np.asarray(records.shot_id, dtype=np.int64)
     pulse = np.asarray(records.pulse_index, dtype=np.int64)
     if shot.size < 2:

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimators import gaussian_fwhm_to_sigma, write_csv
+from .estimators import PhotonRecords, gaussian_fwhm_to_sigma, write_csv
 from .physics import lorentzian_suppression
 from .readout import CountDistribution, ReadoutParams, cyclicity, readout_report
 from .sequence import _TRANSITION_LABELS, DETECT, MW, OPTICAL
@@ -32,7 +31,6 @@ _LABEL = {name: code for code, name in enumerate(_TRANSITION_LABELS)}
 __all__ = [
     "BLOCK_SHOTS",
     "TIMELINE_BLOCK_CELLS",
-    "PhotonRecords",
     "BathParams",
     "ReadoutSimResult",
     "ProtocolCurve",
@@ -85,7 +83,12 @@ def _run_blocks(run_block, shots: int, block: int, seed: int, key: tuple = ()):
         raise ValueError("shots must be >= 1")
     sizes = [min(block, shots - s) for s in range(0, shots, block)]
     workers = min(worker_count(), len(sizes))
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+    pool = None
+    if workers > 1:
+        # imported here: every command that runs one worker skips the import
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(workers)
+    with pool or nullcontext():
         results = (pool.map if pool else map)(
             lambda i: run_block(sizes[i], _stream(seed, *key, i)), range(len(sizes)))
         totals, parts, sums = [], [], None
@@ -101,89 +104,6 @@ def _run_blocks(run_block, shots: int, block: int, seed: int, key: tuple = ()):
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
-
-_ORIGINS = ("emitter", "dark")
-
-
-@dataclass
-class PhotonRecords:
-    """Columnar table of detected photons across shots."""
-    shot_id: np.ndarray
-    pulse_index: np.ndarray
-    timestamp_us: np.ndarray
-    origin_code: np.ndarray      # 0 = emitter, 1 = dark
-    n_shots: int
-    n_pulses: int
-
-    def __len__(self):
-        return len(self.shot_id)
-
-    @property
-    def origin(self) -> np.ndarray:
-        return np.where(self.origin_code == 0, "emitter", "dark")
-
-    def counts_matrix(self) -> np.ndarray:
-        """(n_shots, n_pulses) detected-photon counts."""
-        flat = np.bincount(self.shot_id * self.n_pulses + self.pulse_index,
-                           minlength=self.n_shots * self.n_pulses)
-        return flat.reshape(self.n_shots, self.n_pulses)
-
-    def to_file(self, path):
-        rows = zip(self.shot_id.tolist(), self.pulse_index.tolist(),
-                   self.timestamp_us.tolist(), self.origin_code.tolist())
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("# photon records: shot_id pulse_index timestamp_us origin\n")
-            fh.write(f"# shots={self.n_shots} pulses={self.n_pulses}\n")
-            fh.writelines(f"{s} {p} {t:.12g} {_ORIGINS[c != 0]}\n"
-                          for s, p, t, c in rows)
-
-    @classmethod
-    def from_file(cls, path) -> "PhotonRecords":
-        header = {"shots": None, "pulses": None}
-        shot, pulse, ts, code, line_nos = [], [], [], [], []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    for token in line[1:].split():
-                        key, _, value = token.partition("=")
-                        if key in header:
-                            if not (value.isascii() and value.isdigit()):
-                                raise ValueError(
-                                    f"{path}:{line_no}: header {key}= needs a "
-                                    f"non-negative integer, got {value!r}")
-                            header[key] = int(value)
-                    continue
-                parts = line.split()
-                try:
-                    if len(parts) != 4 or parts[3] not in _ORIGINS:
-                        raise ValueError
-                    shot.append(int(parts[0]))
-                    pulse.append(int(parts[1]))
-                    ts.append(float(parts[2]))
-                except ValueError:
-                    raise ValueError(f"{path}:{line_no}: expected 'shot pulse "
-                                     f"timestamp origin' row, got {line!r}") from None
-                code.append(_ORIGINS.index(parts[3]))
-                line_nos.append(line_no)
-        shot = np.array(shot, dtype=np.int64)
-        pulse = np.array(pulse, dtype=np.int64)
-        shots, pulses = header["shots"], header["pulses"]
-        if shots is None:
-            shots = int(shot.max()) + 1 if len(shot) else 0
-        if pulses is None:
-            pulses = int(pulse.max()) + 1 if len(pulse) else 0
-        for name, column, size in (("shot_id", shot, shots),
-                                   ("pulse_index", pulse, pulses)):
-            bad = np.flatnonzero((column < 0) | (column >= size))
-            if bad.size:
-                raise ValueError(f"{path}:{line_nos[bad[0]]}: {name} "
-                                 f"{column[bad[0]]} outside 0..{size - 1}")
-        return cls(shot, pulse, np.array(ts), np.array(code, dtype=np.int8),
-                   shots, pulses)
-
 
 def _sorted_records(emitted, dark):
     """Record columns (shot, pulse or gate, time, origin code) of a block's

@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimators import FitError, FitResult, fit_model, write_csv
+from .estimators import (FitError, FitResult, NumericalError, fit_model,
+                         write_csv)
 
 __all__ = [
     "CAPACITY_PULSES",
@@ -65,7 +66,7 @@ class CapacityError(ValueError):
     rated for."""
 
 
-class CalibrationError(RuntimeError):
+class CalibrationError(NumericalError):
     """Requested fidelity is outside the attainable range."""
 
     def __init__(self, message, attainable=None):

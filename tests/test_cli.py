@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spinshot import cli
+from spinshot import cli, estimators
 from spinshot.config import load_config
 from spinshot.estimators import FitError
 
@@ -216,6 +216,20 @@ class TestManifest:
         assert "levels.csv" in man["outputs"]
         assert "report.txt" in man["outputs"]
 
+    def test_fit_and_g2_record_no_config(self, tmp_path, series_file, capsys):
+        records = tmp_path / "hand.txt"
+        records.write_text(HAND_RECORDS)
+        for argv in (["fit", series_file, "--model", "exp_decay"],
+                     ["g2", str(records)]):
+            out = str(tmp_path / argv[0])
+            assert run_cli(argv + ["--out-dir", out], capsys)[0] == 0
+            man = manifest_of(out)
+            assert man["config"] is None and man["config_sha256"] is None
+            # neither command reads a config, so neither takes --config
+            code, cap = run_cli(argv + ["--config", "paper.cfg",
+                                        "--out-dir", out], capsys)
+            assert code == 1 and "--config" in cap.err
+
     def test_format_csv_skips_report(self, tmp_path, capsys):
         out = str(tmp_path / "o")
         code, cap = run_cli(["levels", "--out-dir", out, "--format", "csv"],
@@ -315,13 +329,23 @@ class TestExitCodes:
         (["area-sweep", "--flip-slope", "-1"], "--flip-slope"),
         (["area-sweep", "--area-min", "-1", "--flip-slope", "0.004"],
          "--flip-slope"),
+        (["fit", "SERIES", "--model", "gaussian_sum", "--components", "0"],
+         "--components"),
+        (["fit", "SERIES", "--model", "exp_decay", "--components", "-2"],
+         "--components"),
+        (["g2", "RECORDS", "--lags", "0"], "--lags"),
+        (["g2", "RECORDS", "--lags", "-1"], "--lags"),
     ], ids=["n-min-0", "n-max-0", "n-min-above-n-max", "n-pulses-0",
             "threshold-0", "threshold-above-pulses",
             "threshold-above-n-pulses-flag", "target-f-nan", "target-f-0",
             "target-f-above-1", "area-min-nan", "area-max-inf", "flip-slope-nan",
             "area-span-overflows",
-            "flip-slope-negative-a", "negative-area-negative-a"])
-    def test_flag_out_of_range(self, argv, flag, tmp_path, capsys):
+            "flip-slope-negative-a", "negative-area-negative-a",
+            "components-0", "components-negative", "lags-0", "lags-negative"])
+    def test_flag_out_of_range(self, argv, flag, tmp_path, series_file,
+                               records_file, capsys):
+        names = {"SERIES": series_file, "RECORDS": records_file}
+        argv = [names.get(arg, arg) for arg in argv]
         code, cap = run_cli(argv + ["--shots", "200",
                                     "--out-dir", str(tmp_path / "o")], capsys)
         assert code == 1
@@ -375,7 +399,7 @@ class TestExitCodes:
     def test_protocols_fit_failure(self, tmp_path, capsys, monkeypatch):
         def no_fit(*args, **kwargs):
             raise FitError("no start converged")
-        monkeypatch.setattr(cli, "fit_model", no_fit)
+        monkeypatch.setattr(estimators, "fit_model", no_fit)
         code, cap = run_cli(["protocols", "--shots", "50",
                              "--out-dir", str(tmp_path / "o")], capsys)
         assert code == 3
@@ -469,7 +493,8 @@ class TestInputsFailFast:
 
     @pytest.mark.parametrize("section,key", SPIN_KEYS,
                              ids=[key for _, key in SPIN_KEYS])
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "1e300"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "1e300",
+                                       "1e306", "1e307"])
     def test_spin_and_pulse_count_keys(self, section, key, value, tmp_path,
                                        capsys):
         listed = key in ("odmr_centers_mhz", "odmr_weights")

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from oracles import best_threshold_scan
-from spinshot.estimators import (FitError, NormalizationError, fit_model,
-                                 g2_pulsed, gaussian_fwhm_to_sigma,
-                                 gaussian_sigma_to_fwhm, lorentzian_fwhm_to_hwhm,
-                                 model_param_names, read_series_csv)
-from spinshot.montecarlo import PhotonRecords
+from spinshot.estimators import (FitError, NormalizationError, NumericalError,
+                                 PhotonRecords, fit_model, g2_pulsed,
+                                 gaussian_fwhm_to_sigma, gaussian_sigma_to_fwhm,
+                                 lorentzian_fwhm_to_hwhm, model_param_names,
+                                 read_series_csv)
+from spinshot.readout import CalibrationError
 from spinshot.readout import (ReadoutParams, count_distribution,
                               empirical_fidelity, readout_fidelity)
 
@@ -129,6 +130,17 @@ class TestFitPlumbing:
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             fit_model("spline", np.arange(5.0), np.arange(5.0))
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_gaussian_sum_needs_a_component(self, k):
+        x = np.linspace(-5.0, 5.0, 40)
+        with pytest.raises(ValueError, match="at least one component"):
+            fit_model("gaussian_sum", x, np.exp(-x * x), n_components=k)
+        assert len(model_param_names("gaussian_sum")) == 10    # default 3
+
+    def test_numerical_failures_share_a_base(self):
+        for error in (FitError, NormalizationError, CalibrationError):
+            assert issubclass(error, NumericalError)
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
@@ -260,6 +272,12 @@ class TestG2:
         rec = make_records([0, 1], [0, 0], [1.0, 1.0], 2, 5)
         with pytest.raises(NormalizationError):
             g2_pulsed(rec)
+
+    @pytest.mark.parametrize("n_lags", [0, -1])
+    def test_lag_count_below_one_raises(self, n_lags):
+        rec = make_records([0, 0, 1], [0, 1, 1], [1.0, 2.0, 3.0], 2, 71)
+        with pytest.raises(ValueError, match="n_lags must be >= 1"):
+            g2_pulsed(rec, n_lags=n_lags)
 
     def test_too_few_events(self):
         rec = make_records([0], [0], [1.0], 1, 5)

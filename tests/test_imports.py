@@ -1,10 +1,17 @@
-"""The package's internal import graph has no cycle.
+"""The package's internal import graph has no cycle, and each command
+loads only what it runs.
 
 Every ``src/spinshot/*.py`` is parsed with ``ast``, imports inside
 functions included, and each import of a sibling module is an edge.
 """
 import ast
+import json
 import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
 
 import spinshot
 
@@ -88,3 +95,58 @@ def test_find_cycle_reports_the_loop():
 def test_no_import_cycle():
     cycle = find_cycle(import_graph())
     assert cycle is None, " -> ".join(cycle)
+
+
+def test_public_names_resolve():
+    for name in spinshot.__all__:
+        assert getattr(spinshot, name) is not None, name
+    assert set(spinshot.__all__) <= set(dir(spinshot))
+    namespace = {}
+    exec("from spinshot import *", namespace)
+    assert set(spinshot.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        spinshot.no_such_name
+
+
+def test_records_class_is_shared():
+    from spinshot import estimators, montecarlo
+    assert montecarlo.PhotonRecords is estimators.PhotonRecords
+    assert spinshot.PhotonRecords is estimators.PhotonRecords
+
+
+# modules that fit and g2 never call; each costs every command its import
+SIMULATOR_STACK = ("spinshot.config", "spinshot.readout", "spinshot.sequence",
+                   "spinshot.montecarlo", "spinshot.physics",
+                   "concurrent.futures", "hashlib")
+
+LOADED = """\
+import json, sys
+from spinshot import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+@pytest.mark.parametrize("command", ["fit", "g2"])
+def test_fit_and_g2_skip_the_simulator_stack(command, tmp_path):
+    if command == "fit":
+        x = np.linspace(0.0, 3.0, 20)
+        series = tmp_path / "t1.csv"
+        series.write_text("".join(f"{xi:.6g},{np.exp(-xi / 0.4):.9g}\n"
+                                  for xi in x))
+        argv = ["fit", str(series), "--model", "exp_decay"]
+    else:
+        records = tmp_path / "events.txt"
+        records.write_text("# shots=2 pulses=3\n0 0 1.5 emitter\n"
+                           "0 1 12.5 dark\n1 1 11.5 emitter\n")
+        argv = ["g2", str(records), "--lags", "2"]
+    src = os.path.dirname(PACKAGE_DIR)
+    env = dict(os.environ, PYTHONPATH=src, SPINSHOT_THREADS="2")
+    res = subprocess.run([sys.executable, "-c", LOADED, *argv,
+                          "--out-dir", str(tmp_path / "o")],
+                         capture_output=True, text=True, env=env, check=True)
+    code, modules = json.loads(res.stdout.splitlines()[-1])
+    assert code == 0, res.stderr
+    assert {m for m in modules if m.startswith("spinshot")} == {
+        "spinshot", "spinshot.cli", "spinshot.estimators"}
+    assert not set(SIMULATOR_STACK) & set(modules)
