@@ -50,6 +50,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Config:
+    """Parsed sections.  An accessor's ``default`` stands in for an absent
+    section or key and is checked and converted like a value; None is
+    returned as is."""
     sections: dict
     origin: str
     text: str
@@ -57,27 +60,22 @@ class Config:
     def has_section(self, section: str) -> bool:
         return section in self.sections
 
-    def _fetch(self, section: str, key: str):
-        try:
-            sec = self.sections[section]
-        except KeyError:
+    def _fetch(self, section: str, key: str, default=_MISSING):
+        """The raw value of [section] key; ``default``, if given, when the
+        section or the key is absent."""
+        sec = self.sections.get(section, {})
+        if key in sec or default is not _MISSING:
+            return sec.get(key, default)
+        if section not in self.sections:
             raise ConfigError(f"{self.origin}: missing section [{section}]")
-        try:
-            return sec[key]
-        except KeyError:
-            raise ConfigError(f"{self.origin}: missing key {key!r} in [{section}]")
+        raise ConfigError(f"{self.origin}: missing key {key!r} in [{section}]")
 
     def number(self, section: str, key: str, default=_MISSING):
-        try:
-            value = self._fetch(section, key)
-        except ConfigError:
-            if default is _MISSING:
-                raise
-            return default if default is None else float(default)
-        if isinstance(value, (int, float)):
-            return float(value)
-        raise ConfigError(f"{self.origin}: [{section}] {key} must be a number, "
-                          f"got {value!r}")
+        value = self._fetch(section, key, default)
+        if value is not None and not isinstance(value, (int, float)):
+            raise ConfigError(f"{self.origin}: [{section}] {key} must be a "
+                              f"number, got {value!r}")
+        return value if value is None else float(value)
 
     def bounded(self, section: str, key: str, low: float, high: float = math.inf,
                 default=_MISSING, open_low: bool = False, open_high: bool = True):
@@ -94,43 +92,29 @@ class Config:
         return value
 
     def integer(self, section: str, key: str, default=_MISSING):
-        try:
-            value = self._fetch(section, key)
-        except ConfigError:
-            if default is _MISSING:
-                raise
-            return default
-        if not (isinstance(value, (int, float)) and math.isfinite(value)
-                and value == int(value)):
+        value = self._fetch(section, key, default)
+        if value is not None and not (isinstance(value, (int, float))
+                                      and math.isfinite(value)
+                                      and value == int(value)):
             raise ConfigError(f"{self.origin}: [{section}] {key} must be an "
                               f"integer, got {value!r}")
-        return int(value)
+        return value if value is None else int(value)
 
     def numbers(self, section: str, key: str, default=_MISSING):
-        try:
-            value = self._fetch(section, key)
-        except ConfigError:
-            if default is _MISSING:
-                raise
-            return default if default is None else tuple(default)
-        if isinstance(value, tuple):
-            return value
+        value = self._fetch(section, key, default)
         if isinstance(value, (int, float)):
             return (float(value),)
-        raise ConfigError(f"{self.origin}: [{section}] {key} must be a "
-                          f"number list, got {value!r}")
+        if value is not None and not isinstance(value, tuple):
+            raise ConfigError(f"{self.origin}: [{section}] {key} must be a "
+                              f"number list, got {value!r}")
+        return value
 
     def string(self, section: str, key: str, default=_MISSING):
-        try:
-            value = self._fetch(section, key)
-        except ConfigError:
-            if default is _MISSING:
-                raise
-            return default
-        if isinstance(value, str):
-            return value
-        raise ConfigError(f"{self.origin}: [{section}] {key} must be a string, "
-                          f"got {value!r}")
+        value = self._fetch(section, key, default)
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(f"{self.origin}: [{section}] {key} must be a "
+                              f"string, got {value!r}")
+        return value
 
 
 def _parse_value(raw: str):
@@ -238,9 +222,10 @@ def readout_params(cfg: Config, n_pulses: int | None = None) -> ReadoutParams:
     """Readout chain parameters from [readout] plus detector noise from
     [detection].
 
-    Flip probabilities come either from explicit flip_bright/flip_dark
+    Flip probabilities come either from both explicit flip_bright/flip_dark
     keys or from (relaxation_constant, flip_asymmetry): a = s/R,
-    b = (1-s)/R, which pins the fitted trace constant to R pulses.
+    b = (1-s)/R, which pins the fitted trace constant to R pulses.  A
+    lone flip key, or flip_asymmetry beside both, is a ConfigError.
     """
     section = "readout"
     if n_pulses is None:
@@ -248,7 +233,11 @@ def readout_params(cfg: Config, n_pulses: int | None = None) -> ReadoutParams:
         n_pulses = cfg.integer(section, "n_pulses")
     flip_bright = cfg.number(section, "flip_bright", None)
     flip_dark = cfg.number(section, "flip_dark", None)
-    if flip_bright is None or flip_dark is None:
+    if (flip_bright is None) != (flip_dark is None) or (
+            flip_bright is not None and "flip_asymmetry" in cfg.sections[section]):
+        raise ConfigError(f"{cfg.origin}: [{section}] flip_bright and flip_dark "
+                          "must be set together and without flip_asymmetry")
+    if flip_bright is None:
         relaxation = relaxation_constant(cfg)
         asymmetry = cfg.bounded(section, "flip_asymmetry", 0.0, 1.0, 0.5,
                                 open_high=False)

@@ -136,23 +136,15 @@ class _Token:
     col: int
 
 
-def _tokenize(text: str, filename: str):
-    tokens = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        for match in re.finditer(r"\S+", line):
-            word, col = match.group(), match.start() + 1
-            # braces may be glued to neighbouring tokens
-            while word:
-                brace = re.match(r"[{}]", word)
-                if brace:
-                    tokens.append(_Token(word[0], line_no, col))
-                    word, col = word[1:], col + 1
-                    continue
-                head = re.match(r"[^{}]+", word).group()
-                tokens.append(_Token(head, line_no, col))
-                word, col = word[len(head):], col + len(head)
-    return tokens
+_TOKEN_RE = re.compile(r"[{}]|[^\s{}]+")
+
+
+def _tokenize(text: str):
+    """A brace, or a maximal run of other non-space characters, per
+    comment-stripped line."""
+    return [_Token(m.group(), line_no, m.start() + 1)
+            for line_no, raw in enumerate(text.splitlines(), start=1)
+            for m in _TOKEN_RE.finditer(raw.split("#", 1)[0])]
 
 
 class _TokenStream:
@@ -177,61 +169,35 @@ class _TokenStream:
     def error(self, tok: _Token, message: str):
         raise ParseError(self.filename, tok.line, tok.col, message)
 
-    def finite(self, tok: _Token, value: float, what: str) -> float:
-        if not math.isfinite(value):
-            self.error(tok, f"{what} must be finite, got {tok.text!r}")
-        return value
-
     def origin(self, tok: _Token) -> str:
         return f"{self.filename}:{tok.line}:{tok.col}"
 
 
-_NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_DURATION_RE = re.compile(rf"^({_NUMBER})(us|ns)$")
-_FREQ_RE = re.compile(rf"^({_NUMBER})(MHz|GHz)$")
-_PHASE_RE = re.compile(rf"^({_NUMBER})(deg|pi)$")
-_AREA_RE = re.compile(rf"^({_NUMBER})pi$")
+_QUANTITY_RE = re.compile(r"([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)(.*)")
 _INT_RE = re.compile(r"^\d+$")
+# unit -> factor to the stored unit
+_DURATION_US = {"us": 1, "ns": 1e-3}
+_FREQUENCY_MHZ = {"MHz": 1, "GHz": 1e3}
+_PHASE_DEG = {"deg": 1, "pi": 180}
+_AREA_PI = {"pi": 1}
 
 
-def _parse_duration(stream, what):
-    tok = stream.next(f"{what} with unit us|ns")
-    m = _DURATION_RE.match(tok.text)
-    if not m:
-        stream.error(tok, f"expected {what} with unit us|ns, got {tok.text!r}")
-    value = stream.finite(tok, float(m.group(1)), what)
-    if value < 0:
+def _quantity(stream, what, units, nonnegative=False, tok=None, wording=None):
+    """A number glued to one of ``units``, converted to the stored unit,
+    where it must be finite.  ``tok`` is the token if already consumed;
+    ``wording`` replaces ``what`` in the "expected" message."""
+    expected = f"{wording or what} with unit {'|'.join(units)}"
+    tok = tok or stream.next(expected)
+    m = _QUANTITY_RE.fullmatch(tok.text)
+    if not m or m.group(2) not in units:
+        stream.error(tok, f"expected {expected}, got {tok.text!r}")
+    number = float(m.group(1))
+    value = number * units[m.group(2)]
+    if not math.isfinite(value):
+        stream.error(tok, f"{what} must be finite, got {tok.text!r}")
+    # the sign as written: "-5e-324ns" converts to -0.0
+    if nonnegative and number < 0:
         stream.error(tok, f"{what} must be >= 0")
-    return value if m.group(2) == "us" else value * 1e-3
-
-
-def _parse_frequency_mhz(stream, what):
-    tok = stream.next(f"{what} with unit MHz|GHz")
-    m = _FREQ_RE.match(tok.text)
-    if not m:
-        stream.error(tok, f"expected {what} with unit MHz|GHz, got {tok.text!r}")
-    value = float(m.group(1))
-    return stream.finite(tok, value if m.group(2) == "MHz" else value * 1e3, what)
-
-
-def _parse_phase_deg(stream):
-    tok = stream.next("phase with unit deg|pi")
-    m = _PHASE_RE.match(tok.text)
-    if not m:
-        stream.error(tok, f"expected phase with unit deg|pi, got {tok.text!r}")
-    value = float(m.group(1))
-    return stream.finite(tok, value if m.group(2) == "deg" else value * 180.0,
-                         "phase")
-
-
-def _parse_area(stream):
-    tok = stream.next("pulse area with unit pi")
-    m = _AREA_RE.match(tok.text)
-    if not m:
-        stream.error(tok, f"expected pulse area with unit pi, got {tok.text!r}")
-    value = stream.finite(tok, float(m.group(1)), "pulse area")
-    if value < 0:
-        stream.error(tok, "pulse area must be >= 0")
     return value
 
 
@@ -249,14 +215,17 @@ def _parse_statements(stream, depth):
         if tok.text == "pulse":
             statements.append(_parse_pulse(stream, origin))
         elif tok.text == "wait":
-            statements.append(Wait(_parse_duration(stream, "wait duration"), origin))
+            statements.append(Wait(_duration(stream, "wait duration"), origin))
         elif tok.text == "detect":
-            statements.append(Detect(_parse_duration(stream, "detection window"),
-                                     origin))
+            statements.append(Detect(_duration(stream, "detection window"), origin))
         elif tok.text == "repeat":
             statements.append(_parse_repeat(stream, depth, origin))
         else:
             stream.error(tok, f"unknown keyword {tok.text!r}")
+
+
+def _duration(stream, what):
+    return _quantity(stream, what, _DURATION_US, nonnegative=True)
 
 
 def _parse_pulse(stream, origin):
@@ -267,22 +236,17 @@ def _parse_pulse(stream, origin):
         if target.text in _TRANSITION_LABELS:
             transition = target.text
         else:
-            m = _FREQ_RE.match(target.text)
-            if not m:
-                stream.error(target, "expected transition label A-D or "
-                                     f"detuning with unit MHz|GHz, got {target.text!r}")
-            offset = stream.finite(
-                target, float(m.group(1)) * (1.0 if m.group(2) == "MHz" else 1e3),
-                "detuning")
-        duration = _parse_duration(stream, "pulse duration")
-        area = _parse_area(stream)
+            offset = _quantity(stream, "detuning", _FREQUENCY_MHZ, tok=target,
+                               wording="transition label A-D or detuning")
+        duration = _duration(stream, "pulse duration")
+        area = _quantity(stream, "pulse area", _AREA_PI, nonnegative=True)
         return OpticalPulse(duration_us=duration, area_pi=area,
                             transition=transition, offset_mhz=offset,
                             origin=origin)
     if kind.text == "mw":
-        frequency = _parse_frequency_mhz(stream, "drive frequency")
-        duration = _parse_duration(stream, "pulse duration")
-        phase = _parse_phase_deg(stream)
+        frequency = _quantity(stream, "drive frequency", _FREQUENCY_MHZ)
+        duration = _duration(stream, "pulse duration")
+        phase = _quantity(stream, "phase", _PHASE_DEG)
         return MwPulse(frequency_mhz=frequency, duration_us=duration,
                        phase_deg=phase, origin=origin)
     stream.error(kind, f"expected channel optical|mw, got {kind.text!r}")
@@ -307,7 +271,7 @@ def _parse_repeat(stream, depth, origin):
 
 def parse_sequence(text: str, filename: str = "<sequence>") -> SequenceProgram:
     """Parse DSL text; raises ParseError pointing at file:line:col."""
-    stream = _TokenStream(_tokenize(text, filename), filename)
+    stream = _TokenStream(_tokenize(text), filename)
     # depth counts enclosing repeat blocks: top level is 0, so up to
     # MAX_NESTING nested repeats are accepted
     statements = _parse_statements(stream, depth=0)

@@ -7,11 +7,14 @@ package internals they verify.
 from __future__ import annotations
 
 import math
+import re
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from spinshot.sequence import Detect, MwPulse, OpticalPulse, Repeat, Wait
+from spinshot.sequence import (Detect, MwPulse, OpticalPulse, ParseError,
+                               Repeat, Wait)
 
 BRIGHT, DARK = 0, 1
 
@@ -390,3 +393,130 @@ def duration_report_by_walkers(program, max_rate, overhead_us):
             blocks.append((block_total, block_total))
         total_us += block_total
     return total_us * 1e-3, blocks
+
+
+# The sequence DSL's character-walking tokenizer and its per-kind quantity
+# readers before they became one regex and one unit-table reader, kept
+# verbatim.  The optical target's detuning, parsed inline in _parse_pulse,
+# is wrapped as _parse_optical_target.
+
+_TRANSITION_LABELS = ("A", "B", "C", "D")
+
+
+@dataclass(frozen=True)
+class _Token:
+    text: str
+    line: int
+    col: int
+
+
+def _tokenize(text: str, filename: str):
+    tokens = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        for match in re.finditer(r"\S+", line):
+            word, col = match.group(), match.start() + 1
+            # braces may be glued to neighbouring tokens
+            while word:
+                brace = re.match(r"[{}]", word)
+                if brace:
+                    tokens.append(_Token(word[0], line_no, col))
+                    word, col = word[1:], col + 1
+                    continue
+                head = re.match(r"[^{}]+", word).group()
+                tokens.append(_Token(head, line_no, col))
+                word, col = word[len(head):], col + len(head)
+    return tokens
+
+
+class _TokenStream:
+    def __init__(self, tokens, filename):
+        self.tokens = tokens
+        self.filename = filename
+        self.pos = 0
+        self.last = tokens[-1] if tokens else _Token("", 1, 1)
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self, expected: str):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError(self.filename, self.last.line,
+                             self.last.col + len(self.last.text),
+                             f"unexpected end of input, expected {expected}")
+        self.pos += 1
+        return tok
+
+    def error(self, tok: _Token, message: str):
+        raise ParseError(self.filename, tok.line, tok.col, message)
+
+    def finite(self, tok: _Token, value: float, what: str) -> float:
+        if not math.isfinite(value):
+            self.error(tok, f"{what} must be finite, got {tok.text!r}")
+        return value
+
+
+_NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_DURATION_RE = re.compile(rf"^({_NUMBER})(us|ns)$")
+_FREQ_RE = re.compile(rf"^({_NUMBER})(MHz|GHz)$")
+_PHASE_RE = re.compile(rf"^({_NUMBER})(deg|pi)$")
+_AREA_RE = re.compile(rf"^({_NUMBER})pi$")
+
+
+def _parse_duration(stream, what):
+    tok = stream.next(f"{what} with unit us|ns")
+    m = _DURATION_RE.match(tok.text)
+    if not m:
+        stream.error(tok, f"expected {what} with unit us|ns, got {tok.text!r}")
+    value = stream.finite(tok, float(m.group(1)), what)
+    if value < 0:
+        stream.error(tok, f"{what} must be >= 0")
+    return value if m.group(2) == "us" else value * 1e-3
+
+
+def _parse_frequency_mhz(stream, what):
+    tok = stream.next(f"{what} with unit MHz|GHz")
+    m = _FREQ_RE.match(tok.text)
+    if not m:
+        stream.error(tok, f"expected {what} with unit MHz|GHz, got {tok.text!r}")
+    value = float(m.group(1))
+    return stream.finite(tok, value if m.group(2) == "MHz" else value * 1e3, what)
+
+
+def _parse_phase_deg(stream):
+    tok = stream.next("phase with unit deg|pi")
+    m = _PHASE_RE.match(tok.text)
+    if not m:
+        stream.error(tok, f"expected phase with unit deg|pi, got {tok.text!r}")
+    value = float(m.group(1))
+    return stream.finite(tok, value if m.group(2) == "deg" else value * 180.0,
+                         "phase")
+
+
+def _parse_area(stream):
+    tok = stream.next("pulse area with unit pi")
+    m = _AREA_RE.match(tok.text)
+    if not m:
+        stream.error(tok, f"expected pulse area with unit pi, got {tok.text!r}")
+    value = stream.finite(tok, float(m.group(1)), "pulse area")
+    if value < 0:
+        stream.error(tok, "pulse area must be >= 0")
+    return value
+
+
+def _parse_optical_target(stream):
+    """(transition, offset_mhz) of a ``pulse optical`` statement."""
+    target = stream.next("transition label A-D or detuning with unit")
+    transition = offset = None
+    if target.text in _TRANSITION_LABELS:
+        transition = target.text
+    else:
+        m = _FREQ_RE.match(target.text)
+        if not m:
+            stream.error(target, "expected transition label A-D or "
+                                 f"detuning with unit MHz|GHz, got {target.text!r}")
+        offset = stream.finite(
+            target, float(m.group(1)) * (1.0 if m.group(2) == "MHz" else 1e3),
+            "detuning")
+    return transition, offset

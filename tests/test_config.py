@@ -69,6 +69,35 @@ class TestParser:
             cfg.integer("a", "n")
 
 
+    # accessor, default, key holding a value of another type, message
+    @pytest.mark.parametrize("accessor,default,wrong_key,wrong", [
+        ("number", 7.5, "word", "must be a number, got 'text'"),
+        ("integer", 3, "num", "must be an integer, got 2.5"),
+        ("numbers", (1.0, 2.0), "word", "must be a number list, got 'text'"),
+        ("string", "(100)", "num", "must be a string, got 2.5"),
+    ])
+    @pytest.mark.parametrize("case", ["section absent", "key absent",
+                                      "wrong type"])
+    @pytest.mark.parametrize("with_default", [False, True])
+    def test_accessor_fallbacks(self, accessor, default, wrong_key, wrong, case,
+                                with_default):
+        cfg = parse_config("[a]\nnum = 2.5\nword = text\n", origin="o.cfg")
+        section, key, error = {
+            "section absent": ("b", "num", "o.cfg: missing section [b]"),
+            "key absent": ("a", "other", "o.cfg: missing key 'other' in [a]"),
+            "wrong type": ("a", wrong_key, f"o.cfg: [a] {wrong_key} {wrong}"),
+        }[case]
+        read = getattr(cfg, accessor)
+        if with_default and case != "wrong type":
+            value = read(section, key, default)
+            assert value == default and type(value) is type(default)
+            assert read(section, key, None) is None
+            return
+        with pytest.raises(ConfigError) as exc:
+            read(section, key, *((default,) if with_default else ()))
+        assert str(exc.value) == error
+
+
 class TestResolution:
     def test_packaged_preset(self):
         path = resolve_config_path("paper.cfg")
@@ -122,6 +151,22 @@ class TestBuilders:
         params = readout_params(load_config(str(p)))
         assert params.flip_bright == 0.01
         assert params.flip_dark == 0.002
+
+    @pytest.mark.parametrize("keys", [
+        "flip_bright = 0.02", "flip_dark = 0.02",
+        "flip_bright = 0.02\nflip_dark = 0.01",   # beside flip_asymmetry
+    ])
+    def test_lone_flip_key_or_one_beside_asymmetry_fails(self, keys, tmp_path, capsys):
+        with open(resolve_config_path("paper.cfg"), encoding="utf-8") as fh:
+            text = fh.read().replace("[readout]\n", f"[readout]\n{keys}\n")
+        path = tmp_path / "flips.cfg"
+        path.write_text(text)
+        code = cli.main(["readout-optimize", "--config", str(path),
+                         "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: [readout] flip_bright and flip_dark must be set "
+            "together and without flip_asymmetry\n")
 
     def test_invalid_values_become_config_errors(self, tmp_path):
         p = tmp_path / "bad.cfg"

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import duration_report_by_walkers, event_count_by_walkers
 from spinshot.montecarlo import BathParams, run_timeline
 from spinshot.readout import ReadoutParams
 from spinshot.sequence import (BYTES_PER_EVENT, MAX_EVENTS, CompileError,
                                Detect, MwPulse, OpticalPulse, ParseError, Repeat,
                                SequenceProgram, TimelineCapacityError, Wait,
-                               _measure, compile_sequence, duration_report,
-                               format_sequence, parse_sequence)
+                               _measure, _tokenize, compile_sequence,
+                               duration_report, format_sequence, parse_sequence)
 
 READOUT_TEXT = ("repeat 500 { pulse optical A 0.02us 0.5pi\n"
                 " wait 6.88us\n detect 3us }")
@@ -108,6 +109,96 @@ class TestParse:
         assert (wait.origin, repeat.origin) == ("x.seq:1:1", "x.seq:2:1")
         assert repeat.block[0].origin == "x.seq:3:3"
         assert prog == SequenceProgram((Wait(1.0), Repeat(2, (Detect(3.0),))))
+
+
+# quantity tokens: numbers of every form and scale, glued to a unit, a
+# near-unit or nothing, plus free soups of the characters they use
+_numbers = st.builds(
+    "{}{}{}{}".format, st.sampled_from(["", "+", "-"]),
+    st.sampled_from(["0", "3", "0.0", "2.", ".5", "17.25", "1234567", "٣"]),
+    st.sampled_from(["", "e0", "e-3", "E+5", "e306", "e307", "e308", "e999",
+                     "e-320", "e-324", "e-400", "e", "e+"]),
+    st.sampled_from(["us", "ns", "MHz", "GHz", "deg", "pi", "", "x", "usx",
+                     "Us", "mhz", "pipi", "nss", "e"]))
+_quantity_tokens = st.one_of(
+    _numbers, st.text("0123456789.+-eEusnMHzGdgpiAD٣", min_size=1, max_size=10))
+_EDGE_TOKENS = ["-0.0ns", "1e-400us", "1e999us", "1e306GHz", "1e306pi", "3usx",
+                "3", "A", "D", "E", "-5e-324ns", "-1e999ns", "1e-320ns"]
+
+# (template with one slot, statement field(s) the slot sets, tokens before
+# the slot, parent reader)
+_SLOTS = {
+    "wait": ("wait {}", ("duration_us",), 1,
+             lambda s: oracles._parse_duration(s, "wait duration")),
+    "detect": ("detect {}", ("window_us",), 1,
+               lambda s: oracles._parse_duration(s, "detection window")),
+    "pulse duration": ("pulse mw 1MHz {} 0deg", ("duration_us",), 3,
+                       lambda s: oracles._parse_duration(s, "pulse duration")),
+    "frequency": ("pulse mw {} 1us 0deg", ("frequency_mhz",), 2,
+                  lambda s: oracles._parse_frequency_mhz(s, "drive frequency")),
+    "phase": ("pulse mw 1MHz 1us {}", ("phase_deg",), 4,
+              oracles._parse_phase_deg),
+    "area": ("pulse optical A 1us {}", ("area_pi",), 4, oracles._parse_area),
+    "optical target": ("pulse optical {} 1us 1pi", ("transition", "offset_mhz"),
+                       2, oracles._parse_optical_target),
+}
+
+
+def _bits(value):
+    return value.hex() if isinstance(value, float) else value
+
+
+class TestReadersMatchParent:
+    """The one-regex lexer and the unit-table quantity reader give the
+    parent's tokens, values (bit for bit) and ParseError messages."""
+
+    @given(text=st.text(" \t\n\r\x0b\x0c\x85\u2028{}#ab1.u", max_size=40))
+    @settings(max_examples=400)
+    def test_tokens(self, text):
+        old = [(t.text, t.line, t.col) for t in oracles._tokenize(text, "f")]
+        assert [(t.text, t.line, t.col) for t in _tokenize(text)] == old
+
+    @pytest.mark.parametrize("text", [
+        "repeat 2{wait 1us}", "}{{x}}y{", "\twait\t3us # c {\n\t}",
+        "a#b{\n#\n{#}", "x\r\ny\x0bz\u2028{"])
+    def test_tokens_glued_braces_tabs_comments(self, text):
+        old = [(t.text, t.line, t.col) for t in oracles._tokenize(text, "f")]
+        assert [(t.text, t.line, t.col) for t in _tokenize(text)] == old
+
+    @staticmethod
+    def _old(template, skip, reader, token):
+        text = template.format(token)
+        stream = oracles._TokenStream(oracles._tokenize(text, "f.seq"), "f.seq")
+        stream.pos = skip
+        try:
+            result = reader(stream)
+        except ParseError as exc:
+            return str(exc)
+        return tuple(map(_bits, result if isinstance(result, tuple) else (result,)))
+
+    @staticmethod
+    def _new(template, fields, token):
+        try:
+            (stmt,) = parse_sequence(template.format(token), "f.seq").statements
+        except ParseError as exc:
+            return str(exc)
+        return tuple(_bits(getattr(stmt, name)) for name in fields)
+
+    @pytest.mark.parametrize("kind", sorted(_SLOTS))
+    @given(token=_quantity_tokens)
+    @settings(max_examples=300)
+    def test_quantities(self, kind, token):
+        template, fields, skip, reader = _SLOTS[kind]
+        assert (self._new(template, fields, token)
+                == self._old(template, skip, reader, token))
+
+    @pytest.mark.parametrize("kind", sorted(_SLOTS))
+    def test_quantity_edge_cases(self, kind):
+        template, fields, skip, reader = _SLOTS[kind]
+        # an empty last slot ends the input
+        for token in _EDGE_TOKENS + [""] * template.endswith("{}"):
+            assert (self._new(template, fields, token)
+                    == self._old(template, skip, reader, token)), token
 
 
 # strategies for random programs (idempotence property)
