@@ -316,12 +316,7 @@ def _cmd_area_sweep(args, out: OutputDir) -> str:
     if negative.size:
         raise UsageError(f"--flip-slope {slope:g} gives a(area) = {a0:.6g} + "
                          f"{slope:g}*area < 0 at area {areas[negative[0]]:g}")
-
-    def flip_bright_model(area):
-        return min(a0 + slope * area, 1.0)
-
-    scan = pulse_area_scan(areas, flip_bright_model, lambda area: b0,
-                           params,
+    scan = pulse_area_scan(areas, params, slope,
                            shots=args.shots if args.shots is not None else 20000,
                            seed=args.seed)
     scan.to_csv(out.record("area_sweep.csv"))
@@ -362,12 +357,7 @@ def _cmd_calibrate(args, out: OutputDir) -> str:
     if target is None:
         target = cfg.bounded("readout", "target_fidelity", 0.0, 1.0,
                              open_low=True)
-    cal = calibrate_flip_asymmetry(
-        relaxation_constant=relaxation, target_f=target,
-        n_pulses=params.n_pulses, threshold=args.threshold,
-        p_excite=params.p_excite, eta_detect=params.eta_detect,
-        dark_rate=params.dark_rate, gate_window=params.gate_window,
-        pulse_period=params.pulse_period)
+    cal = calibrate_flip_asymmetry(params, relaxation, target, args.threshold)
     write_csv(out.record("calibration.csv"), "a,b,asymmetry,achieved_f,f_max",
               [cal.a], [cal.b], [cal.asymmetry], [cal.achieved_f], [cal.f_max])
     return (

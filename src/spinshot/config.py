@@ -17,7 +17,8 @@ from importlib import resources
 from .estimators import gaussian_fwhm_to_sigma
 from .montecarlo import BathParams
 from .physics import CavityConfig, EmitterConfig, ZeemanConfig
-from .readout import CAPACITY_PULSES, CapacityError, ReadoutParams
+from .readout import (CAPACITY_PULSES, CapacityError, ReadoutParams,
+                      flip_probabilities)
 
 __all__ = [
     "ConfigError",
@@ -223,9 +224,10 @@ def readout_params(cfg: Config, n_pulses: int | None = None) -> ReadoutParams:
     [detection].
 
     Flip probabilities come either from both explicit flip_bright/flip_dark
-    keys or from (relaxation_constant, flip_asymmetry): a = s/R,
-    b = (1-s)/R, which pins the fitted trace constant to R pulses.  A
-    lone flip key, or flip_asymmetry beside both, is a ConfigError.
+    keys or from (relaxation_constant, flip_asymmetry) by
+    :func:`readout.flip_probabilities`, which pins the chain's relaxation
+    constant to R pulses.  A lone flip key, or flip_asymmetry beside
+    both, is a ConfigError.
     """
     section = "readout"
     if n_pulses is None:
@@ -238,11 +240,9 @@ def readout_params(cfg: Config, n_pulses: int | None = None) -> ReadoutParams:
         raise ConfigError(f"{cfg.origin}: [{section}] flip_bright and flip_dark "
                           "must be set together and without flip_asymmetry")
     if flip_bright is None:
-        relaxation = relaxation_constant(cfg)
-        asymmetry = cfg.bounded(section, "flip_asymmetry", 0.0, 1.0, 0.5,
-                                open_high=False)
-        flip_bright = asymmetry / relaxation
-        flip_dark = (1.0 - asymmetry) / relaxation
+        flip_bright, flip_dark = flip_probabilities(
+            relaxation_constant(cfg),
+            cfg.bounded(section, "flip_asymmetry", 0.0, 1.0, 0.5, open_high=False))
     fields = dict(
         n_pulses=n_pulses,
         p_excite=cfg.number(section, "p_excite"),

@@ -89,7 +89,7 @@ class _ModelSpec:
     names: tuple
     positive: frozenset
     predict: object        # predict(x, params_vector) -> y
-    starts: object         # starts(x, y) -> list of start vectors
+    starts: object         # starts(x, y) -> start vectors, one per row
 
 
 def _predict_exp_decay(x, p):
@@ -133,17 +133,21 @@ def _decay_tau_guess(x, y, offset):
     return _span(x) / 3.0
 
 
+def _spread(base, index, factor):
+    """Three starts: ``base``, then ``base`` with its entries at ``index``
+    multiplied and divided by ``factor``."""
+    starts = np.array([base, base, base], dtype=float)
+    starts[1, index] *= factor
+    starts[2, index] /= factor
+    return starts
+
+
 def _starts_exp_decay(x, y):
     offset = float(np.min(y)) if y[0] >= y[-1] else float(np.max(y))
     amplitude = float(y[0] - offset)
     if amplitude == 0.0:
         amplitude = float(np.ptp(y)) or 1.0
-    tau = _decay_tau_guess(x, y, offset)
-    return [
-        np.array([amplitude, tau, offset]),
-        np.array([amplitude, tau * 3.0, offset]),
-        np.array([amplitude, tau / 3.0, offset]),
-    ]
+    return _spread([amplitude, _decay_tau_guess(x, y, offset), offset], 1, 3.0)
 
 
 def _starts_exp_relax(x, y):
@@ -151,23 +155,13 @@ def _starts_exp_relax(x, y):
     amplitude = float(y[-1] - y[0])
     if amplitude == 0.0:
         amplitude = float(np.ptp(y)) or 1.0
-    tau = _span(x) / 3.0
-    return [
-        np.array([amplitude, tau, offset]),
-        np.array([amplitude, tau * 3.0, offset]),
-        np.array([amplitude, tau / 3.0, offset]),
-    ]
+    return _spread([amplitude, _span(x) / 3.0, offset], 1, 3.0)
 
 
 def _starts_gaussian_echo(x, y):
     offset = float(np.min(y))
     amplitude = float(y[0] - offset) or float(np.ptp(y)) or 1.0
-    t2 = _decay_tau_guess(x, y, offset)
-    return [
-        np.array([amplitude, t2, offset]),
-        np.array([amplitude, t2 * 2.0, offset]),
-        np.array([amplitude, t2 / 2.0, offset]),
-    ]
+    return _spread([amplitude, _decay_tau_guess(x, y, offset), offset], 1, 2.0)
 
 
 def _fft_frequency_guess(x, y):
@@ -196,13 +190,7 @@ def _starts_lorentzian(x, y):
     offset = float(np.median(y))
     idx = int(np.argmax(np.abs(y - offset)))
     amplitude = float(y[idx] - offset) or 1.0
-    center = float(x[idx])
-    width = _span(x) / 10.0
-    return [
-        np.array([amplitude, center, width, offset]),
-        np.array([amplitude, center, width * 3.0, offset]),
-        np.array([amplitude, center, width / 3.0, offset]),
-    ]
+    return _spread([amplitude, float(x[idx]), _span(x) / 10.0, offset], 2, 3.0)
 
 
 _MODELS = {
@@ -235,11 +223,12 @@ def _gaussian_sum_spec(k: int) -> _ModelSpec:
     positive = frozenset(n for n in names if n.startswith("sigma_"))
 
     def predict(x, p):
-        y = np.full_like(np.asarray(x, dtype=float), p[-1])
-        for i in range(k):
-            a, mu, sig = p[3 * i], p[3 * i + 1], p[3 * i + 2]
-            y = y + a * np.exp(-0.5 * ((x - mu) / sig) ** 2)
-        return y
+        # a sum over axis 0 adds whole rows in order: offset, then each
+        # component, with the bits of a loop over the components
+        x = np.asarray(x, dtype=float)
+        amplitude, center, sigma = np.reshape(p[:-1], (k, 3)).T[:, :, None]
+        terms = amplitude * np.exp(-0.5 * ((x - center) / sigma) ** 2)
+        return np.vstack((np.full_like(x, p[-1]), terms)).sum(axis=0)
 
     def starts(x, y):
         offset = float(np.min(y))
@@ -260,13 +249,7 @@ def _gaussian_sum_spec(k: int) -> _ModelSpec:
         for c in centers:
             amp = float(np.interp(c, x, dev)) or float(np.max(dev)) or 1.0
             base += [amp, c, sigma]
-        base.append(offset)
-        base = np.array(base)
-        wide = base.copy()
-        wide[2::3] *= 2.0
-        narrow = base.copy()
-        narrow[2::3] *= 0.5
-        return [base, wide, narrow]
+        return _spread(base + [offset], slice(2, None, 3), 2.0)
 
     return _ModelSpec(tuple(names), positive, predict, starts)
 
@@ -290,6 +273,7 @@ def model_param_names(kind: str, n_components=None) -> tuple:
 
 _FD_REL = 1e-6
 _FD_ABS = 1e-9
+_MAX_ITER = 200         # LM iterations per start
 
 
 def _to_internal(p, pos_mask):
@@ -315,7 +299,7 @@ def _jacobian(resid, theta, r0):
     return jac
 
 
-def _lm_minimize(resid, theta0, max_iter=200):
+def _lm_minimize(resid, theta0):
     """Damped Gauss-Newton descent; returns (theta, cost, jac, converged, iters)."""
     theta = np.asarray(theta0, dtype=float)
     r = resid(theta)
@@ -324,7 +308,7 @@ def _lm_minimize(resid, theta0, max_iter=200):
     jac = _jacobian(resid, theta, r)
     converged = False
     iters = 0
-    for iters in range(1, max_iter + 1):
+    for iters in range(1, _MAX_ITER + 1):
         grad = jac.T @ r
         if np.max(np.abs(grad)) <= 1e-12 * (1.0 + cost):
             converged = True
@@ -338,8 +322,7 @@ def _lm_minimize(resid, theta0, max_iter=200):
             except np.linalg.LinAlgError:
                 step = np.linalg.lstsq(hess + lam * diag, -grad, rcond=None)[0]
             trial = theta + step
-            with np.errstate(over="ignore", invalid="ignore"):
-                r_trial = resid(trial)
+            r_trial = resid(trial)
             cost_trial = float(r_trial @ r_trial) if np.all(np.isfinite(r_trial)) else np.inf
             if cost_trial < cost:
                 rel_drop = (cost - cost_trial) / (1.0 + cost)
@@ -384,15 +367,17 @@ def _identifiable(names, p, x) -> bool:
     return True
 
 
-def fit_model(kind, x, y, sigma=None, initial=None, n_components=None,
-              max_iter=200) -> FitResult:
+def fit_model(kind, x, y, sigma=None, initial=None,
+              n_components=None) -> FitResult:
     """Least-squares fit of a named model to an (x, y[, sigma]) series.
 
-    ``initial`` may be None (deterministic data-driven multi-start), a
-    single parameter vector, or a list of vectors, all in the external
-    parameterization and the order given by :func:`model_param_names`.
-    Raises :class:`FitError` with per-start diagnostics when no start
-    converges.
+    ``initial`` is None (deterministic data-driven multi-start), or one
+    start or a list (or 2-d array) of starts, each a parameter vector in
+    the external parameterization and the order given by
+    :func:`model_param_names`; a start of the wrong length, or a ragged
+    list, is a ValueError.  Each start runs at most _MAX_ITER LM
+    iterations.  Raises :class:`FitError` with per-start diagnostics
+    when no start converges.
     """
     spec = _resolve_spec(kind, n_components)
     x = np.asarray(x, dtype=float)
@@ -414,46 +399,42 @@ def fit_model(kind, x, y, sigma=None, initial=None, n_components=None,
     pos_mask = np.array([name in spec.positive for name in spec.names])
 
     def residuals(theta):
-        # overflowing trial steps yield infinite cost and get rejected;
-        # keep that path silent
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return _residuals_ext(_to_external(theta, pos_mask))
-
-    def _residuals_ext(p):
-        r = spec.predict(x, p) - y
+        r = spec.predict(x, _to_external(theta, pos_mask)) - y
         return r * weights if weights is not None else r
 
-    if initial is None:
-        starts = spec.starts(x, y)
-    elif isinstance(initial, (list, tuple)) and np.ndim(initial[0]) == 1:
-        starts = [np.asarray(s, dtype=float) for s in initial]
-    else:
-        starts = [np.asarray(initial, dtype=float)]
+    try:
+        starts = np.atleast_2d(np.asarray(
+            spec.starts(x, y) if initial is None else initial, dtype=float))
+    except (TypeError, ValueError):
+        starts = None
+    if starts is None or starts.ndim != 2 or starts.shape[1] != n_par:
+        raise ValueError(f"initial for model {kind!r} must be one start or a list "
+                         f"of starts of {n_par} parameters {spec.names}")
 
     best = None
     diagnostics = []
-    for i, start in enumerate(starts):
-        p0 = np.array(start, dtype=float)
-        if np.any(p0[pos_mask] <= 0):
-            diagnostics.append((i, "start violates positivity", np.inf))
-            continue
-        theta, cost, jac, converged, iters = _lm_minimize(
-            residuals, _to_internal(p0, pos_mask), max_iter=max_iter)
-        if converged:
-            # a log parameter can converge beyond exp's range
-            with np.errstate(over="ignore"):
+    # overflowing trial steps yield infinite cost and get rejected, and a
+    # log parameter can converge beyond exp's range; keep both silent
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for i, p0 in enumerate(starts):
+            if np.any(p0[pos_mask] <= 0):
+                diagnostics.append((i, "start violates positivity", np.inf))
+                continue
+            theta, cost, jac, converged, iters = _lm_minimize(
+                residuals, _to_internal(p0, pos_mask))
+            if converged:
                 p_end = _to_external(theta, pos_mask)
-            if not np.all(np.isfinite(p_end)):
-                converged, status = False, "non-finite parameters"
-            elif not _identifiable(spec.names, p_end, x):
-                converged, status = False, "unidentifiable"
+                if not np.all(np.isfinite(p_end)):
+                    converged, status = False, "non-finite parameters"
+                elif not _identifiable(spec.names, p_end, x):
+                    converged, status = False, "unidentifiable"
+                else:
+                    status = "converged"
             else:
-                status = "converged"
-        else:
-            status = "not converged"
-        diagnostics.append((i, status, cost))
-        if converged and (best is None or cost < best[1]):
-            best = (theta, cost, jac, iters)
+                status = "not converged"
+            diagnostics.append((i, status, cost))
+            if converged and (best is None or cost < best[1]):
+                best = (theta, cost, jac, iters)
     if best is None:
         raise FitError(
             f"no start converged for model {kind!r} ("

@@ -318,8 +318,9 @@ def _bernoulli_stats(rng, p, shots):
     return m, math.sqrt(max(m * (1.0 - m), 0.0) / shots)
 
 
-def _pi_time_us(rabi_khz: float) -> float:
-    return 500.0 / rabi_khz
+def _spins_up(shots):
+    """``shots`` Bloch vectors along +z, the spin before any MW pulse."""
+    return np.tile([0.0, 0.0, 1.0], (shots, 1))
 
 
 def run_protocol(protocol: str, sweep, bath: BathParams, shots: int = 1000,
@@ -343,11 +344,14 @@ def run_protocol(protocol: str, sweep, bath: BathParams, shots: int = 1000,
         raise ValueError(f"unknown protocol {protocol!r}; choose from {PROTOCOLS}")
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    if not mw_rabi_khz > 0.0:
+        raise ValueError(f"mw_rabi_khz must be > 0, got {mw_rabi_khz}")
     x = np.asarray(sweep, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("sweep grid must be a non-empty 1-d array")
     mean = np.empty_like(x)
     stderr = np.empty_like(x)
+    pi_time = 500.0 / mw_rabi_khz           # us
 
     for i, value in enumerate(x):
         rng = _stream(seed, i)
@@ -358,8 +362,7 @@ def run_protocol(protocol: str, sweep, bath: BathParams, shots: int = 1000,
         elif protocol == "odmr":
             offsets = _sample_mixture(rng, bath, shots)
             detuning = (value - offsets) * 1e3
-            spins = np.tile([0.0, 0.0, 1.0], (shots, 1))
-            spins = _rotate(spins, mw_rabi_khz, detuning, _pi_time_us(mw_rabi_khz))
+            spins = _rotate(_spins_up(shots), mw_rabi_khz, detuning, pi_time)
             p_flip = 0.5 * (1.0 - spins[:, 2])
             mean[i], stderr[i] = _bernoulli_stats(rng, p_flip, shots)
         elif protocol == "rabi":
@@ -368,8 +371,7 @@ def run_protocol(protocol: str, sweep, bath: BathParams, shots: int = 1000,
             if drive_jitter > 0.0:
                 omega = np.clip(omega * (1.0 + drive_jitter *
                                          rng.normal(0.0, 1.0, shots)), 0.0, None)
-            spins = np.tile([0.0, 0.0, 1.0], (shots, 1))
-            spins = _rotate(spins, omega, detuning, value)
+            spins = _rotate(_spins_up(shots), omega, detuning, value)
             p_flip = 0.5 * (1.0 - spins[:, 2])
             mean[i], stderr[i] = _bernoulli_stats(rng, p_flip, shots)
         else:  # echo
@@ -378,16 +380,14 @@ def run_protocol(protocol: str, sweep, bath: BathParams, shots: int = 1000,
                 damping = math.exp(-((value / bath.t2_echo) ** bath.echo_exponent))
             results = []
             for phase in (math.pi, 0.0):   # first pi/2 about -x, then +x
-                spins = np.tile([0.0, 0.0, 1.0], (shots, 1))
-                spins = _rotate(spins, mw_rabi_khz, 0.0,
-                                0.5 * _pi_time_us(mw_rabi_khz), phase)
+                spins = _rotate(_spins_up(shots), mw_rabi_khz, 0.0, 0.5 * pi_time,
+                                phase)
                 spins = _free_precession(spins, offsets_khz, 0.5 * value)
-                spins = _rotate(spins, mw_rabi_khz, 0.0, _pi_time_us(mw_rabi_khz))
+                spins = _rotate(spins, mw_rabi_khz, 0.0, pi_time)
                 spins = _free_precession(spins, offsets_khz, 0.5 * value)
                 spins[:, 0] *= damping
                 spins[:, 1] *= damping
-                spins = _rotate(spins, mw_rabi_khz, 0.0,
-                                0.5 * _pi_time_us(mw_rabi_khz))
+                spins = _rotate(spins, mw_rabi_khz, 0.0, 0.5 * pi_time)
                 p_dark = 0.5 * (1.0 - spins[:, 2])
                 hits = rng.random(shots) < p_dark
                 m = float(hits.mean())
@@ -454,25 +454,24 @@ def _decay_pulses(transitions):
     return n0, n0 * n0 / (1.0 - a - b) * math.sqrt(variance)
 
 
-def pulse_area_scan(areas, flip_bright_model, flip_dark_model,
-                    params: ReadoutParams, shots: int = 20000,
-                    seed: int = 0) -> AreaScanResult:
+def pulse_area_scan(areas, params: ReadoutParams, flip_slope: float = 0.0,
+                    shots: int = 20000, seed: int = 0) -> AreaScanResult:
     """Cyclicity and fidelity vs excitation pulse area.
 
     For each area: excitation probability sin^2(area*pi/2), per-pulse
-    flip probabilities from the two model callables, a Monte Carlo run
-    whose transition counts give N0 in closed form (see
-    :func:`_decay_pulses`), cyclicity p*N0 (NaN when p = 0 or N0 is),
-    and the exact best-threshold fidelity at the same pulse count.
+    flip probabilities a(area) = min(a + flip_slope*area, 1) and
+    b = params.flip_dark, a Monte Carlo run whose transition counts
+    give N0 in closed form (see :func:`_decay_pulses`), cyclicity p*N0
+    (NaN when p = 0 or N0 is), and the exact best-threshold fidelity at
+    the same pulse count.
     """
     areas = np.asarray(areas, dtype=float)
     out = {k: np.empty(areas.size) for k in
            ("p", "n0", "se", "zeta", "f", "t")}
     for i, area in enumerate(areas):
         p = excitation_probability(area)
-        point = replace(params, p_excite=p,
-                        flip_bright=float(flip_bright_model(area)),
-                        flip_dark=float(flip_dark_model(area)))
+        point = replace(params, p_excite=p, flip_bright=float(
+            min(params.flip_bright + flip_slope * area, 1.0)))
         sim = simulate_readout_shots(point, "bright", shots, seed,
                                      collect_records=False, _key=(i,))
         n0, out["se"][i] = _decay_pulses(sim.transitions)

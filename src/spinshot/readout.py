@@ -29,6 +29,7 @@ from .estimators import (FitError, FitResult, NumericalError, fit_model,
 __all__ = [
     "CAPACITY_PULSES",
     "CAPACITY_DARK_MEAN",
+    "CALIBRATION_TOL",
     "CapacityError",
     "CalibrationError",
     "ReadoutParams",
@@ -46,6 +47,7 @@ __all__ = [
     "readout_report",
     "optimize_readout",
     "calibrate_flip_asymmetry",
+    "flip_probabilities",
     "dark_count_penalty",
     "format_fidelity_report",
 ]
@@ -55,6 +57,8 @@ CAPACITY_PULSES = 10_000
 # about mu + 8 sqrt(mu) counts, 1.008e6 here, on every distribution's
 # count axis
 CAPACITY_DARK_MEAN = 1e6
+# largest |achieved - target| fidelity that calibrate_flip_asymmetry accepts
+CALIBRATION_TOL = 1e-4
 _STATES = ("bright", "dark")
 _POISSON_TAIL = 1e-13
 _SUPPORT_STEP = 16      # pulses between checks of the DP's top counts
@@ -144,10 +148,6 @@ class CountDistribution:
         if abs(float(p.sum()) - 1.0) > 1e-12:
             raise ValueError("count probabilities must sum to 1 within 1e-12")
 
-    @property
-    def max_count(self) -> int:
-        return len(self.probabilities) - 1
-
     def mean(self) -> float:
         return float(np.arange(len(self.probabilities)) @ self.probabilities)
 
@@ -180,11 +180,6 @@ class FidelityReport:
         expected = min(self.f_bright, self.f_dark)
         if abs(self.f_min - expected) > 1e-12:
             raise ValueError("f_min must equal min(f_bright, f_dark)")
-
-    def to_csv(self, path):
-        write_csv(path, "n,threshold,f_bright,f_dark,f_min",
-                  [self.n_pulses], [self.threshold], [self.f_bright],
-                  [self.f_dark], [self.f_min])
 
 
 # ---------------------------------------------------------------------------
@@ -611,15 +606,21 @@ def _increasing_roots(evaluate, grid, values, coeffs, eps):
     return lo, hi
 
 
-def calibrate_flip_asymmetry(relaxation_constant: float, target_f: float,
-                             n_pulses: int, threshold: int,
-                             p_excite: float, eta_detect: float,
-                             dark_rate: float = 0.0, gate_window: float = 3.0,
-                             pulse_period: float = 10.0,
-                             tol: float = 1e-4) -> FlipCalibration:
+def flip_probabilities(relaxation_constant, asymmetry):
+    """Per-pulse flip probabilities (a, b) = (s/R, (1-s)/R) at flip
+    asymmetry s = a/(a+b) and relaxation constant R = 1/(a+b) pulses;
+    s may be an array."""
+    return asymmetry / relaxation_constant, (1.0 - asymmetry) / relaxation_constant
+
+
+def calibrate_flip_asymmetry(params: ReadoutParams, relaxation_constant: float,
+                             target_f: float, threshold: int) -> FlipCalibration:
     """Invert the DP model for the flip asymmetry at fixed relaxation.
 
-    With a = s/R and b = (1-s)/R (R = relaxation_constant, so a + b is
+    The DP runs at ``params``' pulse count, detection probability and
+    dark-count mean; its flip_bright and flip_dark are ignored, since
+    the search sets them.  With a = s/R and b = (1-s)/R
+    (:func:`flip_probabilities`, R = relaxation_constant, so a + b is
     pinned to 1/R), the bright arm F_bright falls with s and the dark
     arm F_dark rises, so their minimum peaks where F_dark - F_bright
     changes sign (or at an endpoint when it does not).  One batched DP
@@ -630,24 +631,19 @@ def calibrate_flip_asymmetry(relaxation_constant: float, target_f: float,
     thus wins: it has the smaller s, i.e. the smaller bright-state flip
     probability a.  Both roots are refined together by ITP, one batched
     DP pass per step, to a bracket of 2e-12 in s; the result must reach
-    the target within ``tol``.
+    the target within CALIBRATION_TOL.
     """
     if not (math.isfinite(relaxation_constant) and relaxation_constant > 1.0):
         raise ValueError("relaxation_constant must be finite and exceed 1 pulse, "
                          f"got {relaxation_constant}")
     if not (0.0 < target_f < 1.0):
         raise ValueError("target_f must be in (0, 1)")
-    base = ReadoutParams(
-        n_pulses=n_pulses, p_excite=p_excite, eta_detect=eta_detect,
-        flip_bright=0.0, flip_dark=0.0, dark_rate=dark_rate,
-        gate_window=gate_window, pulse_period=pulse_period)
     arms = {}                       # s -> (F_bright, F_dark)
 
     def evaluate(s):                # one batched DP for all s
         reports = [readout_fidelity(dist_b, dist_d, threshold)
                    for dist_b, dist_d in _distributions(
-                       base, s / relaxation_constant,
-                       (1.0 - s) / relaxation_constant)]
+                       params, *flip_probabilities(relaxation_constant, s))]
         values = [(report.f_bright, report.f_dark) for report in reports]
         arms.update(zip(s.tolist(), values))
         return np.array(values)
@@ -668,7 +664,7 @@ def calibrate_flip_asymmetry(relaxation_constant: float, target_f: float,
     s_peak = float(max(lo[0], hi[0], key=f_min))
     f_max = f_min(s_peak)
     attainable = (min(f_left, f_right), f_max)
-    if target_f > f_max + tol:
+    if target_f > f_max + CALIBRATION_TOL:
         raise CalibrationError(
             f"target fidelity {target_f:.6g} unreachable; attainable range "
             f"[{attainable[0]:.6g}, {f_max:.6g}] at "
@@ -683,17 +679,12 @@ def calibrate_flip_asymmetry(relaxation_constant: float, target_f: float,
     s = float(min(lo[1], hi[1], key=lambda x: abs(f_min(x) - target_f)))
     s = min(s, s_peak) if target_f >= f_left else max(s, s_peak)
     f_s = f_min(s)
-    if abs(f_s - target_f) > tol:
+    if abs(f_s - target_f) > CALIBRATION_TOL:
         raise CalibrationError(
             f"root search stalled at fidelity {f_s:.6g} for target {target_f:.6g}",
             attainable=attainable)
-    return FlipCalibration(
-        a=s / relaxation_constant,
-        b=(1.0 - s) / relaxation_constant,
-        asymmetry=s,
-        achieved_f=f_s,
-        f_max=f_max,
-    )
+    return FlipCalibration(*flip_probabilities(relaxation_constant, s),
+                           asymmetry=s, achieved_f=f_s, f_max=f_max)
 
 
 def dark_count_penalty(params: ReadoutParams, threshold: int = 1) -> float:

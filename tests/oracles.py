@@ -13,6 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from spinshot.estimators import _decay_tau_guess, _fft_frequency_guess, _span
 from spinshot.sequence import (Detect, MwPulse, OpticalPulse, ParseError,
                                Repeat, Wait)
 
@@ -520,3 +521,106 @@ def _parse_optical_target(stream):
             target, float(m.group(1)) * (1.0 if m.group(2) == "MHz" else 1e3),
             "detuning")
     return transition, offset
+
+
+# ---------------------------------------------------------------------------
+# fitter starts and the gaussian_sum model, one list entry and one
+# component at a time; the data-driven guesses (_span, _decay_tau_guess,
+# _fft_frequency_guess) are the package's own
+# ---------------------------------------------------------------------------
+
+def _starts_exp_decay(x, y):
+    offset = float(np.min(y)) if y[0] >= y[-1] else float(np.max(y))
+    amplitude = float(y[0] - offset)
+    if amplitude == 0.0:
+        amplitude = float(np.ptp(y)) or 1.0
+    tau = _decay_tau_guess(x, y, offset)
+    return [
+        np.array([amplitude, tau, offset]),
+        np.array([amplitude, tau * 3.0, offset]),
+        np.array([amplitude, tau / 3.0, offset]),
+    ]
+
+
+def _starts_exp_relax(x, y):
+    offset = float(y[0])
+    amplitude = float(y[-1] - y[0])
+    if amplitude == 0.0:
+        amplitude = float(np.ptp(y)) or 1.0
+    tau = _span(x) / 3.0
+    return [
+        np.array([amplitude, tau, offset]),
+        np.array([amplitude, tau * 3.0, offset]),
+        np.array([amplitude, tau / 3.0, offset]),
+    ]
+
+
+def _starts_gaussian_echo(x, y):
+    offset = float(np.min(y))
+    amplitude = float(y[0] - offset) or float(np.ptp(y)) or 1.0
+    t2 = _decay_tau_guess(x, y, offset)
+    return [
+        np.array([amplitude, t2, offset]),
+        np.array([amplitude, t2 * 2.0, offset]),
+        np.array([amplitude, t2 / 2.0, offset]),
+    ]
+
+
+def _starts_damped_sine(x, y):
+    offset = float(np.mean(y))
+    amplitude = float(np.ptp(y)) / 2.0 or 1.0
+    frequency = _fft_frequency_guess(x, y)
+    tau = _span(x)
+    return [
+        np.array([amplitude, frequency, tau, phase, offset])
+        for phase in (0.0, math.pi / 2.0, math.pi, -math.pi / 2.0)
+    ]
+
+
+def _starts_lorentzian(x, y):
+    offset = float(np.median(y))
+    idx = int(np.argmax(np.abs(y - offset)))
+    amplitude = float(y[idx] - offset) or 1.0
+    center = float(x[idx])
+    width = _span(x) / 10.0
+    return [
+        np.array([amplitude, center, width, offset]),
+        np.array([amplitude, center, width * 3.0, offset]),
+        np.array([amplitude, center, width / 3.0, offset]),
+    ]
+
+
+def gaussian_sum_predict(x, p, k):
+    y = np.full_like(np.asarray(x, dtype=float), p[-1])
+    for i in range(k):
+        a, mu, sig = p[3 * i], p[3 * i + 1], p[3 * i + 2]
+        y = y + a * np.exp(-0.5 * ((x - mu) / sig) ** 2)
+    return y
+
+
+def gaussian_sum_starts(x, y, k):
+    offset = float(np.min(y))
+    dev = y - offset
+    # k tallest well-separated samples as center guesses
+    order = np.argsort(dev)[::-1]
+    centers, min_gap = [], _span(x) / (3.0 * k)
+    for idx in order:
+        if all(abs(x[idx] - c) > min_gap for c in centers):
+            centers.append(float(x[idx]))
+        if len(centers) == k:
+            break
+    while len(centers) < k:
+        centers.append(float(np.min(x)) + _span(x) * (len(centers) + 0.5) / k)
+    centers.sort()
+    sigma = _span(x) / (5.0 * k)
+    base = []
+    for c in centers:
+        amp = float(np.interp(c, x, dev)) or float(np.max(dev)) or 1.0
+        base += [amp, c, sigma]
+    base.append(offset)
+    base = np.array(base)
+    wide = base.copy()
+    wide[2::3] *= 2.0
+    narrow = base.copy()
+    narrow[2::3] *= 0.5
+    return [base, wide, narrow]

@@ -182,10 +182,8 @@ def test_c10_fidelity_reproduction(capsys, nominal_params):
         assert 0.80 <= sym.f_min <= 0.82
         assert round(sym.f_min, 2) == 0.81
 
-        cal = calibrate_flip_asymmetry(
-            relaxation_constant=131.0, target_f=0.869, n_pulses=71,
-            threshold=1, p_excite=0.78, eta_detect=0.10,
-            dark_rate=10.0, gate_window=3.0, pulse_period=10.0)
+        cal = calibrate_flip_asymmetry(nominal_params, relaxation_constant=131.0,
+                                       target_f=0.869, threshold=1)
         assert abs(cal.achieved_f - 0.869) <= 1e-3
         assert cal.a + cal.b == pytest.approx(1.0 / 131.0, rel=1e-9)
         assert cal.asymmetry > 0.5

@@ -577,7 +577,9 @@ HAND_RECORDS = ("# photon records: shot_id pulse_index timestamp_us origin\n"
 
 # frozen before the CSV writers were merged into estimators.write_csv;
 # calibration.csv re-frozen when calibration became a bracketed root find
-# (its contract is checked in test_readout.TestCalibration)
+# (its contract is checked in test_readout.TestCalibration); area_sweep.csv
+# and the N = 500 calibration frozen before calibrate and pulse_area_scan
+# took ReadoutParams.  A key is the CSV name, then any case qualifier.
 GOLDEN_SHA256 = {
     "levels.csv":
         "dc4778f16f27dbc87a3ca246b2e5007e0a17b07cb505b5e6427da9a1d200d6cd",
@@ -589,12 +591,17 @@ GOLDEN_SHA256 = {
         "55561a89276781b571431d2a6c508b6dcac8e5291df62ac38f3936bf5876ebea",
     "g2.csv":
         "190932f4fd1b4de01c3698b70158f513599debaddf1b5f787c0c43d6207e7f42",
+    "area_sweep.csv":
+        "c5de71171a0ad68709557e8a876c442b8e0c4cc7b7849fa10c5621dfd5e99b35",
+    "calibration.csv N=500":
+        "c4c9cbf5dbc00e645dda646beb28b560f91e7bf283e478af7de4d0ccb69ef595",
 }
 
 
 class TestGoldenOutputs:
     """sha256 of every CSV written by the commands that draw no random
-    numbers; any change to the CSV format or to the numbers shows here."""
+    numbers, and by area-sweep at its default seed; any change to the CSV
+    format or to the numbers shows here."""
 
     @pytest.mark.parametrize("command,extra,csv_name", [
         ("levels", [], "levels.csv"),
@@ -602,6 +609,9 @@ class TestGoldenOutputs:
         ("fit", ["SERIES", "--model", "exp_decay"], "fit_params.csv"),
         ("calibrate", [], "calibration.csv"),
         ("g2", ["RECORDS", "--lags", "2"], "g2.csv"),
+        ("area-sweep", ["--points", "5", "--shots", "2000", "--flip-slope", "0.004"],
+         "area_sweep.csv"),
+        ("calibrate", ["--n-pulses", "500"], "calibration.csv N=500"),
     ])
     def test_csv_sha256(self, command, extra, csv_name, tmp_path, series_file,
                         capsys):
@@ -615,4 +625,4 @@ class TestGoldenOutputs:
         got = {name: hashlib.sha256(data).hexdigest()
                for name, data in tree_bytes(out).items()
                if name.endswith(".csv")}
-        assert got == {csv_name: GOLDEN_SHA256[csv_name]}
+        assert got == {csv_name.split()[0]: GOLDEN_SHA256[csv_name]}

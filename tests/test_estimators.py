@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from oracles import best_threshold_scan
+from spinshot import estimators
 from spinshot.estimators import (FitError, NormalizationError, NumericalError,
                                  PhotonRecords, fit_model, g2_pulsed,
                                  gaussian_fwhm_to_sigma, gaussian_sigma_to_fwhm,
@@ -178,13 +182,60 @@ class TestFitPlumbing:
         res = fit_model("exp_decay", x, y)
         assert res.degenerate
 
-    def test_no_convergence_raises_with_diagnostics(self):
+    def test_no_convergence_raises_with_diagnostics(self, monkeypatch):
+        monkeypatch.setattr(estimators, "_MAX_ITER", 1)
         x = np.linspace(0, 10, 20)
         rng = np.random.default_rng(0)
         y = rng.normal(0, 1, 20)
         with pytest.raises(FitError) as exc:
-            fit_model("damped_sine", x, y, max_iter=1)
+            fit_model("damped_sine", x, y)
         assert exc.value.diagnostics
+
+    @pytest.mark.parametrize("initial", [
+        np.array([[2.0, 1.0, 0.1], [2.0, 9.0, 0.1]]),
+        [2.0, 3.0],
+        [[2.0, 3.0, 0.1], [2.0, 3.0]],
+    ], ids=["2d-array", "short-start", "ragged-list"])
+    def test_initial_formats(self, initial):
+        # a 2-d array is a list of starts; any other shape names the model
+        x = np.linspace(0.0, 10.0, 20)
+        y = 2.0 * np.exp(-x / 3.0) + 0.1
+        if isinstance(initial, np.ndarray):
+            got = fit_model("exp_decay", x, y, initial=initial)
+            want = fit_model("exp_decay", x, y, initial=initial.tolist())
+            assert got.params == want.params
+            assert got.params["tau"] == pytest.approx(3.0, rel=1e-9)
+            return
+        with pytest.raises(ValueError, match=r"'exp_decay'.* 3 parameters"):
+            fit_model("exp_decay", x, y, initial=initial)
+
+
+class TestStartsMatchOracle:
+    """The shared start rule and the broadcast gaussian_sum give the bits
+    of the per-model start lists and the per-component loop."""
+
+    @settings(max_examples=150)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 80),
+           k=st.integers(1, 8), scale=st.floats(1e-3, 1e4))
+    def test_bits(self, seed, n, k, scale):
+        rng = np.random.default_rng(seed)
+        x = np.sort(rng.uniform(-scale, scale, n))
+        y = rng.normal(0.0, 1.0, n) * rng.uniform(0.01, 10.0)
+
+        def bits(rows):
+            return [[float(v).hex() for v in row] for row in rows]
+
+        for kind in ("exp_decay", "exp_relax", "gaussian_echo", "damped_sine",
+                     "lorentzian"):
+            want = getattr(oracles, f"_starts_{kind}")(x, y)
+            assert bits(estimators._MODELS[kind].starts(x, y)) == bits(want), kind
+        spec = estimators._gaussian_sum_spec(k)
+        assert bits(spec.starts(x, y)) == bits(oracles.gaussian_sum_starts(x, y, k))
+        p = np.column_stack((rng.normal(0.0, 1.0, k), rng.uniform(-scale, scale, k),
+                             rng.uniform(1e-3, 1.0, k) * scale)).ravel()
+        p = np.append(p, rng.normal())
+        assert bits([spec.predict(x, p)]) == bits(
+            [oracles.gaussian_sum_predict(x, p, k)])
 
 
 class TestIdentifiability:

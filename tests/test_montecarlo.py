@@ -304,6 +304,10 @@ class TestProtocols:
         with pytest.raises(ValueError):
             run_protocol("ramsey", [0.0], bath)
 
+    def test_drive_must_be_positive(self, bath):
+        with pytest.raises(ValueError, match="mw_rabi_khz must be > 0"):
+            run_protocol("rabi", [1.0], bath, mw_rabi_khz=0.0)
+
     def test_t1_limits(self, bath):
         curve = run_protocol("t1", [0.0, 10.0], bath, shots=20_000, seed=1)
         assert curve.mean[0] == pytest.approx(1.0, abs=1e-12)
@@ -382,21 +386,17 @@ class TestAreaScan:
         assert excitation_probability(0.5) == pytest.approx(0.5)
 
     def test_scan_recovers_cyclicity(self):
-        params = make_params(n=400, eta=0.5)
-        scan = pulse_area_scan(
-            np.array([1.0]), lambda area: 1.0 / 150.0, lambda area: 0.0,
-            params, shots=40_000, seed=1)
+        params = make_params(n=400, eta=0.5, a=1.0 / 150.0, b=0.0)
+        scan = pulse_area_scan(np.array([1.0]), params, shots=40_000, seed=1)
         # p_excite = 1 at a pi pulse: zeta tracks the fitted decay pulses
         n0_true = -1.0 / math.log(1.0 - 1.0 / 150.0)
         assert scan.p_excite[0] == pytest.approx(1.0)
         assert scan.zeta[0] == pytest.approx(n0_true, rel=0.05)
 
     def test_monotone_flip_model_reduces_cyclicity(self):
-        params = make_params(n=300, eta=0.4)
+        params = make_params(n=300, eta=0.4, a=0.002, b=0.002)
         areas = np.array([0.5, 1.0])
-        scan = pulse_area_scan(
-            areas, lambda area: 0.002 + 0.02 * area, lambda area: 0.002,
-            params, shots=30_000, seed=5)
+        scan = pulse_area_scan(areas, params, 0.02, shots=30_000, seed=5)
         ratio = scan.zeta[1] / scan.zeta[0]
         # excitation doubles but flips rise ~2x: cyclicity gain is capped
         assert scan.zeta[1] == pytest.approx(
@@ -411,8 +411,7 @@ class TestAreaScan:
         params = readout_params(paper_cfg)
         a0, b0 = params.flip_bright, params.flip_dark
         areas = np.linspace(0.1, 1.0, points)
-        scan = pulse_area_scan(areas, lambda area: min(a0 + slope * area, 1.0),
-                               lambda area: b0, params, shots=20000, seed=seed)
+        scan = pulse_area_scan(areas, params, slope, shots=20000, seed=seed)
         exact = -1.0 / np.log1p(-(a0 + slope * areas + b0))
         assert np.all(np.isfinite(scan.n0)) and np.all(scan.n0_se > 0)
         assert np.all(np.abs(scan.n0 - exact) <= 5.0 * scan.n0_se), \
@@ -423,23 +422,21 @@ class TestAreaScan:
         params = make_params(n=50, a=0.0, b=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            scan = pulse_area_scan(np.array([1.0]), lambda area: 0.0,
-                                   lambda area: 0.0, params, shots=500, seed=1)
+            scan = pulse_area_scan(np.array([1.0]), params, shots=500, seed=1)
         assert math.isnan(scan.n0[0]) and math.isnan(scan.n0_se[0])
         assert math.isnan(scan.zeta[0])
 
     def test_zero_area_gives_nan_cyclicity(self):
         params = make_params(n=71, a=0.01, b=0.01)
-        scan = pulse_area_scan(np.array([0.0]), lambda area: 0.01,
-                               lambda area: 0.01, params, shots=5000, seed=2)
+        scan = pulse_area_scan(np.array([0.0]), params, shots=5000, seed=2)
         assert scan.p_excite[0] == 0.0
         assert math.isfinite(scan.n0[0])
         assert math.isnan(scan.zeta[0])
 
     def test_no_dark_flips_stay_finite(self):
         a = 0.01
-        scan = pulse_area_scan(np.array([1.0]), lambda area: a, lambda area: 0.0,
-                               make_params(n=71), shots=20000, seed=4)
+        scan = pulse_area_scan(np.array([1.0]), make_params(n=71, a=a, b=0.0),
+                               shots=20000, seed=4)
         exact = -1.0 / math.log1p(-a)
         assert math.isfinite(scan.n0[0]) and math.isfinite(scan.zeta[0])
         assert abs(scan.n0[0] - exact) <= 5.0 * scan.n0_se[0]
@@ -466,10 +463,8 @@ class TestAreaScan:
         assert np.array_equal(sim.transitions, shots * np.array(want))
 
     def test_csv(self, tmp_path):
-        params = make_params(n=50)
-        scan = pulse_area_scan(np.array([0.5, 1.0]),
-                               lambda a: 0.004, lambda a: 0.004,
-                               params, shots=2000, seed=0)
+        params = make_params(n=50, a=0.004, b=0.004)
+        scan = pulse_area_scan(np.array([0.5, 1.0]), params, shots=2000, seed=0)
         path = tmp_path / "scan.csv"
         scan.to_csv(path)
         head = path.read_text().splitlines()[0]

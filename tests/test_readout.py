@@ -507,10 +507,7 @@ def paper_arms(n, points):
 
 def paper_calibration(n, target=0.869):
     relaxation, params = paper_params(n)
-    return calibrate_flip_asymmetry(
-        relaxation, target, n, 1, params.p_excite, params.eta_detect,
-        dark_rate=params.dark_rate, gate_window=params.gate_window,
-        pulse_period=params.pulse_period)
+    return calibrate_flip_asymmetry(params, relaxation, target, 1)
 
 
 def fidelity_at(params, a, b, threshold=1):
@@ -538,22 +535,21 @@ class TestCalibration:
         p = make_params(n=71, dark_rate=10.0)
         rep = readout_fidelity(count_distribution(p, "bright"),
                                count_distribution(p, "dark"), 1)
-        cal = calibrate_flip_asymmetry(131.0, rep.f_min, 71, 1, 0.78, 0.10,
-                                       dark_rate=10.0)
+        cal = calibrate_flip_asymmetry(p, 131.0, rep.f_min, 1)
         assert cal.asymmetry == pytest.approx(0.5, abs=1e-3)
         assert cal.a + cal.b == pytest.approx(1.0 / 131.0, rel=1e-12)
         assert cal.achieved_f == pytest.approx(rep.f_min, abs=1e-4)
 
     def test_nominal_target_needs_positive_asymmetry(self):
-        cal = calibrate_flip_asymmetry(131.0, 0.869, 71, 1, 0.78, 0.10,
-                                       dark_rate=10.0)
+        cal = calibrate_flip_asymmetry(make_params(n=71, dark_rate=10.0),
+                                       131.0, 0.869, 1)
         assert cal.asymmetry > 0.5
         assert cal.achieved_f == pytest.approx(0.869, abs=1e-3)
         assert cal.a > cal.b
 
     def test_unreachable_target(self):
         with pytest.raises(CalibrationError) as exc:
-            calibrate_flip_asymmetry(131.0, 0.999, 71, 1, 0.78, 0.10)
+            calibrate_flip_asymmetry(make_params(n=71), 131.0, 0.999, 1)
         lo, hi = exc.value.attainable
         assert 0.0 < lo < hi < 0.999
 
@@ -606,8 +602,7 @@ class TestCalibration:
         params, s, f_bright, f_dark, f_min = self.oracle(71, 3, 10.0)
         target = 0.75
         assert f_min[-1] <= target < f_min[0]
-        cal = calibrate_flip_asymmetry(131.0, target, 71, 3, 0.78, 0.10,
-                                       dark_rate=10.0)
+        cal = calibrate_flip_asymmetry(params, 131.0, target, 3)
         assert abs(cal.achieved_f - target) <= 1e-4
         assert cal.asymmetry >= s[int(np.argmax(f_min)) - 1]
         report = fidelity_at(params, cal.a, cal.b, 3)
@@ -624,8 +619,7 @@ class TestCalibration:
         params, s, f_bright, f_dark, f_min = self.oracle(n, 1, dark_rate)
         assert np.all(np.sign(f_dark - f_bright) == sign)
         target = f_min[end] + 0.5e-4
-        cal = calibrate_flip_asymmetry(131.0, target, n, 1, 0.78, 0.10,
-                                       dark_rate=dark_rate)
+        cal = calibrate_flip_asymmetry(params, 131.0, target, 1)
         assert cal.asymmetry == s[end]
         assert cal.f_max == cal.achieved_f == f_min[end]
 
@@ -634,8 +628,7 @@ class TestCalibration:
         target = f_min.max() + 2e-4
         with pytest.raises(CalibrationError,
                            match="unreachable; attainable range") as exc:
-            calibrate_flip_asymmetry(131.0, target, 71, 1, 0.78, 0.10,
-                                     dark_rate=10.0)
+            calibrate_flip_asymmetry(params, 131.0, target, 1)
         lo, hi = exc.value.attainable
         assert lo == min(f_min[0], f_min[-1])
         assert f_min.max() - 1e-9 <= hi < target - 1e-4
@@ -646,14 +639,14 @@ class TestCalibration:
         assert target < min(f_min[0], f_min[-1])
         with pytest.raises(CalibrationError,
                            match="below both endpoints") as exc:
-            calibrate_flip_asymmetry(131.0, target, 71, 1, 0.78, 0.10,
-                                     dark_rate=10.0)
+            calibrate_flip_asymmetry(params, 131.0, target, 1)
         lo, hi = exc.value.attainable
         assert lo == min(f_min[0], f_min[-1])
         assert hi >= f_min.max() - 1e-9
 
     def test_sum_constraint_always_held(self):
-        cal = calibrate_flip_asymmetry(200.0, 0.9, 100, 1, 0.9, 0.2)
+        cal = calibrate_flip_asymmetry(make_params(n=100, p=0.9, eta=0.2),
+                                       200.0, 0.9, 1)
         assert cal.a + cal.b == pytest.approx(1.0 / 200.0, rel=1e-12)
 
 
