@@ -7,9 +7,13 @@ writes a manifest.json recording the inputs and the produced files
 (timestamps live only in the manifest, so reruns with the same config
 and seed are byte-identical elsewhere).
 
+Each parser declares only the flags its handler reads (`--shots` only on
+simulate, area-sweep and protocols); `main` loads the config once, and
+the manifest records the shots that ran and the config text's sha256.
+
 The module level imports only the standard library: each handler imports
 the spinshot modules it calls, so `fit` and `g2` never load the
-simulator stack.
+simulator stack or the config reader.
 """
 from __future__ import annotations
 
@@ -27,19 +31,19 @@ EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-# `protocols`: sweep grid (np.linspace arguments) and fit model (with
-# component count) per protocol
-PROTOCOL_SWEEPS = {
-    "t1": (0.0, 2.2, 24),         # s
-    "odmr": (-6.0, 6.0, 49),      # MHz around the drive
-    "rabi": (0.05, 20.0, 120),    # us
-    "echo": (0.0, 120.0, 30),     # us total evolution
-}
-PROTOCOL_MODELS = {
-    "t1": ("exp_decay", None),
-    "odmr": ("gaussian_sum", 3),
-    "rabi": ("damped_sine", None),
-    "echo": ("gaussian_echo", None),
+# Rated maxima of the count flags, checked before anything is allocated.
+# protocols at MAX_SHOTS peaks at 0.3 GB RSS and runs 2 minutes (2-core
+# x86 VM); an area-sweep point takes about 15 ms per 20000 shots.
+MAX_SHOTS = 10**6
+MAX_POINTS = 1000
+
+# `protocols`: sweep grid (np.linspace arguments), fit model and its
+# component count per protocol
+PROTOCOLS = {
+    "t1": ((0.0, 2.2, 24), "exp_decay", None),           # s
+    "odmr": ((-6.0, 6.0, 49), "gaussian_sum", 3),        # MHz around the drive
+    "rabi": ((0.05, 20.0, 120), "damped_sine", None),    # us
+    "echo": ((0.0, 120.0, 30), "gaussian_echo", None),   # us total evolution
 }
 
 
@@ -52,10 +56,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage()}")
 
 
-def _at_least_one(flag: str, value):
-    """Usage error unless an integer flag is unset or >= 1."""
+def _at_least_one(flag: str, value, most=math.inf):
+    """Usage error unless an integer flag is unset or in 1..most."""
     if value is not None and value < 1:
         raise UsageError(f"{flag} must be >= 1, got {value}")
+    if value is not None and value > most:
+        raise UsageError(f"{flag} must be <= {most}, got {value}")
 
 
 def _utc_now() -> str:
@@ -88,12 +94,16 @@ class OutputDir:
             fh.write("\n")
 
 
+def _shots_flag(parser, default: int):
+    parser.add_argument("--shots", type=int, default=default,
+                        help=f"Monte Carlo shots, at most {MAX_SHOTS} "
+                             f"(default {default})")
+
+
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="random seed (default 0)")
-    common.add_argument("--shots", type=int, default=None,
-                        help="Monte Carlo shots (command-specific default)")
     common.add_argument("--out-dir", default="spinshot-out",
                         help="output directory (default ./spinshot-out)")
     common.add_argument("--format", choices=("csv", "report"), default="report",
@@ -118,6 +128,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", parents=[configured],
                        help="Monte Carlo run of a pulse-sequence file")
     p.add_argument("sequence", help="sequence DSL file")
+    _shots_flag(p, 1000)
 
     p = sub.add_parser("fit", parents=[common],
                        help="least-squares fit of a CSV series")
@@ -138,7 +149,9 @@ def build_parser() -> _Parser:
                        help="cyclicity and fidelity vs excitation pulse area")
     p.add_argument("--area-min", type=float, default=0.1)
     p.add_argument("--area-max", type=float, default=1.0)
-    p.add_argument("--points", type=int, default=10)
+    p.add_argument("--points", type=int, default=10,
+                   help=f"area grid points, at most {MAX_POINTS} (default 10)")
+    _shots_flag(p, 20000)
     p.add_argument("--flip-slope", type=float, default=0.0,
                    help="extra bright-state flip probability per unit area")
 
@@ -150,8 +163,9 @@ def build_parser() -> _Parser:
     p.add_argument("--n-pulses", type=int, default=None,
                    help="pulse count (default: [readout] n_pulses)")
 
-    sub.add_parser("protocols", parents=[configured],
-                   help="T1, ODMR, Rabi and echo curves, each with its fit")
+    p = sub.add_parser("protocols", parents=[configured],
+                       help="T1, ODMR, Rabi and echo curves, each with its fit")
+    _shots_flag(p, 5000)
 
     return parser
 
@@ -160,12 +174,11 @@ def build_parser() -> _Parser:
 # handlers (return the report text)
 # ---------------------------------------------------------------------------
 
-def _cmd_levels(args, out: OutputDir) -> str:
-    from .config import cavity_config, emitter_config, load_config, zeeman_config
+def _cmd_levels(args, cfg, out: OutputDir) -> str:
+    from .config import cavity_config, emitter_config, zeeman_config
     from .estimators import write_csv
     from .physics import cavity_linewidth, effective_lifetime, zeeman_transitions
 
-    cfg = load_config(args.config)
     em, cav, z = emitter_config(cfg), cavity_config(cfg), zeeman_config(cfg)
     levels = zeeman_transitions(em, z)
     kappa = cavity_linewidth(cav)
@@ -190,18 +203,17 @@ def _cmd_levels(args, out: OutputDir) -> str:
     return "\n".join(report) + "\n"
 
 
-def _cmd_readout_optimize(args, out: OutputDir) -> str:
+def _cmd_readout_optimize(args, cfg, out: OutputDir) -> str:
     _at_least_one("--n-min", args.n_min)
     _at_least_one("--n-max", args.n_max)
     if args.n_min > args.n_max:
         raise UsageError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     from dataclasses import replace
 
-    from .config import load_config, readout_params
+    from .config import readout_params
     from .readout import (dark_count_penalty, format_fidelity_report,
                           optimize_readout, readout_report)
 
-    cfg = load_config(args.config)
     params = readout_params(cfg, n_pulses=args.n_max)
     result = optimize_readout(params, (args.n_min, args.n_max))
     result.to_csv(out.record("fidelity_vs_n.csv"))
@@ -221,14 +233,13 @@ def _cmd_readout_optimize(args, out: OutputDir) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_simulate(args, out: OutputDir) -> str:
-    from .config import (bath_params, cavity_config, emitter_config, load_config,
+def _cmd_simulate(args, cfg, out: OutputDir) -> str:
+    from .config import (bath_params, cavity_config, emitter_config,
                          microwave_settings, readout_params)
     from .montecarlo import run_timeline
     from .physics import effective_lifetime
     from .sequence import compile_sequence, duration_report, parse_sequence
 
-    cfg = load_config(args.config)
     with open(args.sequence, "r", encoding="utf-8") as fh:
         text = fh.read()
     program = parse_sequence(text, filename=args.sequence)
@@ -237,9 +248,8 @@ def _cmd_simulate(args, out: OutputDir) -> str:
     params = readout_params(cfg)
     bath = bath_params(cfg)
     mw = microwave_settings(cfg)
-    shots = args.shots if args.shots is not None else 1000
     run = run_timeline(
-        timeline, params, bath, shots=shots, seed=args.seed,
+        timeline, params, bath, shots=args.shots, seed=args.seed,
         emission_lifetime_us=effective_lifetime(em, cav, 0.0),
         mw_rabi_khz=mw["mw_rabi_khz"],
         spectral_diffusion_fwhm_mhz=em.spectral_diffusion_fwhm_mhz)
@@ -250,14 +260,14 @@ def _cmd_simulate(args, out: OutputDir) -> str:
         f"sequence: {args.sequence}",
         f"events: {len(timeline.events)}   detection gates: {run.gate_count}",
         f"total duration: {durations.total_ms:.12g} ms",
-        f"shots: {shots}   seed: {args.seed}",
+        f"shots: {args.shots}   seed: {args.seed}",
         f"mean detected photons per shot: {run.histogram.mean():.12g}",
         f"detected events on file: {len(run.records)}",
     ]
     return "\n".join(lines) + "\n"
 
 
-def _cmd_fit(args, out: OutputDir) -> str:
+def _cmd_fit(args, _cfg, out: OutputDir) -> str:
     _at_least_one("--components", args.components)
     from .estimators import fit_model, format_fit_report, read_series_csv
 
@@ -277,7 +287,7 @@ def _write_fit_csv(path, result):
               [result.uncertainties[name] for name in result.params])
 
 
-def _cmd_g2(args, out: OutputDir) -> str:
+def _cmd_g2(args, _cfg, out: OutputDir) -> str:
     _at_least_one("--lags", args.lags)
     from .estimators import PhotonRecords, g2_pulsed, write_csv
 
@@ -291,8 +301,8 @@ def _cmd_g2(args, out: OutputDir) -> str:
             f"(normalized over lags 1..{int(result.lags[-1])})\n")
 
 
-def _cmd_area_sweep(args, out: OutputDir) -> str:
-    _at_least_one("--points", args.points)
+def _cmd_area_sweep(args, cfg, out: OutputDir) -> str:
+    _at_least_one("--points", args.points, MAX_POINTS)
     for flag, value in (("--area-min", args.area_min),
                         ("--area-max", args.area_max),
                         ("--flip-slope", args.flip_slope)):
@@ -304,10 +314,9 @@ def _cmd_area_sweep(args, out: OutputDir) -> str:
                          "the area grid or a(area)")
     import numpy as np
 
-    from .config import load_config, readout_params
+    from .config import readout_params
     from .montecarlo import pulse_area_scan
 
-    cfg = load_config(args.config)
     params = readout_params(cfg)
     areas = np.linspace(args.area_min, args.area_max, args.points)
     a0, b0 = params.flip_bright, params.flip_dark
@@ -316,8 +325,7 @@ def _cmd_area_sweep(args, out: OutputDir) -> str:
     if negative.size:
         raise UsageError(f"--flip-slope {slope:g} gives a(area) = {a0:.6g} + "
                          f"{slope:g}*area < 0 at area {areas[negative[0]]:g}")
-    scan = pulse_area_scan(areas, params, slope,
-                           shots=args.shots if args.shots is not None else 20000,
+    scan = pulse_area_scan(areas, params, slope, shots=args.shots,
                            seed=args.seed)
     scan.to_csv(out.record("area_sweep.csv"))
     finite = np.isfinite(scan.zeta)
@@ -338,17 +346,16 @@ def _cmd_area_sweep(args, out: OutputDir) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_calibrate(args, out: OutputDir) -> str:
+def _cmd_calibrate(args, cfg, out: OutputDir) -> str:
     _at_least_one("--n-pulses", args.n_pulses)
     _at_least_one("--threshold", args.threshold)
     target = args.target_f
     if target is not None and not 0.0 < target < 1.0:
         raise UsageError(f"--target-f must be in (0, 1), got {target}")
-    from .config import load_config, readout_params, relaxation_constant
+    from .config import readout_params, relaxation_constant
     from .estimators import write_csv
     from .readout import calibrate_flip_asymmetry
 
-    cfg = load_config(args.config)
     params = readout_params(cfg, n_pulses=args.n_pulses)
     if args.threshold > params.n_pulses:
         raise UsageError(f"--threshold {args.threshold} exceeds the pulse "
@@ -371,23 +378,20 @@ def _cmd_calibrate(args, out: OutputDir) -> str:
         f"(model maximum {cal.f_max:.12g})\n")
 
 
-def _cmd_protocols(args, out: OutputDir) -> str:
+def _cmd_protocols(args, cfg, out: OutputDir) -> str:
     import numpy as np
 
-    from .config import bath_params, load_config, microwave_settings
+    from .config import bath_params, microwave_settings
     from .estimators import FitError, fit_model, format_fit_report
     from .montecarlo import run_protocol
 
-    cfg = load_config(args.config)
     bath = bath_params(cfg)
     mw = microwave_settings(cfg)
-    shots = args.shots if args.shots is not None else 5000
     sections = []
-    for name, grid in PROTOCOL_SWEEPS.items():
-        curve = run_protocol(name, np.linspace(*grid), bath, shots=shots,
+    for name, (grid, kind, n_components) in PROTOCOLS.items():
+        curve = run_protocol(name, np.linspace(*grid), bath, shots=args.shots,
                              seed=args.seed, **mw)
         curve.to_csv(out.record(f"{name}_curve.csv"))
-        kind, n_components = PROTOCOL_MODELS[name]
         try:
             result = fit_model(kind, curve.x, curve.mean,
                                sigma=np.clip(curve.stderr, 1e-4, None),
@@ -412,23 +416,6 @@ _HANDLERS = {
 }
 
 
-def _config_fields(args):
-    fields = {"config": None, "config_sha256": None}
-    if getattr(args, "config", None):
-        import hashlib
-
-        from .config import ConfigError, resolve_config_path
-        try:
-            path = resolve_config_path(args.config)
-            with open(path, "rb") as fh:
-                data = fh.read()
-            fields["config"] = args.config
-            fields["config_sha256"] = hashlib.sha256(data).hexdigest()
-        except ConfigError:
-            pass
-    return fields
-
-
 def main(argv=None) -> int:
     from .estimators import NumericalError
 
@@ -437,21 +424,31 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError(parser.format_usage())
-        _at_least_one("--shots", args.shots)
+        shots = getattr(args, "shots", None)
+        _at_least_one("--shots", shots, MAX_SHOTS)
         started = _utc_now()
+        config = getattr(args, "config", None)
+        cfg = digest = None
+        if config is not None:
+            from .config import load_config
+            cfg = load_config(config)
         out = OutputDir(args.out_dir)
-        report = _HANDLERS[args.command](args, out)
+        report = _HANDLERS[args.command](args, cfg, out)
         if args.format == "report":
             out.write_text("report.txt", report)
             sys.stdout.write(report)
+        if cfg is not None:     # hashlib's pages stay off the handler's peak RSS
+            import hashlib
+            digest = hashlib.sha256(cfg.text.encode("utf-8")).hexdigest()
         out.write_manifest(
             command=args.command,
             seed=args.seed,
-            shots=args.shots,
+            shots=shots,
             version=__version__,
             started_at=started,
             finished_at=_utc_now(),
-            **_config_fields(args),
+            config=config,
+            config_sha256=digest,
         )
         return EXIT_OK
     except UsageError as exc:

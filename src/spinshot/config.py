@@ -174,7 +174,7 @@ def resolve_config_path(path: str) -> str:
 
 def load_config(path: str) -> Config:
     resolved = resolve_config_path(path)
-    with open(resolved, "r", encoding="utf-8") as fh:
+    with open(resolved, "r", encoding="utf-8", newline="") as fh:
         return parse_config(fh.read(), origin=path)
 
 

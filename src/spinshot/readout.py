@@ -166,20 +166,16 @@ class CountDistribution:
 class FidelityReport:
     f_bright: float
     f_dark: float
-    f_min: float
     threshold: int
     n_pulses: int
     readout_duration: float | None = None   # ms
-    cyclicity_bright: float | None = None
-    cyclicity_dark: float | None = None
-    cyclicity_mean: float | None = None
+    cyclicity: float | None = None
     f_bright_se: float | None = None
     f_dark_se: float | None = None
 
-    def __post_init__(self):
-        expected = min(self.f_bright, self.f_dark)
-        if abs(self.f_min - expected) > 1e-12:
-            raise ValueError("f_min must equal min(f_bright, f_dark)")
+    @property
+    def f_min(self) -> float:
+        return min(self.f_bright, self.f_dark)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +359,6 @@ def readout_fidelity(dist_bright: CountDistribution, dist_dark: CountDistributio
     return FidelityReport(
         f_bright=f_bright,
         f_dark=f_dark,
-        f_min=min(f_bright, f_dark),
         threshold=threshold,
         n_pulses=dist_bright.n_pulses,
     )
@@ -385,13 +380,11 @@ def empirical_fidelity(shots_bright, shots_dark) -> FidelityReport:
     f_dark = np.searchsorted(np.sort(dark), thresholds) / dark.size
     i = int(np.argmax(np.minimum(f_bright, f_dark)))    # ties: lowest threshold
     threshold, f_bright, f_dark = int(thresholds[i]), float(f_bright[i]), float(f_dark[i])
-    f_min = min(f_bright, f_dark)
     se_b = math.sqrt(f_bright * (1.0 - f_bright) / bright.size)
     se_d = math.sqrt(f_dark * (1.0 - f_dark) / dark.size)
     return FidelityReport(
         f_bright=f_bright,
         f_dark=f_dark,
-        f_min=f_min,
         threshold=threshold,
         n_pulses=0,
         f_bright_se=se_b,
@@ -403,9 +396,9 @@ def readout_report(params: ReadoutParams, threshold: int | None = None) -> Fidel
     """Full fidelity report at fixed n_pulses, with duration and cyclicity.
 
     threshold=None picks the best threshold.  Both expected traces relax
-    by 1 - a - b per pulse, so every cyclicity is p_excite * N0 with
-    N0 = -1/ln(1 - a - b); all are unset unless the chain relaxes
-    observably (a > 0, b > 0, a + b < 1, d > 0).
+    by 1 - a - b per pulse, so the bright, dark and mean cyclicity are one
+    value, p_excite * N0 with N0 = -1/ln(1 - a - b); it is unset unless
+    the chain relaxes observably (a > 0, b > 0, a + b < 1, d > 0).
     """
     a, b = params.flip_bright, params.flip_dark
     dist_b, dist_d = _distributions(params, [a], [b])[0]
@@ -416,8 +409,7 @@ def readout_report(params: ReadoutParams, threshold: int | None = None) -> Fidel
     report = readout_fidelity(dist_b, dist_d, threshold)
     report.readout_duration = params.duration_ms
     if a > 0.0 and b > 0.0 and a + b < 1.0 and params.detection_probability > 0.0:
-        zeta = cyclicity(params.p_excite, -1.0 / math.log1p(-(a + b)))
-        report.cyclicity_bright = report.cyclicity_dark = report.cyclicity_mean = zeta
+        report.cyclicity = cyclicity(params.p_excite, -1.0 / math.log1p(-(a + b)))
     return report
 
 
@@ -710,8 +702,7 @@ def format_fidelity_report(report: FidelityReport) -> str:
                         f"F_dark_se: {report.f_dark_se:.3g}")
     if report.readout_duration is not None:
         lines.append(f"duration: {report.readout_duration:.12g} ms")
-    if report.cyclicity_mean is not None:
-        lines.append(
-            f"cyclicity: bright {report.cyclicity_bright:.6g}, "
-            f"dark {report.cyclicity_dark:.6g}, mean {report.cyclicity_mean:.6g}")
+    if report.cyclicity is not None:
+        zeta = f"{report.cyclicity:.6g}"
+        lines.append(f"cyclicity: bright {zeta}, dark {zeta}, mean {zeta}")
     return "\n".join(lines) + "\n"

@@ -19,6 +19,11 @@ SEQ_TEXT = ("repeat 25 { pulse optical A 0.02us 1pi\n"
             " detect 3us\n wait 6.98us }\n")
 
 
+# the Monte Carlo commands, the only ones that take --shots, and the
+# shots each runs without it
+SHOT_DEFAULTS = {"simulate": 1000, "area-sweep": 20000, "protocols": 5000}
+
+
 def run_cli(argv, capsys=None):
     code = cli.main(argv)
     out = capsys.readouterr() if capsys else None
@@ -230,6 +235,101 @@ class TestManifest:
                                         "--out-dir", out], capsys)
             assert code == 1 and "--config" in cap.err
 
+    @pytest.mark.parametrize("command,engine,extra", [
+        ("simulate", "run_timeline", ["SEQ"]),
+        ("area-sweep", "pulse_area_scan", ["--points", "2"]),
+        ("protocols", "run_protocol", []),
+    ])
+    @pytest.mark.parametrize("shots", [None, 2000])
+    def test_shots_are_the_shots_run(self, command, engine, extra, shots,
+                                     tmp_path, seq_file, capsys, monkeypatch):
+        from spinshot import montecarlo
+        ran = []
+        real = getattr(montecarlo, engine)
+
+        def spy(*args, **kwargs):
+            ran.append(kwargs["shots"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, engine, spy)
+        argv = [command, *(seq_file if a == "SEQ" else a for a in extra)]
+        if shots is not None:
+            argv += ["--shots", str(shots)]
+        out = str(tmp_path / "o")
+        assert run_cli(argv + ["--out-dir", out], capsys)[0] == 0
+        want = SHOT_DEFAULTS[command] if shots is None else shots
+        assert ran and set(ran) == {want}
+        assert manifest_of(out)["shots"] == want
+
+    @pytest.mark.parametrize("argv", [
+        ["levels"], ["readout-optimize", "--n-max", "20"], ["calibrate"],
+        ["fit", "SERIES", "--model", "exp_decay"], ["g2", "RECORDS"]],
+        ids=lambda argv: argv[0])
+    def test_no_shots_without_monte_carlo(self, argv, tmp_path, series_file,
+                                          capsys):
+        records = tmp_path / "hand.txt"
+        records.write_text(HAND_RECORDS)
+        names = {"SERIES": series_file, "RECORDS": str(records)}
+        argv = [names.get(arg, arg) for arg in argv]
+        out = str(tmp_path / "o")
+        assert run_cli(argv + ["--out-dir", out], capsys)[0] == 0
+        assert manifest_of(out)["shots"] is None
+        # a command that runs no shots takes no --shots
+        code, cap = run_cli(argv + ["--shots", "7", "--out-dir",
+                                    str(tmp_path / "s")], capsys)
+        assert code == 1 and "--shots" in cap.err
+        assert not os.path.exists(tmp_path / "s")
+
+    @pytest.mark.parametrize("copy", ["preset", "lf", "crlf"])
+    def test_config_sha256_is_the_file_bytes(self, copy, tmp_path, capsys):
+        from spinshot.config import resolve_config_path
+        with open(resolve_config_path("paper.cfg"), "rb") as fh:
+            data = fh.read()
+        assert b"\r" not in data
+        config = "paper.cfg"
+        if copy == "crlf":
+            data = data.replace(b"\n", b"\r\n")
+        if copy != "preset":
+            path = tmp_path / f"{copy}.cfg"
+            path.write_bytes(data)
+            config = str(path)
+        out = str(tmp_path / "o")
+        assert run_cli(["levels", "--config", config, "--out-dir", out],
+                       capsys)[0] == 0
+        man = manifest_of(out)
+        assert man["config"] == config
+        assert man["config_sha256"] == hashlib.sha256(data).hexdigest()
+        with open(os.path.join(out, "levels.csv"), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == \
+                GOLDEN_SHA256["levels.csv"]
+
+    @pytest.mark.parametrize("argv", [
+        ["levels"], ["readout-optimize", "--n-max", "20"],
+        ["simulate", "SEQ", "--shots", "20"],
+        ["area-sweep", "--points", "2", "--shots", "200"], ["calibrate"],
+        ["protocols", "--shots", "1000"]], ids=lambda argv: argv[0])
+    def test_config_opened_once(self, argv, tmp_path, seq_file, capsys,
+                                monkeypatch):
+        import builtins
+
+        from spinshot.config import resolve_config_path
+        config = str(tmp_path / "paper.cfg")
+        with open(resolve_config_path("paper.cfg"), "rb") as fh:
+            (tmp_path / "paper.cfg").write_bytes(fh.read())
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        argv = [seq_file if arg == "SEQ" else arg for arg in argv]
+        code, _ = run_cli(argv + ["--config", config,
+                                  "--out-dir", str(tmp_path / "o")], capsys)
+        assert code == 0
+        assert opened.count(config) == 1
+
     def test_format_csv_skips_report(self, tmp_path, capsys):
         out = str(tmp_path / "o")
         code, cap = run_cli(["levels", "--out-dir", out, "--format", "csv"],
@@ -311,6 +411,12 @@ class TestExitCodes:
         assert "--shots" in cap.err
 
     @pytest.mark.parametrize("argv,flag", [
+        (["area-sweep", "--points", "1000000000000"], "--points"),
+        (["area-sweep", "--points", str(cli.MAX_POINTS + 1)], "--points"),
+        (["area-sweep", "--shots", "1000000000000"], "--shots"),
+        (["protocols", "--shots", "1000000000000"], "--shots"),
+        (["simulate", "SEQ", "--shots", "1000000000000"], "--shots"),
+        (["simulate", "SEQ", "--shots", str(cli.MAX_SHOTS + 1)], "--shots"),
         (["readout-optimize", "--n-min", "0"], "--n-min"),
         (["readout-optimize", "--n-max", "0"], "--n-max"),
         (["readout-optimize", "--n-min", "5", "--n-max", "3"], "--n-min"),
@@ -335,7 +441,10 @@ class TestExitCodes:
          "--components"),
         (["g2", "RECORDS", "--lags", "0"], "--lags"),
         (["g2", "RECORDS", "--lags", "-1"], "--lags"),
-    ], ids=["n-min-0", "n-max-0", "n-min-above-n-max", "n-pulses-0",
+    ], ids=["points-1e12", "points-above-max", "area-sweep-shots-1e12",
+            "protocols-shots-1e12", "simulate-shots-1e12",
+            "simulate-shots-above-max", "n-min-0", "n-max-0",
+            "n-min-above-n-max", "n-pulses-0",
             "threshold-0", "threshold-above-pulses",
             "threshold-above-n-pulses-flag", "target-f-nan", "target-f-0",
             "target-f-above-1", "area-min-nan", "area-max-inf", "flip-slope-nan",
@@ -343,13 +452,15 @@ class TestExitCodes:
             "flip-slope-negative-a", "negative-area-negative-a",
             "components-0", "components-negative", "lags-0", "lags-negative"])
     def test_flag_out_of_range(self, argv, flag, tmp_path, series_file,
-                               records_file, capsys):
-        names = {"SERIES": series_file, "RECORDS": records_file}
+                               records_file, seq_file, capsys):
+        names = {"SERIES": series_file, "RECORDS": records_file, "SEQ": seq_file}
         argv = [names.get(arg, arg) for arg in argv]
-        code, cap = run_cli(argv + ["--shots", "200",
-                                    "--out-dir", str(tmp_path / "o")], capsys)
+        if argv[0] in SHOT_DEFAULTS:        # a case's own --shots comes later
+            argv[1:1] = ["--shots", "200"]
+        code, cap = run_cli(argv + ["--out-dir", str(tmp_path / "o")], capsys)
         assert code == 1
         assert cap.err.startswith(flag)
+        assert "Traceback" not in cap.err
 
     def test_records_beyond_header(self, tmp_path, capsys):
         path = tmp_path / "events.txt"

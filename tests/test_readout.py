@@ -320,18 +320,14 @@ class TestFidelity:
     def test_report_cyclicity_closed_form(self, s):
         rep = readout_report(make_params(n=71, a=s / 131, b=(1 - s) / 131))
         want = 0.78 * decay_pulses_from_relaxation(131.0)
-        for zeta in (rep.cyclicity_bright, rep.cyclicity_dark,
-                     rep.cyclicity_mean):
-            assert zeta == pytest.approx(want, rel=1e-12)
+        assert rep.cyclicity == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("kw", [
         dict(a=0.0), dict(b=0.0), dict(a=0.6, b=0.4), dict(a=0.7, b=0.5),
         dict(eta=0.0)])
     def test_report_cyclicity_unset_without_relaxation(self, kw):
         rep = readout_report(make_params(n=71, **kw))
-        assert rep.cyclicity_bright is None
-        assert rep.cyclicity_dark is None
-        assert rep.cyclicity_mean is None
+        assert rep.cyclicity is None
 
     def test_report_fits_nothing(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -339,7 +335,7 @@ class TestFidelity:
 
         monkeypatch.setattr("spinshot.readout.fit_model", refuse)
         rep = readout_report(make_params(n=71))
-        assert rep.cyclicity_mean == pytest.approx(
+        assert rep.cyclicity == pytest.approx(
             0.78 * decay_pulses_from_relaxation(131.0), rel=1e-12)
 
     def test_report_fields(self):
@@ -347,9 +343,7 @@ class TestFidelity:
         assert rep.n_pulses == 71
         assert rep.threshold == 1
         assert rep.readout_duration == pytest.approx(0.71)
-        assert rep.cyclicity_bright is not None
-        assert rep.cyclicity_mean == pytest.approx(
-            0.5 * (rep.cyclicity_bright + rep.cyclicity_dark))
+        assert rep.cyclicity is not None
         assert rep.f_min == min(rep.f_bright, rep.f_dark)
 
 
