@@ -4,7 +4,9 @@ pairs, `#` comments, comma-separated number lists.
 Parse errors carry the origin and line number.  Builders below turn
 sections into the typed parameter objects of the other modules; a
 config name that does not exist on disk falls back to the packaged
-presets (so `--config paper.cfg` works from any directory).
+presets (so `--config paper.cfg` works from any directory).  A loaded
+file may hold only the keys of KEYS, so a misspelt key fails instead
+of leaving its default in place.
 """
 from __future__ import annotations
 
@@ -39,6 +41,26 @@ __all__ = [
 # any spin transition, and low enough that every rotation angle 2*pi*f*t
 # the protocols build stays finite.
 MAX_SPIN_FREQUENCY_MHZ = 1e6
+
+# Every key a builder below reads, per section, plus [readout]
+# target_fidelity, which calibrate reads; load_config rejects any other.
+# [cavity] mode_volume and flip_dipole_projection were never read and are
+# still accepted.
+KEYS = {
+    "emitter": ("frequency_ghz", "g_ground", "g_excited", "bulk_lifetime_us",
+                "spectral_diffusion_fwhm_mhz"),
+    "cavity": ("resonance_frequency_ghz", "quality_factor",
+               "purcell_on_resonance", "mode_volume", "flip_dipole_projection"),
+    "field": ("magnetic_field_t", "axis"),
+    "detection": ("eta_waveguide", "eta_offchip", "eta_switch", "eta_detector",
+                  "dark_rate_hz", "gate_window_us"),
+    "readout": ("n_pulses", "p_excite", "eta_detect", "flip_bright", "flip_dark",
+                "relaxation_constant", "flip_asymmetry", "pulse_period_us",
+                "target_fidelity"),
+    "bath": ("odmr_centers_mhz", "odmr_weights", "odmr_fwhm_mhz", "t1_spin_s",
+             "t2_echo_us", "echo_exponent"),
+    "microwave": ("rabi_khz", "detuning_sigma_khz", "drive_jitter"),
+}
 
 _MISSING = object()
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_.-]+)\]$")
@@ -173,9 +195,20 @@ def resolve_config_path(path: str) -> str:
 
 
 def load_config(path: str) -> Config:
+    """Parse a config file or preset; a section or key outside KEYS is a
+    ConfigError naming it."""
     resolved = resolve_config_path(path)
     with open(resolved, "r", encoding="utf-8", newline="") as fh:
-        return parse_config(fh.read(), origin=path)
+        cfg = parse_config(fh.read(), origin=path)
+    for section, values in cfg.sections.items():
+        if section not in KEYS:
+            raise ConfigError(f"{path}: unknown section [{section}]; sections "
+                              f"are {', '.join(f'[{s}]' for s in KEYS)}")
+        for key in values:
+            if key not in KEYS[section]:
+                raise ConfigError(f"{path}: unknown key [{section}] {key}; keys "
+                                  f"are {', '.join(KEYS[section])}")
+    return cfg
 
 
 # ---------------------------------------------------------------------------

@@ -379,16 +379,18 @@ def fit_model(kind, x, y, sigma=None, initial=None,
     iterations.  Raises :class:`FitError` with per-start diagnostics
     when no start converges.
     """
-    spec = _resolve_spec(kind, n_components)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-d arrays of equal length")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("data must be finite")
-    n_par = len(spec.names)
+    # counted before gaussian_sum's 3k + 1 parameter names are built
+    n_par = (3 * (3 if n_components is None else int(n_components)) + 1
+             if kind == "gaussian_sum" else len(_resolve_spec(kind, None).names))
     if len(x) < n_par + 1:
         raise ValueError(f"need at least {n_par + 1} points to fit {kind}")
+    spec = _resolve_spec(kind, n_components)
     weights = None
     if sigma is not None:
         sigma = np.asarray(sigma, dtype=float)
@@ -498,12 +500,6 @@ class PhotonRecords:
     @property
     def origin(self) -> np.ndarray:
         return np.where(self.origin_code == 0, "emitter", "dark")
-
-    def counts_matrix(self) -> np.ndarray:
-        """(n_shots, n_pulses) detected-photon counts."""
-        flat = np.bincount(self.shot_id * self.n_pulses + self.pulse_index,
-                           minlength=self.n_shots * self.n_pulses)
-        return flat.reshape(self.n_shots, self.n_pulses)
 
     def to_file(self, path):
         rows = zip(self.shot_id.tolist(), self.pulse_index.tolist(),

@@ -5,8 +5,9 @@ kernel over a block of shots and run the blocks through one runner,
 :func:`_run_blocks`, whose docstring states how blocks, Philox streams
 and worker threads (SPINSHOT_THREADS) keep every result bitwise
 reproducible.  The readout engine draws one uniform per (shot, pulse)
-and one Poisson dark-count total per shot; draws that only place
-photons in time come last and only when records are kept.
+and one Poisson dark-count total per shot, and keeps counts only.  The
+timeline executor is the one source of photon records: it draws each
+emission's real time and assigns it to the gate that sees it.
 
 Unit conventions: optical lifetimes and gate/pulse times in us, MW
 Rabi/detuning frequencies in kHz, spectroscopy offsets in MHz, spin
@@ -105,16 +106,6 @@ def _run_blocks(run_block, shots: int, block: int, seed: int, key: tuple = ()):
 # domain types
 # ---------------------------------------------------------------------------
 
-def _sorted_records(emitted, dark):
-    """Record columns (shot, pulse or gate, time, origin code) of a block's
-    emitted and dark detections, each given as (shot, pulse or gate, time),
-    sorted by (shot, time)."""
-    code = np.repeat(np.array([0, 1], dtype=np.int8), [emitted[0].size, dark[0].size])
-    shot, index, t = map(np.concatenate, zip(emitted, dark))
-    order = np.lexsort((t, shot))
-    return shot[order], index[order], t[order], code[order]
-
-
 def _nominal_sigma():
     return gaussian_fwhm_to_sigma(2.37)
 
@@ -166,31 +157,18 @@ class ReadoutSimResult:
     histogram: CountDistribution
     trace: np.ndarray
     per_shot_counts: np.ndarray
-    records: PhotonRecords | None
     transitions: np.ndarray    # (from, to) cell counts over (bright, dark)
 
 
-def _truncated_exponential(u, lifetime_us, window_us):
-    """Emission delay inside [0, window] given detection happened there."""
-    if lifetime_us <= 0.0:
-        return np.zeros_like(u)
-    cap = 1.0 - math.exp(-window_us / lifetime_us)
-    return -lifetime_us * np.log1p(-u * cap)
-
-
-def _readout_block(params: ReadoutParams, initial: str, collect: bool,
-                   lifetime_us: float, n_block: int, rng):
-    """(per-shot counts, (per-pulse detections, transition counts), records
-    columns or None) of one block of shots, for :func:`_run_blocks`.  The
-    transition counts are the (from, to) numbers of (shot, pulse) cells
-    over (bright, dark).
+def _readout_block(params: ReadoutParams, initial: str, n_block: int, rng):
+    """(per-shot counts, (per-pulse detections, transition counts), None)
+    of one block of shots, for :func:`_run_blocks`.  The transition counts
+    are the (from, to) numbers of (shot, pulse) cells over (bright, dark).
 
     Each (shot, pulse) cell draws one uniform u: a bright spin flips if
     u < a and is detected if a <= u < a + (1-a) d; a dark spin flips if
     u < b.  The dark counts of a shot, a sum of N independent Poisson
-    gate counts, are one Poisson draw with the total mean.  Records
-    draws (emission delays, each dark count's gate and time) come after
-    every count draw, so the counts ignore ``collect``.
+    gate counts, are one Poisson draw with the total mean.
     """
     n = params.n_pulses
     a, b = params.flip_bright, params.flip_dark
@@ -200,7 +178,6 @@ def _readout_block(params: ReadoutParams, initial: str, collect: bool,
     detected = np.zeros(n_block, dtype=np.int32)   # int32 adds bools faster
     exposed_bright = flips_bright = flips_dark = 0
     trace = np.zeros(n)
-    hits = []
     for k in range(n):
         u = rng.random(n_block)
         flip_b = bright & (u < a)
@@ -212,58 +189,36 @@ def _readout_block(params: ReadoutParams, initial: str, collect: bool,
         detected += detect
         bright ^= flip_b | flip_d
         trace[k] = np.count_nonzero(detect)
-        if collect:
-            hits.append(np.flatnonzero(detect))
 
     mu = params.dark_count_mean
     n_dark = rng.poisson(mu, n_block) if mu > 0.0 else np.zeros(n_block, np.int64)
-    counts = detected + n_dark
     transitions = np.array([[exposed_bright - flips_bright, flips_bright],
                             [flips_dark, n_block * n - exposed_bright - flips_dark]])
-    if not collect:
-        return counts, (trace, transitions), None
-
-    window, period = params.gate_window, params.pulse_period
-    shot = np.concatenate(hits)
-    pulse = np.repeat(np.arange(n), [h.size for h in hits])
-    t = pulse * period + _truncated_exponential(rng.random(shot.size),
-                                                lifetime_us, window)
-    dark_shot = np.repeat(np.arange(n_block), n_dark)
-    dark_pulse = rng.integers(0, n, dark_shot.size)
-    dark_t = dark_pulse * period + rng.random(dark_shot.size) * window
-    records = _sorted_records((shot, pulse, t), (dark_shot, dark_pulse, dark_t))
-    return counts, (trace, transitions), records
+    return detected + n_dark, (trace, transitions), None
 
 
 def simulate_readout_shots(params: ReadoutParams, initial: str = "bright",
                            shots: int = 1, seed: int = 0,
-                           collect_records: bool = True,
-                           emission_lifetime_us: float = 0.803,
                            _key: tuple = ()) -> ReadoutSimResult:
     """Shot-by-shot sampling of the pulsed-readout outcome model.
 
     Counts follow exactly the per-pulse chain of
     :func:`spinshot.readout.count_distribution`, one uniform per shot
     and pulse.  Each shot's dark counts are one Poisson draw with mean
-    ``params.dark_count_mean``; in records mode each gets a uniform gate
-    and a uniform time in it.  Emission timestamps are exponential with
-    the effective lifetime, conditioned to fall inside the gate that
-    detected them.  Shots run through :func:`_run_blocks` in blocks of
-    BLOCK_SHOTS keyed by (seed, *_key), and the count statistics do not
-    depend on ``collect_records``.
+    ``params.dark_count_mean``.  Shots run through :func:`_run_blocks` in
+    blocks of BLOCK_SHOTS keyed by (seed, *_key).  Photon records, with
+    their timestamps, come from :func:`run_timeline`.
     """
     if initial not in ("bright", "dark"):
         raise ValueError("initial must be 'bright' or 'dark'")
-    counts, (trace, transitions), columns = _run_blocks(
-        lambda n_block, rng: _readout_block(params, initial, collect_records,
-                                            emission_lifetime_us, n_block, rng),
+    counts, (trace, transitions), _ = _run_blocks(
+        lambda n_block, rng: _readout_block(params, initial, n_block, rng),
         shots, BLOCK_SHOTS, seed, _key)
-    n = params.n_pulses
     return ReadoutSimResult(
-        histogram=CountDistribution(np.bincount(counts) / shots, initial, n),
+        histogram=CountDistribution(np.bincount(counts) / shots, initial,
+                                    params.n_pulses),
         trace=trace / shots,
         per_shot_counts=counts,
-        records=PhotonRecords(*columns, shots, n) if collect_records else None,
         transitions=transitions,
     )
 
@@ -472,8 +427,7 @@ def pulse_area_scan(areas, params: ReadoutParams, flip_slope: float = 0.0,
         p = excitation_probability(area)
         point = replace(params, p_excite=p, flip_bright=float(
             min(params.flip_bright + flip_slope * area, 1.0)))
-        sim = simulate_readout_shots(point, "bright", shots, seed,
-                                     collect_records=False, _key=(i,))
+        sim = simulate_readout_shots(point, "bright", shots, seed, _key=(i,))
         n0, out["se"][i] = _decay_pulses(sim.transitions)
         report = readout_report(point)
         out["p"][i] = p
@@ -496,7 +450,6 @@ class TimelineRun:
     histogram: CountDistribution
     records: PhotonRecords
     gate_count: int
-    per_gate_mean: np.ndarray
 
 
 # Executor block size in cells (optical pulses plus gates, times shots); a
@@ -590,8 +543,8 @@ def _plan_timeline(tl, params: ReadoutParams, fwhm_mhz: float) -> _TimelinePlan:
 
 def _timeline_block(plan: _TimelinePlan, params: ReadoutParams, bath,
                     lifetime_us, mw_rabi_khz, n_block, rng):
-    """(per-shot totals, (per-gate sums,), records columns) of one block,
-    for :func:`_run_blocks`."""
+    """(per-shot totals, (), records columns) of one block, for
+    :func:`_run_blocks`."""
     n_opt, n_gates = len(plan.opt_end), len(plan.gate_start)
     offsets = (_sample_mixture(rng, bath, n_block) if bath is not None
                else np.zeros(n_block))
@@ -638,15 +591,18 @@ def _timeline_block(plan: _TimelinePlan, params: ReadoutParams, bath,
     shot, gate, t = shot[seen], gate[seen], t[seen]
     n_dark = rng.poisson(plan.gate_mu, (n_block, n_gates))
     totals = np.bincount(shot, minlength=n_block) + n_dark.sum(axis=1)
-    gate_sums = np.bincount(gate, minlength=n_gates) + n_dark.sum(axis=0)
 
     dark_shot, dark_gate = np.nonzero(n_dark)
     reps = n_dark[dark_shot, dark_gate]
     dark_shot, dark_gate = np.repeat(dark_shot, reps), np.repeat(dark_gate, reps)
     dark_t = plan.gate_start[dark_gate] + rng.random(dark_gate.size) * (
         plan.gate_end - plan.gate_start)[dark_gate]
-    records = _sorted_records((shot, gate, t), (dark_shot, dark_gate, dark_t))
-    return totals, (gate_sums,), records
+    # record columns (shot, gate, time, origin code) sorted by (shot, time)
+    code = np.repeat(np.array([0, 1], dtype=np.int8), [shot.size, dark_shot.size])
+    shot, gate, t = map(np.concatenate, ((shot, dark_shot), (gate, dark_gate),
+                                         (t, dark_t)))
+    order = np.lexsort((t, shot))
+    return totals, (), (shot[order], gate[order], t[order], code[order])
 
 
 def run_timeline(timeline, params: ReadoutParams, bath: BathParams | None = None,
@@ -660,13 +616,11 @@ def run_timeline(timeline, params: ReadoutParams, bath: BathParams | None = None
     or a literal detuning weighted by the Lorentzian spectral-diffusion
     line) follow the per-pulse readout outcome model and leave a real
     emission time behind — the photon is only detected if a later gate
-    covers it (unlike the calibrated readout engine, which conditions
-    the timestamp on detection).  Pulses on C/D act as optical pumping
-    between the ground states; pulses on B are emission on the
-    off-resonant branch and are not detected.  Every optical pulse
-    projects the spin.  MW pulse frequencies are offsets (MHz) from the
-    nominal spin transition of the shot.  Dark counts are Poisson per
-    gate with uniform timestamps.
+    covers it.  Pulses on C/D act as optical pumping between the ground
+    states; pulses on B are emission on the off-resonant branch and are
+    not detected.  Every optical pulse projects the spin.  MW pulse
+    frequencies are offsets (MHz) from the nominal spin transition of
+    the shot.  Dark counts are Poisson per gate with uniform timestamps.
 
     Shots run through :func:`_run_blocks` in blocks of
     TIMELINE_BLOCK_CELLS // (optical pulses + gates) shots (at least
@@ -674,7 +628,7 @@ def run_timeline(timeline, params: ReadoutParams, bath: BathParams | None = None
     """
     plan = _plan_timeline(timeline, params, spectral_diffusion_fwhm_mhz)
     n_gates = len(plan.gate_start)
-    totals, (gate_sums,), columns = _run_blocks(
+    totals, _, columns = _run_blocks(
         lambda n_block, rng: _timeline_block(plan, params, bath,
                                              emission_lifetime_us, mw_rabi_khz,
                                              n_block, rng),
@@ -683,4 +637,4 @@ def run_timeline(timeline, params: ReadoutParams, bath: BathParams | None = None
         histogram=CountDistribution(np.bincount(totals) / shots, "bright",
                                     max(n_gates, 1)),
         records=PhotonRecords(*columns, shots, max(n_gates, 1)),
-        gate_count=n_gates, per_gate_mean=gate_sums / shots)
+        gate_count=n_gates)

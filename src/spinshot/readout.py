@@ -52,7 +52,12 @@ __all__ = [
     "format_fidelity_report",
 ]
 
-CAPACITY_PULSES = 10_000
+# largest pulse count of the exact DP.  Its pmf drifts from sum 1 by a
+# rounding error that grows linearly with the pulse count: over 1000
+# random (a, b, d) points at 4000 pulses the worst was 4.5e-13 (1.14e-16
+# per pulse), inside the 1e-12 that CountDistribution checks; at 10000
+# pulses six of 451 points broke that check.
+CAPACITY_PULSES = 4000
 # largest dark-count mean over all gates: its truncated Poisson pmf spans
 # about mu + 8 sqrt(mu) counts, 1.008e6 here, on every distribution's
 # count axis
@@ -203,11 +208,11 @@ def _chain(a, b, d, starts, n_pulses):
     tail stays zero (0 * x + 0 * y = 0) and the support grows by at most
     one count per pulse; in floating point it grows much more slowly,
     as the top counts underflow (at ``paper.cfg`` the last nonzero count
-    is 956 at N = 3000, 1996 at N = 10000).  Every _SUPPORT_STEP pulses
-    the width therefore grows by _SUPPORT_STEP counts if any of its top
-    _SUPPORT_STEP counts is nonzero, so the support cannot reach the
-    width before the next check.  The kept counts go through the same
-    floating-point operations as on the full axis and keep their bits.
+    is 956 at N = 3000).  Every _SUPPORT_STEP pulses the width therefore
+    grows by _SUPPORT_STEP counts if any of its top _SUPPORT_STEP counts
+    is nonzero, so the support cannot reach the width before the next
+    check.  The kept counts go through the same floating-point
+    operations as on the full axis and keep their bits.
     """
     a, b = (np.repeat(np.asarray(x, dtype=float), len(starts))[:, None] for x in (a, b))
     # probs[state] gains probs[bright] * from_bright[state] and

@@ -520,17 +520,15 @@ class BlockTiming:
 class DurationReport:
     total_ms: float
     blocks: tuple
-    max_rate: bool
-    overhead_us: float
 
 
-def duration_report(program: SequenceProgram, max_rate: bool = False,
-                    overhead_us: float = DEFAULT_OVERHEAD_US) -> DurationReport:
+def duration_report(program: SequenceProgram,
+                    max_rate: bool = False) -> DurationReport:
     """Wall-clock totals per top-level block.
 
     ``max_rate`` recomputes every repeat block that pairs pulses with
     detection gates at its fastest repetition period, pulse + gate +
-    fixed switching overhead, dropping the waits.
+    DEFAULT_OVERHEAD_US of switching, dropping the waits.
     """
     blocks = []
     total_us = 0.0
@@ -539,7 +537,7 @@ def duration_report(program: SequenceProgram, max_rate: bool = False,
             label = f"block {i}: repeat x{stmt.count}"
             _, period, pulse, gate = _measure(stmt.block)
             if max_rate and pulse > 0 and gate > 0:
-                period = pulse + gate + overhead_us
+                period = pulse + gate + DEFAULT_OVERHEAD_US
             block_total = stmt.count * period
             blocks.append(BlockTiming(label, stmt.count, period, block_total))
         else:
@@ -547,5 +545,4 @@ def duration_report(program: SequenceProgram, max_rate: bool = False,
             block_total = _event_row(stmt)[0]
             blocks.append(BlockTiming(label, 1, block_total, block_total))
         total_us += block_total
-    return DurationReport(total_ms=total_us * 1e-3, blocks=tuple(blocks),
-                          max_rate=max_rate, overhead_us=overhead_us)
+    return DurationReport(total_ms=total_us * 1e-3, blocks=tuple(blocks))

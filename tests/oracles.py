@@ -14,8 +14,8 @@ from functools import lru_cache
 import numpy as np
 
 from spinshot.estimators import _decay_tau_guess, _fft_frequency_guess, _span
-from spinshot.sequence import (Detect, MwPulse, OpticalPulse, ParseError,
-                               Repeat, Wait)
+from spinshot.sequence import (DEFAULT_OVERHEAD_US, Detect, MwPulse,
+                               OpticalPulse, ParseError, Repeat, Wait)
 
 BRIGHT, DARK = 0, 1
 
@@ -98,38 +98,28 @@ def trace_closed_form(n_pulses, a, b, d, initial="bright"):
     return d * (pi + (p0 - pi) * (1.0 - a - b) ** k)
 
 
-def _truncated_exponential(u, lifetime_us, window_us):
-    """Emission delay inside [0, window] given detection happened there."""
-    if lifetime_us <= 0.0:
-        return np.zeros_like(u)
-    cap = 1.0 - math.exp(-window_us / lifetime_us)
-    return -lifetime_us * np.log1p(-u * cap)
-
-
 def readout_block_three_draw(params: ReadoutParams, initial: str, n_block: int,
-                             rng, collect: bool, lifetime_us: float):
-    """The readout engine's former sampler, kept verbatim: three uniforms
-    per (shot, pulse) cell (flip, detect, emission delay) and one Poisson
-    draw per (shot, gate) for the dark counts.  Returns (per-shot counts,
-    per-pulse detections, per-shot detections before the first flip, and
-    the records columns shot, pulse, time, origin code)."""
+                             rng):
+    """The readout engine's former sampler, kept verbatim but for its
+    records mode: three uniforms per (shot, pulse) cell (flip, detect,
+    emission delay) and one Poisson draw per (shot, gate) for the dark
+    counts.  Returns (per-shot counts, per-pulse detections, per-shot
+    detections before the first flip)."""
     n = params.n_pulses
     a, b = params.flip_bright, params.flip_dark
     d = params.detection_probability
-    window, period = params.gate_window, params.pulse_period
-    mu_gate = params.dark_rate * window * 1e-6
+    mu_gate = params.dark_rate * params.gate_window * 1e-6
 
     bright = np.full(n_block, initial == "bright")
     counts = np.zeros(n_block, dtype=np.int64)
     unflipped = np.ones(n_block, dtype=bool)
     before_flip = np.zeros(n_block, dtype=np.int64)
     trace = np.zeros(n)
-    rec_shot, rec_pulse, rec_time, rec_code = [], [], [], []
 
     for k in range(n):
         r_flip = rng.random(n_block)
         r_det = rng.random(n_block)
-        r_time = rng.random(n_block)
+        rng.random(n_block)     # the emission delay, read only by records
         flip_b = bright & (r_flip < a)
         flip_d = ~bright & (r_flip < b)
         detect = bright & ~flip_b & (r_det < d)
@@ -138,38 +128,11 @@ def readout_block_three_draw(params: ReadoutParams, initial: str, n_block: int,
         before_flip += detect & unflipped
         unflipped &= ~flip_b
         bright = (bright & ~flip_b) | flip_d
-
-        gate_start = k * period
         if mu_gate > 0.0:
             n_dark = rng.poisson(mu_gate, n_block)
             counts += n_dark
-            total_dark = int(n_dark.sum())
-            t_dark = rng.random(total_dark)
-        else:
-            n_dark = None
-        if collect:
-            idx = np.nonzero(detect)[0]
-            if idx.size:
-                rec_shot.append(idx)
-                rec_pulse.append(np.full(idx.size, k, dtype=np.int64))
-                rec_time.append(gate_start +
-                                _truncated_exponential(r_time[idx], lifetime_us, window))
-                rec_code.append(np.zeros(idx.size, dtype=np.int8))
-            if n_dark is not None and total_dark:
-                dark_idx = np.repeat(np.arange(n_block), n_dark)
-                rec_shot.append(dark_idx)
-                gate_of = np.full(total_dark, k, dtype=np.int64)
-                rec_pulse.append(gate_of)
-                rec_time.append(gate_start + t_dark * window)
-                rec_code.append(np.ones(total_dark, dtype=np.int8))
-
-    def _concat(parts, dtype):
-        return (np.concatenate(parts) if parts
-                else np.array([], dtype=dtype))
-
-    return (counts, trace, before_flip,
-            _concat(rec_shot, np.int64), _concat(rec_pulse, np.int64),
-            _concat(rec_time, float), _concat(rec_code, np.int8))
+            rng.random(int(n_dark.sum()))   # dark-count times, likewise
+    return counts, trace, before_flip
 
 
 def decay_pulses_from_relaxation(relaxation_constant):
@@ -376,8 +339,9 @@ def event_count_by_walkers(program):
     return sum(_statement_event_count(s) for s in program.statements)
 
 
-def duration_report_by_walkers(program, max_rate, overhead_us):
-    """(total ms, [(period us, block total us)] per top-level statement)."""
+def duration_report_by_walkers(program, max_rate):
+    """(total ms, [(period us, block total us)] per top-level statement),
+    with DEFAULT_OVERHEAD_US of switching per max-rate period."""
     blocks = []
     total_us = 0.0
     for stmt in program.statements:
@@ -386,7 +350,7 @@ def duration_report_by_walkers(program, max_rate, overhead_us):
             if max_rate:
                 pulse, gate = _active_durations(stmt.block)
                 if pulse > 0 and gate > 0:
-                    period = pulse + gate + overhead_us
+                    period = pulse + gate + DEFAULT_OVERHEAD_US
             block_total = stmt.count * period
             blocks.append((period, block_total))
         else:

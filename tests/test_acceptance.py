@@ -18,7 +18,7 @@ from test_estimators import CASES, evaluate
 from spinshot import cli
 from spinshot.config import bath_params
 from spinshot.estimators import FitError, fit_model, g2_pulsed
-from spinshot.montecarlo import (PhotonRecords, run_protocol,
+from spinshot.montecarlo import (PhotonRecords, run_protocol, run_timeline,
                                  simulate_readout_shots)
 from spinshot.physics import (cavity_linewidth, detection_efficiency_budget,
                               effective_lifetime, lorentzian_suppression,
@@ -27,7 +27,7 @@ from spinshot.readout import (ReadoutParams, calibrate_flip_asymmetry,
                               count_distribution, cyclicity,
                               dark_count_penalty, optimize_readout,
                               readout_report)
-from spinshot.sequence import duration_report, parse_sequence
+from spinshot.sequence import compile_sequence, duration_report, parse_sequence
 
 READOUT_71 = ("repeat 71 { pulse optical A 0.02us 1pi\n"
               " detect 3us\n wait 6.98us }\n")
@@ -144,7 +144,7 @@ def test_c08_dp_vs_montecarlo(capsys, nominal_params):
     with scoreboard(capsys, 8, "DP vs Monte Carlo at 1e6 shots") as info:
         t0 = time.perf_counter()
         sim = simulate_readout_shots(nominal_params, "bright", shots=10 ** 6,
-                                     seed=42, collect_records=False)
+                                     seed=42)
         dt = time.perf_counter() - t0
         dp = count_distribution(nominal_params, "bright").probabilities
         tv = tv_distance(sim.histogram.probabilities, dp)
@@ -267,9 +267,9 @@ def test_c12_g2_sanity(capsys):
                                  dark_rate=dark, gate_window=3.0,
                                  pulse_period=10.0)
 
-        sim = simulate_readout_shots(params(0.0), "bright", shots=4000,
-                                     seed=11)
-        single = g2_pulsed(sim.records)
+        timeline = compile_sequence(parse_sequence(READOUT_71))
+        run = run_timeline(timeline, params(0.0), shots=4000, seed=11)
+        single = g2_pulsed(run.records)
         assert single.g2_zero == 0.0
 
         # Poissonian benchmark: synthetic records, 1e6 pulses; the SE
@@ -298,9 +298,8 @@ def test_c12_g2_sanity(capsys):
         rates = (50.0, 500.0, 5000.0)
         g_dark = []
         for rate in rates:
-            sim = simulate_readout_shots(params(rate), "bright",
-                                         shots=20000, seed=29)
-            g_dark.append(g2_pulsed(sim.records).g2_zero)
+            run = run_timeline(timeline, params(rate), shots=20000, seed=29)
+            g_dark.append(g2_pulsed(run.records).g2_zero)
         assert g_dark[0] < g_dark[1] < g_dark[2]
 
         info["detail"] = (
@@ -320,10 +319,11 @@ def test_c13_cli_determinism(capsys, tmp_path, monkeypatch):
             for xi, yi in zip(x, 0.06 * np.exp(-x / 127.0) + 0.002):
                 fh.write(f"{xi:.10g},{yi:.10g}\n")
         events = tmp_path / "events.txt"
-        src = simulate_readout_shots(
-            ReadoutParams(n_pulses=20, p_excite=0.78, eta_detect=0.10,
+        src = run_timeline(
+            compile_sequence(parse_sequence(READOUT_71)),
+            ReadoutParams(n_pulses=71, p_excite=0.78, eta_detect=0.10,
                           flip_bright=0.5 / 131, flip_dark=0.5 / 131),
-            "bright", shots=2000, seed=1)
+            shots=2000, seed=1)
         src.records.to_file(events)
 
         matrix = [

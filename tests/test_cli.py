@@ -6,6 +6,7 @@ import re
 import signal
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -51,13 +52,15 @@ def series_file(tmp_path):
 
 @pytest.fixture
 def records_file(tmp_path):
-    from spinshot.montecarlo import simulate_readout_shots
+    from spinshot.montecarlo import run_timeline
     from spinshot.readout import ReadoutParams
-    params = ReadoutParams(n_pulses=20, p_excite=0.78, eta_detect=0.10,
+    from spinshot.sequence import compile_sequence, parse_sequence
+    params = ReadoutParams(n_pulses=25, p_excite=0.78, eta_detect=0.10,
                            flip_bright=0.5 / 131, flip_dark=0.5 / 131)
-    sim = simulate_readout_shots(params, "bright", shots=2000, seed=1)
+    run = run_timeline(compile_sequence(parse_sequence(SEQ_TEXT)), params,
+                       shots=2000, seed=1)
     p = tmp_path / "events.txt"
-    sim.records.to_file(p)
+    run.records.to_file(p)
     return str(p)
 
 
@@ -641,6 +644,24 @@ class TestInputsFailFast:
         assert code == 2
         assert f"error: {seq}:2:1: event 1 starts at 1e+308 us" in cap.err
         assert "Warning" not in cap.err
+
+    def test_components_beyond_points(self, tmp_path, capsys):
+        # k components have 3k + 1 parameters and need 3k + 2 points; the
+        # count is checked before any of the 3e9 parameter names is built
+        series = tmp_path / "five.csv"
+        series.write_text("x,y\n" + "".join(f"{i},{i * i}\n" for i in range(5)))
+        tracemalloc.start()
+        try:
+            code, cap = run_cli_within(2.0, [
+                "fit", str(series), "--model", "gaussian_sum", "--components",
+                str(10**9), "--out-dir", str(tmp_path / "o")], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert cap.err == ("error: need at least 3000000002 points to fit "
+                           "gaussian_sum\n")
+        assert peak < 1 << 20
 
     def test_unidentifiable_rabi_fit_names_protocol(self, tmp_path, capsys):
         # every converged start of this Rabi curve has a frequency far

@@ -3,9 +3,10 @@ import re
 import pytest
 
 from spinshot import cli
-from spinshot.config import (ConfigError, bath_params, cavity_config,
-                             emitter_config, load_config, microwave_settings,
-                             parse_config, readout_params, resolve_config_path,
+from spinshot.config import (KEYS, Config, ConfigError, bath_params,
+                             cavity_config, emitter_config, load_config,
+                             microwave_settings, parse_config, readout_params,
+                             relaxation_constant, resolve_config_path,
                              zeeman_config)
 
 GOOD = """\
@@ -185,19 +186,70 @@ class TestBuilders:
             readout_params(load_config(str(p)))
         assert str(exc.value) == f"{p}: missing key 'p_excite' in [readout]"
 
-    def test_removed_cavity_keys_still_load(self):
+    def test_removed_cavity_keys_still_load(self, tmp_path):
         # mode_volume and flip_dipole_projection were never read; configs
         # that still set them load unchanged
-        cfg = parse_config(
+        path = tmp_path / "retired.cfg"
+        path.write_text(
             "[cavity]\nresonance_frequency_ghz = 194954.05\n"
             "quality_factor = 82000\npurcell_on_resonance = 177\n"
-            "mode_volume = 0.83\nflip_dipole_projection = 1.0\n",
-            origin="inline")
-        assert cavity_config(cfg).quality_factor == 82000.0
+            "mode_volume = 0.83\nflip_dipole_projection = 1.0\n")
+        assert cavity_config(load_config(str(path))).quality_factor == 82000.0
 
     def test_load_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/definitely/not/here.cfg")
+
+
+def paper_text():
+    with open(resolve_config_path("paper.cfg"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+class TestKnownKeys:
+    BUILDERS = (emitter_config, cavity_config, zeeman_config, readout_params,
+                relaxation_constant, bath_params, microwave_settings)
+
+    def test_table_is_what_the_builders_read(self, tmp_path, monkeypatch):
+        read = set()
+        fetch = Config._fetch
+
+        def recording_fetch(self, section, key, *default):
+            read.add((section, key))
+            return fetch(self, section, key, *default)
+
+        monkeypatch.setattr(Config, "_fetch", recording_fetch)
+        explicit = tmp_path / "flips.cfg"
+        explicit.write_text(paper_text().replace(
+            "flip_asymmetry = 0.5", "flip_bright = 0.004\nflip_dark = 0.003"))
+        for path in ("paper.cfg", str(explicit)):
+            cfg = load_config(path)
+            for build in self.BUILDERS:
+                build(cfg)
+        # calibrate reads target_fidelity itself, and only without
+        # --target-f; the retired [cavity] keys are accepted and never read
+        read |= {("readout", "target_fidelity"), ("cavity", "mode_volume"),
+                 ("cavity", "flip_dipole_projection")}
+        assert read == {(section, key) for section, keys in KEYS.items()
+                        for key in keys}
+
+    @pytest.mark.parametrize("edit,named", [
+        (("dark_rate_hz = 10", "dark_rate = 1000"), "unknown key [detection] "
+                                                    "dark_rate; keys are "),
+        (("[bath]", "[baths]"), "unknown section [baths]; sections are "),
+        (("drive_jitter = 0", "drive_jitter = 0\n\n[notes]"),
+         "unknown section [notes]; sections are "),
+    ], ids=["misspelt-key", "misspelt-section", "empty-section"])
+    def test_unknown_key_fails_naming_it(self, edit, named, tmp_path, capsys):
+        text = paper_text()
+        assert text.count(edit[0]) == 1
+        path = tmp_path / "typo.cfg"
+        path.write_text(text.replace(*edit))
+        code = cli.main(["calibrate", "--config", str(path),
+                         "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {named}")
+        assert not (tmp_path / "o").exists()
 
 
 class TestReadoutKeyRanges:

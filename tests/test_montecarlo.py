@@ -71,29 +71,15 @@ class TestReadoutSimulation:
         params = make_params(dark_rate=10.0)
         dp = count_distribution(params, "bright").probabilities
         for shots in (10_000, 100_000):
-            sim = simulate_readout_shots(params, "bright", shots=shots,
-                                         seed=11, collect_records=False)
+            sim = simulate_readout_shots(params, "bright", shots=shots, seed=11)
             tv = tv_distance(sim.histogram.probabilities, dp)
             assert tv < 3.0 / math.sqrt(shots), (shots, tv)
 
     def test_dark_initial_state(self):
         params = make_params(n=40)
         dp = count_distribution(params, "dark").probabilities
-        sim = simulate_readout_shots(params, "dark", shots=50_000, seed=2,
-                                     collect_records=False)
+        sim = simulate_readout_shots(params, "dark", shots=50_000, seed=2)
         assert tv_distance(sim.histogram.probabilities, dp) < 3.0 / math.sqrt(50_000)
-
-    def test_histogram_independent_of_collect_flag(self):
-        params = make_params(n=30, dark_rate=25.0)
-        with_rec = simulate_readout_shots(params, "bright", shots=4000,
-                                          seed=5, collect_records=True)
-        without = simulate_readout_shots(params, "bright", shots=4000,
-                                         seed=5, collect_records=False)
-        assert np.array_equal(with_rec.histogram.probabilities,
-                              without.histogram.probabilities)
-        assert np.array_equal(with_rec.per_shot_counts,
-                              without.per_shot_counts)
-        assert without.records is None
 
     def test_worker_count_independence(self, monkeypatch):
         params = make_params(n=50, dark_rate=10.0)
@@ -105,42 +91,24 @@ class TestReadoutSimulation:
         a, b = results
         assert np.array_equal(a.histogram.probabilities,
                               b.histogram.probabilities)
-        assert np.array_equal(a.records.timestamp_us, b.records.timestamp_us)
-        assert np.array_equal(a.records.shot_id, b.records.shot_id)
-
-    def test_timestamps_inside_gates(self):
-        params = make_params(n=25, dark_rate=300.0, gate_window=3.0,
-                             pulse_period=10.0)
-        sim = simulate_readout_shots(params, "bright", shots=3000, seed=3)
-        rec = sim.records
-        offset = rec.timestamp_us - rec.pulse_index * params.pulse_period
-        assert np.all(offset >= 0.0)
-        assert np.all(offset <= params.gate_window)
-
-    def test_counts_match_records(self):
-        params = make_params(n=25, dark_rate=120.0)
-        sim = simulate_readout_shots(params, "bright", shots=2500, seed=4)
-        by_shot = np.bincount(sim.records.shot_id, minlength=2500)
-        assert np.array_equal(by_shot, sim.per_shot_counts)
-        hist = np.bincount(sim.per_shot_counts) / 2500
-        assert np.array_equal(
-            hist, sim.histogram.probabilities[:len(hist)])
-        assert sim.histogram.probabilities[len(hist):].sum() == 0
+        assert np.array_equal(a.per_shot_counts, b.per_shot_counts)
+        assert np.array_equal(a.transitions, b.transitions)
 
     def test_records_round_trip(self, tmp_path):
-        params = make_params(n=10, dark_rate=50.0)
-        sim = simulate_readout_shots(params, "bright", shots=500, seed=6)
+        tl = compile_sequence(parse_sequence(readout_sequence(10)))
+        run = run_timeline(tl, make_params(n=10, dark_rate=50.0), shots=500,
+                           seed=6)
         path = tmp_path / "events.txt"
-        sim.records.to_file(path)
+        run.records.to_file(path)
         back = PhotonRecords.from_file(path)
         assert back.n_shots == 500
         assert back.n_pulses == 10
-        assert np.array_equal(back.shot_id, sim.records.shot_id)
-        assert np.array_equal(back.pulse_index, sim.records.pulse_index)
+        assert np.array_equal(back.shot_id, run.records.shot_id)
+        assert np.array_equal(back.pulse_index, run.records.pulse_index)
         # file stores 12 significant digits
-        assert np.allclose(back.timestamp_us, sim.records.timestamp_us,
+        assert np.allclose(back.timestamp_us, run.records.timestamp_us,
                            rtol=1e-11, atol=1e-11)
-        assert np.array_equal(back.origin_code, sim.records.origin_code)
+        assert np.array_equal(back.origin_code, run.records.origin_code)
 
     @pytest.mark.parametrize("row,line,column", [
         ("2 0 1.0 emitter", 4, "shot_id 2"),
@@ -163,21 +131,25 @@ class TestReadoutSimulation:
             PhotonRecords.from_file(path)
 
     def test_origin_codes(self):
-        params = make_params(n=20, dark_rate=400.0)
-        sim = simulate_readout_shots(params, "bright", shots=2000, seed=8)
-        origins = set(np.unique(sim.records.origin_code).tolist())
+        tl = compile_sequence(parse_sequence(readout_sequence(20)))
+        run = run_timeline(tl, make_params(n=20, dark_rate=400.0), shots=2000,
+                           seed=8)
+        origins = set(np.unique(run.records.origin_code).tolist())
         assert origins == {0, 1}  # emitter and dark counts present
 
     def test_trace_is_mean_detections_per_pulse(self):
-        params = make_params(n=15)
-        sim = simulate_readout_shots(params, "bright", shots=30_000, seed=12)
-        mat = sim.records.counts_matrix()
-        assert np.allclose(sim.trace, mat.mean(axis=0))
+        # no dark counts: every count is a detection in one of the pulses;
+        # the trace holds float means, so the sum agrees to rounding
+        shots = 30_000
+        sim = simulate_readout_shots(make_params(n=15), "bright", shots=shots,
+                                     seed=12)
+        assert sim.trace.sum() * shots == pytest.approx(
+            sim.per_shot_counts.sum(), rel=1e-12)
 
-    # sha256 of every array the engine returns, records included, frozen
-    # from the engine as it stood before its blocks went through _run_blocks
-    FROZEN_ARRAYS_SHA256 = ("48291a5d1bafc72331cc162307d1f7fb"
-                            "889e818cc579199d2d33a1a93758ca72")
+    # sha256 of every array the engine returns, frozen from the engine as
+    # it stood before its blocks went through _run_blocks
+    FROZEN_ARRAYS_SHA256 = ("7ee0b44c8c370fe6273bd1490ac0dcec"
+                            "b121bcf2a345a58bc4750fcc28fb1daa")
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_arrays_frozen(self, threads, monkeypatch):
@@ -187,10 +159,8 @@ class TestReadoutSimulation:
         for shots in (BLOCK_SHOTS + 7, 5):
             for initial in ("bright", "dark"):
                 sim = simulate_readout_shots(params, initial, shots=shots, seed=17)
-                rec = sim.records
                 for array in (sim.histogram.probabilities, sim.trace,
-                              sim.per_shot_counts, sim.transitions, rec.shot_id,
-                              rec.pulse_index, rec.timestamp_us, rec.origin_code):
+                              sim.per_shot_counts, sim.transitions):
                     digest.update(f"{array.dtype.str}{array.shape}".encode())
                     digest.update(np.ascontiguousarray(array).tobytes())
         assert digest.hexdigest() == self.FROZEN_ARRAYS_SHA256
@@ -213,10 +183,9 @@ class TestReadoutEngineVsOracle:
     @pytest.mark.parametrize("case", list(ENGINE_CASES))
     def test_same_law(self, case, initial):
         params, shots = ENGINE_CASES[case], 20_000
-        sim = simulate_readout_shots(params, initial, shots=shots, seed=31,
-                                     collect_records=False)
-        counts, trace, *_ = readout_block_three_draw(
-            params, initial, shots, _stream(32, 0), False, 0.803)
+        sim = simulate_readout_shots(params, initial, shots=shots, seed=31)
+        counts, trace, _ = readout_block_three_draw(
+            params, initial, shots, _stream(32, 0))
         assert_same_count_distribution(sim.per_shot_counts, counts)
         assert np.array_equal(np.bincount(sim.per_shot_counts) / shots,
                               sim.histogram.probabilities)
@@ -224,26 +193,13 @@ class TestReadoutEngineVsOracle:
         se = np.sqrt(pooled * (1.0 - pooled) * 2.0 / shots)
         assert np.all(np.abs(sim.trace - trace / shots) <= 5.0 * se + 1e-12)
 
-    def test_dark_count_gates_uniform(self):
-        # 20 gates, about 0.06 dark counts per gate and shot
-        params = make_params(n=20, p=0.0, dark_rate=20_000.0)
-        sim = simulate_readout_shots(params, "bright", shots=5000, seed=13)
-        gates = sim.records.pulse_index[sim.records.origin_code == 1]
-        assert gates.size == sim.per_shot_counts.sum() > 5000
-        observed = np.bincount(gates, minlength=20)
-        expected = gates.size / 20
-        chi2 = float(((observed - expected) ** 2).sum() / expected)
-        # chi-square with 19 degrees of freedom: mean 19, SD sqrt(38)
-        assert chi2 <= 19 + 5.0 * math.sqrt(38.0), observed
-
     @pytest.mark.parametrize("initial", ["bright", "dark"])
     @pytest.mark.parametrize("params", [
         make_params(), make_params(n=30, a=0.2, b=0.1, p=1.0, eta=0.5)],
         ids=["nominal", "a=0.2"])
     def test_trace_is_one_minus_a_times_expected_trace(self, params, initial):
         shots = 50_000
-        sim = simulate_readout_shots(params, initial, shots=shots, seed=14,
-                                     collect_records=False)
+        sim = simulate_readout_shots(params, initial, shots=shots, seed=14)
         want = (1.0 - params.flip_bright) * expected_trace(params, initial)
         se = np.sqrt(want * (1.0 - want) / shots)
         assert np.all(np.abs(sim.trace - want) <= 5.0 * se + 1e-12)
@@ -458,8 +414,7 @@ class TestAreaScan:
         # more shots than one block: the counts are summed over blocks
         shots = 65536 + 100
         params = make_params(n=5, a=a, b=a)
-        sim = simulate_readout_shots(params, "bright", shots=shots, seed=6,
-                                     collect_records=False)
+        sim = simulate_readout_shots(params, "bright", shots=shots, seed=6)
         assert np.array_equal(sim.transitions, shots * np.array(want))
 
     def test_csv(self, tmp_path):
@@ -471,8 +426,19 @@ class TestAreaScan:
         assert head == "area,p_excite,n0,cyclicity,threshold,f_min"
 
 
-READOUT_SEQ = ("repeat 40 { pulse optical A 0.02us 1pi\n"
-               " detect 3us\n wait 6.98us }")
+def readout_sequence(n):
+    """The README readout sequence with n pulse-and-gate cycles."""
+    return (f"repeat {n} {{ pulse optical A 0.02us 1pi\n"
+            " detect 3us\n wait 6.98us }")
+
+
+READOUT_SEQ = readout_sequence(40)
+
+
+def per_gate_mean(run):
+    """Mean detections per shot in each gate of a timeline run."""
+    return (np.bincount(run.records.pulse_index, minlength=run.gate_count)
+            / run.records.n_shots)
 
 
 class TestTimeline:
@@ -487,7 +453,7 @@ class TestTimeline:
         params = make_params(n=40)
         run = run_timeline(tl, params, shots=200, seed=0)
         assert run.gate_count == np.count_nonzero(tl.kind == DETECT) == 40
-        assert run.per_gate_mean.shape == (40,)
+        assert per_gate_mean(run).shape == (40,)
 
     def test_matches_dp_when_gates_capture_everything(self):
         # a short emission lifetime makes gate losses negligible, so the
@@ -547,6 +513,20 @@ class TestTimeline:
                            spectral_diffusion_fwhm_mhz=0.0)
         assert run.histogram.mean() == 0.0
         assert len(run.records) == 0
+
+    def test_dark_count_gates_uniform(self):
+        # 20 gates, about 0.06 dark counts per gate and shot, drawn as one
+        # Poisson count per (shot, gate)
+        tl = compile_sequence(parse_sequence(readout_sequence(20)))
+        params = make_params(n=20, p=0.0, dark_rate=20_000.0)
+        run = run_timeline(tl, params, shots=5000, seed=13)
+        gates = run.records.pulse_index[run.records.origin_code == 1]
+        assert gates.size == len(run.records) > 5000
+        observed = np.bincount(gates, minlength=20)
+        expected = gates.size / 20
+        chi2 = float(((observed - expected) ** 2).sum() / expected)
+        # chi-square with 19 degrees of freedom: mean 19, SD sqrt(38)
+        assert chi2 <= 19 + 5.0 * math.sqrt(38.0), observed
 
     def test_timestamps_inside_gates(self):
         tl = compile_sequence(parse_sequence(READOUT_SEQ))
@@ -619,9 +599,10 @@ class TestTimelineExecutor:
         assert_same_count_distribution(totals, ref_totals)
         assert np.array_equal(np.bincount(totals) / 20_000,
                               run.histogram.probabilities)
-        se = np.sqrt(run.per_gate_mean / 20_000
+        mean = per_gate_mean(run)
+        se = np.sqrt(mean / 20_000
                      + ref_counts.var(axis=0, ddof=1) / case["ref_shots"])
-        assert np.all(np.abs(run.per_gate_mean - ref_counts.mean(axis=0))
+        assert np.all(np.abs(mean - ref_counts.mean(axis=0))
                       <= 5.0 * se + 1e-12)
 
     def test_partial_last_block(self):
@@ -652,7 +633,6 @@ class TestTimelineExecutor:
             assert getattr(a, column).tobytes() == getattr(b, column).tobytes()
         assert np.array_equal(runs[0].histogram.probabilities,
                               runs[1].histogram.probabilities)
-        assert runs[0].per_gate_mean.tobytes() == runs[1].per_gate_mean.tobytes()
 
     def test_records_match_totals(self):
         tl = compile_sequence(parse_sequence(GATE_EDGE))
@@ -662,8 +642,6 @@ class TestTimelineExecutor:
         totals = np.bincount(rec.shot_id, minlength=500)
         assert np.array_equal(np.bincount(totals) / 500,
                               run.histogram.probabilities)
-        assert np.array_equal(np.bincount(rec.pulse_index, minlength=60) / 500,
-                              run.per_gate_mean)
         assert np.all(np.diff(rec.shot_id) >= 0)
         same_shot = np.diff(rec.shot_id) == 0
         assert np.all(np.diff(rec.timestamp_us)[same_shot] >= 0)
@@ -673,7 +651,7 @@ class TestTimelineExecutor:
         run = run_timeline(tl, make_params(n=1), shots=10, seed=0)
         assert run.gate_count == 0
         assert run.histogram.probabilities.tolist() == [1.0]
-        assert len(run.records) == 0 and run.per_gate_mean.shape == (0,)
+        assert len(run.records) == 0 and per_gate_mean(run).shape == (0,)
 
     def test_long_sequence_runs_in_bounded_time(self):
         rounds = ("repeat 1000 {\n pulse mw 0MHz 2.3us 0deg\n"

@@ -123,18 +123,35 @@ class TestCountDistribution:
         assert mean == pytest.approx(mu, rel=1e-9)
 
     def test_large_dark_mean(self):
-        # 26.7 kHz over 10000 gates of 3 us: mu = 800
-        quiet = make_params(n=10_000, gate_window=3.0)
-        noisy = replace(quiet, dark_rate=800.0 / (3.0e-6 * 10_000))
+        # 66.7 kHz over CAPACITY_PULSES = 4000 gates of 3 us: mu = 800
+        quiet = make_params(n=CAPACITY_PULSES, gate_window=3.0)
+        noisy = replace(quiet, dark_rate=800.0 / (3.0e-6 * CAPACITY_PULSES))
         assert noisy.dark_count_mean == pytest.approx(800.0, rel=1e-12)
         dist = count_distribution(noisy, "bright")
         assert np.all(dist.probabilities >= 0)
         want = count_distribution(quiet, "bright").mean() + noisy.dark_count_mean
         assert dist.mean() == pytest.approx(want, rel=1e-9)
 
+    # (a, b, d) points of a random search whose pmf missed sum 1 by more
+    # than 1e-12 at N = 10000 (a drift of about 1.1e-16 per pulse)
+    DRIFTING = {
+        "drift_1": (2.5737858416368855e-05, 0.03627765631776876,
+                    0.5047852314344701),
+        "drift_2": (0.0006493073703375785, 0.022353059210017866,
+                    0.19734886477676372),
+        "drift_3": (1.3422564352851544e-06, 6.916834028693217e-06,
+                    0.7494608262320578),
+        "drift_4": (3.7665378722249924e-05, 0.0039618234959101035,
+                    0.035325131608288984),
+        "drift_5": (3.687794668944517e-05, 0.015940111897451367,
+                    0.46838086950284186),
+        "drift_6": (0.0008444532282008722, 0.004887806056585735,
+                    0.3359702633489273),
+    }
+
     @pytest.mark.parametrize("corner", ["frozen", "always_flip", "a_gg_b",
                                         "b_gg_a", "paper_mu_800",
-                                        "paper_mu_1e4"])
+                                        "paper_mu_1e4", *DRIFTING])
     @pytest.mark.parametrize("initial", ["bright", "dark"])
     def test_invariants_at_capacity(self, corner, initial):
         n = CAPACITY_PULSES
@@ -147,6 +164,9 @@ class TestCountDistribution:
             "b_gg_a": replace(paper, flip_bright=1e-9, flip_dark=0.5),
             "paper_mu_800": replace(paper, dark_rate=800.0 / per_mu),
             "paper_mu_1e4": replace(paper, dark_rate=1e4 / per_mu),
+            **{name: replace(paper, flip_bright=a, flip_dark=b, p_excite=d,
+                             eta_detect=1.0)
+               for name, (a, b, d) in self.DRIFTING.items()},
         }[corner]
         # CountDistribution rejects a negative pmf or a sum off by > 1e-12;
         # the explicit checks below say so for the reader

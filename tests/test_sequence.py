@@ -407,18 +407,15 @@ class TestColumnarTimeline:
 
 
 class TestDurationReport:
-    @given(stmts=st.lists(statements, min_size=1, max_size=6).map(tuple),
-           overhead=st.floats(min_value=0.0, max_value=10.0))
+    @given(stmts=st.lists(statements, min_size=1, max_size=6).map(tuple))
     @settings(max_examples=120)
-    def test_fold_matches_tree_walkers_bit_for_bit(self, stmts, overhead):
+    def test_fold_matches_tree_walkers_bit_for_bit(self, stmts):
         program = SequenceProgram(stmts)
         count = event_count_by_walkers(program)
         assert _measure(stmts)[0] == len(compile_sequence(program).events) == count
         for max_rate in (False, True):
-            report = duration_report(program, max_rate=max_rate,
-                                     overhead_us=overhead)
-            total_ms, blocks = duration_report_by_walkers(program, max_rate,
-                                                          overhead)
+            report = duration_report(program, max_rate=max_rate)
+            total_ms, blocks = duration_report_by_walkers(program, max_rate)
             assert report.total_ms.hex() == total_ms.hex()
             assert [(b.period_us.hex(), b.total_us.hex()) for b in report.blocks] \
                 == [(period.hex(), total.hex()) for period, total in blocks]
