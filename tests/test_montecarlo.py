@@ -94,6 +94,20 @@ class TestReadoutSimulation:
         assert np.array_equal(a.per_shot_counts, b.per_shot_counts)
         assert np.array_equal(a.transitions, b.transitions)
 
+    def test_counts_match_records(self):
+        params = make_params(n=25, dark_rate=120.0)
+        sim = simulate_readout_shots(params, "bright", shots=2500, seed=4)
+        hist = np.bincount(sim.per_shot_counts) / 2500
+        assert np.array_equal(
+            hist, sim.histogram.probabilities[:len(hist)])
+        assert sim.histogram.probabilities[len(hist):].sum() == 0
+        # the same readout as a pulse sequence: records carry the counts
+        tl = compile_sequence(parse_sequence(readout_sequence(25)))
+        run = run_timeline(tl, params, shots=2500, seed=4)
+        by_shot = np.bincount(run.records.shot_id, minlength=2500)
+        assert np.array_equal(np.bincount(by_shot) / 2500,
+                              run.histogram.probabilities)
+
     def test_records_round_trip(self, tmp_path):
         tl = compile_sequence(parse_sequence(readout_sequence(10)))
         run = run_timeline(tl, make_params(n=10, dark_rate=50.0), shots=500,
