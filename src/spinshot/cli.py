@@ -33,9 +33,11 @@ EXIT_NUMERIC = 3
 
 # Rated maxima of the count flags, checked before anything is allocated.
 # protocols at MAX_SHOTS peaks at 0.3 GB RSS and runs 2 minutes (2-core
-# x86 VM); an area-sweep point takes about 15 ms per 20000 shots.
+# x86 VM); an area-sweep point takes about 10 ms per 20000 shots at
+# paper.cfg, and 17 ms where events are dense (eta_detect = 1).
 MAX_SHOTS = 10**6
 MAX_POINTS = 1000
+_DP_CAPACITY = " (the exact-DP capacity, readout.CAPACITY_PULSES)"  # --n-pulses/--n-max
 
 # `protocols`: sweep grid (np.linspace arguments), fit model and its
 # component count per protocol
@@ -56,12 +58,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage()}")
 
 
-def _at_least_one(flag: str, value, most=math.inf):
-    """Usage error unless an integer flag is unset or in 1..most."""
+def _at_least_one(flag: str, value, most=math.inf, most_is=""):
+    """Usage error unless an integer flag is unset or in 1..most, which
+    ``most_is`` names in the message."""
     if value is not None and value < 1:
         raise UsageError(f"{flag} must be >= 1, got {value}")
     if value is not None and value > most:
-        raise UsageError(f"{flag} must be <= {most}, got {value}")
+        raise UsageError(f"{flag} must be <= {most}{most_is}, got {value}")
 
 
 def _utc_now() -> str:
@@ -204,16 +207,16 @@ def _cmd_levels(args, cfg, out: OutputDir) -> str:
 
 
 def _cmd_readout_optimize(args, cfg, out: OutputDir) -> str:
-    _at_least_one("--n-min", args.n_min)
-    _at_least_one("--n-max", args.n_max)
-    if args.n_min > args.n_max:
-        raise UsageError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     from dataclasses import replace
 
     from .config import readout_params
-    from .readout import (dark_count_penalty, format_fidelity_report,
+    from .readout import (CAPACITY_PULSES, dark_count_penalty, format_fidelity_report,
                           optimize_readout, readout_report)
 
+    _at_least_one("--n-min", args.n_min)
+    _at_least_one("--n-max", args.n_max, CAPACITY_PULSES, _DP_CAPACITY)
+    if args.n_min > args.n_max:
+        raise UsageError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     params = readout_params(cfg, n_pulses=args.n_max)
     result = optimize_readout(params, (args.n_min, args.n_max))
     result.to_csv(out.record("fidelity_vs_n.csv"))
@@ -245,7 +248,8 @@ def _cmd_simulate(args, cfg, out: OutputDir) -> str:
     program = parse_sequence(text, filename=args.sequence)
     em, cav = emitter_config(cfg), cavity_config(cfg)
     timeline = compile_sequence(program)
-    params = readout_params(cfg)
+    # no DP runs here and the gates come from the sequence: no capacity bound
+    params = readout_params(cfg, max_pulses=math.inf)
     bath = bath_params(cfg)
     mw = microwave_settings(cfg)
     run = run_timeline(
@@ -347,15 +351,15 @@ def _cmd_area_sweep(args, cfg, out: OutputDir) -> str:
 
 
 def _cmd_calibrate(args, cfg, out: OutputDir) -> str:
-    _at_least_one("--n-pulses", args.n_pulses)
+    from .config import readout_params, relaxation_constant
+    from .estimators import write_csv
+    from .readout import CAPACITY_PULSES, calibrate_flip_asymmetry
+
+    _at_least_one("--n-pulses", args.n_pulses, CAPACITY_PULSES, _DP_CAPACITY)
     _at_least_one("--threshold", args.threshold)
     target = args.target_f
     if target is not None and not 0.0 < target < 1.0:
         raise UsageError(f"--target-f must be in (0, 1), got {target}")
-    from .config import readout_params, relaxation_constant
-    from .estimators import write_csv
-    from .readout import calibrate_flip_asymmetry
-
     params = readout_params(cfg, n_pulses=args.n_pulses)
     if args.threshold > params.n_pulses:
         raise UsageError(f"--threshold {args.threshold} exceeds the pulse "

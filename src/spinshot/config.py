@@ -252,9 +252,11 @@ def zeeman_config(cfg: Config) -> ZeemanConfig:
     )
 
 
-def readout_params(cfg: Config, n_pulses: int | None = None) -> ReadoutParams:
+def readout_params(cfg: Config, n_pulses: int | None = None,
+                   max_pulses: float = CAPACITY_PULSES) -> ReadoutParams:
     """Readout chain parameters from [readout] plus detector noise from
-    [detection].
+    [detection].  ``n_pulses`` overrides [readout] n_pulses, which must lie
+    in 1..max_pulses, by default the exact DP's capacity.
 
     Flip probabilities come either from both explicit flip_bright/flip_dark
     keys or from (relaxation_constant, flip_asymmetry) by
@@ -263,9 +265,11 @@ def readout_params(cfg: Config, n_pulses: int | None = None) -> ReadoutParams:
     both, is a ConfigError.
     """
     section = "readout"
+    too_high_for = ""   # names the pulse count when it comes from the config
     if n_pulses is None:
-        cfg.bounded(section, "n_pulses", 1.0, CAPACITY_PULSES, open_high=False)
+        cfg.bounded(section, "n_pulses", 1.0, max_pulses, open_high=False)
         n_pulses = cfg.integer(section, "n_pulses")
+        too_high_for = f" for [readout] n_pulses = {n_pulses:g}"
     flip_bright = cfg.number(section, "flip_bright", None)
     flip_dark = cfg.number(section, "flip_dark", None)
     if (flip_bright is None) != (flip_dark is None) or (
@@ -291,7 +295,8 @@ def readout_params(cfg: Config, n_pulses: int | None = None) -> ReadoutParams:
         return ReadoutParams(**fields)
     except CapacityError as exc:
         raise ConfigError(f"{cfg.origin}: [detection] dark_rate_hz = "
-                          f"{fields['dark_rate']:g} is too high: {exc}") from exc
+                          f"{fields['dark_rate']:g} is too high{too_high_for}: "
+                          f"{exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{cfg.origin}: [readout] {exc}") from exc
 

@@ -465,6 +465,23 @@ class TestExitCodes:
         assert cap.err.startswith(flag)
         assert "Traceback" not in cap.err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["calibrate", "--n-pulses"], "--n-pulses"),
+        (["readout-optimize", "--n-max"], "--n-max"),
+    ], ids=["n-pulses", "n-max"])
+    def test_pulse_flag_beyond_dp_capacity(self, argv, flag, tmp_path, capsys,
+                                           monkeypatch):
+        from spinshot import readout
+
+        def no_dp(*args, **kwargs):
+            raise AssertionError("the exact DP ran")
+        monkeypatch.setattr(readout, "_chain", no_dp)
+        code, cap = run_cli(argv + [str(readout.CAPACITY_PULSES + 1),
+                                    "--out-dir", str(tmp_path / "o")], capsys)
+        assert code == 1
+        assert cap.err.startswith(f"{flag} must be <= {readout.CAPACITY_PULSES}")
+        assert "readout.CAPACITY_PULSES" in cap.err
+
     def test_records_beyond_header(self, tmp_path, capsys):
         path = tmp_path / "events.txt"
         path.write_text("# photon records: shot_id pulse_index timestamp_us origin\n"
@@ -617,7 +634,8 @@ class TestInputsFailFast:
         seq = tmp_path / "mw.seq"
         seq.write_text("pulse mw 0MHz 2.3us 0deg\npulse optical A 0.02us 1pi\n"
                        "detect 3us\n")
-        commands = ([["calibrate"]] if section == "readout" else
+        commands = ([["calibrate"], ["simulate", str(seq), "--shots", "20"]]
+                    if section == "readout" else
                     [["protocols", "--shots", "500"],
                      ["simulate", str(seq), "--shots", "20"]])
         for argv in commands:
@@ -631,6 +649,25 @@ class TestInputsFailFast:
             if code == 2 or value in ("nan", "inf", "-inf"):
                 assert code == 2 and f"[{section}] {key}" in cap.err, \
                     (argv[0], cap.err)
+
+    @pytest.mark.parametrize("argv,code", [
+        (["simulate", "SEQ", "--shots", "50"], 0),
+        (["calibrate"], 2),
+        (["area-sweep", "--points", "2", "--shots", "200"], 2),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_pulse_count_beyond_dp_capacity(self, argv, code, tmp_path, seq_file,
+                                            capsys):
+        # the timeline executor runs no DP and takes its gates from the
+        # sequence; the commands that run the DP bound the key by its capacity
+        from spinshot.readout import CAPACITY_PULSES
+        config = paper_with(tmp_path, "n_pulses", str(10 * CAPACITY_PULSES))
+        argv = [seq_file if arg == "SEQ" else arg for arg in argv]
+        got, cap = run_cli(argv + ["--config", config,
+                                   "--out-dir", str(tmp_path / "o")], capsys)
+        assert got == code, cap.err
+        if code:
+            assert (f"[readout] n_pulses must be finite and in [1, {CAPACITY_PULSES}]"
+                    in cap.err)
 
     def test_overflowing_sequence_time(self, tmp_path, capsys):
         seq = tmp_path / "long.seq"
@@ -709,9 +746,11 @@ HAND_RECORDS = ("# photon records: shot_id pulse_index timestamp_us origin\n"
 
 # frozen before the CSV writers were merged into estimators.write_csv;
 # calibration.csv re-frozen when calibration became a bracketed root find
-# (its contract is checked in test_readout.TestCalibration); area_sweep.csv
-# and the N = 500 calibration frozen before calibrate and pulse_area_scan
-# took ReadoutParams.  A key is the CSV name, then any case qualifier.
+# (its contract is checked in test_readout.TestCalibration); the N = 500
+# calibration frozen before calibrate and pulse_area_scan took ReadoutParams;
+# area_sweep.csv re-frozen when the readout engine gained its next-event
+# kernel (its n0 and cyclicity columns are realized samples).  A key is the
+# CSV name, then any case qualifier.
 GOLDEN_SHA256 = {
     "levels.csv":
         "dc4778f16f27dbc87a3ca246b2e5007e0a17b07cb505b5e6427da9a1d200d6cd",
@@ -724,7 +763,7 @@ GOLDEN_SHA256 = {
     "g2.csv":
         "190932f4fd1b4de01c3698b70158f513599debaddf1b5f787c0c43d6207e7f42",
     "area_sweep.csv":
-        "c5de71171a0ad68709557e8a876c442b8e0c4cc7b7849fa10c5621dfd5e99b35",
+        "225f73dc816018efcc9f6d9529df87320fc38cde298dd7b5fa90fe836bd0ee14",
     "calibration.csv N=500":
         "c4c9cbf5dbc00e645dda646beb28b560f91e7bf283e478af7de4d0ccb69ef595",
 }

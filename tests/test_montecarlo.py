@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (enumerate_count_distribution, readout_block_three_draw,
-                     run_timeline_per_shot)
+                     run_timeline_per_shot, trace_closed_form)
 from test_readout import within_seconds
 from spinshot.config import readout_params
+from spinshot import montecarlo
 from spinshot.estimators import fit_model
 from spinshot.montecarlo import (BLOCK_SHOTS, TIMELINE_BLOCK_CELLS, BathParams,
                                  PhotonRecords, _decay_pulses, _rotate, _stream,
@@ -160,10 +161,11 @@ class TestReadoutSimulation:
         assert sim.trace.sum() * shots == pytest.approx(
             sim.per_shot_counts.sum(), rel=1e-12)
 
-    # sha256 of every array the engine returns, frozen from the engine as
-    # it stood before its blocks went through _run_blocks
-    FROZEN_ARRAYS_SHA256 = ("7ee0b44c8c370fe6273bd1490ac0dcec"
-                            "b121bcf2a345a58bc4750fcc28fb1daa")
+    # sha256 of every array the engine returns, frozen when the next-event
+    # kernel joined the per-pulse loop (realized samples changed): the bright
+    # runs (0.22 events per shot-pulse) take the loop, the dark (0.02) jump
+    FROZEN_ARRAYS_SHA256 = ("8cc9847ec21f610d849e17a87a5e7ab0"
+                            "168d039ea12c9057065688a0b59338e5")
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_arrays_frozen(self, threads, monkeypatch):
@@ -187,25 +189,69 @@ ENGINE_CASES = {
     "b=0": make_params(n=40, a=0.02, b=0.0, eta=0.3, dark_rate=400.0),
     "a=1": make_params(n=40, a=1.0, b=0.05, dark_rate=400.0),
     "d=1": make_params(n=40, a=0.02, b=0.01, p=1.0, eta=1.0, dark_rate=400.0),
+    "d=0": make_params(n=40, a=0.02, b=0.01, p=0.0, dark_rate=400.0),
+    # a bright spin's wait is infinite: it never flips and is never seen
+    "a=0,d=0": make_params(n=40, a=0.0, b=0.01, p=0.0, dark_rate=400.0),
+    "b=1": make_params(n=40, a=0.02, b=1.0, eta=0.3, dark_rate=400.0),
 }
 
 
+def force_kernel(monkeypatch, kernel):
+    """Every readout-engine run from here on takes the named kernel."""
+    monkeypatch.setattr(montecarlo, "EVENT_DENSITY_MAX",
+                        {"next-event": math.inf, "per-pulse": 0.0}[kernel])
+
+
+@pytest.fixture(params=["next-event", "per-pulse"])
+def kernel(request, monkeypatch):
+    force_kernel(monkeypatch, request.param)
+    return request.param
+
+
 class TestReadoutEngineVsOracle:
-    """The one-uniform engine against the former three-draw sampler."""
+    """Both engine kernels, next-event and per-pulse, against the former
+    three-draw sampler and the chain's exact expectations, and the choice
+    between them."""
 
     @pytest.mark.parametrize("initial", ["bright", "dark"])
     @pytest.mark.parametrize("case", list(ENGINE_CASES))
-    def test_same_law(self, case, initial):
+    def test_same_law(self, case, initial, monkeypatch):
         params, shots = ENGINE_CASES[case], 20_000
-        sim = simulate_readout_shots(params, initial, shots=shots, seed=31)
         counts, trace, _ = readout_block_three_draw(
             params, initial, shots, _stream(32, 0))
-        assert_same_count_distribution(sim.per_shot_counts, counts)
-        assert np.array_equal(np.bincount(sim.per_shot_counts) / shots,
-                              sim.histogram.probabilities)
-        pooled = 0.5 * (sim.trace + trace / shots)
-        se = np.sqrt(pooled * (1.0 - pooled) * 2.0 / shots)
-        assert np.all(np.abs(sim.trace - trace / shots) <= 5.0 * se + 1e-12)
+        for kernel in ("next-event", "per-pulse"):
+            force_kernel(monkeypatch, kernel)
+            sim = simulate_readout_shots(params, initial, shots=shots, seed=31)
+            assert_same_count_distribution(sim.per_shot_counts, counts)
+            assert np.array_equal(np.bincount(sim.per_shot_counts) / shots,
+                                  sim.histogram.probabilities)
+            pooled = 0.5 * (sim.trace + trace / shots)
+            se = np.sqrt(pooled * (1.0 - pooled) * 2.0 / shots)
+            assert np.all(np.abs(sim.trace - trace / shots) <= 5.0 * se + 1e-12)
+
+    @pytest.mark.parametrize("initial", ["bright", "dark"])
+    @pytest.mark.parametrize("case", list(ENGINE_CASES))
+    def test_event_density(self, case, initial):
+        # the mean over the pulses of P(bright) (a + (1-a) d) + P(dark) b
+        params = ENGINE_CASES[case]
+        a, b, n = params.flip_bright, params.flip_dark, params.n_pulses
+        bright = trace_closed_form(n, a, b, 1.0, initial)
+        want = np.mean(bright * (a + (1.0 - a) * params.detection_probability)
+                       + (1.0 - bright) * b)
+        assert montecarlo._event_density(params, initial) == pytest.approx(
+            want, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("eta,kernel", [(0.1, "next-event"),
+                                            (1.0, "per-pulse")])
+    def test_kernel_choice(self, eta, kernel, monkeypatch):
+        # the paper's readout (0.07 events per shot-pulse) jumps from event
+        # to event; an ideal detector's (0.7) steps pulse by pulse
+        params = make_params(eta=eta)
+        sim = simulate_readout_shots(params, "bright", shots=500, seed=3)
+        force_kernel(monkeypatch, kernel)
+        same = simulate_readout_shots(params, "bright", shots=500, seed=3)
+        assert np.array_equal(sim.per_shot_counts, same.per_shot_counts)
+        assert np.array_equal(sim.transitions, same.transitions)
 
     @pytest.mark.parametrize("initial", ["bright", "dark"])
     @pytest.mark.parametrize("params", [
@@ -217,6 +263,39 @@ class TestReadoutEngineVsOracle:
         want = (1.0 - params.flip_bright) * expected_trace(params, initial)
         se = np.sqrt(want * (1.0 - want) / shots)
         assert np.all(np.abs(sim.trace - want) <= 5.0 * se + 1e-12)
+
+    @pytest.mark.parametrize("initial", ["bright", "dark"])
+    @pytest.mark.parametrize("case", list(ENGINE_CASES))
+    def test_transition_counts_match_expectations(self, case, initial, kernel):
+        # E[bright exposures] = shots * sum_k P(bright before pulse k), E[bright
+        # flips] = a times that, E[dark flips] = b times the dark exposures;
+        # each mean and its SE come from 40 independently keyed runs
+        params, runs, shots = ENGINE_CASES[case], 40, 2500
+        a, b, n = params.flip_bright, params.flip_dark, params.n_pulses
+        cells = np.array([
+            simulate_readout_shots(params, initial, shots=shots, seed=41,
+                                   _key=(i,)).transitions for i in range(runs)])
+        got = np.stack([cells[:, 0].sum(axis=1), cells[:, 0, 1], cells[:, 1, 0]],
+                       axis=1)
+        bright = shots * trace_closed_form(n, a, b, 1.0, initial).sum()
+        want = np.array([bright, a * bright, b * (shots * n - bright)])
+        se = got.std(axis=0, ddof=1) / math.sqrt(runs)
+        assert np.all(np.abs(got.mean(axis=0) - want)
+                      <= 5.0 * se + 1e-9 * shots * n), (got.mean(axis=0), want, se)
+
+    @pytest.mark.parametrize("case,initial,want", [
+        ("a=0,d=0", "bright", [[1, 0], [0, 0]]),
+        ("b=0", "dark", [[0, 0], [0, 1]]),
+    ])
+    def test_infinite_waits(self, case, initial, want, kernel):
+        # the spin's wait for its next event is infinite: it keeps its state
+        # in every cell, and no emitter photon is counted
+        params = replace(ENGINE_CASES[case], dark_rate=0.0)
+        shots = BLOCK_SHOTS + 100
+        sim = simulate_readout_shots(params, initial, shots=shots, seed=6)
+        assert np.array_equal(sim.transitions,
+                              shots * params.n_pulses * np.array(want))
+        assert not sim.per_shot_counts.any() and not sim.trace.any()
 
 
 UP = np.array([0.0, 0.0, 1.0])
