@@ -33,8 +33,9 @@ EXIT_NUMERIC = 3
 
 # Rated maxima of the count flags, checked before anything is allocated.
 # protocols at MAX_SHOTS peaks at 0.3 GB RSS and runs 2 minutes (2-core
-# x86 VM); an area-sweep point takes about 10 ms per 20000 shots at
-# paper.cfg, and 17 ms where events are dense (eta_detect = 1).
+# x86 VM); an area-sweep point takes about 4 ms per 20000 shots at
+# paper.cfg, whatever eta_detect, and 10 ms where flips are dense
+# (a = b = 0.3).
 MAX_SHOTS = 10**6
 MAX_POINTS = 1000
 _DP_CAPACITY = " (the exact-DP capacity, readout.CAPACITY_PULSES)"  # --n-pulses/--n-max
@@ -342,7 +343,7 @@ def _cmd_area_sweep(args, cfg, out: OutputDir) -> str:
         zeta_line = ("cyclicity: no finite values (needs p_excite > 0, an "
                      "observed spin flip and a + b < 1)")
     lines = [
-        f"areas: {args.area_min:g}..{args.area_max:g} ({args.points} points)",
+        f"areas: {areas[0]:g}..{areas[-1]:g} ({args.points} points)",
         f"flip model: a(area) = {a0:.6g} + {slope:.6g}*area, b = {b0:.6g}",
         zeta_line,
         f"fidelity range: {scan.f_min.min():.6g}..{scan.f_min.max():.6g}",

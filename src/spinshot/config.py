@@ -80,9 +80,6 @@ class Config:
     origin: str
     text: str
 
-    def has_section(self, section: str) -> bool:
-        return section in self.sections
-
     def _fetch(self, section: str, key: str, default=_MISSING):
         """The raw value of [section] key; ``default``, if given, when the
         section or the key is absent."""

@@ -25,8 +25,6 @@ __all__ = [
     "model_param_names",
     "g2_pulsed",
     "gaussian_fwhm_to_sigma",
-    "gaussian_sigma_to_fwhm",
-    "lorentzian_fwhm_to_hwhm",
     "read_series_csv",
     "write_csv",
     "format_fit_report",
@@ -38,14 +36,6 @@ _GAUSS_K = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 def gaussian_fwhm_to_sigma(fwhm: float) -> float:
     return fwhm / _GAUSS_K
-
-
-def gaussian_sigma_to_fwhm(sigma: float) -> float:
-    return sigma * _GAUSS_K
-
-
-def lorentzian_fwhm_to_hwhm(fwhm: float) -> float:
-    return fwhm / 2.0
 
 
 class NumericalError(RuntimeError):

@@ -4,9 +4,10 @@ The readout engine and the timeline executor each vectorize their own
 kernel over a block of shots and run the blocks through one runner,
 :func:`_run_blocks`, whose docstring states how blocks, Philox streams
 and worker threads (SPINSHOT_THREADS) keep every result bitwise
-reproducible.  The readout engine jumps each shot from event to event,
-or steps pulse by pulse where events are dense, and draws one Poisson
-dark-count total per shot; it keeps counts only.  The timeline executor
+reproducible.  The readout engine jumps each shot from one spin flip to
+the next by geometric holds, so a shot costs work per flip, not per
+pulse; it draws one binomial detection total and one Poisson dark-count
+total per shot and keeps counts only.  The timeline executor
 is the one source of photon records: it draws each emission's real time
 and assigns it to the gate that sees it.
 
@@ -156,124 +157,57 @@ def _sample_mixture(rng, bath: BathParams, size: int) -> np.ndarray:
 @dataclass
 class ReadoutSimResult:
     histogram: CountDistribution
-    trace: np.ndarray
     per_shot_counts: np.ndarray
     transitions: np.ndarray    # (from, to) cell counts over (bright, dark)
 
 
-# Expected flips + detections per (shot, pulse) below which the readout
-# engine runs its next-event kernel; above it the per-pulse loop is the
-# faster.  On a 2-core x86 VM with numpy 2.4 the two break even at
-# 0.13-0.2 for 71 and 1000 pulses and 300-20000 shots per block.
-EVENT_DENSITY_MAX = 0.15
-
-
-def _event_density(params: ReadoutParams, initial: str) -> float:
-    """Expected flips + detections per (shot, pulse): the chain's mean
-    bright occupation over the N pulses, pi + (p0 - pi)(1 - r^N) / (N(a+b))
-    with r = 1 - a - b and pi = b/(a+b), weighs a bright spin's event
-    chance a + (1-a) d against a dark spin's b."""
-    n, a, b = params.n_pulses, params.flip_bright, params.flip_dark
-    bright = 1.0 if initial == "bright" else 0.0
-    if a + b > 0.0:
-        pi = b / (a + b)
-        bright = pi + (bright - pi) * (1.0 - (1.0 - a - b) ** n) / (n * (a + b))
-    return bright * (a + (1.0 - a) * params.detection_probability) + (1.0 - bright) * b
-
-
 def _readout_block(params: ReadoutParams, initial: str, n_block: int, rng):
-    """(per-shot counts, (per-pulse detections, transition counts), None)
-    of one block of shots, for :func:`_run_blocks`.  The transition counts
+    """(per-shot counts, (transition counts,), None) of one block of shots,
+    for :func:`_run_blocks`, at O(flips) per shot.  The transition counts
     are the (from, to) numbers of (shot, pulse) cells over (bright, dark).
 
-    The emitter detections come from :func:`_next_event_kernel` when the
-    chain expects fewer than EVENT_DENSITY_MAX events per (shot, pulse),
-    else from :func:`_per_pulse_kernel`; both sample the same law.  A
-    shot's dark counts, a sum of N independent Poisson gate counts, are
-    one Poisson draw with the total mean.
-    """
-    n = params.n_pulses
-    sparse = _event_density(params, initial) < EVENT_DENSITY_MAX
-    kernel = _next_event_kernel if sparse else _per_pulse_kernel
-    detected, trace, (exposed_bright, flips_bright, flips_dark) = kernel(
-        params, initial, n_block, rng)
-    n_dark = rng.poisson(params.dark_count_mean, n_block)   # mean 0 draws nothing
-    transitions = np.array([[exposed_bright - flips_bright, flips_bright],
-                            [flips_dark, n_block * n - exposed_bright - flips_dark]])
-    return detected + n_dark, (trace, transitions), None
-
-
-def _per_pulse_kernel(params: ReadoutParams, initial: str, n_block: int, rng):
-    """(detections per shot, detections per pulse, (bright exposures,
-    bright flips, dark flips)) of one block, O(pulses) per shot: each
-    (shot, pulse) cell draws one uniform u; a bright spin flips if u < a
-    and is detected if a <= u < a + (1-a) d, a dark spin flips if u < b.
+    Each round holds every active shot in one state, bright and dark in
+    turn: all shots start in ``initial``, and a shot stays active only by
+    flipping.  A shot's hold is geometric, floor(E / -ln(1-p)) pulses
+    before its flip for a standard exponential E, with p = a when bright
+    and b when dark; a shot whose flip falls at or past pulse N leaves,
+    its remaining pulses held in its state.  Given no flip in a pulse, a
+    bright spin is detected with probability (1-a) d / (1-a) = d, and a
+    detection leaves the state as it is, so a shot's emitter detections
+    are one binomial draw over its bright pulses without a flip.  Its dark
+    counts, a sum of N independent Poisson gate counts, are one Poisson
+    draw with the total mean.
     """
     n = params.n_pulses
     a, b = params.flip_bright, params.flip_dark
-    detect_below = a + (1.0 - a) * params.detection_probability
-
-    bright = np.full(n_block, initial == "bright")
-    detected = np.zeros(n_block, dtype=np.int32)   # int32 adds bools faster
-    exposed_bright = flips_bright = flips_dark = 0
-    trace = np.zeros(n)
-    for k in range(n):
-        u = rng.random(n_block)
-        flip_b = bright & (u < a)
-        detect = bright & ~flip_b & (u < detect_below)
-        flip_d = ~bright & (u < b)
-        exposed_bright += np.count_nonzero(bright)
-        flips_bright += np.count_nonzero(flip_b)
-        flips_dark += np.count_nonzero(flip_d)
-        detected += detect
-        bright ^= flip_b | flip_d
-        trace[k] = np.count_nonzero(detect)
-    return detected, trace, (exposed_bright, flips_bright, flips_dark)
-
-
-def _next_event_kernel(params: ReadoutParams, initial: str, n_block: int, rng):
-    """:func:`_per_pulse_kernel`'s returns at O(flips + detections) per
-    shot: each round moves every active shot to its next event, after a
-    geometric wait of floor(E / -ln(1-p)) pulses for a standard
-    exponential E.  A bright spin's event has p = a + (1-a) d and is a
-    flip with probability a/p, else a detection; a dark spin's is a flip,
-    p = b.  A shot whose event falls at or past pulse N leaves, its
-    remaining pulses exposed in its state.
-    """
-    n = params.n_pulses
-    a, b = params.flip_bright, params.flip_dark
-    p_bright = a + (1.0 - a) * params.detection_probability
-    # (shot ids, pulse reached) of the active shots in each state
-    everyone = (np.arange(n_block), np.zeros(n_block, dtype=np.int64))
-    nobody = (np.zeros(0, dtype=np.int64),) * 2
-    bright, dark = (everyone, nobody) if initial == "bright" else (nobody, everyone)
-    detected, trace = np.zeros(n_block, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    exposed_bright = flips_bright = flips_dark = 0
-
-    def after_event(p, at):   # the pulse after each next event; n + 1 if none
+    shot, at = np.arange(n_block), np.zeros(n_block, dtype=np.int64)
+    quiet = np.zeros(n_block, dtype=np.int64)   # bright pulses without a flip
+    flips = [0, 0]                              # out of (dark, bright)
+    bright = initial == "bright"
+    while shot.size:
+        p = a if bright else b
+        # hold: the pulses before each shot's flip, at most the n - at left
         if p == 0.0:                                       # never
-            return np.full(at.size, n + 1)
-        rate = math.inf if p == 1.0 else -math.log1p(-p)   # p = 1: at once
-        with np.errstate(over="ignore"):   # a wait past the float range passes pulse n
-            wait = np.minimum(rng.standard_exponential(at.size) / rate, n - at)
-        return at + 1 + wait.astype(np.int64)
-
-    while bright[0].size or dark[0].size:
-        (shot, at), (shot_d, at_d) = bright, dark
-        end = after_event(p_bright, at)
-        exposed_bright += (np.minimum(end, n) - at).sum()
-        shot, end = shot[end <= n], end[end <= n]
-        flip = rng.random(shot.size) * p_bright < a
-        detected[shot[~flip]] += 1      # a shot has one event per round
-        trace += np.bincount(end[~flip] - 1, minlength=n)
-        end_d = after_event(b, at_d)
-        flips_bright += np.count_nonzero(flip)
-        flips_dark += np.count_nonzero(end_d <= n)
-        stay, leave, back = (end < n) & ~flip, (end < n) & flip, end_d < n
-        bright = (np.concatenate((shot[stay], shot_d[back])),
-                  np.concatenate((end[stay], end_d[back])))
-        dark = (shot[leave], end[leave])
-    return detected, trace, (exposed_bright, flips_bright, flips_dark)
+            hold = n - at
+        elif p == 1.0:                                     # at once
+            hold = np.zeros_like(at)
+        else:
+            with np.errstate(over="ignore"):   # a hold past the float range passes pulse n
+                hold = np.minimum(rng.standard_exponential(at.size) / -math.log1p(-p),
+                                  n - at).astype(np.int64)
+        end = at + 1 + hold                    # the pulse after the flip; n + 1 if none
+        if bright:
+            quiet[shot] += hold                # a shot holds once per round
+        flips[bright] += np.count_nonzero(end <= n)
+        stay = end < n
+        shot, at = shot[stay], end[stay]
+        bright = not bright
+    detected = rng.binomial(quiet, params.detection_probability)
+    n_dark = rng.poisson(params.dark_count_mean, n_block)   # mean 0 draws nothing
+    (flips_dark, flips_bright), stay_bright = flips, quiet.sum()
+    transitions = np.array([[stay_bright, flips_bright],
+                            [flips_dark, n_block * n - stay_bright - sum(flips)]])
+    return detected + n_dark, (transitions,), None
 
 
 def simulate_readout_shots(params: ReadoutParams, initial: str = "bright",
@@ -282,23 +216,21 @@ def simulate_readout_shots(params: ReadoutParams, initial: str = "bright",
     """Shot-by-shot sampling of the pulsed-readout outcome model.
 
     Counts follow exactly the per-pulse chain of
-    :func:`spinshot.readout.count_distribution`, sampled from one flip or
-    detection to the next where events are sparse and one pulse at a time
-    where they are dense (:func:`_readout_block`).  Each shot's dark counts
-    are one Poisson draw with mean ``params.dark_count_mean``.  Shots run
-    through :func:`_run_blocks` in blocks of BLOCK_SHOTS keyed by
-    (seed, *_key).  Photon records, with their timestamps, come from
-    :func:`run_timeline`.
+    :func:`spinshot.readout.count_distribution`, sampled from one flip to
+    the next, so a shot costs work per flip, not per pulse
+    (:func:`_readout_block`).  Each shot's dark counts are one Poisson draw
+    with mean ``params.dark_count_mean``.  Shots run through
+    :func:`_run_blocks` in blocks of BLOCK_SHOTS keyed by (seed, *_key).
+    Photon records, with their timestamps, come from :func:`run_timeline`.
     """
     if initial not in ("bright", "dark"):
         raise ValueError("initial must be 'bright' or 'dark'")
-    counts, (trace, transitions), _ = _run_blocks(
+    counts, (transitions,), _ = _run_blocks(
         lambda n_block, rng: _readout_block(params, initial, n_block, rng),
         shots, BLOCK_SHOTS, seed, _key)
     return ReadoutSimResult(
         histogram=CountDistribution(np.bincount(counts) / shots, initial,
                                     params.n_pulses),
-        trace=trace / shots,
         per_shot_counts=counts,
         transitions=transitions,
     )

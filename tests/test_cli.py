@@ -163,6 +163,18 @@ class TestSubcommands:
         assert code == 0
         assert os.path.exists(os.path.join(out, "area_sweep.csv"))
 
+    def test_area_sweep_one_point(self, tmp_path, capsys):
+        # np.linspace samples only --area-min when there is one point, and
+        # the report names the grid that was sampled
+        out = str(tmp_path / "o")
+        code, cap = run_cli(["area-sweep", "--points", "1", "--area-min", "0.1",
+                             "--area-max", "1", "--shots", "200",
+                             "--out-dir", out], capsys)
+        assert code == 0
+        assert "areas: 0.1..0.1 (1 points)" in cap.out
+        rows = open(os.path.join(out, "area_sweep.csv")).read().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("0.1,")
+
     def test_calibrate(self, tmp_path, capsys):
         out = str(tmp_path / "o")
         code, cap = run_cli(["calibrate", "--out-dir", out], capsys)
@@ -748,9 +760,10 @@ HAND_RECORDS = ("# photon records: shot_id pulse_index timestamp_us origin\n"
 # calibration.csv re-frozen when calibration became a bracketed root find
 # (its contract is checked in test_readout.TestCalibration); the N = 500
 # calibration frozen before calibrate and pulse_area_scan took ReadoutParams;
-# area_sweep.csv re-frozen when the readout engine gained its next-event
-# kernel (its n0 and cyclicity columns are realized samples).  A key is the
-# CSV name, then any case qualifier.
+# area_sweep.csv re-frozen when the readout engine's run-length kernel
+# replaced its next-event kernel and per-pulse loop (its n0 and cyclicity
+# columns are realized samples).  A key is the CSV name, then any case
+# qualifier.
 GOLDEN_SHA256 = {
     "levels.csv":
         "dc4778f16f27dbc87a3ca246b2e5007e0a17b07cb505b5e6427da9a1d200d6cd",
@@ -763,7 +776,7 @@ GOLDEN_SHA256 = {
     "g2.csv":
         "190932f4fd1b4de01c3698b70158f513599debaddf1b5f787c0c43d6207e7f42",
     "area_sweep.csv":
-        "225f73dc816018efcc9f6d9529df87320fc38cde298dd7b5fa90fe836bd0ee14",
+        "0f6b8fab7e303e1cbf1620152747133d4758c805355848c90dc7bbf9919217c6",
     "calibration.csv N=500":
         "c4c9cbf5dbc00e645dda646beb28b560f91e7bf283e478af7de4d0ccb69ef595",
 }

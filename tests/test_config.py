@@ -27,7 +27,6 @@ label = mixed case Value
 class TestParser:
     def test_sections_and_values(self):
         cfg = parse_config(GOOD, origin="inline")
-        assert cfg.has_section("emitter")
         assert cfg.number("emitter", "frequency_ghz") == 194954.05
         assert cfg.number("emitter", "bulk_lifetime_us") == 142.0
         assert cfg.numbers("bath", "odmr_centers_mhz") == (-3.3, 0.0, 3.3)

@@ -8,8 +8,7 @@ from oracles import best_threshold_scan
 from spinshot import estimators
 from spinshot.estimators import (FitError, NormalizationError, NumericalError,
                                  PhotonRecords, fit_model, g2_pulsed,
-                                 gaussian_fwhm_to_sigma, gaussian_sigma_to_fwhm,
-                                 lorentzian_fwhm_to_hwhm, model_param_names,
+                                 gaussian_fwhm_to_sigma, model_param_names,
                                  read_series_csv)
 from spinshot.readout import CalibrationError
 from spinshot.readout import (ReadoutParams, count_distribution,
@@ -270,13 +269,8 @@ class TestIdentifiability:
 
 
 class TestConversions:
-    def test_gaussian_round_trip(self):
-        assert gaussian_sigma_to_fwhm(1.0) == pytest.approx(2.3548200450309493)
-        assert gaussian_fwhm_to_sigma(
-            gaussian_sigma_to_fwhm(0.37)) == pytest.approx(0.37, rel=1e-12)
-
-    def test_lorentzian_hwhm(self):
-        assert lorentzian_fwhm_to_hwhm(2.37) == pytest.approx(1.185)
+    def test_gaussian_fwhm_to_sigma(self):
+        assert gaussian_fwhm_to_sigma(2.3548200450309493) == pytest.approx(1.0)
 
 
 def make_records(shot, pulse, t, n_shots, n_pulses):

@@ -13,14 +13,14 @@ from oracles import (enumerate_count_distribution, readout_block_three_draw,
                      run_timeline_per_shot, trace_closed_form)
 from test_readout import within_seconds
 from spinshot.config import readout_params
-from spinshot import montecarlo
 from spinshot.estimators import fit_model
 from spinshot.montecarlo import (BLOCK_SHOTS, TIMELINE_BLOCK_CELLS, BathParams,
                                  PhotonRecords, _decay_pulses, _rotate, _stream,
                                  excitation_probability, pulse_area_scan,
                                  run_protocol, run_timeline,
                                  simulate_readout_shots, worker_count)
-from spinshot.readout import ReadoutParams, count_distribution, expected_trace
+from spinshot.readout import (CAPACITY_PULSES, ReadoutParams, count_distribution,
+                              expected_trace)
 from spinshot.sequence import DETECT, compile_sequence, parse_sequence
 
 
@@ -152,20 +152,11 @@ class TestReadoutSimulation:
         origins = set(np.unique(run.records.origin_code).tolist())
         assert origins == {0, 1}  # emitter and dark counts present
 
-    def test_trace_is_mean_detections_per_pulse(self):
-        # no dark counts: every count is a detection in one of the pulses;
-        # the trace holds float means, so the sum agrees to rounding
-        shots = 30_000
-        sim = simulate_readout_shots(make_params(n=15), "bright", shots=shots,
-                                     seed=12)
-        assert sim.trace.sum() * shots == pytest.approx(
-            sim.per_shot_counts.sum(), rel=1e-12)
-
-    # sha256 of every array the engine returns, frozen when the next-event
-    # kernel joined the per-pulse loop (realized samples changed): the bright
-    # runs (0.22 events per shot-pulse) take the loop, the dark (0.02) jump
-    FROZEN_ARRAYS_SHA256 = ("8cc9847ec21f610d849e17a87a5e7ab0"
-                            "168d039ea12c9057065688a0b59338e5")
+    # sha256 of every array the engine returns, frozen when the run-length
+    # kernel replaced the next-event kernel and the per-pulse loop
+    # (realized samples changed)
+    FROZEN_ARRAYS_SHA256 = ("10d20fd8a0383a462a7cd79b2cbfebe1"
+                            "8c1605dffebd9d07c5273ff1ec2fd4aa")
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_arrays_frozen(self, threads, monkeypatch):
@@ -175,7 +166,7 @@ class TestReadoutSimulation:
         for shots in (BLOCK_SHOTS + 7, 5):
             for initial in ("bright", "dark"):
                 sim = simulate_readout_shots(params, initial, shots=shots, seed=17)
-                for array in (sim.histogram.probabilities, sim.trace,
+                for array in (sim.histogram.probabilities,
                               sim.per_shot_counts, sim.transitions):
                     digest.update(f"{array.dtype.str}{array.shape}".encode())
                     digest.update(np.ascontiguousarray(array).tobytes())
@@ -196,77 +187,35 @@ ENGINE_CASES = {
 }
 
 
-def force_kernel(monkeypatch, kernel):
-    """Every readout-engine run from here on takes the named kernel."""
-    monkeypatch.setattr(montecarlo, "EVENT_DENSITY_MAX",
-                        {"next-event": math.inf, "per-pulse": 0.0}[kernel])
-
-
-@pytest.fixture(params=["next-event", "per-pulse"])
-def kernel(request, monkeypatch):
-    force_kernel(monkeypatch, request.param)
-    return request.param
-
-
 class TestReadoutEngineVsOracle:
-    """Both engine kernels, next-event and per-pulse, against the former
-    three-draw sampler and the chain's exact expectations, and the choice
-    between them."""
+    """The run-length engine against the former three-draw sampler, the
+    chain's exact expectations and the exact pmf."""
 
     @pytest.mark.parametrize("initial", ["bright", "dark"])
     @pytest.mark.parametrize("case", list(ENGINE_CASES))
-    def test_same_law(self, case, initial, monkeypatch):
+    def test_same_law(self, case, initial):
         params, shots = ENGINE_CASES[case], 20_000
-        counts, trace, _ = readout_block_three_draw(
+        counts, _, _ = readout_block_three_draw(
             params, initial, shots, _stream(32, 0))
-        for kernel in ("next-event", "per-pulse"):
-            force_kernel(monkeypatch, kernel)
-            sim = simulate_readout_shots(params, initial, shots=shots, seed=31)
-            assert_same_count_distribution(sim.per_shot_counts, counts)
-            assert np.array_equal(np.bincount(sim.per_shot_counts) / shots,
-                                  sim.histogram.probabilities)
-            pooled = 0.5 * (sim.trace + trace / shots)
-            se = np.sqrt(pooled * (1.0 - pooled) * 2.0 / shots)
-            assert np.all(np.abs(sim.trace - trace / shots) <= 5.0 * se + 1e-12)
+        sim = simulate_readout_shots(params, initial, shots=shots, seed=31)
+        assert_same_count_distribution(sim.per_shot_counts, counts)
+        assert np.array_equal(np.bincount(sim.per_shot_counts) / shots,
+                              sim.histogram.probabilities)
+
+    @pytest.mark.parametrize("initial", ["bright", "dark"])
+    @pytest.mark.parametrize("a,b", [(0.3, 0.3), (0.0078, 0.5 / 131)],
+                             ids=["dense", "sparse"])
+    def test_exact_law_at_capacity(self, a, b, initial):
+        # N = CAPACITY_PULSES, the longest rated readout, with an ideal
+        # detector: dense flips, or sparse flips and dense detections
+        params = make_params(n=CAPACITY_PULSES, a=a, b=b, eta=1.0)
+        shots = 20_000
+        sim = simulate_readout_shots(params, initial, shots=shots, seed=47)
+        assert_count_law(sim.per_shot_counts, count_distribution(params, initial))
 
     @pytest.mark.parametrize("initial", ["bright", "dark"])
     @pytest.mark.parametrize("case", list(ENGINE_CASES))
-    def test_event_density(self, case, initial):
-        # the mean over the pulses of P(bright) (a + (1-a) d) + P(dark) b
-        params = ENGINE_CASES[case]
-        a, b, n = params.flip_bright, params.flip_dark, params.n_pulses
-        bright = trace_closed_form(n, a, b, 1.0, initial)
-        want = np.mean(bright * (a + (1.0 - a) * params.detection_probability)
-                       + (1.0 - bright) * b)
-        assert montecarlo._event_density(params, initial) == pytest.approx(
-            want, rel=1e-12, abs=1e-15)
-
-    @pytest.mark.parametrize("eta,kernel", [(0.1, "next-event"),
-                                            (1.0, "per-pulse")])
-    def test_kernel_choice(self, eta, kernel, monkeypatch):
-        # the paper's readout (0.07 events per shot-pulse) jumps from event
-        # to event; an ideal detector's (0.7) steps pulse by pulse
-        params = make_params(eta=eta)
-        sim = simulate_readout_shots(params, "bright", shots=500, seed=3)
-        force_kernel(monkeypatch, kernel)
-        same = simulate_readout_shots(params, "bright", shots=500, seed=3)
-        assert np.array_equal(sim.per_shot_counts, same.per_shot_counts)
-        assert np.array_equal(sim.transitions, same.transitions)
-
-    @pytest.mark.parametrize("initial", ["bright", "dark"])
-    @pytest.mark.parametrize("params", [
-        make_params(), make_params(n=30, a=0.2, b=0.1, p=1.0, eta=0.5)],
-        ids=["nominal", "a=0.2"])
-    def test_trace_is_one_minus_a_times_expected_trace(self, params, initial):
-        shots = 50_000
-        sim = simulate_readout_shots(params, initial, shots=shots, seed=14)
-        want = (1.0 - params.flip_bright) * expected_trace(params, initial)
-        se = np.sqrt(want * (1.0 - want) / shots)
-        assert np.all(np.abs(sim.trace - want) <= 5.0 * se + 1e-12)
-
-    @pytest.mark.parametrize("initial", ["bright", "dark"])
-    @pytest.mark.parametrize("case", list(ENGINE_CASES))
-    def test_transition_counts_match_expectations(self, case, initial, kernel):
+    def test_transition_counts_match_expectations(self, case, initial):
         # E[bright exposures] = shots * sum_k P(bright before pulse k), E[bright
         # flips] = a times that, E[dark flips] = b times the dark exposures;
         # each mean and its SE come from 40 independently keyed runs
@@ -287,7 +236,7 @@ class TestReadoutEngineVsOracle:
         ("a=0,d=0", "bright", [[1, 0], [0, 0]]),
         ("b=0", "dark", [[0, 0], [0, 1]]),
     ])
-    def test_infinite_waits(self, case, initial, want, kernel):
+    def test_infinite_waits(self, case, initial, want):
         # the spin's wait for its next event is infinite: it keeps its state
         # in every cell, and no emitter photon is counted
         params = replace(ENGINE_CASES[case], dark_rate=0.0)
@@ -295,7 +244,7 @@ class TestReadoutEngineVsOracle:
         sim = simulate_readout_shots(params, initial, shots=shots, seed=6)
         assert np.array_equal(sim.transitions,
                               shots * params.n_pulses * np.array(want))
-        assert not sim.per_shot_counts.any() and not sim.trace.any()
+        assert not sim.per_shot_counts.any()
 
 
 UP = np.array([0.0, 0.0, 1.0])
@@ -528,6 +477,13 @@ def readout_sequence(n):
 READOUT_SEQ = readout_sequence(40)
 
 
+def capture_everything(seq, params, shots, seed):
+    """A timeline run whose gates see every emission and no dark count."""
+    return run_timeline(compile_sequence(parse_sequence(seq)),
+                        replace(params, dark_rate=0.0), shots=shots, seed=seed,
+                        emission_lifetime_us=0.01, spectral_diffusion_fwhm_mhz=0.0)
+
+
 def per_gate_mean(run):
     """Mean detections per shot in each gate of a timeline run."""
     return (np.bincount(run.records.pulse_index, minlength=run.gate_count)
@@ -558,6 +514,32 @@ class TestTimeline:
                            spectral_diffusion_fwhm_mhz=0.0)
         dp = count_distribution(params, "bright").probabilities
         assert tv_distance(run.histogram.probabilities, dp) < 3.0 / math.sqrt(60_000)
+
+    @pytest.mark.parametrize("initial", ["bright", "dark"])
+    @pytest.mark.parametrize("params", [
+        make_params(), make_params(n=30, a=0.2, b=0.1, p=1.0, eta=0.5)],
+        ids=["nominal", "a=0.2"])
+    def test_trace_is_one_minus_a_times_expected_trace(self, params, initial):
+        # gates capture every emission and count no dark photon, so the
+        # per-gate mean is the chain's detection probability in that pulse;
+        # a C pump before the readout leaves the spin dark
+        shots = 50_000
+        pump = "pulse optical C 1us 1pi\n" if initial == "dark" else ""
+        run = capture_everything(pump + readout_sequence(params.n_pulses),
+                                 params, shots, seed=14)
+        want = (1.0 - params.flip_bright) * expected_trace(params, initial)
+        se = np.sqrt(want * (1.0 - want) / shots)
+        assert np.all(np.abs(per_gate_mean(run) - want) <= 5.0 * se + 1e-12)
+
+    def test_trace_is_mean_detections_per_pulse(self):
+        # no dark counts: every count is a detection in one of the gates;
+        # the per-gate means are floats, so the sum agrees to rounding
+        shots = 30_000
+        params = make_params(n=15)
+        run = capture_everything(readout_sequence(15), params, shots, seed=12)
+        total = len(run.records.shot_id)
+        assert per_gate_mean(run).sum() * shots == pytest.approx(total, rel=1e-12)
+        assert run.histogram.mean() * shots == pytest.approx(total, rel=1e-12)
 
     def test_mw_pi_pulse_darkens_readout(self):
         seq = ("pulse mw 0MHz 2.3us 0deg\n" + READOUT_SEQ)
@@ -645,9 +627,27 @@ def assert_same_count_distribution(a, b):
     pb = np.bincount(b, minlength=size) / b.size
     pooled = (pa * a.size + pb * b.size) / (a.size + b.size)
     sd = np.sqrt(pooled * (1.0 - pooled) * (1.0 / a.size + 1.0 / b.size))
-    bound = 0.5 * (math.sqrt(2.0 / math.pi) * sd.sum()
-                   + 5.0 * math.sqrt((1.0 - 2.0 / math.pi) * (sd ** 2).sum()))
-    assert 0.5 * np.abs(pa - pb).sum() <= bound
+    assert 0.5 * np.abs(pa - pb).sum() <= tv_bound(sd)
+
+
+def tv_bound(sd):
+    """Mean plus 5 SD of the total variation 0.5 sum |X_k| for independent
+    normal bin errors X_k of standard deviations ``sd``."""
+    return 0.5 * (math.sqrt(2.0 / math.pi) * sd.sum()
+                  + 5.0 * math.sqrt((1.0 - 2.0 / math.pi) * (sd ** 2).sum()))
+
+
+def assert_count_law(counts, dist):
+    """One sample of per-shot counts against the exact pmf: the mean within
+    5 SE, and total variation within the one-sample analogue of
+    :func:`assert_same_count_distribution`'s bound."""
+    counts, p = np.asarray(counts), dist.probabilities
+    k = np.arange(p.size)
+    sd_count = math.sqrt(float(p @ k**2) - dist.mean() ** 2)
+    assert abs(counts.mean() - dist.mean()) <= 5.0 * sd_count / math.sqrt(counts.size)
+    assert counts.max() < p.size
+    got = np.bincount(counts, minlength=p.size) / counts.size
+    assert 0.5 * np.abs(got - p).sum() <= tv_bound(np.sqrt(p * (1.0 - p) / counts.size))
 
 
 def run_totals(run):
