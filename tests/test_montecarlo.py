@@ -246,6 +246,57 @@ class TestReadoutEngineVsOracle:
                               shots * params.n_pulses * np.array(want))
         assert not sim.per_shot_counts.any()
 
+    @staticmethod
+    def assert_deterministic_chain(params, initial, a, b):
+        # flip probabilities a, b in {0, 1} and d = 1 fix every shot's path:
+        # each cell's state, each flip and each count, with no dark counts
+        n, shots = params.n_pulses, BLOCK_SHOTS + 3
+        sim = simulate_readout_shots(params, initial, shots=shots, seed=8)
+        bright = round(trace_closed_form(n, a, b, 1.0, initial).sum())
+        quiet = round((1 - a) * bright)
+        want = [[quiet, round(a * bright)], [round(b * (n - bright)), 0]]
+        want[1][1] = n - sum(map(sum, want))
+        assert np.array_equal(sim.transitions, shots * np.array(want))
+        assert np.array_equal(sim.per_shot_counts, np.full(shots, quiet))
+
+    @pytest.mark.parametrize("initial", ["bright", "dark"])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0),
+                                     (1.0, 1.0)])
+    def test_deterministic_chains(self, a, b, n, initial):
+        # holds of 0 or n - at, a path that alternates every pulse, and the
+        # exit at pulse N, down to one-pulse readouts
+        params = make_params(n=n, a=a, b=b, p=1.0, eta=1.0)
+        self.assert_deterministic_chain(params, initial, a, b)
+
+    @pytest.mark.parametrize("initial", ["bright", "dark"])
+    @pytest.mark.parametrize("a,b", [(5e-324, 1.0), (1.0, 5e-324),
+                                     (1.0 - 2.0**-53, 0.0), (0.0, 1.0 - 2.0**-53)])
+    def test_flip_probabilities_next_to_0_or_1(self, a, b, initial):
+        # the sampled holds: past the float range for the least subnormal
+        # (no warning), 0 below the largest double under 1; each chain
+        # follows its limit's path
+        params = make_params(n=40, a=a, b=b, p=1.0, eta=1.0)
+        self.assert_deterministic_chain(params, initial, round(a), round(b))
+
+    @pytest.mark.parametrize("initial", ["bright", "dark"])
+    @pytest.mark.parametrize("case", list(ENGINE_CASES))
+    def test_transition_counts_balance(self, case, initial):
+        # exactly: the cells over two blocks number shots x N; every shot's
+        # flips out of its initial state lead its flips back by 0 or 1; and
+        # without dark counts a shot's counts are at most its bright cells
+        # without a flip, all of them where d = 1
+        params = replace(ENGINE_CASES[case], dark_rate=0.0)
+        n, shots = params.n_pulses, BLOCK_SHOTS + 100
+        sim = simulate_readout_shots(params, initial, shots=shots, seed=12)
+        t = sim.transitions
+        assert np.all(t >= 0) and t.sum() == shots * n
+        away, back = (t[0, 1], t[1, 0]) if initial == "bright" else (t[1, 0], t[0, 1])
+        assert 0 <= away - back <= shots
+        assert sim.per_shot_counts.max() <= n
+        total = sim.per_shot_counts.sum()
+        assert total == t[0, 0] if params.detection_probability == 1.0 else total <= t[0, 0]
+
 
 UP = np.array([0.0, 0.0, 1.0])
 
