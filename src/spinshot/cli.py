@@ -263,7 +263,7 @@ def _cmd_simulate(args, cfg, out: OutputDir) -> str:
     durations = duration_report(program)
     lines = [
         f"sequence: {args.sequence}",
-        f"events: {len(timeline.events)}   detection gates: {run.gate_count}",
+        f"events: {len(timeline.start_us)}   detection gates: {run.gate_count}",
         f"total duration: {durations.total_ms:.12g} ms",
         f"shots: {args.shots}   seed: {args.seed}",
         f"mean detected photons per shot: {run.histogram.mean():.12g}",

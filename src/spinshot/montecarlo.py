@@ -9,7 +9,12 @@ the next by geometric holds, so a shot costs work per flip, not per
 pulse; it draws one binomial detection total and one Poisson dark-count
 total per shot and keeps counts only.  The timeline executor
 is the one source of photon records: it draws each emission's real time
-and assigns it to the gate that sees it.
+and assigns it to the gate that sees it.  It plans once per row of the
+timeline's per-statement table and walks a shot longer than its block
+budget in segments of at most TIMELINE_BLOCK_CELLS cells (optical pulses
+plus gates), carrying each shot's spin state from one segment to the
+next, so it holds one segment and 16 bytes per gate however long the
+program is.
 
 Unit conventions: optical lifetimes and gate/pulse times in us, MW
 Rabi/detuning frequencies in kHz, spectroscopy offsets in MHz, spin
@@ -27,7 +32,7 @@ import numpy as np
 from .estimators import PhotonRecords, gaussian_fwhm_to_sigma, write_csv
 from .physics import lorentzian_suppression
 from .readout import CountDistribution, ReadoutParams, cyclicity, readout_report
-from .sequence import _TRANSITION_LABELS, DETECT, MW, OPTICAL
+from .sequence import _TRANSITION_LABELS, DETECT, KINDS, MW, OPTICAL, Timeline
 
 _LABEL = {name: code for code, name in enumerate(_TRANSITION_LABELS)}
 
@@ -465,9 +470,13 @@ class TimelineRun:
     gate_count: int
 
 
-# Executor block size in cells (optical pulses plus gates, times shots); a
-# block holds about 100 bytes per cell, more where MW pulses precede an
-# optical pulse.  At least one shot per block.
+# Executor budget in cells (optical pulses plus gates, times shots).  A
+# block runs TIMELINE_BLOCK_CELLS // (cells per shot) shots, at least one,
+# and walks the timeline in segments of at most TIMELINE_BLOCK_CELLS //
+# (block shots) cells per shot, so a shot that fits is one segment and a
+# longer one runs alone, segment by segment.  A block holds about 100
+# bytes per cell of its segment, more where MW pulses precede an optical
+# pulse, whatever the length of the program.
 TIMELINE_BLOCK_CELLS = 1 << 14
 
 
@@ -496,31 +505,33 @@ def _prefix_compose(codes):
 
 @dataclass(frozen=True)
 class _TimelinePlan:
-    """Shot-independent arrays of a timeline for the block executor."""
-    opt_end: np.ndarray        # end time of each optical pulse
-    first_gate: np.ndarray     # first gate after each optical pulse
+    """Shot-independent arrays of a timeline for the block executor: per
+    statement row (read at the rows of their kind), per gate, and the
+    segment bounds."""
+    timeline: Timeline
     keep_below: np.ndarray     # bright stays bright if r >= keep_below
     gain_below: np.ndarray     # dark turns bright if r < gain_below
     emit_below: np.ndarray     # a bright, unflipped spin emits if r < emit_below
-    mw_runs: np.ndarray        # optical pulses preceded by MW pulses
-    mw_steps: tuple            # per position in a run: (rows, MHz, us, rad)
-    gate_start: np.ndarray
+    mw_rad: np.ndarray         # MW phase in radians
+    gate_mu: np.ndarray        # dark-count mean of a gate
+    gate_start: np.ndarray     # per gate of the timeline
     gate_end: np.ndarray
-    gate_mu: np.ndarray        # dark-count mean per gate
+    bounds: tuple              # segment i holds events bounds[i]:bounds[i + 1]
+    block_shots: int
 
-    @property
-    def cells_per_shot(self) -> int:
-        return len(self.opt_end) + len(self.gate_start)
+
+def _windows(tl):
+    """(first event, statement kinds) of each run of TIMELINE_BLOCK_CELLS
+    events, so that a scan of the timeline holds one run at a time."""
+    for w in range(0, len(tl.start_us), TIMELINE_BLOCK_CELLS):
+        yield w, tl.table.kind[tl.row[w:w + TIMELINE_BLOCK_CELLS]]
 
 
 def _plan_timeline(tl, params: ReadoutParams, fwhm_mhz: float) -> _TimelinePlan:
-    opt = np.flatnonzero(tl.kind == OPTICAL)
-    gate = np.flatnonzero(tl.kind == DETECT)
-    mw = np.flatnonzero(tl.kind == MW)
-
-    label = tl.label[opt]
-    p_area = np.sin(tl.area_pi[opt] * np.pi / 2.0) ** 2
-    offset = np.nan_to_num(tl.offset_mhz[opt])       # labelled pulses: 0
+    table = tl.table
+    label = table.label
+    p_area = np.sin(table.area_pi * np.pi / 2.0) ** 2
+    offset = np.nan_to_num(table.offset_mhz)          # labelled pulses: 0
     readout = (label == _LABEL["A"]) | (label == -1)  # -1: a literal offset
     if fwhm_mhz > 0.0:
         weight = lorentzian_suppression(offset, fwhm_mhz)
@@ -531,50 +542,73 @@ def _plan_timeline(tl, params: ReadoutParams, fwhm_mhz: float) -> _TimelinePlan:
     gain = np.select([readout, pump_bright], [params.flip_dark, p_area], 0.0)
     emit = np.where(readout, params.p_excite * p_area * weight, 0.0)
 
-    # MW pulses act on the spin before the next optical pulse; a run is the
-    # MW pulses between two optical pulses, and those after the last are idle
-    run_of = np.searchsorted(opt, mw)
-    live = run_of < len(opt)
-    mw, run_of = mw[live], run_of[live]
-    runs, row_of = np.unique(run_of, return_inverse=True)
-    position = np.arange(len(mw)) - np.searchsorted(run_of, run_of)
-    steps = []
-    for j in range(int(position.max()) + 1 if len(mw) else 0):
-        at = position == j
-        steps.append((row_of[at], tl.frequency_mhz[mw[at]],
-                      tl.duration_us[mw[at]], np.radians(tl.phase_deg[mw[at]])))
-
-    gate_start = tl.start_us[gate]
+    # two scans: count the cells, then fill the gate times and cut the
+    # segments, each just after its last cell
+    kinds = sum((np.bincount(k, minlength=len(KINDS)) for _, k in _windows(tl)),
+                np.zeros(len(KINDS), dtype=np.int64))
+    n_gates, cells = int(kinds[DETECT]), int(kinds[OPTICAL] + kinds[DETECT])
+    block_shots = max(1, TIMELINE_BLOCK_CELLS // max(cells, 1))
+    budget = TIMELINE_BLOCK_CELLS // block_shots
+    gate_start, gate_end = np.empty(n_gates), np.empty(n_gates)
+    bounds, cells_seen, gates_seen = [0], 0, 0
+    for w, k in _windows(tl):
+        gate = w + np.flatnonzero(k == DETECT)
+        at = slice(gates_seen, gates_seen + gate.size)
+        gate_start[at] = tl.start_us[gate]
+        gate_end[at] = gate_start[at] + table.duration_us[tl.row[gate]]
+        gates_seen += gate.size
+        cell = np.flatnonzero((k == OPTICAL) | (k == DETECT))
+        number = cells_seen + 1 + np.arange(cell.size)   # in the shot, from 1
+        cut = (number % budget == 0) & (number < cells)
+        bounds.extend((w + 1 + cell[cut]).tolist())
+        cells_seen += cell.size
+    bounds.append(len(tl.start_us))
     return _TimelinePlan(
-        opt_end=tl.start_us[opt] + tl.duration_us[opt],
-        first_gate=np.searchsorted(gate, opt),
-        keep_below=keep, gain_below=gain, emit_below=emit,
-        mw_runs=runs, mw_steps=tuple(steps),
-        gate_start=gate_start, gate_end=gate_start + tl.duration_us[gate],
-        gate_mu=params.dark_rate * tl.duration_us[gate] * 1e-6)
+        timeline=tl, keep_below=keep, gain_below=gain, emit_below=emit,
+        mw_rad=np.radians(table.phase_deg),
+        gate_mu=params.dark_rate * table.duration_us * 1e-6,
+        gate_start=gate_start, gate_end=gate_end,
+        bounds=tuple(bounds), block_shots=block_shots)
 
 
-def _timeline_block(plan: _TimelinePlan, params: ReadoutParams, bath,
-                    lifetime_us, mw_rabi_khz, n_block, rng):
-    """(per-shot totals, (), records columns) of one block, for
-    :func:`_run_blocks`."""
-    n_opt, n_gates = len(plan.opt_end), len(plan.gate_start)
-    offsets = (_sample_mixture(rng, bath, n_block) if bath is not None
-               else np.zeros(n_block))
+def _timeline_segment(plan: _TimelinePlan, params: ReadoutParams, offsets,
+                      lifetime_us, mw_rabi_khz, rng, carry, e0, e1):
+    """(carry, per-shot totals, records columns) of events e0:e1 of a
+    block's shots.  ``carry`` is (each shot's state, 1 = bright, the MW
+    pulses since the last optical pulse, gates before e0)."""
+    tl, table = plan.timeline, plan.timeline.table
+    n_block, n_gates = len(offsets), len(plan.gate_start)
+    state, pending, gates_seen = carry
+    kinds = table.kind[tl.row[e0:e1]]
+    opt = e0 + np.flatnonzero(kinds == OPTICAL)
+    gate = e0 + np.flatnonzero(kinds == DETECT)
+    mw = np.concatenate((pending, e0 + np.flatnonzero(kinds == MW)))
+    opt_row, n_opt = tl.row[opt], len(opt)
 
-    # z of the spin before each optical pulse, rotated from +z through the
-    # preceding MW run; from -z it is the negative (rotations are linear)
+    # MW pulses act on the spin before the next optical pulse; a run is
+    # the MW pulses between two optical pulses.  z of the spin before each
+    # optical pulse is rotated from +z through the preceding run; from -z
+    # it is the negative (rotations are linear)
+    run_of = np.searchsorted(opt, mw)
+    live = run_of < n_opt
+    pending, mw, run_of = mw[~live], mw[live], run_of[live]
     z = np.ones((n_opt, n_block))
-    if plan.mw_steps:
-        spins = np.zeros((len(plan.mw_runs), n_block, 3))
+    if len(mw):
+        runs, row_of = np.unique(run_of, return_inverse=True)
+        position = np.arange(len(mw)) - np.searchsorted(run_of, run_of)
+        mw_row = tl.row[mw]
+        spins = np.zeros((len(runs), n_block, 3))
         spins[..., 2] = 1.0
-        for rows, freq, duration, phase in plan.mw_steps:
-            detuning = (freq[:, None] - offsets) * 1e3
+        for j in range(int(position.max()) + 1):
+            at = position == j
+            rows, step = row_of[at], mw_row[at]
+            detuning = (table.frequency_mhz[step][:, None] - offsets) * 1e3
             spins[rows] = _rotate(
                 spins[rows].reshape(-1, 3), mw_rabi_khz, detuning.ravel(),
-                np.repeat(duration, n_block), np.repeat(phase, n_block),
+                np.repeat(table.duration_us[step], n_block),
+                np.repeat(plan.mw_rad[step], n_block),
             ).reshape(len(rows), n_block, 3)
-        z[plan.mw_runs] = spins[..., 2]
+        z[runs] = spins[..., 2]
 
     # optical pulses are projective; evaluate each pulse's map from both
     # prior states on the same draws, then chain the maps
@@ -583,37 +617,62 @@ def _timeline_block(plan: _TimelinePlan, params: ReadoutParams, bath,
     r_emit = rng.random((n_opt, n_block))
     from_bright = u_collapse < 0.5 * (1.0 + z)
     from_dark = u_collapse < 0.5 * (1.0 - z)
-    stay = r_flip >= plan.keep_below[:, None]
-    gain = r_flip < plan.gain_below[:, None]
+    stay = r_flip >= plan.keep_below[opt_row][:, None]
+    gain = r_flip < plan.gain_below[opt_row][:, None]
     codes = (np.where(from_dark, stay, gain).view(np.int8)
              + 2 * np.where(from_bright, stay, gain).view(np.int8))
-    after = _apply_map(_prefix_compose(codes), 1)    # every shot starts bright
-    before = np.ones_like(after)
-    before[1:] = after[:-1]
-    emits = (np.where(before == 1, from_bright, from_dark) & stay
-             & (r_emit < plan.emit_below[:, None]))
+    # the state before each optical pulse, then after the last
+    chain = np.vstack((state, _apply_map(_prefix_compose(codes), state)))
+    emits = (np.where(chain[:-1] == 1, from_bright, from_dark) & stay
+             & (r_emit < plan.emit_below[opt_row][:, None]))
 
     # an emission is seen by the first later gate that has not ended yet,
-    # if that gate has already opened
+    # if that gate has already opened; it may lie in a later segment
     k, shot = np.nonzero(emits)
-    t = plan.opt_end[k] - lifetime_us * np.log1p(-rng.random(k.size))
-    gate = np.maximum(np.searchsorted(plan.gate_end, t), plan.first_gate[k])
-    covered = gate < n_gates
-    covered[covered] = t[covered] >= plan.gate_start[gate[covered]]
+    t = (tl.start_us[opt] + table.duration_us[opt_row])[k] \
+        - lifetime_us * np.log1p(-rng.random(k.size))
+    first_gate = gates_seen + np.cumsum(kinds == DETECT)[opt - e0]
+    seen_by = np.maximum(np.searchsorted(plan.gate_end, t), first_gate[k])
+    covered = seen_by < n_gates
+    covered[covered] = t[covered] >= plan.gate_start[seen_by[covered]]
     seen = covered & (rng.random(k.size) < params.eta_detect)
-    shot, gate, t = shot[seen], gate[seen], t[seen]
-    n_dark = rng.poisson(plan.gate_mu, (n_block, n_gates))
+    shot, seen_by, t = shot[seen], seen_by[seen], t[seen]
+    n_dark = rng.poisson(plan.gate_mu[tl.row[gate]], (n_block, len(gate)))
     totals = np.bincount(shot, minlength=n_block) + n_dark.sum(axis=1)
 
     dark_shot, dark_gate = np.nonzero(n_dark)
     reps = n_dark[dark_shot, dark_gate]
-    dark_shot, dark_gate = np.repeat(dark_shot, reps), np.repeat(dark_gate, reps)
+    dark_shot = np.repeat(dark_shot, reps)
+    dark_gate = gates_seen + np.repeat(dark_gate, reps)
     dark_t = plan.gate_start[dark_gate] + rng.random(dark_gate.size) * (
-        plan.gate_end - plan.gate_start)[dark_gate]
+        plan.gate_end[dark_gate] - plan.gate_start[dark_gate])
+    records = [(shot, seen_by, t, np.zeros(shot.size, dtype=np.int8)),
+               (dark_shot, dark_gate, dark_t, np.ones(dark_shot.size, dtype=np.int8))]
+    return (chain[-1], pending, gates_seen + len(gate)), totals, records
+
+
+def _timeline_block(plan: _TimelinePlan, params: ReadoutParams, bath,
+                    lifetime_us, mw_rabi_khz, n_block, rng):
+    """(per-shot totals, (), records columns) of one block, for
+    :func:`_run_blocks`.
+
+    The block runs the plan's segments in order.  Each shot's spin state
+    after a segment's last optical pulse, and the MW pulses since that
+    pulse, carry into the next segment, and emissions are looked up in
+    every gate of the timeline.  A single segment draws exactly as a
+    whole-shot block would."""
+    offsets = (_sample_mixture(rng, bath, n_block) if bath is not None
+               else np.zeros(n_block))
+    # every shot starts bright, with no MW pulse pending and no gate seen
+    carry = (np.ones(n_block, dtype=np.int8), np.zeros(0, dtype=np.intp), 0)
+    totals, records = np.zeros(n_block, dtype=np.int64), []
+    for e0, e1 in zip(plan.bounds[:-1], plan.bounds[1:]):
+        carry, counts, columns = _timeline_segment(
+            plan, params, offsets, lifetime_us, mw_rabi_khz, rng, carry, e0, e1)
+        totals += counts
+        records += columns
     # record columns (shot, gate, time, origin code) sorted by (shot, time)
-    code = np.repeat(np.array([0, 1], dtype=np.int8), [shot.size, dark_shot.size])
-    shot, gate, t = map(np.concatenate, ((shot, dark_shot), (gate, dark_gate),
-                                         (t, dark_t)))
+    shot, gate, t, code = map(np.concatenate, zip(*records))
     order = np.lexsort((t, shot))
     return totals, (), (shot[order], gate[order], t[order], code[order])
 
@@ -637,7 +696,13 @@ def run_timeline(timeline, params: ReadoutParams, bath: BathParams | None = None
 
     Shots run through :func:`_run_blocks` in blocks of
     TIMELINE_BLOCK_CELLS // (optical pulses + gates) shots (at least
-    one) keyed by the seed, each vectorized over (event, shot).
+    one) keyed by the seed, each vectorized over (event, shot).  A block
+    walks the timeline in segments of at most TIMELINE_BLOCK_CELLS //
+    (block shots) cells, each cut just after its last cell; a shot that
+    fits the budget is one segment.  Each shot's spin state and the MW
+    pulses pending since its last optical pulse carry into the next
+    segment, and emissions are looked up in every gate of the timeline,
+    so the cut changes only which draws a longer shot takes.
     """
     plan = _plan_timeline(timeline, params, spectral_diffusion_fwhm_mhz)
     n_gates = len(plan.gate_start)
@@ -645,7 +710,7 @@ def run_timeline(timeline, params: ReadoutParams, bath: BathParams | None = None
         lambda n_block, rng: _timeline_block(plan, params, bath,
                                              emission_lifetime_us, mw_rabi_khz,
                                              n_block, rng),
-        shots, max(1, TIMELINE_BLOCK_CELLS // max(plan.cells_per_shot, 1)), seed)
+        shots, plan.block_shots, seed)
     return TimelineRun(
         histogram=CountDistribution(np.bincount(totals) / shots, "bright",
                                     max(n_gates, 1)),

@@ -9,7 +9,8 @@ Grammar (see docs/sequence_grammar.ebnf):
     repeat <count> { <statements> }
 
 `#` starts a comment; units are mandatory.  Compilation unrolls repeat
-blocks into a flat, strictly sequential timeline of timed events.
+blocks into a flat, strictly sequential timeline of timed events, each
+a start time and a row of the per-statement table.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ __all__ = [
     "Repeat",
     "SequenceProgram",
     "TimedEvent",
+    "StatementTable",
     "Timeline",
     "KINDS",
     "BlockTiming",
@@ -45,10 +47,14 @@ __all__ = [
     "DEFAULT_OVERHEAD_US",
 ]
 
-# Peak bytes per event of compile_sequence plus one single-shot block of
-# run_timeline: 50 in the timeline columns, the rest in the block (measured
-# worst case 226, alternating MW and optical pulses).  MAX_EVENTS holds a
-# program near 512 MiB; each further executor thread adds a block.
+# Rated peak bytes per event of compile_sequence plus one single-shot block
+# of run_timeline.  The timeline keeps 12 (start time and statement row),
+# compiling adds 8 while it sums the starts, and run_timeline adds 16 per
+# gate and one segment of at most TIMELINE_BLOCK_CELLS cells, about 5.7 MB
+# with MW pulses.  Measured peaks: 26 per event at 200000 MW+optical
+# repeats, 32 at 200000 gates, 153 at 20000 MW+optical repeats, where the
+# segment dominates.  MAX_EVENTS holds a program near 512 MiB; each further
+# executor thread adds a block.
 BYTES_PER_EVENT = 240
 MAX_EVENTS = (512 << 20) // BYTES_PER_EVENT
 MAX_NESTING = 16
@@ -353,14 +359,18 @@ class _EventView(abc.Sequence):
         return map(self._timeline.event, range(len(self)))
 
 
+# dtype of each StatementTable column, in _event_row order
+_DTYPES = (np.float64, np.int8, np.int8, np.float64, np.float64, np.float64,
+           np.float64)
+
+
 @dataclass(frozen=True, eq=False)
-class Timeline:
-    """Flat event timeline as columns, one entry per event in each.
+class StatementTable:
+    """One row per leaf statement of a program, in source order.
 
     Parameter columns hold 0 (NaN for ``offset_mhz``) where they do not
-    apply to an event's kind.
+    apply to a row's kind.
     """
-    start_us: np.ndarray
     duration_us: np.ndarray
     kind: np.ndarray            # int8 index into KINDS
     label: np.ndarray           # int8 index into A-D; -1 unless a labelled optical pulse
@@ -368,39 +378,61 @@ class Timeline:
     offset_mhz: np.ndarray      # literal optical detuning
     frequency_mhz: np.ndarray   # MW drive offset
     phase_deg: np.ndarray       # MW phase
+
+
+def _gathered(name):
+    return property(lambda self: getattr(self.table, name)[self.row],
+                    doc=f"``table.{name}`` of every event, as a new array")
+
+
+@dataclass(frozen=True, eq=False)
+class Timeline:
+    """Flat event timeline: per event its start time and the row of the
+    statement that emits it in ``table``, 12 bytes an event.
+
+    Each leaf statement's parameters are stored once, in its table row,
+    however often a repeat unrolls it.  The read-only properties named
+    after the table's columns gather them per event into new arrays, and
+    ``event(i)`` reads the table at ``row[i]``.
+    """
+    start_us: np.ndarray        # float64
+    row: np.ndarray             # int32 index into table
+    table: StatementTable
     total_duration_us: float
+
+    duration_us = _gathered("duration_us")
+    kind = _gathered("kind")
+    label = _gathered("label")
+    area_pi = _gathered("area_pi")
+    offset_mhz = _gathered("offset_mhz")
+    frequency_mhz = _gathered("frequency_mhz")
+    phase_deg = _gathered("phase_deg")
 
     @property
     def events(self) -> abc.Sequence:
         return _EventView(self)
 
     def event(self, i) -> TimedEvent:
-        kind = KINDS[self.kind[i]]
+        start, t = float(self.start_us[i]), self.table
+        r = self.row[i]
+        kind = KINDS[t.kind[r]]
         if kind == "optical":
-            label = (_TRANSITION_LABELS[self.label[i]] if self.label[i] >= 0
-                     else None)
+            label = _TRANSITION_LABELS[t.label[r]] if t.label[r] >= 0 else None
             params = {
                 "transition": label,
-                "offset_mhz": None if label else float(self.offset_mhz[i]),
-                "area_pi": float(self.area_pi[i]),
+                "offset_mhz": None if label else float(t.offset_mhz[r]),
+                "area_pi": float(t.area_pi[r]),
             }
         elif kind == "mw":
-            params = {"frequency_mhz": float(self.frequency_mhz[i]),
-                      "phase_deg": float(self.phase_deg[i])}
+            params = {"frequency_mhz": float(t.frequency_mhz[r]),
+                      "phase_deg": float(t.phase_deg[r])}
         else:
             params = {}
-        return TimedEvent(float(self.start_us[i]), float(self.duration_us[i]),
-                          kind, params)
-
-
-# (column, dtype) of a compiled block; starts are added after unrolling
-_COLUMNS = (("duration_us", np.float64), ("kind", np.int8), ("label", np.int8),
-            ("area_pi", np.float64), ("offset_mhz", np.float64),
-            ("frequency_mhz", np.float64), ("phase_deg", np.float64))
+        return TimedEvent(start, float(t.duration_us[r]), kind, params)
 
 
 def _event_row(stmt) -> tuple:
-    """One event's values in _COLUMNS order."""
+    """One statement's values in StatementTable column order."""
     nan = math.nan
     if isinstance(stmt, OpticalPulse):
         label = (_TRANSITION_LABELS.index(stmt.transition) if stmt.transition
@@ -417,30 +449,20 @@ def _event_row(stmt) -> tuple:
     raise TypeError(f"unknown statement {stmt!r}")
 
 
-def _compile_block(statements) -> list:
-    """Columns of one pass through ``statements``; each repeat body is
+def _compile_block(statements, table_rows) -> np.ndarray:
+    """Statement rows of one pass through ``statements``; each leaf
+    statement appends its row to ``table_rows``, and each repeat body is
     compiled once and tiled."""
-    parts, rows = [], []
-
-    def flush():
-        if rows:
-            parts.append([np.array(col, dtype=dtype)
-                          for col, (_, dtype) in zip(zip(*rows), _COLUMNS)])
-            rows.clear()
-
+    parts = []
     for stmt in statements:
         if isinstance(stmt, Repeat):
-            flush()
-            body = _compile_block(stmt.block)
-            parts.append([np.tile(col, stmt.count) for col in body])
+            parts.append(np.tile(_compile_block(stmt.block, table_rows), stmt.count))
         else:
-            rows.append(_event_row(stmt))
-    flush()
+            parts.append(np.array([len(table_rows)], dtype=np.int32))
+            table_rows.append(_event_row(stmt))
     if len(parts) == 1:
         return parts[0]
-    if not parts:
-        return [np.zeros(0, dtype=dtype) for _, dtype in _COLUMNS]
-    return [np.concatenate(cols) for cols in zip(*parts)]
+    return np.concatenate(parts or [np.zeros(0, dtype=np.int32)])
 
 
 def _measure(statements) -> tuple:
@@ -474,19 +496,23 @@ def _statement_at(statements, i):
 def compile_sequence(program: SequenceProgram) -> Timeline:
     """Unroll to a flat event timeline with absolute start times.
 
-    Optical labels A-D stay symbolic.  The event count is checked
-    against MAX_EVENTS before anything is allocated.  A time that
-    overflows the float range is a CompileError naming the statement of
-    the first event that ends past it.
+    Each leaf statement becomes one row of the timeline's statement
+    table, and each event stores only its start and its row.  Optical
+    labels A-D stay symbolic.  The event count is checked against
+    MAX_EVENTS before anything is allocated.  A time that overflows the
+    float range is a CompileError naming the statement of the first
+    event that ends past it.
     """
     total_events = _measure(program.statements)[0]
     if total_events > MAX_EVENTS:
         raise TimelineCapacityError(
             f"unrolled sequence has {total_events} events, "
             f"exceeding the capacity of {MAX_EVENTS}")
-    columns = dict(zip((name for name, _ in _COLUMNS),
-                       _compile_block(program.statements)))
-    durations = columns["duration_us"]
+    table_rows = []
+    row = _compile_block(program.statements, table_rows)
+    columns = zip(*table_rows) if table_rows else [()] * len(_DTYPES)
+    table = StatementTable(*map(np.array, columns, _DTYPES))
+    durations = table.duration_us[row]
     # np.cumsum adds in order, so each start has the bits of a running sum
     start = np.zeros(total_events)
     with np.errstate(over="ignore"):
@@ -499,9 +525,9 @@ def compile_sequence(program: SequenceProgram) -> Timeline:
         raise CompileError(
             f"{stmt.origin or '<sequence>'}: event {i} starts at "
             f"{start[i]:g} us and ends past the largest finite time")
-    for column in (start, *columns.values()):
+    for column in (start, row, *vars(table).values()):
         column.flags.writeable = False
-    return Timeline(start_us=start, total_duration_us=total, **columns)
+    return Timeline(start_us=start, row=row, table=table, total_duration_us=total)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import (enumerate_count_distribution, readout_block_three_draw,
                      run_timeline_per_shot, trace_closed_form)
 from test_readout import within_seconds
+from spinshot import montecarlo
 from spinshot.config import readout_params
 from spinshot.estimators import fit_model
 from spinshot.montecarlo import (BLOCK_SHOTS, TIMELINE_BLOCK_CELLS, BathParams,
@@ -714,40 +715,87 @@ GATE_EDGE = ("repeat 30 { detect 1us\n pulse optical A 0us 1pi\n"
              " detect 0.5us\n wait 0.2us }")
 
 
+# the per-shot reference cases, each also run in segments of at most 48
+# cells: one shot per block, so at 1500 shots, as each block costs more
+_REFERENCE_CASES = {
+    # README readout: MW after the last optical pulse is idle
+    "readme": dict(seq=READOUT_SEQ + "\npulse mw 3598.43MHz 2.3us 0deg",
+                   bath=BathParams(), ref_shots=1500),
+    # two MW pulses in one run, pi/2 each, about a pi in total
+    "mw-run-of-two": dict(seq=MW_RUN_OF_TWO + READOUT_SEQ, bath=NARROW_BATH,
+                          ref_shots=1500),
+    "c-d-pumps": dict(seq=PUMPS + READOUT_SEQ, bath=None, ref_shots=1500),
+    "literal-detuning": dict(
+        seq=READOUT_SEQ.replace("optical A", "optical 6.75MHz")
+        + "\npulse optical -20MHz 0.02us 1pi\n detect 3us",
+        bath=None, ref_shots=1500),
+    "zero-length-pulse-at-gate-edge": dict(seq=GATE_EDGE, bath=None,
+                                           ref_shots=2000, lifetime=0.5),
+    "zero-lifetime-at-gate-edge": dict(seq=GATE_EDGE, bath=None, ref_shots=2000,
+                                       lifetime=0.0),
+}
+REFERENCE_CASES = (
+    [pytest.param(case, id=name) for name, case in _REFERENCE_CASES.items()]
+    + [pytest.param(dict(case, cells=48, shots=1500), id=f"{name}-in-segments")
+       for name, case in _REFERENCE_CASES.items()])
+CERTAIN_ROUNDS = ("repeat 3 {\n pulse optical A 0.02us 1pi\n detect 1us\n"
+                  " pulse mw 0MHz 1.15us 0deg\n detect 1us\n"
+                  " pulse mw 0MHz 1.15us 0deg\n"
+                  " pulse optical A 0.02us 1pi\n detect 1us\n"
+                  " pulse optical D 1us 1pi\n pulse optical A 0.02us 1pi\n detect 1us\n"
+                  " pulse optical C 1us 1pi\n pulse optical A 0.02us 1pi\n detect 1us\n"
+                  " pulse optical D 1us 1pi\n wait 1us }\n")
+
+
 class TestTimelineExecutor:
     """The block executor against the per-shot reference executor."""
 
-    @pytest.mark.parametrize("case", [
-        # README readout: MW after the last optical pulse is idle
-        dict(seq=READOUT_SEQ + "\npulse mw 3598.43MHz 2.3us 0deg",
-             bath=BathParams(), ref_shots=1500),
-        # two MW pulses in one run, pi/2 each, about a pi in total
-        dict(seq=MW_RUN_OF_TWO + READOUT_SEQ, bath=NARROW_BATH, ref_shots=1500),
-        dict(seq=PUMPS + READOUT_SEQ, bath=None, ref_shots=1500),
-        dict(seq=READOUT_SEQ.replace("optical A", "optical 6.75MHz")
-             + "\npulse optical -20MHz 0.02us 1pi\n detect 3us",
-             bath=None, ref_shots=1500),
-        dict(seq=GATE_EDGE, bath=None, ref_shots=2000, lifetime=0.5),
-        dict(seq=GATE_EDGE, bath=None, ref_shots=2000, lifetime=0.0),
-    ], ids=["readme", "mw-run-of-two", "c-d-pumps", "literal-detuning",
-            "zero-length-pulse-at-gate-edge", "zero-lifetime-at-gate-edge"])
-    def test_matches_per_shot_reference(self, case):
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_matches_per_shot_reference(self, case, monkeypatch):
+        monkeypatch.setattr(montecarlo, "TIMELINE_BLOCK_CELLS",
+                            case.get("cells", TIMELINE_BLOCK_CELLS))
         tl = compile_sequence(parse_sequence(case["seq"]))
         params = make_params(n=40, eta=0.3, dark_rate=2000.0)
         kw = dict(emission_lifetime_us=case.get("lifetime", 0.803),
                   mw_rabi_khz=500.0 / 2.3, spectral_diffusion_fwhm_mhz=13.5)
-        run = run_timeline(tl, params, case["bath"], shots=20_000, seed=21, **kw)
+        shots = case.get("shots", 20_000)
+        run = run_timeline(tl, params, case["bath"], shots=shots, seed=21, **kw)
         ref_totals, ref_counts, _ = run_timeline_per_shot(
             tl, params, case["bath"], shots=case["ref_shots"], seed=22, **kw)
         totals = run_totals(run)
         assert_same_count_distribution(totals, ref_totals)
-        assert np.array_equal(np.bincount(totals) / 20_000,
+        assert np.array_equal(np.bincount(totals) / shots,
                               run.histogram.probabilities)
         mean = per_gate_mean(run)
-        se = np.sqrt(mean / 20_000
+        se = np.sqrt(mean / shots
                      + ref_counts.var(axis=0, ddof=1) / case["ref_shots"])
         assert np.all(np.abs(mean - ref_counts.mean(axis=0))
                       <= 5.0 * se + 1e-12)
+
+    @pytest.mark.parametrize("cells", [1, 2, 3, 5, 7, TIMELINE_BLOCK_CELLS])
+    def test_segments_carry_state_and_mw_runs(self, cells, monkeypatch):
+        # every draw is certain: two pi/2 pulses with a gate between them
+        # darken the spin, C and D pump it, a readout pulse emits at its end
+        # when bright, and each gate sees exactly that; cuts after every
+        # cell split the MW run and the pumps across segments
+        monkeypatch.setattr(montecarlo, "TIMELINE_BLOCK_CELLS", cells)
+        tl = compile_sequence(parse_sequence(CERTAIN_ROUNDS))
+        params = make_params(n=1, a=0.0, b=0.0, p=1.0, eta=1.0)
+        run = run_timeline(tl, params, shots=50, seed=3, emission_lifetime_us=0.0,
+                           mw_rabi_khz=500.0 / 2.3)
+        counts = np.zeros((50, run.gate_count), dtype=np.int64)
+        np.add.at(counts, (run.records.shot_id, run.records.pulse_index), 1)
+        assert np.array_equal(counts, np.tile([1, 0, 0, 1, 0], (50, 3)))
+
+    def test_dark_counts_stay_in_their_segments_gates(self, monkeypatch):
+        # zero-length gates never count; one segment per gate, and only the
+        # last gate, about 10 dark counts a shot, may hold records
+        monkeypatch.setattr(montecarlo, "TIMELINE_BLOCK_CELLS", 1)
+        tl = compile_sequence(parse_sequence("repeat 5 { detect 0us }\ndetect 100us"))
+        run = run_timeline(tl, make_params(n=1, p=0.0, dark_rate=1e5), shots=20,
+                           seed=1)
+        assert len(run.records) > 100
+        assert np.all(run.records.pulse_index == 5)
 
     def test_partial_last_block(self):
         seq = "repeat 5 { pulse optical A 0.02us 1pi\n detect 3us\n wait 1us }"
@@ -767,16 +815,48 @@ class TestTimelineExecutor:
     def test_thread_count_gives_identical_records(self, monkeypatch):
         tl = compile_sequence(parse_sequence(PUMPS + READOUT_SEQ))
         params = make_params(n=40, dark_rate=500.0)
-        runs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("SPINSHOT_THREADS", threads)
-            runs.append(run_timeline(tl, params, BathParams(), shots=3000, seed=5))
-        a, b = (r.records for r in runs)
-        assert 3000 > TIMELINE_BLOCK_CELLS // (41 + 40)   # several blocks
-        for column in ("shot_id", "pulse_index", "timestamp_us", "origin_code"):
-            assert getattr(a, column).tobytes() == getattr(b, column).tobytes()
-        assert np.array_equal(runs[0].histogram.probabilities,
-                              runs[1].histogram.probabilities)
+        # several blocks of many shots, then one shot a block in segments
+        for cells, shots in ((TIMELINE_BLOCK_CELLS, 3000), (48, 300)):
+            monkeypatch.setattr(montecarlo, "TIMELINE_BLOCK_CELLS", cells)
+            assert shots > max(1, cells // (42 + 40))
+            runs = []
+            for threads in ("1", "2"):
+                monkeypatch.setenv("SPINSHOT_THREADS", threads)
+                runs.append(run_timeline(tl, params, BathParams(), shots=shots,
+                                         seed=5))
+            a, b = (r.records for r in runs)
+            for column in ("shot_id", "pulse_index", "timestamp_us", "origin_code"):
+                assert getattr(a, column).tobytes() == getattr(b, column).tobytes()
+            assert np.array_equal(runs[0].histogram.probabilities,
+                                  runs[1].histogram.probabilities)
+
+    # (sequence, pulses, shots, seed, sha256 of run_timeline's record
+    # columns and histogram), frozen before the executor ran in segments: a
+    # shot that fits one block still draws the same
+    FROZEN_RECORDS = {
+        "readme": (readout_sequence(71) + "\npulse mw 3598.43MHz 2.3us 0deg",
+                   71, 4000, 1, "af34fa75b5d3c75e785e04d222f5ecd3"
+                                "278008817d4e4a0749ac17a8d288838f"),
+        "c-d-pumps": (PUMPS + READOUT_SEQ, 40, 3000, 5,
+                      "1009c5019bd494b468e77ff0dc18cc8e"
+                      "2f20c8af1769728e648483aa5ecce7ee"),
+    }
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("name", FROZEN_RECORDS)
+    def test_records_frozen(self, name, threads, monkeypatch):
+        monkeypatch.setenv("SPINSHOT_THREADS", threads)
+        seq, n, shots, seed, want = self.FROZEN_RECORDS[name]
+        run = run_timeline(compile_sequence(parse_sequence(seq)),
+                           make_params(n=n, dark_rate=500.0), BathParams(),
+                           shots=shots, seed=seed)
+        digest = hashlib.sha256()
+        rec = run.records
+        for array in (rec.shot_id, rec.pulse_index, rec.timestamp_us,
+                      rec.origin_code, run.histogram.probabilities):
+            digest.update(f"{array.dtype.str}{array.shape}".encode())
+            digest.update(np.ascontiguousarray(array).tobytes())
+        assert digest.hexdigest() == want
 
     def test_records_match_totals(self):
         tl = compile_sequence(parse_sequence(GATE_EDGE))

@@ -10,11 +10,20 @@ import oracles
 from oracles import duration_report_by_walkers, event_count_by_walkers
 from spinshot.montecarlo import BathParams, run_timeline
 from spinshot.readout import ReadoutParams
-from spinshot.sequence import (BYTES_PER_EVENT, MAX_EVENTS, CompileError,
+from spinshot.sequence import (BYTES_PER_EVENT, DETECT, MAX_EVENTS, CompileError,
                                Detect, MwPulse, OpticalPulse, ParseError, Repeat,
                                SequenceProgram, TimelineCapacityError, Wait,
                                _measure, _tokenize, compile_sequence,
                                duration_report, format_sequence, parse_sequence)
+
+CAPACITY_BODIES = ("pulse mw 0MHz 1us 0deg\n pulse optical A 0.02us 1pi",
+                   "pulse optical A 0.02us 1pi\n detect 3us",
+                   "pulse optical A 0.02us 1pi",
+                   "detect 3us")
+# run_timeline's own tracemalloc peak for one shot, less 16 bytes per gate
+# for the gate times: measured 5.66 MB at 200000 repeats of the MW+optical
+# body (numpy 2.4, x86-64), plus 25%
+RUN_PEAK_BYTES = 7_080_000
 
 READOUT_TEXT = ("repeat 500 { pulse optical A 0.02us 0.5pi\n"
                 " wait 6.88us\n detect 3us }")
@@ -322,25 +331,31 @@ class TestCompile:
             tracemalloc.stop()
             assert peak < 1 << 20
 
-    @pytest.mark.parametrize("body", [
-        "pulse mw 0MHz 1us 0deg\n pulse optical A 0.02us 1pi",
-        "pulse optical A 0.02us 1pi\n detect 3us",
-        "pulse optical A 0.02us 1pi",
-        "detect 3us",
+    @pytest.mark.parametrize("body,repeats", [
+        # ids as the body alone where the program repeats it 20000 times
+        *(pytest.param(body, 20_000, id=body) for body in CAPACITY_BODIES),
+        pytest.param(CAPACITY_BODIES[0], 200_000, id="200000 x mw+optical"),
     ])
-    def test_capacity_covers_compile_and_one_shot_block(self, body):
+    def test_capacity_covers_compile_and_one_shot_block(self, body, repeats):
         # MAX_EVENTS is sized from BYTES_PER_EVENT: the peak of compiling
-        # and running one shot must stay below it
-        program = parse_sequence(f"repeat 20000 {{ {body} }}")
+        # and running one shot must stay below it.  run_timeline's own peak,
+        # with the timeline compiled, holds one segment and the gate times,
+        # whatever the length of the program
+        program = parse_sequence(f"repeat {repeats} {{ {body} }}")
         params = ReadoutParams(n_pulses=1, p_excite=0.78, eta_detect=0.1,
                                flip_bright=0.004, flip_dark=0.004,
                                dark_rate=5000.0)
         tracemalloc.start()
-        tl = compile_sequence(program)
-        run_timeline(tl, params, BathParams(), shots=1, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+        try:
+            tl = compile_sequence(program)
+            compiled = tracemalloc.get_traced_memory()[0]
+            run_timeline(tl, params, BathParams(), shots=1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        gates = int(np.count_nonzero(tl.kind == DETECT))
         assert peak <= BYTES_PER_EVENT * len(tl.events)
+        assert peak - compiled <= RUN_PEAK_BYTES + 16 * gates
         assert MAX_EVENTS * BYTES_PER_EVENT <= 512 << 20
 
     def test_gates_accessor(self):
