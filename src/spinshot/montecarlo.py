@@ -31,8 +31,10 @@ import numpy as np
 
 from .estimators import PhotonRecords, gaussian_fwhm_to_sigma, write_csv
 from .physics import lorentzian_suppression
-from .readout import CountDistribution, ReadoutParams, cyclicity, readout_report
-from .sequence import _TRANSITION_LABELS, DETECT, KINDS, MW, OPTICAL, Timeline
+from .readout import (CountDistribution, ReadoutParams, _distributions, _scan,
+                      cyclicity, readout_fidelity)
+from .sequence import (_TRANSITION_LABELS, DETECT, KINDS, MAX_EVENTS, MW, OPTICAL,
+                       Timeline)
 
 _LABEL = {name: code for code, name in enumerate(_TRANSITION_LABELS)}
 
@@ -436,26 +438,29 @@ def pulse_area_scan(areas, params: ReadoutParams, flip_slope: float = 0.0,
     b = params.flip_dark, a Monte Carlo run whose transition counts
     give N0 in closed form (see :func:`_decay_pulses`), cyclicity p*N0
     (NaN when p = 0 or N0 is), and the exact best-threshold fidelity at
-    the same pulse count.
+    the same pulse count, from one DP pass over all points whose rows
+    keep the bits of a pass per point.
     """
     areas = np.asarray(areas, dtype=float)
-    out = {k: np.empty(areas.size) for k in
-           ("p", "n0", "se", "zeta", "f", "t")}
-    for i, area in enumerate(areas):
-        p = excitation_probability(area)
-        point = replace(params, p_excite=p, flip_bright=float(
-            min(params.flip_bright + flip_slope * area, 1.0)))
-        sim = simulate_readout_shots(point, "bright", shots, seed, _key=(i,))
-        n0, out["se"][i] = _decay_pulses(sim.transitions)
-        report = readout_report(point)
-        out["p"][i] = p
-        out["n0"][i] = n0
-        out["zeta"][i] = cyclicity(p, n0) if p > 0 else math.nan
-        out["f"][i] = report.f_min
-        out["t"][i] = report.threshold
+    points = [replace(params, p_excite=excitation_probability(area), flip_bright=float(
+        min(params.flip_bright + flip_slope * area, 1.0))) for area in areas]
+    n0, n0_se = np.array([_decay_pulses(simulate_readout_shots(
+        point, "bright", shots, seed, _key=(i,)).transitions)
+        for i, point in enumerate(points)]).reshape(-1, 2).T
+    dists = _distributions(params, [point.flip_bright for point in points],
+                           [params.flip_dark] * len(points),
+                           d=[point.detection_probability for point in points])
+    n = [params.n_pulses] * len(points)
+    thresholds = [row[1] for row in _scan(
+        [(b.probabilities, d.probabilities) for b, d in dists], n, n)] if points else []
+    p = np.array([point.p_excite for point in points])
     return AreaScanResult(
-        area=areas, p_excite=out["p"], n0=out["n0"], n0_se=out["se"],
-        zeta=out["zeta"], f_min=out["f"], threshold=out["t"].astype(int),
+        area=areas, p_excite=p, n0=n0, n0_se=n0_se,
+        zeta=np.array([cyclicity(p_i, n0_i) if p_i > 0 else math.nan
+                       for p_i, n0_i in zip(p.tolist(), n0.tolist())]),
+        f_min=np.array([readout_fidelity(*dist, t).f_min
+                        for dist, t in zip(dists, thresholds)]),
+        threshold=np.array(thresholds, dtype=int),
     )
 
 
@@ -541,6 +546,8 @@ def _plan_timeline(tl, params: ReadoutParams, fwhm_mhz: float) -> _TimelinePlan:
     keep = np.select([readout, pump_dark], [params.flip_bright, p_area], 0.0)
     gain = np.select([readout, pump_bright], [params.flip_dark, p_area], 0.0)
     emit = np.where(readout, params.p_excite * p_area * weight, 0.0)
+    with np.errstate(over="ignore"):   # a mean past the float range fails below
+        gate_mu = params.dark_rate * table.duration_us * 1e-6
 
     # two scans: count the cells, then fill the gate times and cut the
     # segments, each just after its last cell
@@ -550,23 +557,29 @@ def _plan_timeline(tl, params: ReadoutParams, fwhm_mhz: float) -> _TimelinePlan:
     block_shots = max(1, TIMELINE_BLOCK_CELLS // max(cells, 1))
     budget = TIMELINE_BLOCK_CELLS // block_shots
     gate_start, gate_end = np.empty(n_gates), np.empty(n_gates)
-    bounds, cells_seen, gates_seen = [0], 0, 0
+    bounds, cells_seen, gates_seen, dark_mean = [0], 0, 0, 0.0
     for w, k in _windows(tl):
         gate = w + np.flatnonzero(k == DETECT)
         at = slice(gates_seen, gates_seen + gate.size)
         gate_start[at] = tl.start_us[gate]
         gate_end[at] = gate_start[at] + table.duration_us[tl.row[gate]]
         gates_seen += gate.size
+        with np.errstate(over="ignore"):
+            dark_mean += float(gate_mu[tl.row[gate]].sum())
         cell = np.flatnonzero((k == OPTICAL) | (k == DETECT))
         number = cells_seen + 1 + np.arange(cell.size)   # in the shot, from 1
         cut = (number % budget == 0) & (number < cells)
         bounds.extend((w + 1 + cell[cut]).tolist())
         cells_seen += cell.size
     bounds.append(len(tl.start_us))
+    if dark_mean > MAX_EVENTS:
+        raise ValueError(
+            f"the dark-count mean {dark_mean:g} per shot over {n_gates} "
+            f"detection gates at a dark rate of {params.dark_rate:g} Hz exceeds "
+            f"the {MAX_EVENTS} records one shot is rated to hold")
     return _TimelinePlan(
         timeline=tl, keep_below=keep, gain_below=gain, emit_below=emit,
-        mw_rad=np.radians(table.phase_deg),
-        gate_mu=params.dark_rate * table.duration_us * 1e-6,
+        mw_rad=np.radians(table.phase_deg), gate_mu=gate_mu,
         gate_start=gate_start, gate_end=gate_end,
         bounds=tuple(bounds), block_shots=block_shots)
 

@@ -120,7 +120,7 @@ class ReadoutParams:
         if not self.dark_count_mean <= CAPACITY_DARK_MEAN:
             raise CapacityError(
                 f"the dark-count mean {self.dark_count_mean:g} over "
-                f"{self.n_pulses} gates of {self.gate_window:g} us exceeds "
+                f"{self.n_pulses:g} gates of {self.gate_window:g} us exceeds "
                 f"the exact model's capacity of {CAPACITY_DARK_MEAN:g}")
 
     @property
@@ -200,7 +200,8 @@ def _check_capacity(n: int):
 
 def _chain(a, b, d, starts, n_pulses):
     """Yield the (pair, count) bright and dark probabilities after each
-    pulse for every (point, initial state) pair of the batch.
+    pulse for every (point, initial state) pair of the batch, at one
+    (a, b, d) per point; a scalar serves every point.
 
     Each yielded array holds only counts 0 .. w - 1 of the n_pulses + 1;
     every count at or above its width w is an exact zero.  Count c is
@@ -214,7 +215,8 @@ def _chain(a, b, d, starts, n_pulses):
     check.  The kept counts go through the same floating-point
     operations as on the full axis and keep their bits.
     """
-    a, b = (np.repeat(np.asarray(x, dtype=float), len(starts))[:, None] for x in (a, b))
+    a, b, d = (np.repeat(x, len(starts))[:, None] for x in
+               np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, d))))
     # probs[state] gains probs[bright] * from_bright[state] and
     # probs[dark] * from_dark[state]; a detection also shifts the count
     from_bright = np.stack(((1.0 - a) * (1.0 - d), a))
@@ -273,12 +275,14 @@ def _convolve_dark(pmfs, mu: float) -> list:
     return [np.convolve(pmf, dark) for pmf in pmfs]
 
 
-def _distributions(params: ReadoutParams, a, b, starts=_STATES):
-    """Count distributions at params' N, d and dark mean for every (a, b)
-    point and initial state, from one batched DP; indexed [point][state]."""
+def _distributions(params: ReadoutParams, a, b, starts=_STATES, d=None):
+    """Count distributions at params' N and dark mean for every (a, b, d)
+    point and initial state, from one batched DP; indexed [point][state].
+    d defaults to params' detection probability."""
     n = params.n_pulses
     _check_capacity(n)
-    for bright, dark in _chain(a, b, params.detection_probability, starts, n):
+    d = params.detection_probability if d is None else d
+    for bright, dark in _chain(a, b, d, starts, n):
         pass
     signal = np.zeros((bright.shape[0], n + 1))
     signal[:, :bright.shape[1]] = bright + dark

@@ -9,14 +9,14 @@ Grammar (see docs/sequence_grammar.ebnf):
     repeat <count> { <statements> }
 
 `#` starts a comment; units are mandatory.  Compilation unrolls repeat
-blocks into a flat, strictly sequential timeline of timed events, each
-a start time and a row of the per-statement table.
+blocks into a flat, strictly sequential Timeline.  Its StatementTable
+holds one row per leaf statement, and each event only its start time
+and its row, so event i's parameters are ``table.<column>[row[i]]``.
 """
 from __future__ import annotations
 
 import math
 import re
-from collections import abc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +31,6 @@ __all__ = [
     "Detect",
     "Repeat",
     "SequenceProgram",
-    "TimedEvent",
     "StatementTable",
     "Timeline",
     "KINDS",
@@ -327,38 +326,6 @@ KINDS = ("optical", "mw", "wait", "detect")
 OPTICAL, MW, WAIT, DETECT = range(len(KINDS))
 
 
-@dataclass(frozen=True)
-class TimedEvent:
-    start_us: float
-    duration_us: float
-    kind: str            # optical | mw | wait | detect
-    params: dict = field(default_factory=dict, compare=False)
-
-    @property
-    def end_us(self) -> float:
-        return self.start_us + self.duration_us
-
-
-class _EventView(abc.Sequence):
-    """Read-only sequence of a timeline's events, built on access."""
-
-    __slots__ = ("_timeline",)
-
-    def __init__(self, timeline):
-        self._timeline = timeline
-
-    def __len__(self):
-        return len(self._timeline.start_us)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._timeline.event(j) for j in range(*i.indices(len(self)))]
-        return self._timeline.event(i)
-
-    def __iter__(self):
-        return map(self._timeline.event, range(len(self)))
-
-
 # dtype of each StatementTable column, in _event_row order
 _DTYPES = (np.float64, np.int8, np.int8, np.float64, np.float64, np.float64,
            np.float64)
@@ -380,55 +347,21 @@ class StatementTable:
     phase_deg: np.ndarray       # MW phase
 
 
-def _gathered(name):
-    return property(lambda self: getattr(self.table, name)[self.row],
-                    doc=f"``table.{name}`` of every event, as a new array")
-
-
 @dataclass(frozen=True, eq=False)
 class Timeline:
     """Flat event timeline: per event its start time and the row of the
     statement that emits it in ``table``, 12 bytes an event.
 
     Each leaf statement's parameters are stored once, in its table row,
-    however often a repeat unrolls it.  The read-only properties named
-    after the table's columns gather them per event into new arrays, and
-    ``event(i)`` reads the table at ``row[i]``.
+    however often a repeat unrolls it; there is no per-event object.
     """
     start_us: np.ndarray        # float64
     row: np.ndarray             # int32 index into table
     table: StatementTable
     total_duration_us: float
 
-    duration_us = _gathered("duration_us")
-    kind = _gathered("kind")
-    label = _gathered("label")
-    area_pi = _gathered("area_pi")
-    offset_mhz = _gathered("offset_mhz")
-    frequency_mhz = _gathered("frequency_mhz")
-    phase_deg = _gathered("phase_deg")
-
-    @property
-    def events(self) -> abc.Sequence:
-        return _EventView(self)
-
-    def event(self, i) -> TimedEvent:
-        start, t = float(self.start_us[i]), self.table
-        r = self.row[i]
-        kind = KINDS[t.kind[r]]
-        if kind == "optical":
-            label = _TRANSITION_LABELS[t.label[r]] if t.label[r] >= 0 else None
-            params = {
-                "transition": label,
-                "offset_mhz": None if label else float(t.offset_mhz[r]),
-                "area_pi": float(t.area_pi[r]),
-            }
-        elif kind == "mw":
-            params = {"frequency_mhz": float(t.frequency_mhz[r]),
-                      "phase_deg": float(t.phase_deg[r])}
-        else:
-            params = {}
-        return TimedEvent(start, float(t.duration_us[r]), kind, params)
+    # ``start_us`` under the name the benchmark tracer counts
+    events = property(lambda self: self.start_us)
 
 
 def _event_row(stmt) -> tuple:
@@ -449,17 +382,17 @@ def _event_row(stmt) -> tuple:
     raise TypeError(f"unknown statement {stmt!r}")
 
 
-def _compile_block(statements, table_rows) -> np.ndarray:
+def _compile_block(statements, leaves) -> np.ndarray:
     """Statement rows of one pass through ``statements``; each leaf
-    statement appends its row to ``table_rows``, and each repeat body is
-    compiled once and tiled."""
+    statement is appended to ``leaves``, its row the index it lands at,
+    and each repeat body is compiled once and tiled."""
     parts = []
     for stmt in statements:
         if isinstance(stmt, Repeat):
-            parts.append(np.tile(_compile_block(stmt.block, table_rows), stmt.count))
+            parts.append(np.tile(_compile_block(stmt.block, leaves), stmt.count))
         else:
-            parts.append(np.array([len(table_rows)], dtype=np.int32))
-            table_rows.append(_event_row(stmt))
+            parts.append(np.array([len(leaves)], dtype=np.int32))
+            leaves.append(stmt)
     if len(parts) == 1:
         return parts[0]
     return np.concatenate(parts or [np.zeros(0, dtype=np.int32)])
@@ -481,18 +414,6 @@ def _measure(statements) -> tuple:
     return tuple(totals)
 
 
-def _statement_at(statements, i):
-    """The statement that emits event i of one pass through statements."""
-    for stmt in statements:
-        count = _measure((stmt,))[0]
-        if i < count:
-            if isinstance(stmt, Repeat):
-                return _statement_at(stmt.block, i % (count // stmt.count))
-            return stmt
-        i -= count
-    raise IndexError(i)
-
-
 def compile_sequence(program: SequenceProgram) -> Timeline:
     """Unroll to a flat event timeline with absolute start times.
 
@@ -508,9 +429,9 @@ def compile_sequence(program: SequenceProgram) -> Timeline:
         raise TimelineCapacityError(
             f"unrolled sequence has {total_events} events, "
             f"exceeding the capacity of {MAX_EVENTS}")
-    table_rows = []
-    row = _compile_block(program.statements, table_rows)
-    columns = zip(*table_rows) if table_rows else [()] * len(_DTYPES)
+    leaves = []
+    row = _compile_block(program.statements, leaves)
+    columns = zip(*map(_event_row, leaves)) if leaves else [()] * len(_DTYPES)
     table = StatementTable(*map(np.array, columns, _DTYPES))
     durations = table.duration_us[row]
     # np.cumsum adds in order, so each start has the bits of a running sum
@@ -521,9 +442,8 @@ def compile_sequence(program: SequenceProgram) -> Timeline:
     if not math.isfinite(total):
         with np.errstate(over="ignore"):
             i = int(np.argmin(np.isfinite(start + durations)))
-        stmt = _statement_at(program.statements, i)
         raise CompileError(
-            f"{stmt.origin or '<sequence>'}: event {i} starts at "
+            f"{leaves[row[i]].origin or '<sequence>'}: event {i} starts at "
             f"{start[i]:g} us and ends past the largest finite time")
     for column in (start, row, *vars(table).values()):
         column.flags.writeable = False

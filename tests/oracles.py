@@ -14,8 +14,8 @@ from functools import lru_cache
 import numpy as np
 
 from spinshot.estimators import _decay_tau_guess, _fft_frequency_guess, _span
-from spinshot.sequence import (DEFAULT_OVERHEAD_US, Detect, MwPulse,
-                               OpticalPulse, ParseError, Repeat, Wait)
+from spinshot.sequence import (DEFAULT_OVERHEAD_US, DETECT, KINDS, Detect,
+                               MwPulse, OpticalPulse, ParseError, Repeat, Wait)
 
 BRIGHT, DARK = 0, 1
 
@@ -165,10 +165,12 @@ def run_timeline_per_shot(timeline, params, bath=None, shots=1000, seed=0,
     Each shot draws from its own Philox stream keyed by (seed, shot).
     Emissions wait in a pending list until a gate covers them (counted
     with probability eta_detect), a gate opens after them (lost), or the
-    sequence ends.  Returns (per-shot totals, (shots, gates) counts,
+    sequence ends.  Event i reads its parameters from the statement
+    table at row[i].  Returns (per-shot totals, (shots, gates) counts,
     records as (shot, gate, time, origin code) rows).
     """
-    gate_count = sum(1 for e in timeline.events if e.kind == "detect")
+    table = timeline.table
+    gate_count = int(np.count_nonzero(table.kind[timeline.row] == DETECT))
     counts = np.zeros((shots, gate_count), dtype=np.int64)
     records = []
     for shot in range(shots):
@@ -184,17 +186,21 @@ def run_timeline_per_shot(timeline, params, bath=None, shots=1000, seed=0,
         spin = np.array([0.0, 0.0, 1.0])
         pending = []
         gate_idx = 0
-        for event in timeline.events:
-            if event.kind == "mw":
-                detuning = (event.params["frequency_mhz"] - offset_mhz) * 1e3
-                spin = _rotate_one(spin, mw_rabi_khz, detuning, event.duration_us,
-                                   math.radians(event.params["phase_deg"]))
-            elif event.kind == "optical":
+        for start, row in zip(timeline.start_us.tolist(), timeline.row.tolist()):
+            kind = KINDS[table.kind[row]]
+            duration = float(table.duration_us[row])
+            end = start + duration
+            if kind == "mw":
+                detuning = (float(table.frequency_mhz[row]) - offset_mhz) * 1e3
+                spin = _rotate_one(spin, mw_rabi_khz, detuning, duration,
+                                   math.radians(table.phase_deg[row]))
+            elif kind == "optical":
                 bright = rng.random() < 0.5 * (1.0 + spin[2])
-                label = event.params["transition"]
-                p_area = math.sin(event.params["area_pi"] * math.pi / 2.0) ** 2
+                code = int(table.label[row])          # index into A-D, or -1
+                label = "ABCD"[code] if code >= 0 else None
+                p_area = math.sin(float(table.area_pi[row]) * math.pi / 2.0) ** 2
                 if label in (None, "A"):
-                    offset = event.params["offset_mhz"]
+                    offset = 0.0 if label else float(table.offset_mhz[row])
                     if not offset:
                         weight = 1.0
                     elif spectral_diffusion_fwhm_mhz > 0.0:
@@ -207,7 +213,7 @@ def run_timeline_per_shot(timeline, params, bath=None, shots=1000, seed=0,
                         if r_flip < params.flip_bright:
                             bright = False
                         elif r_exc < params.p_excite * p_area * weight:
-                            pending.append(event.end_us - emission_lifetime_us *
+                            pending.append(end - emission_lifetime_us *
                                            math.log1p(-r_t))
                     elif r_flip < params.flip_dark:
                         bright = True
@@ -218,8 +224,7 @@ def run_timeline_per_shot(timeline, params, bath=None, shots=1000, seed=0,
                     if not bright and rng.random() < p_area:
                         bright = True
                 spin = np.array([0.0, 0.0, 1.0 if bright else -1.0])
-            elif event.kind == "detect":
-                start, end = event.start_us, event.end_us
+            elif kind == "detect":
                 kept = []
                 for t_emit in pending:
                     if start <= t_emit <= end:
@@ -229,11 +234,11 @@ def run_timeline_per_shot(timeline, params, bath=None, shots=1000, seed=0,
                     elif t_emit > end:
                         kept.append(t_emit)
                 pending = kept
-                mu = params.dark_rate * event.duration_us * 1e-6
+                mu = params.dark_rate * duration * 1e-6
                 if mu > 0.0:
                     for u in rng.random(rng.poisson(mu)):
                         counts[shot, gate_idx] += 1
-                        records.append((shot, gate_idx, start + u * event.duration_us, 1))
+                        records.append((shot, gate_idx, start + u * duration, 1))
                 gate_idx += 1
     return counts.sum(axis=1), counts, records
 

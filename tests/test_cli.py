@@ -694,6 +694,29 @@ class TestInputsFailFast:
         assert f"error: {seq}:2:1: event 1 starts at 1e+308 us" in cap.err
         assert "Warning" not in cap.err
 
+    def test_huge_gate_window(self, tmp_path, capsys):
+        # one 1e300 us gate: its dark-count mean is checked before any draw
+        seq = tmp_path / "wide.seq"
+        seq.write_text("pulse optical A 0.02us 1pi\ndetect 1e300us\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, cap = run_cli_within(2.0, ["simulate", str(seq), "--shots", "20",
+                                             "--out-dir", str(tmp_path / "o")],
+                                       capsys)
+        assert code == 2
+        assert ("the dark-count mean 1e+295 per shot over 1 detection gates"
+                in cap.err)
+        for word in ("lam", "Traceback", "Warning"):
+            assert word not in cap.err
+
+    def test_huge_pulse_count_prints_short(self, tmp_path, seq_file, capsys):
+        config = paper_with(tmp_path, "n_pulses", "1e300")
+        code, cap = run_cli(["simulate", seq_file, "--shots", "20", "--config",
+                             config, "--out-dir", str(tmp_path / "o")], capsys)
+        assert code == 2
+        assert "over 1e+300 gates of 3 us" in cap.err
+        assert not re.search(r"\d{16}", cap.err), cap.err
+
     def test_components_beyond_points(self, tmp_path, capsys):
         # k components have 3k + 1 parameters and need 3k + 2 points; the
         # count is checked before any of the 3e9 parameter names is built

@@ -13,6 +13,7 @@ from oracles import (enumerate_count_distribution, readout_block_three_draw,
                      run_timeline_per_shot, trace_closed_form)
 from test_readout import within_seconds
 from spinshot import montecarlo
+from spinshot import readout as readout_module
 from spinshot.config import readout_params
 from spinshot.estimators import fit_model
 from spinshot.montecarlo import (BLOCK_SHOTS, TIMELINE_BLOCK_CELLS, BathParams,
@@ -20,8 +21,8 @@ from spinshot.montecarlo import (BLOCK_SHOTS, TIMELINE_BLOCK_CELLS, BathParams,
                                  excitation_probability, pulse_area_scan,
                                  run_protocol, run_timeline,
                                  simulate_readout_shots, worker_count)
-from spinshot.readout import (CAPACITY_PULSES, ReadoutParams, count_distribution,
-                              expected_trace)
+from spinshot.readout import (CAPACITY_PULSES, ReadoutParams, _distributions,
+                              count_distribution, expected_trace, readout_report)
 from spinshot.sequence import DETECT, compile_sequence, parse_sequence
 
 
@@ -511,6 +512,52 @@ class TestAreaScan:
         sim = simulate_readout_shots(params, "bright", shots=shots, seed=6)
         assert np.array_equal(sim.transitions, shots * np.array(want))
 
+    @staticmethod
+    def sweep_points(params, areas, slope):
+        """area-sweep's ReadoutParams at each area."""
+        return [replace(params, p_excite=excitation_probability(area),
+                        flip_bright=min(params.flip_bright + slope * area, 1.0))
+                for area in areas]
+
+    def test_batched_dp_keeps_each_points_bits(self, paper_cfg):
+        # from p = 0 at area 0 to a capped at 1, each with its own d
+        params = readout_params(paper_cfg)
+        points = self.sweep_points(params, np.linspace(0.0, 2.0, 9), 0.6)
+        assert points[0].p_excite == 0.0 and points[-1].flip_bright == 1.0
+        batch = _distributions(params, [pt.flip_bright for pt in points],
+                               [params.flip_dark] * len(points),
+                               d=[pt.detection_probability for pt in points])
+        for point, arms in zip(points, batch):
+            [single] = _distributions(point, [point.flip_bright], [point.flip_dark])
+            for got, want in zip(arms, single):
+                assert got.initial_state == want.initial_state
+                assert np.array_equal(got.probabilities, want.probabilities)
+
+    def test_exact_columns_from_one_dp_pass(self, paper_cfg, monkeypatch):
+        params = readout_params(paper_cfg)
+        areas = np.linspace(0.0, 2.0, 9)
+        reports = [readout_report(point)
+                   for point in self.sweep_points(params, areas, 0.6)]
+        passes = []
+        chain = readout_module._chain
+
+        def counting(*args):
+            passes.append(args)
+            return chain(*args)
+
+        monkeypatch.setattr(readout_module, "_chain", counting)
+        scan = pulse_area_scan(areas, params, 0.6, shots=200, seed=1)
+        assert len(passes) == 1
+        assert scan.threshold.tolist() == [r.threshold for r in reports]
+        assert [x.hex() for x in scan.f_min.tolist()] == \
+            [r.f_min.hex() for r in reports]
+
+    def test_empty_grid(self):
+        scan = pulse_area_scan(np.array([]), make_params(n=20), shots=10, seed=0)
+        for column in (scan.area, scan.p_excite, scan.n0, scan.n0_se,
+                       scan.zeta, scan.f_min, scan.threshold):
+            assert column.shape == (0,)
+
     def test_csv(self, tmp_path):
         params = make_params(n=50, a=0.004, b=0.004)
         scan = pulse_area_scan(np.array([0.5, 1.0]), params, shots=2000, seed=0)
@@ -553,7 +600,7 @@ class TestTimeline:
         tl = compile_sequence(parse_sequence(READOUT_SEQ))
         params = make_params(n=40)
         run = run_timeline(tl, params, shots=200, seed=0)
-        assert run.gate_count == np.count_nonzero(tl.kind == DETECT) == 40
+        assert run.gate_count == np.count_nonzero(tl.table.kind[tl.row] == DETECT) == 40
         assert per_gate_mean(run).shape == (40,)
 
     def test_matches_dp_when_gates_capture_everything(self):
@@ -659,8 +706,9 @@ class TestTimeline:
         tl = compile_sequence(parse_sequence(READOUT_SEQ))
         params = make_params(n=40, dark_rate=200.0)
         run = run_timeline(tl, params, shots=2000, seed=9)
-        starts = tl.start_us[tl.kind == DETECT]
-        ends = starts + tl.duration_us[tl.kind == DETECT]
+        gate = tl.table.kind[tl.row] == DETECT
+        starts = tl.start_us[gate]
+        ends = starts + tl.table.duration_us[tl.row[gate]]
         t = run.records.timestamp_us
         inside = (t[:, None] >= starts[None, :] - 1e-9) & \
                  (t[:, None] <= ends[None, :] + 1e-9)
@@ -888,7 +936,7 @@ class TestTimelineExecutor:
                                     shots=2, seed=1)
 
         tl, run = within_seconds(30.0, compile_and_run)
-        assert len(tl.events) == 215_000
+        assert len(tl.start_us) == 215_000
         assert run.gate_count == 71_000
 
 

@@ -10,11 +10,12 @@ import oracles
 from oracles import duration_report_by_walkers, event_count_by_walkers
 from spinshot.montecarlo import BathParams, run_timeline
 from spinshot.readout import ReadoutParams
-from spinshot.sequence import (BYTES_PER_EVENT, DETECT, MAX_EVENTS, CompileError,
-                               Detect, MwPulse, OpticalPulse, ParseError, Repeat,
-                               SequenceProgram, TimelineCapacityError, Wait,
-                               _measure, _tokenize, compile_sequence,
-                               duration_report, format_sequence, parse_sequence)
+from spinshot.sequence import (_TRANSITION_LABELS, BYTES_PER_EVENT, DETECT, KINDS,
+                               MAX_EVENTS, OPTICAL, CompileError, Detect, MwPulse,
+                               OpticalPulse, ParseError, Repeat, SequenceProgram,
+                               TimelineCapacityError, Wait, _measure, _tokenize,
+                               compile_sequence, duration_report, format_sequence,
+                               parse_sequence)
 
 CAPACITY_BODIES = ("pulse mw 0MHz 1us 0deg\n pulse optical A 0.02us 1pi",
                    "pulse optical A 0.02us 1pi\n detect 3us",
@@ -251,7 +252,7 @@ class TestPrintRoundTrip:
 class TestCompile:
     def test_readout_unrolls_to_1500_events(self):
         tl = compile_sequence(parse_sequence(READOUT_TEXT))
-        assert len(tl.events) == 1500
+        assert len(tl.start_us) == len(tl.row) == 1500
         assert tl.total_duration_us == pytest.approx(500 * 9.9)
 
     def test_period_padded_to_10us(self):
@@ -264,20 +265,22 @@ class TestCompile:
         text = ("repeat 500 { pulse optical C 0.1us 1pi\n wait 1us }\n"
                 "pulse optical A 0.2us 1pi\ndetect 3us")
         tl = compile_sequence(parse_sequence(text))
-        assert len(tl.events) == 1002
-        kinds = [e.kind for e in tl.events]
-        assert kinds.count("optical") == 501
-        assert kinds.count("detect") == 1
+        assert len(tl.start_us) == 1002
+        kinds = tl.table.kind[tl.row]
+        assert np.count_nonzero(kinds == OPTICAL) == 501
+        assert np.count_nonzero(kinds == DETECT) == 1
 
     def test_single_wait(self):
         tl = compile_sequence(parse_sequence("repeat 1 { wait 5us }"))
-        assert len(tl.events) == 1
+        assert len(tl.start_us) == 1
         assert tl.total_duration_us == pytest.approx(5.0)
 
     def test_label_without_transitions_stays_symbolic(self):
         tl = compile_sequence(parse_sequence("pulse optical A 0.02us 1pi"))
-        (ev,) = tl.events
-        assert ev.params["transition"] == "A"
+        (row,) = tl.row
+        assert tl.table.kind[row] == OPTICAL
+        assert _TRANSITION_LABELS[tl.table.label[row]] == "A"
+        assert np.isnan(tl.table.offset_mhz[row])
 
     @given(stmts=st.lists(leaf, min_size=1, max_size=8).map(tuple),
            reps=st.integers(min_value=1, max_value=6))
@@ -285,11 +288,11 @@ class TestCompile:
     def test_times_sorted_and_durations_sum(self, stmts, reps):
         prog = SequenceProgram((Repeat(reps, stmts),))
         tl = compile_sequence(prog)
-        starts = [e.start_us for e in tl.events]
+        starts = tl.start_us.tolist()
         assert starts == sorted(starts)
-        total = sum(e.duration_us for e in tl.events)
+        total = sum(tl.table.duration_us[tl.row].tolist())
         assert tl.total_duration_us == pytest.approx(total, rel=1e-12)
-        assert len(tl.events) == reps * len(stmts)
+        assert len(starts) == reps * len(stmts)
 
     @pytest.mark.parametrize("text,where", [
         ("pulse optical A 1e308us 1pi\npulse optical A 1e308us 1pi\n"
@@ -353,40 +356,57 @@ class TestCompile:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        gates = int(np.count_nonzero(tl.kind == DETECT))
-        assert peak <= BYTES_PER_EVENT * len(tl.events)
+        gates = int(np.count_nonzero(tl.table.kind[tl.row] == DETECT))
+        assert peak <= BYTES_PER_EVENT * len(tl.start_us)
         assert peak - compiled <= RUN_PEAK_BYTES + 16 * gates
         assert MAX_EVENTS * BYTES_PER_EVENT <= 512 << 20
 
     def test_gates_accessor(self):
         tl = compile_sequence(parse_sequence(READOUT_TEXT))
-        gates = [ev for ev in tl.events if ev.kind == "detect"]
+        gates = tl.start_us[tl.table.kind[tl.row] == DETECT]
         assert len(gates) == 500
-        assert [ev.start_us for ev in gates[:2]] == pytest.approx([6.9, 16.8])
+        assert gates[:2] == pytest.approx([6.9, 16.8])
 
 
 def _unroll_by_cursor(statements, out, cursor=0.0):
-    """Reference compile: (start, duration, kind, params) per event, with
-    start times from a running `cursor +=` sum."""
+    """Reference compile: (start, leaf statement) per event, with start
+    times from a running `cursor +=` sum."""
     for stmt in statements:
         if isinstance(stmt, Repeat):
             for _ in range(stmt.count):
                 cursor = _unroll_by_cursor(stmt.block, out, cursor)
             continue
-        if isinstance(stmt, OpticalPulse):
-            event = (stmt.duration_us, "optical",
-                     {"transition": stmt.transition, "offset_mhz": stmt.offset_mhz,
-                      "area_pi": stmt.area_pi})
-        elif isinstance(stmt, MwPulse):
-            event = (stmt.duration_us, "mw", {"frequency_mhz": stmt.frequency_mhz,
-                                              "phase_deg": stmt.phase_deg})
-        elif isinstance(stmt, Wait):
-            event = (stmt.duration_us, "wait", {})
-        else:
-            event = (stmt.window_us, "detect", {})
-        out.append((cursor,) + event)
-        cursor += event[0]
+        out.append((cursor, stmt))
+        cursor += stmt.window_us if isinstance(stmt, Detect) else stmt.duration_us
     return cursor
+
+
+def _statement_columns(stmt):
+    """A leaf statement's StatementTable row, read off its fields: kind,
+    label, then duration, area, offset, frequency and phase as hex, 0 (NaN
+    for the offset) where a field does not apply."""
+    nan = float("nan")
+    if isinstance(stmt, OpticalPulse):
+        offset = nan if stmt.offset_mhz is None else stmt.offset_mhz
+        values = ("optical", stmt.transition, stmt.duration_us, stmt.area_pi,
+                  offset, 0.0, 0.0)
+    elif isinstance(stmt, MwPulse):
+        values = ("mw", None, stmt.duration_us, 0.0, nan, stmt.frequency_mhz,
+                  stmt.phase_deg)
+    elif isinstance(stmt, Wait):
+        values = ("wait", None, stmt.duration_us, 0.0, nan, 0.0, 0.0)
+    else:
+        values = ("detect", None, stmt.window_us, 0.0, nan, 0.0, 0.0)
+    return values[:2] + tuple(float(x).hex() for x in values[2:])
+
+
+def _table_columns(table, row):
+    """Row ``row`` of a StatementTable in _statement_columns' form."""
+    label = int(table.label[row])
+    return (KINDS[table.kind[row]],
+            _TRANSITION_LABELS[label] if label >= 0 else None,
+            *(float(getattr(table, name)[row]).hex() for name in
+              ("duration_us", "area_pi", "offset_mhz", "frequency_mhz", "phase_deg")))
 
 
 class TestColumnarTimeline:
@@ -396,29 +416,28 @@ class TestColumnarTimeline:
         tl = compile_sequence(SequenceProgram(stmts))
         want = []
         total = _unroll_by_cursor(stmts, want)
-        assert len(tl.events) == len(want)
+        assert len(tl.start_us) == len(tl.row) == len(want)
         assert tl.total_duration_us.hex() == total.hex()
-        for event, (start, duration, kind, params) in zip(tl.events, want):
-            assert event.start_us.hex() == start.hex()
-            assert event.duration_us.hex() == duration.hex()
-            assert event.kind == kind
-            assert event.params == params
+        for start, row, (want_start, stmt) in zip(tl.start_us.tolist(),
+                                                  tl.row.tolist(), want):
+            assert start.hex() == want_start.hex()
+            assert _table_columns(tl.table, row) == _statement_columns(stmt)
 
-    def test_event_view(self):
+    def test_one_table_row_per_leaf_statement(self):
         tl = compile_sequence(parse_sequence(READOUT_TEXT))
-        events = tl.events
-        assert len(events) == 1500
-        assert events[-1] == events[1499] == list(events)[-1]
-        assert events[3:6] == [events[3], events[4], events[5]]
-        assert [e.kind for e in events[:3]] == ["optical", "wait", "detect"]
-        with pytest.raises(IndexError):
-            events[1500]
-        with pytest.raises(ValueError):
-            tl.start_us[0] = 1.0
+        assert len(tl.table.kind) == 3
+        assert tl.row.tolist() == [0, 1, 2] * 500
+        assert [KINDS[k] for k in tl.table.kind] == ["optical", "wait", "detect"]
+
+    def test_columns_are_read_only(self):
+        tl = compile_sequence(parse_sequence(READOUT_TEXT))
+        for column in (tl.start_us, tl.row, *vars(tl.table).values()):
+            with pytest.raises(ValueError):
+                column[0] = 1
 
     def test_empty_program(self):
         tl = compile_sequence(parse_sequence(""))
-        assert len(tl.events) == 0 and tl.total_duration_us == 0.0
+        assert len(tl.start_us) == 0 and tl.total_duration_us == 0.0
 
 
 class TestDurationReport:
@@ -427,7 +446,7 @@ class TestDurationReport:
     def test_fold_matches_tree_walkers_bit_for_bit(self, stmts):
         program = SequenceProgram(stmts)
         count = event_count_by_walkers(program)
-        assert _measure(stmts)[0] == len(compile_sequence(program).events) == count
+        assert _measure(stmts)[0] == len(compile_sequence(program).start_us) == count
         for max_rate in (False, True):
             report = duration_report(program, max_rate=max_rate)
             total_ms, blocks = duration_report_by_walkers(program, max_rate)
