@@ -631,17 +631,25 @@ def write_csv(path, header, *columns):
     """Write equal-length columns under a comma-separated header line.
 
     Floats are written with ``.12g``, everything else with ``str()``;
-    every CSV the package writes goes through here.
+    every CSV the package writes goes through here.  A float, integer or
+    bool ndarray is formatted a column at a time, any other column value
+    by value; the file is written once.
     """
     def cell(value):
         if isinstance(value, (float, np.floating)):
             return f"{value:.12g}"
         return str(value)
 
+    def cells(column):
+        if isinstance(column, np.ndarray) and column.dtype.kind in "fiub":
+            return map("{:.12g}".format if column.dtype.kind == "f" else str,
+                       column.tolist())
+        return map(cell, column)
+
+    lines = map(",".join, zip(*map(cells, columns), strict=True))
+    text = "\n".join((header, *lines)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in zip(*columns, strict=True):
-            fh.write(",".join(map(cell, row)) + "\n")
+        fh.write(text)
 
 
 def format_fit_report(result: FitResult) -> str:

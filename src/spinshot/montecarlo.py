@@ -168,10 +168,14 @@ class ReadoutSimResult:
     transitions: np.ndarray    # (from, to) cell counts over (bright, dark)
 
 
-def _readout_block(params: ReadoutParams, initial: str, n_block: int, rng):
+def _readout_block(params: ReadoutParams, initial: str, n_block: int, rng,
+                   counts: bool = True):
     """(per-shot counts, (transition counts,), None) of one block of shots,
     for :func:`_run_blocks`, at O(flips) per shot.  The transition counts
     are the (from, to) numbers of (shot, pulse) cells over (bright, dark).
+    With ``counts`` false the block draws no counts, and its per-shot
+    counts are empty; the count draws come after every hold draw, so the
+    transitions do not change.
 
     Each round holds every active shot in one state, bright and dark in
     turn: all shots start in ``initial``, and a shot stays active only by
@@ -198,28 +202,32 @@ def _readout_block(params: ReadoutParams, initial: str, n_block: int, rng):
             hold = n - at
         elif p == 1.0:                                     # at once
             hold = np.zeros_like(at)
-        else:
+        else:                                  # in place: fewer large temporaries
+            hold = rng.standard_exponential(at.size)
             with np.errstate(over="ignore"):   # a hold past the float range passes pulse n
-                hold = np.minimum(rng.standard_exponential(at.size) / -math.log1p(-p),
-                                  n - at).astype(np.int64)
-        end = at + 1 + hold                    # the pulse after the flip; n + 1 if none
+                hold /= -math.log1p(-p)
+            hold = np.minimum(hold, n - at, out=hold).astype(np.int64)
+        end = hold + at                        # the pulse after the flip; n + 1 if none
+        end += 1
         if bright:
             quiet[shot] += hold                # a shot holds once per round
         flips[bright] += np.count_nonzero(end <= n)
-        stay = end < n
+        stay = np.flatnonzero(end < n)         # faster than a boolean mask here
         shot, at = shot[stay], end[stay]
         bright = not bright
-    detected = rng.binomial(quiet, params.detection_probability)
-    n_dark = rng.poisson(params.dark_count_mean, n_block)   # mean 0 draws nothing
     (flips_dark, flips_bright), stay_bright = flips, quiet.sum()
     transitions = np.array([[stay_bright, flips_bright],
                             [flips_dark, n_block * n - stay_bright - sum(flips)]])
+    if not counts:
+        return quiet[:0], (transitions,), None
+    detected = rng.binomial(quiet, params.detection_probability)
+    n_dark = rng.poisson(params.dark_count_mean, n_block)   # mean 0 draws nothing
     return detected + n_dark, (transitions,), None
 
 
 def simulate_readout_shots(params: ReadoutParams, initial: str = "bright",
-                           shots: int = 1, seed: int = 0,
-                           _key: tuple = ()) -> ReadoutSimResult:
+                           shots: int = 1, seed: int = 0, _key: tuple = (),
+                           _counts: bool = True) -> ReadoutSimResult:
     """Shot-by-shot sampling of the pulsed-readout outcome model.
 
     Counts follow exactly the per-pulse chain of
@@ -228,13 +236,17 @@ def simulate_readout_shots(params: ReadoutParams, initial: str = "bright",
     (:func:`_readout_block`).  Each shot's dark counts are one Poisson draw
     with mean ``params.dark_count_mean``.  Shots run through
     :func:`_run_blocks` in blocks of BLOCK_SHOTS keyed by (seed, *_key).
+    With ``_counts`` false only the transitions are drawn, the same as
+    with counts, and the histogram and per-shot counts are None.
     Photon records, with their timestamps, come from :func:`run_timeline`.
     """
     if initial not in ("bright", "dark"):
         raise ValueError("initial must be 'bright' or 'dark'")
     counts, (transitions,), _ = _run_blocks(
-        lambda n_block, rng: _readout_block(params, initial, n_block, rng),
+        lambda n_block, rng: _readout_block(params, initial, n_block, rng, _counts),
         shots, BLOCK_SHOTS, seed, _key)
+    if not _counts:
+        return ReadoutSimResult(None, None, transitions)
     return ReadoutSimResult(
         histogram=CountDistribution(np.bincount(counts) / shots, initial,
                                     params.n_pulses),
@@ -445,14 +457,14 @@ def pulse_area_scan(areas, params: ReadoutParams, flip_slope: float = 0.0,
     points = [replace(params, p_excite=excitation_probability(area), flip_bright=float(
         min(params.flip_bright + flip_slope * area, 1.0))) for area in areas]
     n0, n0_se = np.array([_decay_pulses(simulate_readout_shots(
-        point, "bright", shots, seed, _key=(i,)).transitions)
+        point, "bright", shots, seed, _key=(i,), _counts=False).transitions)
         for i, point in enumerate(points)]).reshape(-1, 2).T
     dists = _distributions(params, [point.flip_bright for point in points],
                            [params.flip_dark] * len(points),
                            d=[point.detection_probability for point in points])
     n = [params.n_pulses] * len(points)
-    thresholds = [row[1] for row in _scan(
-        [(b.probabilities, d.probabilities) for b, d in dists], n, n)] if points else []
+    arms = np.array([(b.probabilities, d.probabilities) for b, d in dists])
+    thresholds = [row[1] for row in _scan(arms, n, n)] if points else []
     p = np.array([point.p_excite for point in points])
     return AreaScanResult(
         area=areas, p_excite=p, n0=n0, n0_se=n0_se,
@@ -535,11 +547,14 @@ def _windows(tl):
 def _plan_timeline(tl, params: ReadoutParams, fwhm_mhz: float) -> _TimelinePlan:
     table = tl.table
     label = table.label
-    p_area = np.sin(table.area_pi * np.pi / 2.0) ** 2
+    # sin^2 has period 2 in the area, and fmod is exact: an area in (-2, 2)
+    # keeps its bits, and a huge one cannot overflow the scaling
+    p_area = np.sin(np.fmod(table.area_pi, 2.0) * np.pi / 2.0) ** 2
     offset = np.nan_to_num(table.offset_mhz)          # labelled pulses: 0
     readout = (label == _LABEL["A"]) | (label == -1)  # -1: a literal offset
     if fwhm_mhz > 0.0:
-        weight = lorentzian_suppression(offset, fwhm_mhz)
+        with np.errstate(over="ignore"):   # a detuning past the float range: weight 0
+            weight = lorentzian_suppression(offset, fwhm_mhz)
     else:                                            # no line: detuned pulses miss
         weight = (offset == 0.0).astype(float)
     pump_dark, pump_bright = label == _LABEL["C"], label == _LABEL["D"]

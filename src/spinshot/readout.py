@@ -68,6 +68,7 @@ _STATES = ("bright", "dark")
 _POISSON_TAIL = 1e-13
 _SUPPORT_STEP = 16      # pulses between checks of the DP's top counts
 _SCAN_BLOCK = 64        # pulses whose threshold scans share one cumsum
+_FIRST_CAP = 256        # counts optimize_readout's DP first keeps (doubled on need)
 
 
 class CapacityError(ValueError):
@@ -198,65 +199,87 @@ def _check_capacity(n: int):
             f"n_pulses={n} exceeds the exact-DP capacity of {CAPACITY_PULSES}")
 
 
-def _chain(a, b, d, starts, n_pulses):
-    """Yield the (pair, count) bright and dark probabilities after each
-    pulse for every (point, initial state) pair of the batch, at one
-    (a, b, d) per point; a scalar serves every point.
+def _chain(a, b, d, starts, n_pulses, cap=None):
+    """Yield the (state, pair, count) probabilities, bright then dark,
+    after each pulse for every (point, initial state) pair of the batch,
+    at one (a, b, d) per point; a scalar serves every point.  The
+    yielded array is the buffer that each pulse overwrites in place, so
+    it stays valid only until the generator resumes.
 
     Each yielded array holds only counts 0 .. w - 1 of the n_pulses + 1;
-    every count at or above its width w is an exact zero.  Count c is
-    read only from counts c and c - 1 of the previous pulse, so a zero
-    tail stays zero (0 * x + 0 * y = 0) and the support grows by at most
-    one count per pulse; in floating point it grows much more slowly,
-    as the top counts underflow (at ``paper.cfg`` the last nonzero count
-    is 956 at N = 3000).  Every _SUPPORT_STEP pulses the width therefore
-    grows by _SUPPORT_STEP counts if any of its top _SUPPORT_STEP counts
-    is nonzero, so the support cannot reach the width before the next
-    check.  The kept counts go through the same floating-point
-    operations as on the full axis and keep their bits.
+    every count at or above its width w is an exact zero, or dropped
+    when w has reached ``cap``.  Count c is read only from counts c and
+    c - 1 of the previous pulse, so a cap keeps every count below it
+    exact, and a zero tail stays zero (0 * x + 0 * y = 0): the support
+    grows by at most one count per pulse, and in floating point much
+    more slowly, as the top counts underflow (at ``paper.cfg`` the last
+    nonzero count is 956 at N = 3000).  Every _SUPPORT_STEP pulses the
+    width therefore grows by _SUPPORT_STEP counts if any of its top
+    _SUPPORT_STEP counts is nonzero, so the support cannot reach the
+    width before the next check.  The kept counts go through the same
+    floating-point operations as on the full axis and keep their bits.
     """
     a, b, d = (np.repeat(x, len(starts))[:, None] for x in
                np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, d))))
-    # probs[state] gains probs[bright] * from_bright[state] and
-    # probs[dark] * from_dark[state]; a detection also shifts the count
-    from_bright = np.stack(((1.0 - a) * (1.0 - d), a))
-    from_dark = np.stack((b, 1.0 - b))
+    # probs[to] gains probs[from] * mix[from, to]; a detection also
+    # shifts the count of a bright spin that stays bright
+    mix = np.stack((np.stack(((1.0 - a) * (1.0 - d), a)), np.stack((b, 1.0 - b))))
     detect = (1.0 - a) * d
     step = _SUPPORT_STEP
-    width = min(n_pulses + 1, 1 + step)
-    probs = np.zeros((2, a.size, width))
+    limit = n_pulses + 1 if cap is None else min(n_pulses + 1, cap)
+    grown = np.zeros((2, a.size, min(limit, 1 + step)))
     for j, state in enumerate(starts):
-        probs[_STATES.index(state), j::len(starts), 0] = 1.0
+        grown[_STATES.index(state), j::len(starts), 0] = 1.0
     for pulse in range(1, n_pulses + 1):
-        new = probs[0] * from_bright + probs[1] * from_dark
-        new[0, :, 1:] += probs[0, :, :-1] * detect
-        probs = new
-        if pulse % step == 0 and width <= n_pulses and probs[:, :, -step:].any():
-            grow = min(step, n_pulses + 1 - width)
-            probs = np.concatenate((probs, np.zeros((2, a.size, grow))), axis=2)
-            width += grow
-        yield probs[0], probs[1]
+        if grown is not None:             # new buffers and the views of one step
+            probs, grown, width = grown, None, grown.shape[2]
+            terms = np.empty((2,) + probs.shape)                # [from, to]
+            mixing = np.broadcast_to(mix, terms.shape).copy()   # the faster loop
+            from_bright, from_dark = terms
+            shift = np.empty_like(probs[0, :, 1:])
+            stay, spread, rise = probs[0, :, :-1], probs[:, None], probs[0, :, 1:]
+        np.multiply(stay, detect, out=shift)
+        np.multiply(spread, mixing, out=terms)
+        np.add(from_bright, from_dark, out=probs)
+        np.add(rise, shift, out=rise)
+        if pulse % step == 0 and width < limit and probs[:, :, -step:].any():
+            grown = np.concatenate(
+                (probs, np.zeros((2, a.size, min(step, limit - width)))), axis=2)
+        yield probs
 
 
 def _poisson_pmf(mu: float) -> np.ndarray:
-    """Poisson pmf truncated once the missing tail is < 1e-13.
+    """Poisson pmf of mean mu, truncated as :func:`_poisson_pmfs` says."""
+    return _poisson_pmfs([mu])[0] if mu > 0.0 else np.array([1.0])
 
-    Once exp(-mu) leaves the normal float range (mu > ~708) the upward
-    recurrence from it can stall, so the pmf instead grows outward from
-    the mode in units of the mode term, each side stopping below 1e-13
-    of it (~5e-15 of missing mass), and is then normalized.
+
+def _poisson_pmfs(mus) -> list:
+    """Poisson pmf of each mean > 0 of ``mus``, truncated once the
+    missing tail is < 1e-13.
+
+    The upward recurrence from exp(-mu) steps all means at once, each
+    through the float operations, in the order, of a loop over it alone.
+    Once exp(-mu) leaves the normal float range (mu > ~708) that
+    recurrence can stall, so the pmf instead grows outward from the mode
+    in units of the mode term, each side stopping below 1e-13 of it
+    (~5e-15 of missing mass), and is then normalized.
     """
-    if mu <= 0.0:
-        return np.array([1.0])
-    terms = [math.exp(-mu)]
-    if terms[0] >= sys.float_info.min:
-        cum = terms[0]
-        k = 0
-        while 1.0 - cum > _POISSON_TAIL:
-            k += 1
-            terms.append(terms[-1] * mu / k)
-            cum += terms[-1]
-        return np.array(terms)
+    term, mu = np.array([math.exp(-m) for m in mus]), np.array(mus, dtype=float)
+    upward = term >= sys.float_info.min
+    cum, terms, length = term.copy(), [term], np.ones(len(mus), dtype=int)
+    going = upward & (1.0 - cum > _POISSON_TAIL)
+    while going.any():
+        term = term * mu / len(terms)
+        cum += term
+        terms.append(term)
+        length += going
+        going &= 1.0 - cum > _POISSON_TAIL
+    table = np.stack(terms, axis=1)
+    return [row[:k] if up else _poisson_from_mode(m) for row, k, up, m in
+            zip(table, length.tolist(), upward.tolist(), mus)]
+
+
+def _poisson_from_mode(mu: float) -> np.ndarray:
     mode = math.floor(mu)
     below, above = [1.0], [1.0]         # counts mode - i and mode + i
     while below[-1] >= _POISSON_TAIL:
@@ -414,7 +437,7 @@ def readout_report(params: ReadoutParams, threshold: int | None = None) -> Fidel
     if threshold is None:
         n = params.n_pulses
         [(_, threshold, _, _, _)] = _scan(
-            [(dist_b.probabilities, dist_d.probabilities)], [n], [n])
+            np.stack((dist_b.probabilities, dist_d.probabilities))[None], [n], [n])
     report = readout_fidelity(dist_b, dist_d, threshold)
     report.readout_duration = params.duration_ms
     if a > 0.0 and b > 0.0 and a + b < 1.0 and params.detection_probability > 0.0:
@@ -439,29 +462,11 @@ class OptimizeResult:
                   self.f_dark_values, self.f_values)
 
 
-def _prefix_pmfs(pulse, bright, dark, dark_pmf, top):
-    """Both arms' pmfs after ``pulse`` pulses, exact in their first
-    ``top`` counts, and whether they are exact in all of them.
-
-    Count c of the signal and of its convolution with the dark pmf
-    depends only on counts <= c, through the same dot products as on
-    the full axis as long as the signal prefix is at least as long as
-    the dark pmf (np.convolve swaps a shorter first argument); a prefix
-    shorter than that is the full signal.
-    """
-    size = min(pulse + 1, max(top, 0 if dark_pmf is None else len(dark_pmf)))
-    live = min(size, bright.shape[1])
-    signal = np.zeros((2, size))
-    signal[:, :live] = bright[:, :live] + dark[:, :live]
-    if dark_pmf is not None:
-        signal = [np.convolve(pmf, dark_pmf) for pmf in signal]
-    return signal, size == pulse + 1
-
-
-def _scan(arms, tops, pulses):
+def _scan(pmfs, tops, pulses):
     """(N, threshold, F_bright, F_dark, F_min) at the lowest best
-    threshold below each ``top``, per (bright, dark) pmf pair of
-    ``arms``; None where the arms do not cross below a top short of N.
+    threshold below each ``top``, per (bright, dark) pmf pair of the
+    (pair, arm, count) array ``pmfs``, which holds at least each top's
+    counts; None where the arms do not cross below a top short of N.
 
     F_bright(t) = 1 - CDF_b(t - 1) never increases and F_dark(t) =
     CDF_d(t - 1) never decreases, in floating point too, since every pmf
@@ -472,35 +477,66 @@ def _scan(arms, tops, pulses):
     that the scan of all thresholds 1..N finds.
     """
     tops, pulses = np.array(tops), np.array(pulses)
-    pmfs = np.zeros((len(arms), 2, tops.max()))
-    for row, top, (bright, dark) in zip(pmfs, tops.tolist(), arms):
-        row[0, :top], row[1, :top] = bright[:top], dark[:top]
-    cum = np.cumsum(pmfs, axis=2)
+    cum = np.cumsum(pmfs[:, :, :tops.max()], axis=2)
     f_bright, f_dark = 1.0 - cum[:, 0], cum[:, 1]
-    inside = np.arange(pmfs.shape[2]) < tops[:, None]
+    inside = np.arange(cum.shape[2]) < tops[:, None]
     crossed = np.any((f_dark >= f_bright) & inside, axis=1) | (tops == pulses)
     f_min = np.where(inside, np.minimum(f_bright, f_dark), -np.inf)
     i = np.argmax(f_min, axis=1)
-    k = np.arange(len(arms))
+    k = np.arange(len(pmfs))
     rows = zip(pulses.tolist(), (i + 1).tolist(), f_bright[k, i].tolist(),
                f_dark[k, i].tolist(), f_min[k, i].tolist())
     return [row if ok else None for ok, row in zip(crossed.tolist(), rows)]
 
 
-def _scan_block(block, window):
-    """_scan of each (N, bright, dark, dark pmf) of ``block`` over the
-    thresholds up to ``window``, and over all thresholds for an N whose
-    arms do not cross there."""
-    pulses = [entry[0] for entry in block]
-    tops = [min(pulse, window) for pulse in pulses]
-    prefixes = [_prefix_pmfs(*entry, top) for entry, top in zip(block, tops)]
-    rows = _scan([arms for arms, _ in prefixes], tops, pulses)
-    for j, (entry, (arms, complete)) in enumerate(zip(block, prefixes)):
-        if rows[j] is None:
-            if not complete:
-                arms, _ = _prefix_pmfs(*entry, entry[0])
-            [rows[j]] = _scan([arms], [entry[0]], [entry[0]])
-    return rows
+def _scan_rows(params: ReadoutParams, start: int, n_hi: int, cap: int, rows: list) -> int:
+    """Append the rows of N = start .. n_hi to ``rows``, one block of
+    _SCAN_BLOCK pulses at a time, from one chain that keeps the counts
+    below ``cap``.  Return 0 when done, or stop at the first block that
+    reads more counts and return how many it reads.
+    """
+    width = min(cap, n_hi + 1)
+    mu_per_pulse = params.dark_rate * params.gate_window * 1e-6
+    held = np.zeros((_SCAN_BLOCK, 2, 2, width))    # (pulse, state, start, count)
+    chain = _chain([params.flip_bright], [params.flip_dark],
+                   params.detection_probability, _STATES, n_hi, width)
+    for pulse, probs in enumerate(chain, start=1):
+        if pulse < start:
+            continue
+        j = (pulse - start) % _SCAN_BLOCK
+        held[j, :, :, :probs.shape[2]] = probs     # widths never shrink: no stale tail
+        if j < _SCAN_BLOCK - 1 and pulse < n_hi:
+            continue
+        pulses = np.arange(pulse - j, pulse + 1)
+        threshold = rows[-1][1] if rows else 0
+        # room for the crossing to move on within the block
+        tops = np.minimum(pulses, threshold + max(8, threshold // 4) + len(pulses) // 4)
+        darks, sizes = None, tops
+        if mu_per_pulse > 0.0:
+            darks = _poisson_pmfs((mu_per_pulse * pulses).tolist())
+            sizes = np.minimum(pulses + 1, np.maximum(tops, [len(x) for x in darks]))
+        need = int(sizes.max())
+        if need > width:
+            return need
+        arms = signal = held[:len(pulses), 0, :, :need] + held[:len(pulses), 1, :, :need]
+        if darks is not None:
+            arms = np.zeros((len(pulses), 2, tops.max()))
+            for pmfs, pair, dark_pmf, size, top in zip(
+                    arms, signal, darks, sizes.tolist(), tops.tolist()):
+                pmfs[0, :top] = np.convolve(pair[0, :size], dark_pmf)[:top]
+                pmfs[1, :top] = np.convolve(pair[1, :size], dark_pmf)[:top]
+        block = _scan(arms, tops, pulses)
+        for k, row in enumerate(block):
+            if row is None:                 # the arms do not cross: scan all of N
+                n = int(pulses[k])
+                if n + 1 > width:
+                    return n + 1
+                full = held[k, 0, :, :n + 1] + held[k, 1, :, :n + 1]
+                if darks is not None:
+                    full = np.array([np.convolve(arm, darks[k]) for arm in full])
+                [block[k]] = _scan(full[None], [n], [n])
+        rows += block
+    return 0
 
 
 def optimize_readout(params: ReadoutParams, n_range) -> OptimizeResult:
@@ -513,27 +549,24 @@ def optimize_readout(params: ReadoutParams, n_range) -> OptimizeResult:
     The thresholds of _SCAN_BLOCK consecutive N are scanned together,
     each only up to a window past the previous block's last best
     threshold, and all of them where the arms do not cross inside it
-    (:func:`_scan` says why that keeps every bit).
+    (:func:`_scan` says why that keeps every bit).  Count c of the
+    signal and of its convolution with the dark pmf depends only on
+    counts <= c, through the same dot products as on the full axis as
+    long as the signal prefix is at least as long as the dark pmf
+    (np.convolve swaps a shorter first argument); a prefix shorter than
+    that is the full signal.  So the chain keeps only the counts below a
+    cap, and starts over with the cap doubled when a block reads more;
+    no row depends on the cap.
     """
     n_lo, n_hi = int(n_range[0]), int(n_range[1])
     if n_lo < 1 or n_lo > n_hi:
         raise ValueError(f"empty or invalid pulse range ({n_lo}, {n_hi})")
     _check_capacity(n_hi)
-    dark_mean_per_pulse = params.dark_rate * params.gate_window * 1e-6
-    chain = _chain([params.flip_bright], [params.flip_dark],
-                   params.detection_probability, _STATES, n_hi)
-
-    rows, block, threshold = [], [], 0
-    for pulse, (bright, dark) in enumerate(chain, start=1):
-        if pulse < n_lo:
-            continue
-        mu = dark_mean_per_pulse * pulse
-        block.append((pulse, bright, dark, _poisson_pmf(mu) if mu > 0.0 else None))
-        if len(block) == _SCAN_BLOCK or pulse == n_hi:
-            # room for the crossing to move on within the block
-            window = threshold + max(8, threshold // 4) + len(block) // 4
-            rows += _scan_block(block, window)
-            threshold, block = rows[-1][1], []
+    rows, cap = [], _FIRST_CAP
+    while len(rows) <= n_hi - n_lo:
+        need = _scan_rows(params, n_lo + len(rows), n_hi, cap, rows)
+        while cap < need:
+            cap *= 2
     best = max(rows, key=lambda row: row[4])    # first maximum: smallest N
 
     n_values, t_values, fb_values, fd_values, f_values = map(np.array, zip(*rows))

@@ -304,6 +304,20 @@ def optimize_readout_full_scan(params, n_range, poisson_pmf):
     return (int(best[0]), int(best[1]), float(best[4])), columns
 
 
+def write_csv_per_cell(path, header, *columns):
+    """estimators.write_csv before it formatted by column, kept verbatim:
+    one cell() call and one write per value and row."""
+    def cell(value):
+        if isinstance(value, (float, np.floating)):
+            return f"{value:.12g}"
+        return str(value)
+
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in zip(*columns, strict=True):
+            fh.write(",".join(map(cell, row)) + "\n")
+
+
 # The sequence layer's three tree walkers before they became one fold,
 # kept verbatim, and the duration report built on them.
 

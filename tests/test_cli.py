@@ -709,6 +709,25 @@ class TestInputsFailFast:
         for word in ("lam", "Traceback", "Warning"):
             assert word not in cap.err
 
+    @pytest.mark.parametrize("seq_text,key,value", [
+        # the area's sine overflowed to NaN, and the pulse never emitted
+        ("pulse optical A 0.02us 1e308pi\ndetect 3us\n", None, None),
+        # x * x of the Lorentzian weight overflowed; its limit is 0
+        ("pulse optical -120MHz 0.1us 1pi\ndetect 3us\n",
+         "spectral_diffusion_fwhm_mhz", "1e-300"),
+    ], ids=["huge-area", "tiny-linewidth"])
+    def test_extreme_pulse_runs_quietly(self, seq_text, key, value, tmp_path, capsys):
+        seq = tmp_path / "one.seq"
+        seq.write_text(seq_text)
+        argv = ["simulate", str(seq), "--shots", "200", "--out-dir", str(tmp_path / "o")]
+        if key:
+            argv += ["--config", paper_with(tmp_path, key, value)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, cap = run_cli_within(5.0, argv, capsys)
+        assert code == 0, cap.err
+        assert "Traceback" not in cap.err and "Warning" not in cap.err
+
     def test_huge_pulse_count_prints_short(self, tmp_path, seq_file, capsys):
         config = paper_with(tmp_path, "n_pulses", "1e300")
         code, cap = run_cli(["simulate", seq_file, "--shots", "20", "--config",

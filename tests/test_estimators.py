@@ -387,3 +387,58 @@ class TestSeriesCsv:
         p.write_text("0,1\n1\n")
         with pytest.raises(ValueError):
             read_series_csv(str(p))
+
+
+class TestWriteCsv:
+    """write_csv formats ndarrays a column at a time; every byte must be
+    the per-cell writer's (tests/oracles.py)."""
+
+    COLUMNS = {
+        "float64": np.array([0.1, 1.0 / 3.0, 1e-300, -2.5e17, 0.0, -0.0,
+                             np.nan, np.inf, -np.inf, 123456789012345.0]),
+        "float32": np.linspace(-1.0, 7.0, 10, dtype=np.float32) / np.float32(3.0),
+        "float16": np.arange(10, dtype=np.float16) / np.float16(7.0),
+        "int64": np.arange(-3, 7),
+        "int8": np.arange(10, dtype=np.int8) * np.int8(-12),
+        "uint64": np.array([0, 1, 2**63, 2**64 - 1] + [7] * 6, dtype=np.uint64),
+        "bool": np.arange(10) % 3 == 0,
+        "python floats": [i / 7.0 for i in range(10)],
+        "numpy scalars": [np.float64(0.1), np.float32(0.2), np.int64(3), np.int32(-4),
+                          np.bool_(True), np.float16(0.3), 7, 8.5, True, "x"],
+        "dict view": dict(zip("abcdefghij", range(10, 20))).values(),
+        "range": range(100, 110),
+        "string": "abcdefghij",
+        "object array": np.array(["a", 1, 2.5, None, True, 3, 4, 5, 6, 7], dtype=object),
+        "str array": np.array([f"s{i}" for i in range(10)]),
+        "complex": np.arange(10) * (1 + 2j),
+    }
+
+    @pytest.mark.parametrize("name", list(COLUMNS))
+    def test_bytes_match_per_cell_writer(self, name, tmp_path):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        column = self.COLUMNS[name]
+        estimators.write_csv(got, "i,value", range(10), column)
+        oracles.write_csv_per_cell(want, "i,value", range(10), column)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_all_columns_at_once(self, tmp_path):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        header = ",".join(self.COLUMNS)
+        estimators.write_csv(got, header, *self.COLUMNS.values())
+        oracles.write_csv_per_cell(want, header, *self.COLUMNS.values())
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("columns", [(), (np.array([]),), ([], range(0))])
+    def test_no_rows(self, columns, tmp_path):
+        path = tmp_path / "empty.csv"
+        estimators.write_csv(path, "a", *columns)
+        assert path.read_bytes() == b"a\n"
+
+    @pytest.mark.parametrize("columns", [
+        (np.arange(3.0), np.arange(4)),
+        (range(3), [1.0, 2.0]),
+        (np.arange(2.0), "abc"),
+    ])
+    def test_length_mismatch_raises(self, columns, tmp_path):
+        with pytest.raises(ValueError):
+            estimators.write_csv(tmp_path / "bad.csv", "a,b", *columns)

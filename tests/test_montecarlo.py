@@ -189,6 +189,59 @@ ENGINE_CASES = {
 }
 
 
+class TestTransitionsOnly:
+    """pulse_area_scan reads only the engine's transitions, so it skips
+    the count draws; those come after every hold draw, so the
+    transitions keep their bits."""
+
+    @pytest.mark.parametrize("name", ["nominal", "a=0", "b=0", "a=1", "d=1", "b=1"])
+    @pytest.mark.parametrize("initial", ["bright", "dark"])
+    def test_same_transitions_as_full_engine(self, name, initial):
+        params = ENGINE_CASES[name]
+        for shots in (BLOCK_SHOTS + 7, 5):
+            full = simulate_readout_shots(params, initial, shots, seed=17, _key=(3,))
+            bare = simulate_readout_shots(params, initial, shots, seed=17, _key=(3,),
+                                          _counts=False)
+            assert bare.transitions.dtype == full.transitions.dtype
+            assert np.array_equal(bare.transitions, full.transitions)
+            assert bare.histogram is None and bare.per_shot_counts is None
+
+    def test_area_scan_draws_no_counts(self, monkeypatch):
+        calls, engine = [], montecarlo.simulate_readout_shots
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs.get("_counts", True))
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "simulate_readout_shots", recording)
+        pulse_area_scan(np.array([0.5, 1.0]), make_params(n=50), 0.01, shots=200, seed=1)
+        assert calls == [False, False]
+
+
+class TestPlanAreas:
+    """sin^2 of the area has period 2, so the plan reduces the area mod
+    2 first: exactly, so an area below 2 keeps its bits, and a huge one
+    cannot overflow (it made NaN, a pulse that never emitted)."""
+
+    AREAS = [0.0, 0.5, 0.7, 1.0, 1.5, 1.9999999999999998,
+             2.0, 3.0, 2.5, 1e15 + 1, 1e308]
+
+    def test_area_reduced_mod_2(self):
+        text = "".join(f"pulse optical C 0.02us {area!r}pi\n" for area in self.AREAS)
+        tl = compile_sequence(parse_sequence(text + "detect 3us\n"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan = montecarlo._plan_timeline(tl, make_params(), 13.5)
+        # a C pump flips a bright spin with the area's excitation probability
+        p = dict(zip(self.AREAS, plan.keep_below[tl.row[:len(self.AREAS)]].tolist()))
+        below_2 = np.array(self.AREAS[:6])
+        assert [p[a] for a in self.AREAS[:6]] == \
+            (np.sin(below_2 * np.pi / 2.0) ** 2).tolist()
+        assert p[2.0] == 0.0 and p[1e308] == 0.0      # even multiples of pi
+        assert p[3.0] == p[1e15 + 1] == p[1.0]
+        assert p[2.5] == p[0.5]
+
+
 class TestReadoutEngineVsOracle:
     """The run-length engine against the former three-draw sampler, the
     chain's exact expectations and the exact pmf."""

@@ -430,6 +430,25 @@ def assert_same_bits_as_full_scan(params, n_range):
         assert np.array_equal(getattr(got, name), want), name
 
 
+# (case, make_params overrides, N range, whether some N is scanned again
+# over all thresholds because its arms do not cross inside the window)
+CORNER_CASES = [
+    # the dark pmf is longer than the signal: np.convolve swaps
+    ("pmf_longer_than_n", dict(n=40, dark_rate=2e6), (1, 40), True),
+    # the threshold climbs ~2 counts per pulse, past the window
+    ("dark_outruns_window", dict(n=400, dark_rate=6.7e5), (1, 400), True),
+    ("eta_outruns_window", dict(n=200, p=1.0, eta=1.0), (1, 200), True),
+    # the arms never cross: every pulse is scanned in full
+    ("frozen_d1", dict(n=300, a=0.0, b=0.0, p=1.0, eta=1.0, dark_rate=10.0),
+     (1, 300), True),
+    ("frozen", dict(n=200, a=0.0, b=0.0, dark_rate=10.0), (1, 200), False),
+    ("d0", dict(n=200, eta=0.0, dark_rate=10.0), (1, 200), False),
+    ("d1", dict(n=200, p=1.0, eta=1.0, a=0.02, b=0.01), (1, 200), False),
+    ("no_dark_offset_range", dict(n=200), (3, 200), False),
+    ("one_pulse", dict(n=1, dark_rate=10.0), (1, 1), False),
+]
+
+
 class TestOptimizeAgainstFullScan:
     """optimize_readout scans a window of thresholds on a DP trimmed to
     its support; every column must keep the bits of the full scan."""
@@ -438,20 +457,7 @@ class TestOptimizeAgainstFullScan:
         params = readout_params(load_config("paper.cfg"), n_pulses=3000)
         assert_same_bits_as_full_scan(params, (1, 3000))
 
-    @pytest.mark.parametrize("case,kw,n_range,falls_back", [
-        # the dark pmf is longer than the signal: np.convolve swaps
-        ("pmf_longer_than_n", dict(n=40, dark_rate=2e6), (1, 40), True),
-        # the threshold climbs ~2 counts per pulse, past the window
-        ("dark_outruns_window", dict(n=400, dark_rate=6.7e5), (1, 400), True),
-        ("eta_outruns_window", dict(n=200, p=1.0, eta=1.0), (1, 200), True),
-        # the arms never cross: every pulse is scanned in full
-        ("frozen_d1", dict(n=300, a=0.0, b=0.0, p=1.0, eta=1.0, dark_rate=10.0),
-         (1, 300), True),
-        ("frozen", dict(n=200, a=0.0, b=0.0, dark_rate=10.0), (1, 200), False),
-        ("d0", dict(n=200, eta=0.0, dark_rate=10.0), (1, 200), False),
-        ("d1", dict(n=200, p=1.0, eta=1.0, a=0.02, b=0.01), (1, 200), False),
-        ("no_dark_offset_range", dict(n=200), (3, 200), False),
-    ])
+    @pytest.mark.parametrize("case,kw,n_range,falls_back", CORNER_CASES)
     def test_corner(self, case, kw, n_range, falls_back, monkeypatch):
         scanned = full_scans(monkeypatch)
         assert_same_bits_as_full_scan(make_params(**kw), n_range)
@@ -472,6 +478,54 @@ class TestOptimizeAgainstFullScan:
         assert_same_bits_as_full_scan(params, (n_lo, n_hi))
 
 
+def chain_passes(monkeypatch):
+    """The _chain passes of the calls that follow, one list of
+    arguments per pass."""
+    passes, chain = [], readout_module._chain
+
+    def counting(*args):
+        passes.append(args)
+        return chain(*args)
+
+    monkeypatch.setattr(readout_module, "_chain", counting)
+    return passes
+
+
+class TestOptimizeCountCap:
+    """optimize_readout's chain keeps only the counts below a cap and
+    starts over with the cap doubled when a block reads more; no row may
+    depend on the cap."""
+
+    def test_paper_preset_needs_one_pass(self, monkeypatch):
+        params = readout_params(load_config("paper.cfg"), n_pulses=3000)
+        passes = chain_passes(monkeypatch)
+        optimize_readout(params, (1, 3000))
+        assert [args[-1] for args in passes] == [readout_module._FIRST_CAP]
+
+    def test_paper_preset_from_cap_1(self, monkeypatch):
+        monkeypatch.setattr(readout_module, "_FIRST_CAP", 1)
+        passes = chain_passes(monkeypatch)
+        params = readout_params(load_config("paper.cfg"), n_pulses=3000)
+        assert_same_bits_as_full_scan(params, (1, 3000))
+        caps = [args[-1] for args in passes]
+        assert caps[0] == 1 and len(caps) > 2
+        assert caps == sorted(caps)
+
+    @pytest.mark.parametrize("case,kw,n_range,falls_back", CORNER_CASES)
+    @pytest.mark.parametrize("first_cap", [1, 3])
+    def test_corner_from_small_cap(self, case, kw, n_range, falls_back, first_cap,
+                                   monkeypatch):
+        monkeypatch.setattr(readout_module, "_FIRST_CAP", first_cap)
+        passes, scanned = chain_passes(monkeypatch), full_scans(monkeypatch)
+        assert_same_bits_as_full_scan(make_params(**kw), n_range)
+        assert bool(scanned) == falls_back
+        # a chain never keeps more than the n + 1 counts there are
+        assert passes[0][-1] == min(first_cap, n_range[1] + 1)
+        # the first block reads at least one count past the cap, unless
+        # the whole range fits under it
+        assert len(passes) > 1 or n_range[1] + 1 <= first_cap
+
+
 class TestChainSupport:
     @pytest.mark.parametrize("a,b,d,n", [
         ([0.5 / 131], [0.5 / 131], 0.078, 3000),
@@ -490,6 +544,24 @@ class TestChainSupport:
                 assert width <= n + 1
                 assert np.array_equal(arm, full_arm[:, :width]), pulse
                 assert not full_arm[:, width:].any(), pulse
+
+
+    @pytest.mark.parametrize("cap", [1, 2, 17, 64, None])
+    @pytest.mark.parametrize("a,b,d,n", [
+        ([0.5 / 131], [0.5 / 131], 0.078, 600),
+        ([0.0, 0.05, 0.5 / 131, 1.0], [0.25, 0.0, 0.5 / 131, 1.0], 0.3, 150),
+        ([0.01], [0.02], 1.0, 90),        # the support grows every pulse
+    ])
+    def test_capped_counts_match_full_axis(self, a, b, d, n, cap):
+        full = chain_full_axis(a, b, d, ("bright", "dark"), n)
+        capped = readout_module._chain(a, b, d, ("bright", "dark"), n, cap)
+        for pulse, got, want in zip(range(1, n + 1), capped, full):
+            width = got.shape[2]
+            assert width <= min(n + 1, cap or n + 1)
+            for arm, full_arm in zip(got, want):
+                assert np.array_equal(arm, full_arm[:, :width]), pulse
+                if cap is None or width < cap:
+                    assert not full_arm[:, width:].any(), pulse
 
 
 def line_arms(params, relaxation, s, threshold=1, chunk=64):
