@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -115,10 +115,6 @@ def _run_blocks(run_block, shots: int, block: int, seed: int, key: tuple = ()):
 # domain types
 # ---------------------------------------------------------------------------
 
-def _nominal_sigma():
-    return gaussian_fwhm_to_sigma(2.37)
-
-
 @dataclass(frozen=True)
 class BathParams:
     """Spin environment: superhyperfine ODMR mixture and T1/T2.
@@ -129,7 +125,7 @@ class BathParams:
     """
     odmr_centers: tuple = (-3.3, 0.0, 3.3)          # MHz
     odmr_weights: tuple = (0.25, 0.5, 0.25)
-    odmr_sigma: float = field(default_factory=_nominal_sigma)  # MHz, 1 SD
+    odmr_sigma: float = gaussian_fwhm_to_sigma(2.37)   # MHz, 1 SD
     t1_spin: float = 0.44                            # s
     t2_echo: float = 48.0                            # us
     echo_exponent: float = 2.0
@@ -497,27 +493,20 @@ class TimelineRun:
 TIMELINE_BLOCK_CELLS = 1 << 14
 
 
-def _apply_map(code, state):
-    """A map {dark, bright} -> {dark, bright} (1 = bright) is coded
-    f(dark) + 2 f(bright); its value at ``state``."""
-    return (code >> state) & 1
-
-
-# _COMPOSE[g, f] codes "f, then g"
-_COMPOSE = np.array([[_apply_map(g, _apply_map(f, 0))
-                      + 2 * _apply_map(g, _apply_map(f, 1)) for f in range(4)]
-                     for g in range(4)], dtype=np.int8)
-
-
-def _prefix_compose(codes):
-    """Inclusive scan over axis 0: out[k] codes codes[0], ..., codes[k]
-    applied in order (Hillis-Steele, log2 depth)."""
-    out = codes.copy()
-    step = 1
-    while step < len(out):
-        out[step:] = _COMPOSE[out[step:], out[:-step]]
-        step *= 2
-    return out
+def _spin_chain(codes, state):
+    """Row k: each shot's state (1 = bright) after k optical pulses, from
+    ``state``.  codes[k] is pulse k's map, f(dark) + 2 f(bright): 0 and 3
+    set the state, 1 negates it and 2 keeps it, so the state is the value
+    last set, flipped once per negation since (a segmented scan: Blelloch,
+    "Prefix sums and their applications", CMU-CS-90-190, 1990)."""
+    codes = np.vstack((3 * state, codes))
+    n, m = codes.shape
+    # flat index of the last setting map at or before each row
+    last = np.where((codes == 0) | (codes == 3), np.arange(0, n * m, m)[:, None], 0)
+    np.maximum.accumulate(last, axis=0, out=last)
+    last += np.arange(m)
+    odd = np.bitwise_xor.accumulate(codes == 1, axis=0)   # parity of negations
+    return ((codes ^ odd).ravel()[last] ^ odd) & 1
 
 
 @dataclass(frozen=True)
@@ -630,16 +619,24 @@ def _timeline_segment(plan: _TimelinePlan, params: ReadoutParams, offsets,
         for j in range(int(position.max()) + 1):
             at = position == j
             rows, step = row_of[at], mw_row[at]
-            detuning = (table.frequency_mhz[step][:, None] - offsets) * 1e3
-            spins[rows] = _rotate(
-                spins[rows].reshape(-1, 3), mw_rabi_khz, detuning.ravel(),
-                np.repeat(table.duration_us[step], n_block),
-                np.repeat(plan.mw_rad[step], n_block),
-            ).reshape(len(rows), n_block, 3)
+            with np.errstate(over="ignore", invalid="ignore"):   # NaN: checked below
+                detuning = (table.frequency_mhz[step][:, None] - offsets) * 1e3
+                turned = _rotate(
+                    spins[rows].reshape(-1, 3), mw_rabi_khz, detuning.ravel(),
+                    np.repeat(table.duration_us[step], n_block),
+                    np.repeat(plan.mw_rad[step], n_block),
+                ).reshape(len(rows), n_block, 3)
+            bad = step[~np.isfinite(turned).all(axis=(1, 2))]
+            if bad.size:
+                raise ValueError(
+                    f"the MW pulse at {table.frequency_mhz[bad[0]]:g} MHz for "
+                    f"{table.duration_us[bad[0]]:g} us rotates the spin by an angle "
+                    "past the float range")
+            spins[rows] = turned
         z[runs] = spins[..., 2]
 
     # optical pulses are projective; evaluate each pulse's map from both
-    # prior states on the same draws, then chain the maps
+    # prior states on the same draws, then chain the maps in one scan
     u_collapse = rng.random((n_opt, n_block))
     r_flip = rng.random((n_opt, n_block))
     r_emit = rng.random((n_opt, n_block))
@@ -649,8 +646,7 @@ def _timeline_segment(plan: _TimelinePlan, params: ReadoutParams, offsets,
     gain = r_flip < plan.gain_below[opt_row][:, None]
     codes = (np.where(from_dark, stay, gain).view(np.int8)
              + 2 * np.where(from_bright, stay, gain).view(np.int8))
-    # the state before each optical pulse, then after the last
-    chain = np.vstack((state, _apply_map(_prefix_compose(codes), state)))
+    chain = _spin_chain(codes, state)
     emits = (np.where(chain[:-1] == 1, from_bright, from_dark) & stay
              & (r_emit < plan.emit_below[opt_row][:, None]))
 

@@ -243,6 +243,19 @@ def run_timeline_per_shot(timeline, params, bath=None, shots=1000, seed=0,
     return counts.sum(axis=1), counts, records
 
 
+def spin_chain_per_pulse(codes, state):
+    """Each shot's spin chain, one map at a time: row k is the state (1 =
+    bright) after k pulses, from ``state``.  A map is coded f(dark) +
+    2 f(bright), so its value at s is bit s of the code."""
+    chain = np.empty((len(codes) + 1, len(state)), dtype=np.int8)
+    for shot, s in enumerate(state.tolist()):
+        chain[0, shot] = s
+        for k, code in enumerate(codes[:, shot].tolist(), start=1):
+            s = (code >> s) & 1
+            chain[k, shot] = s
+    return chain
+
+
 def chain_full_axis(a, b, d, starts, n_pulses):
     """The count DP before it was trimmed to its live support, kept
     verbatim: every pulse steps all n_pulses + 1 counts."""

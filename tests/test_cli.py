@@ -728,6 +728,25 @@ class TestInputsFailFast:
         assert code == 0, cap.err
         assert "Traceback" not in cap.err and "Warning" not in cap.err
 
+    @pytest.mark.parametrize("mw,named", [
+        # 2 pi Omega_eff t overflowed before its 1e-3 factor, z was NaN and
+        # the readout pulse after it never emitted
+        ("pulse mw 1GHz 1e302us 0deg", "1000 MHz for 1e+302 us"),
+        # the detuning in kHz overflowed
+        ("pulse mw 1e306MHz 1us 0deg", "1e+306 MHz for 1 us"),
+    ], ids=["long-pulse", "huge-frequency"])
+    def test_mw_rotation_past_float_range(self, mw, named, tmp_path, capsys):
+        seq = tmp_path / "mw.seq"
+        seq.write_text(f"{mw}\npulse optical A 0.02us 1pi\ndetect 3us\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, cap = run_cli_within(5.0, [
+                "simulate", str(seq), "--shots", "20",
+                "--out-dir", str(tmp_path / "o")], capsys)
+        assert code == 2, cap.err
+        assert f"error: the MW pulse at {named} rotates the spin" in cap.err
+        assert "Traceback" not in cap.err and "Warning" not in cap.err
+
     def test_huge_pulse_count_prints_short(self, tmp_path, seq_file, capsys):
         config = paper_with(tmp_path, "n_pulses", "1e300")
         code, cap = run_cli(["simulate", seq_file, "--shots", "20", "--config",

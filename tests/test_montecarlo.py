@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (enumerate_count_distribution, readout_block_three_draw,
-                     run_timeline_per_shot, trace_closed_form)
+                     run_timeline_per_shot, spin_chain_per_pulse,
+                     trace_closed_form)
 from test_readout import within_seconds
 from spinshot import montecarlo
 from spinshot import readout as readout_module
@@ -848,6 +849,25 @@ CERTAIN_ROUNDS = ("repeat 3 {\n pulse optical A 0.02us 1pi\n detect 1us\n"
                   " pulse optical D 1us 1pi\n wait 1us }\n")
 
 
+class TestSpinChain:
+    """The executor's one scan over each optical pulse's map against the
+    maps applied one pulse at a time."""
+
+    @pytest.mark.parametrize("pulses,shots", [(0, 5), (1, 1), (60, 1), (40, 300),
+                                              (2000, 3)])
+    @pytest.mark.parametrize("weights", [
+        (0.25, 0.25, 0.25, 0.25),
+        (0.01, 0.5, 0.48, 0.01),   # long runs of negations between settings
+        (0.0, 0.5, 0.5, 0.0),      # nothing sets: the carried state decides
+    ], ids=["uniform", "rare-settings", "no-settings"])
+    def test_matches_per_pulse_loop(self, pulses, shots, weights):
+        rng = np.random.default_rng([pulses, shots])
+        codes = rng.choice(4, size=(pulses, shots), p=weights).astype(np.int8)
+        state = rng.integers(0, 2, shots).astype(np.int8)
+        chain = montecarlo._spin_chain(codes, state)
+        assert np.array_equal(chain, spin_chain_per_pulse(codes, state))
+
+
 class TestTimelineExecutor:
     """The block executor against the per-shot reference executor."""
 
@@ -931,23 +951,35 @@ class TestTimelineExecutor:
             assert np.array_equal(runs[0].histogram.probabilities,
                                   runs[1].histogram.probabilities)
 
-    # (sequence, pulses, shots, seed, sha256 of run_timeline's record
-    # columns and histogram), frozen before the executor ran in segments: a
-    # shot that fits one block still draws the same
+    # (sequence, pulses, shots, seed, block budget in cells, sha256 of
+    # run_timeline's record columns and histogram).  The first two were
+    # frozen before the executor ran in segments, so a shot that fits one
+    # block still draws the same; the third, with MW runs before optical
+    # pulses, C/D pumps and five segments a shot, before the spin chain
+    # became one linear scan
     FROZEN_RECORDS = {
         "readme": (readout_sequence(71) + "\npulse mw 3598.43MHz 2.3us 0deg",
-                   71, 4000, 1, "af34fa75b5d3c75e785e04d222f5ecd3"
-                                "278008817d4e4a0749ac17a8d288838f"),
-        "c-d-pumps": (PUMPS + READOUT_SEQ, 40, 3000, 5,
+                   71, 4000, 1, TIMELINE_BLOCK_CELLS,
+                   "af34fa75b5d3c75e785e04d222f5ecd3"
+                   "278008817d4e4a0749ac17a8d288838f"),
+        "c-d-pumps": (PUMPS + READOUT_SEQ, 40, 3000, 5, TIMELINE_BLOCK_CELLS,
                       "1009c5019bd494b468e77ff0dc18cc8e"
                       "2f20c8af1769728e648483aa5ecce7ee"),
+        "mw-pumps-in-segments": (
+            MW_RUN_OF_TWO + PUMPS
+            + "repeat 6 { pulse mw 0MHz 0.6us 90deg\n pulse optical A 0.02us 1pi\n"
+              " detect 3us\n wait 1us }\n" + READOUT_SEQ,
+            46, 300, 11, 20,
+            "553bdb5a46e14d964848c8a25d10842d"
+            "0cf159d3c34f9490013bb8a5db024a5c"),
     }
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("name", FROZEN_RECORDS)
     def test_records_frozen(self, name, threads, monkeypatch):
         monkeypatch.setenv("SPINSHOT_THREADS", threads)
-        seq, n, shots, seed, want = self.FROZEN_RECORDS[name]
+        seq, n, shots, seed, cells, want = self.FROZEN_RECORDS[name]
+        monkeypatch.setattr(montecarlo, "TIMELINE_BLOCK_CELLS", cells)
         run = run_timeline(compile_sequence(parse_sequence(seq)),
                            make_params(n=n, dark_rate=500.0), BathParams(),
                            shots=shots, seed=seed)

@@ -6,6 +6,8 @@ import importlib
 import importlib.util
 import inspect
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -37,6 +39,29 @@ def test_installs_and_restores():
     with tracing.installed(tracing.Tracer()):
         assert bindings(modules) != before
     assert bindings(modules) == before
+
+
+# perfbench/run.py's traced jobs enter installed() with the package loaded
+# only through spinshot.config, which its workload references import
+CONFIG_ONLY = """\
+import importlib.util, sys
+import spinshot.config
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+with tracing.installed(tracing.Tracer()):
+    pass
+"""
+
+
+def test_installs_after_importing_only_config():
+    # installed() looks up every module it wraps in sys.modules, so a
+    # module that config stops importing at load time fails here
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    res = subprocess.run([sys.executable, "-c", CONFIG_ONLY,
+                          os.path.join(ROOT, "perfbench", "tracing.py")],
+                         capture_output=True, text=True, env=env, cwd=ROOT)
+    assert res.returncode == 0, res.stderr
 
 
 @pytest.mark.parametrize("module,attr,names", [
