@@ -9,6 +9,7 @@ logarithm internally.
 """
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 
@@ -472,6 +473,12 @@ def fit_model(kind, x, y, sigma=None, initial=None,
 # ---------------------------------------------------------------------------
 
 _ORIGINS = ("emitter", "dark")
+_INT64_MAX = 2**63 - 1
+# the bytes of a records body in to_file's form: digits, signs, points,
+# the letters of the origins, nan and inf, and ' ', tab and newline
+_BODY_BYTES = b"0123456789+-. \t\nadefikmnrt"
+_ROW_DTYPE = np.dtype([("shot", "i8"), ("pulse", "i8"), ("t", "f8"),
+                       ("origin", "U8")])    # U8 keeps a longer token unequal
 
 
 @dataclass
@@ -502,50 +509,121 @@ class PhotonRecords:
 
     @classmethod
     def from_file(cls, path) -> "PhotonRecords":
-        header = {"shots": None, "pulses": None}
-        shot, pulse, ts, code, line_nos = [], [], [], [], []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    for token in line[1:].split():
-                        key, _, value = token.partition("=")
-                        if key in header:
-                            if not (value.isascii() and value.isdigit()):
-                                raise ValueError(
-                                    f"{path}:{line_no}: header {key}= needs a "
-                                    f"non-negative integer, got {value!r}")
-                            header[key] = int(value)
-                    continue
-                parts = line.split()
-                try:
-                    if len(parts) != 4 or parts[3] not in _ORIGINS:
-                        raise ValueError
-                    shot.append(int(parts[0]))
-                    pulse.append(int(parts[1]))
-                    ts.append(float(parts[2]))
-                except ValueError:
-                    raise ValueError(f"{path}:{line_no}: expected 'shot pulse "
-                                     f"timestamp origin' row, got {line!r}") from None
-                code.append(_ORIGINS.index(parts[3]))
-                line_nos.append(line_no)
-        shot = np.array(shot, dtype=np.int64)
-        pulse = np.array(pulse, dtype=np.int64)
-        shots, pulses = header["shots"], header["pulses"]
-        if shots is None:
-            shots = int(shot.max()) + 1 if len(shot) else 0
-        if pulses is None:
-            pulses = int(pulse.max()) + 1 if len(pulse) else 0
-        for name, column, size in (("shot_id", shot, shots),
-                                   ("pulse_index", pulse, pulses)):
-            bad = np.flatnonzero((column < 0) | (column >= size))
-            if bad.size:
-                raise ValueError(f"{path}:{line_nos[bad[0]]}: {name} "
-                                 f"{column[bad[0]]} outside 0..{size - 1}")
-        return cls(shot, pulse, np.array(ts), np.array(code, dtype=np.int8),
-                   shots, pulses)
+        """Read a records file.  A body in the form ``to_file`` writes is
+        parsed a column at a time; any other file, and every error, goes
+        through the per-line reader, which names the line at fault."""
+        try:
+            columns = _read_columns(path)
+        except ValueError:          # a row numpy rejects, or a bad header value
+            columns = None
+        return cls(*(columns or _read_rows(path)))
+
+
+def _header_line(header, line, path, line_no):
+    """Take a '#' line's ``shots=`` and ``pulses=`` values into ``header``."""
+    for token in line[1:].split():
+        key, _, value = token.partition("=")
+        if key in header:
+            if not (value.isascii() and value.isdigit()):
+                raise ValueError(f"{path}:{line_no}: header {key}= needs a "
+                                 f"non-negative integer, got {value!r}")
+            value = value.lstrip("0") or "0"    # int() counts leading zeros
+            if len(value) > 19 or int(value) > _INT64_MAX:
+                raise ValueError(f"{path}:{line_no}: header {key}= is past "
+                                 f"the 64-bit range")
+            header[key] = int(value)
+
+
+def _declared_sizes(header, shot, pulse):
+    """The header's shot and pulse counts, each defaulting to one past the
+    largest id."""
+    sizes = []
+    for size, ids in ((header["shots"], shot), (header["pulses"], pulse)):
+        if size is None:
+            size = int(ids.max()) + 1 if ids.size else 0
+        sizes.append(size)
+    return sizes
+
+
+def _read_rows(path):
+    """The per-line reader: the file's columns and sizes, or an error that
+    names the file and line."""
+    header = {"shots": None, "pulses": None}
+    shot, pulse, ts, code, line_nos = [], [], [], [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                _header_line(header, line, path, line_no)
+                continue
+            parts = line.split()
+            try:
+                if len(parts) != 4 or parts[3] not in _ORIGINS:
+                    raise ValueError
+                ids = int(parts[0]), int(parts[1])
+                ts.append(float(parts[2]))
+            except ValueError:
+                raise ValueError(f"{path}:{line_no}: expected 'shot pulse "
+                                 f"timestamp origin' row, got {line!r}") from None
+            for name, value in zip(("shot_id", "pulse_index"), ids):
+                if not -_INT64_MAX - 1 <= value <= _INT64_MAX:
+                    raise ValueError(f"{path}:{line_no}: {name} {value} is "
+                                     f"past the 64-bit range")
+            shot.append(ids[0])
+            pulse.append(ids[1])
+            code.append(_ORIGINS.index(parts[3]))
+            line_nos.append(line_no)
+    shot = np.array(shot, dtype=np.int64)
+    pulse = np.array(pulse, dtype=np.int64)
+    shots, pulses = _declared_sizes(header, shot, pulse)
+    for name, column, size in (("shot_id", shot, shots),
+                               ("pulse_index", pulse, pulses)):
+        bad = np.flatnonzero((column < 0) | (column >= size))
+        if bad.size:
+            raise ValueError(f"{path}:{line_nos[bad[0]]}: {name} "
+                             f"{column[bad[0]]} outside 0..{size - 1}")
+    return (shot, pulse, np.array(ts), np.array(code, dtype=np.int8),
+            shots, pulses)
+
+
+def _read_columns(path):
+    """The columns and sizes of a file whose body is in ``to_file``'s form,
+    parsed by numpy in one pass; None where the per-line reader must look.
+
+    Only the leading '#' lines are headers.  The body must be ASCII rows
+    of ``_BODY_BYTES``, split at ' ', tab and newline as ``str.split``
+    splits them.  Within those bytes numpy's integer parse takes no token
+    that ``int`` rejects, and its float parse is ``float``'s own
+    ``PyOS_string_to_double``, so every value it takes agrees bit for bit.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if b"\r" in raw:                # the newlines a text-mode read translates
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    header = {"shots": None, "pulses": None}
+    start = line_no = 0
+    while raw.startswith(b"#", start):
+        end = raw.find(b"\n", start) + 1 or len(raw)
+        line_no += 1
+        _header_line(header, raw[start:end].decode("utf-8").strip(), path,
+                     line_no)
+        start = end
+    body = raw[start:]
+    if not body or body.isspace() or body.translate(None, _BODY_BYTES):
+        return None
+    rows = np.loadtxt(io.StringIO(body.decode("ascii")), dtype=_ROW_DTYPE,
+                      comments=None, ndmin=1)
+    dark = rows["origin"] == _ORIGINS[1]
+    shot, pulse = (np.ascontiguousarray(rows[name]) for name in ("shot", "pulse"))
+    shots, pulses = _declared_sizes(header, shot, pulse)
+    if not (np.all(dark | (rows["origin"] == _ORIGINS[0]))
+            and np.all((shot >= 0) & (shot < shots))
+            and np.all((pulse >= 0) & (pulse < pulses))):
+        return None
+    return (shot, pulse, np.ascontiguousarray(rows["t"]), dark.view(np.int8),
+            shots, pulses)
 
 
 @dataclass
@@ -562,6 +640,8 @@ def g2_pulsed(records, n_lags: int = 20) -> G2Result:
     Same-pulse (ordered) pair rate over the mean of the pair rates at
     lags 1..n_lags (n_lags >= 1, capped at the pulse count - 1).  Records
     need ``shot_id``/``pulse_index`` arrays plus ``n_shots``/``n_pulses``.
+    Pairs are counted over the occupied (shot, pulse) cells only: in
+    (shot, pulse) order, a cell's partner at lag l lies at most l cells on.
     """
     if n_lags < 1:
         raise ValueError(f"n_lags must be >= 1, got {n_lags}")
@@ -573,19 +653,37 @@ def g2_pulsed(records, n_lags: int = 20) -> G2Result:
     n_pulses = int(records.n_pulses)
     if np.any((pulse < 0) | (pulse >= n_pulses)):
         raise ValueError("pulse indices fall outside the declared pulse grid")
-    counts = np.bincount(shot * n_pulses + pulse, minlength=n_shots * n_pulses)
-    counts = counts.reshape(n_shots, n_pulses).astype(np.int64)
-
+    if np.any((shot < 0) | (shot >= n_shots)):
+        raise ValueError("shot ids fall outside the declared shot count")
     n_lags = min(n_lags, n_pulses - 1)
     if n_lags < 1:
         raise NormalizationError("need at least two pulses for a cross-lag")
-    pair_counts = np.empty(n_lags + 1, dtype=np.int64)
-    pair_slots = np.empty(n_lags + 1, dtype=np.int64)
-    pair_counts[0] = int(np.sum(counts * (counts - 1)))
-    pair_slots[0] = n_shots * n_pulses
-    for lag in range(1, n_lags + 1):
-        pair_counts[lag] = int(np.sum(counts[:, :-lag] * counts[:, lag:]))
-        pair_slots[lag] = n_shots * (n_pulses - lag)
+
+    next_shot, next_pulse = np.diff(shot), np.diff(pulse)
+    if np.any((next_shot < 0) | ((next_shot == 0) & (next_pulse < 0))):
+        order = np.lexsort((pulse, shot))
+        shot, pulse = shot[order], pulse[order]
+        next_shot, next_pulse = np.diff(shot), np.diff(pulse)
+    first = np.flatnonzero(np.concatenate(
+        ([True], (next_shot != 0) | (next_pulse != 0))))
+    counts = np.diff(np.append(first, shot.size))      # photons per cell
+    shot, pulse = shot[first], pulse[first]
+
+    pair_counts = np.zeros(n_lags + 1, dtype=np.int64)
+    pair_counts[0] = np.sum(counts * (counts - 1))
+    # cells whose partner k cells on may still be in reach; a cell that
+    # has none at k has none further on
+    left = np.arange(shot.size)
+    for k in range(1, n_lags + 1):
+        left = left[left < shot.size - k]
+        lag = pulse[left + k] - pulse[left]
+        near = (shot[left + k] == shot[left]) & (lag <= n_lags)
+        left, lag = left[near], lag[near]
+        if not left.size:
+            break
+        np.add.at(pair_counts, lag, counts[left] * counts[left + k])
+    # n_shots * (n_pulses - lag) pulse pairs, rounded once as in int64 -> float
+    pair_slots = float(n_shots) * (n_pulses - np.arange(n_lags + 1.0))
     pair_rates = pair_counts / pair_slots
     cross = float(np.mean(pair_rates[1:]))
     if cross == 0.0:

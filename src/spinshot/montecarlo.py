@@ -652,7 +652,7 @@ def _timeline_segment(plan: _TimelinePlan, params: ReadoutParams, offsets,
 
     # an emission is seen by the first later gate that has not ended yet,
     # if that gate has already opened; it may lie in a later segment
-    k, shot = np.nonzero(emits)
+    k, shot = np.divmod(np.flatnonzero(emits), n_block)
     t = (tl.start_us[opt] + table.duration_us[opt_row])[k] \
         - lifetime_us * np.log1p(-rng.random(k.size))
     first_gate = gates_seen + np.cumsum(kinds == DETECT)[opt - e0]
@@ -664,7 +664,7 @@ def _timeline_segment(plan: _TimelinePlan, params: ReadoutParams, offsets,
     n_dark = rng.poisson(plan.gate_mu[tl.row[gate]], (n_block, len(gate)))
     totals = np.bincount(shot, minlength=n_block) + n_dark.sum(axis=1)
 
-    dark_shot, dark_gate = np.nonzero(n_dark)
+    dark_shot, dark_gate = np.divmod(np.flatnonzero(n_dark), len(gate))
     reps = n_dark[dark_shot, dark_gate]
     dark_shot = np.repeat(dark_shot, reps)
     dark_gate = gates_seen + np.repeat(dark_gate, reps)

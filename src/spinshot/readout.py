@@ -165,7 +165,7 @@ class CountDistribution:
 
     def to_csv(self, path):
         write_csv(path, "count,probability",
-                  range(len(self.probabilities)), self.probabilities)
+                  np.arange(len(self.probabilities)), self.probabilities)
 
 
 @dataclass

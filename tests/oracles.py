@@ -331,6 +331,86 @@ def write_csv_per_cell(path, header, *columns):
             fh.write(",".join(map(cell, row)) + "\n")
 
 
+def read_records_per_line(path):
+    """PhotonRecords.from_file before it parsed by column, one Python step
+    per line, with its two 64-bit range checks; returns the six fields."""
+    int64_max = 2**63 - 1
+    header = {"shots": None, "pulses": None}
+    shot, pulse, ts, code, line_nos = [], [], [], [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                for token in line[1:].split():
+                    key, _, value = token.partition("=")
+                    if key not in header:
+                        continue
+                    if not (value.isascii() and value.isdigit()):
+                        raise ValueError(
+                            f"{path}:{line_no}: header {key}= needs a "
+                            f"non-negative integer, got {value!r}")
+                    value = value.lstrip("0") or "0"
+                    if len(value) > 19 or int(value) > int64_max:
+                        raise ValueError(f"{path}:{line_no}: header {key}= "
+                                         f"is past the 64-bit range")
+                    header[key] = int(value)
+                continue
+            parts = line.split()
+            try:
+                if len(parts) != 4 or parts[3] not in ("emitter", "dark"):
+                    raise ValueError
+                row = int(parts[0]), int(parts[1]), float(parts[2])
+            except ValueError:
+                raise ValueError(f"{path}:{line_no}: expected 'shot pulse "
+                                 f"timestamp origin' row, got {line!r}") from None
+            for name, value in zip(("shot_id", "pulse_index"), row):
+                if not -int64_max - 1 <= value <= int64_max:
+                    raise ValueError(f"{path}:{line_no}: {name} {value} is "
+                                     f"past the 64-bit range")
+            shot.append(row[0])
+            pulse.append(row[1])
+            ts.append(row[2])
+            code.append(0 if parts[3] == "emitter" else 1)
+            line_nos.append(line_no)
+    shot = np.array(shot, dtype=np.int64)
+    pulse = np.array(pulse, dtype=np.int64)
+    shots, pulses = header["shots"], header["pulses"]
+    if shots is None:
+        shots = int(shot.max()) + 1 if len(shot) else 0
+    if pulses is None:
+        pulses = int(pulse.max()) + 1 if len(pulse) else 0
+    for name, column, size in (("shot_id", shot, shots),
+                               ("pulse_index", pulse, pulses)):
+        bad = np.flatnonzero((column < 0) | (column >= size))
+        if bad.size:
+            raise ValueError(f"{path}:{line_nos[bad[0]]}: {name} "
+                             f"{column[bad[0]]} outside 0..{size - 1}")
+    return (shot, pulse, np.array(ts), np.array(code, dtype=np.int8),
+            shots, pulses)
+
+
+def g2_pulsed_per_lag(records, n_lags=20):
+    """estimators.g2_pulsed's pair counts and rates before it counted over
+    occupied cells: a dense shots x pulses count matrix and one
+    full-matrix product per lag.  Returns (pair_counts, pair_rates)."""
+    shot = np.asarray(records.shot_id, dtype=np.int64)
+    pulse = np.asarray(records.pulse_index, dtype=np.int64)
+    n_shots, n_pulses = int(records.n_shots), int(records.n_pulses)
+    counts = np.bincount(shot * n_pulses + pulse, minlength=n_shots * n_pulses)
+    counts = counts.reshape(n_shots, n_pulses).astype(np.int64)
+    n_lags = min(n_lags, n_pulses - 1)
+    pair_counts = np.empty(n_lags + 1, dtype=np.int64)
+    pair_slots = np.empty(n_lags + 1, dtype=np.int64)
+    pair_counts[0] = int(np.sum(counts * (counts - 1)))
+    pair_slots[0] = n_shots * n_pulses
+    for lag in range(1, n_lags + 1):
+        pair_counts[lag] = int(np.sum(counts[:, :-lag] * counts[:, lag:]))
+        pair_slots[lag] = n_shots * (n_pulses - lag)
+    return pair_counts, pair_counts / pair_slots
+
+
 # The sequence layer's three tree walkers before they became one fold,
 # kept verbatim, and the duration report built on them.
 

@@ -747,6 +747,29 @@ class TestInputsFailFast:
         assert f"error: the MW pulse at {named} rotates the spin" in cap.err
         assert "Traceback" not in cap.err and "Warning" not in cap.err
 
+    @pytest.mark.parametrize("header,last_row,code,says", [
+        ("# shots=2 pulses=3", "99999999999999999999 1 12.5 emitter", 2,
+         ":5: shot_id 99999999999999999999 is past the 64-bit range"),
+        ("# shots=99999999999999999999 pulses=3", "1 1 12.5 emitter", 2,
+         ":2: header shots= is past the 64-bit range"),
+        # a grid of 1e13 cells: g2 counts the three occupied ones
+        ("# shots=100000000 pulses=100000", "1 1 12.5 emitter", 0,
+         "g2(0) = 0 (normalized over lags 1..20)"),
+    ], ids=["shot-id-past-int64", "shots-past-int64", "1e13-cell-grid"])
+    def test_g2_records_past_int64_or_memory(self, header, last_row, code, says,
+                                             tmp_path, capsys):
+        path = tmp_path / "events.txt"
+        path.write_text("# photon records: shot_id pulse_index timestamp_us origin\n"
+                        f"{header}\n0 0 2.5 emitter\n0 1 12.5 emitter\n{last_row}\n")
+        got, cap = run_cli_within(2.0, ["g2", str(path),
+                                        "--out-dir", str(tmp_path / "o")], capsys)
+        assert got == code, cap.err
+        if code:
+            assert f"error: {path}{says}" in cap.err
+        else:
+            assert says in cap.out
+        assert "Traceback" not in cap.err and "Warning" not in cap.err
+
     def test_huge_pulse_count_prints_short(self, tmp_path, seq_file, capsys):
         config = paper_with(tmp_path, "n_pulses", "1e300")
         code, cap = run_cli(["simulate", seq_file, "--shots", "20", "--config",

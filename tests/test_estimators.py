@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import best_threshold_scan
+from test_readout import within_seconds
 from spinshot import estimators
 from spinshot.estimators import (FitError, NormalizationError, NumericalError,
                                  PhotonRecords, fit_model, g2_pulsed,
@@ -328,6 +329,216 @@ class TestG2:
         rec = make_records([0], [0], [1.0], 1, 5)
         with pytest.raises(NormalizationError):
             g2_pulsed(rec)
+
+    @pytest.mark.parametrize("shot", [-1, 2])
+    def test_shot_id_off_count_raises(self, shot):
+        rec = make_records([0, shot, 1], [0, 1, 1], [1.0, 2.0, 3.0], 2, 5)
+        with pytest.raises(ValueError, match="outside the declared shot count"):
+            g2_pulsed(rec)
+
+    # (shots, pulses, mean photons per cell, n_lags); cells with two or
+    # more photons are common at the larger means
+    SHAPES = [(300, 40, 0.3, 20), (50, 71, 1.5, 20), (1, 400, 2.0, 20),
+              (1, 6, 3.0, 20), (7, 5, 1.0, 5), (7, 5, 1.0, 4), (20, 2, 4.0, 1),
+              (4000, 71, 0.07, 20), (2, 9000, 0.02, 30)]
+
+    @pytest.mark.parametrize("shots,pulses,mean,n_lags", SHAPES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_lag_products(self, shots, pulses, mean, n_lags, seed):
+        rng = np.random.default_rng(seed)
+        counts = rng.poisson(mean, size=(shots, pulses))
+        shot, pulse = np.divmod(np.repeat(np.arange(counts.size), counts.ravel()),
+                                pulses)
+        order = rng.permutation(shot.size) if seed == 2 else slice(None)
+        rec = make_records(shot[order], pulse[order], pulse[order] * 10.0,
+                           shots, pulses)
+        want_counts, want_rates = oracles.g2_pulsed_per_lag(rec, n_lags)
+        res = g2_pulsed(rec, n_lags=n_lags)
+        assert res.pair_counts.dtype == np.int64
+        assert res.pair_counts.tobytes() == want_counts.tobytes()
+        assert res.pair_rates.tobytes() == want_rates.tobytes()
+        assert res.g2_zero == float(want_rates[0] / float(np.mean(want_rates[1:])))
+        assert np.array_equal(res.lags, np.arange(len(want_counts)))
+
+    def test_declared_grid_far_past_records(self):
+        # 1e8 shots x 1e5 pulses: nothing is sized by the grid
+        rec = make_records([0, 0, 0, 5], [0, 0, 1, 99_999], [1.0] * 4,
+                           10**8, 10**5)
+        res = within_seconds(2.0, g2_pulsed, rec)
+        assert res.pair_counts.tolist() == [2, 2] + [0] * 19
+        assert res.pair_rates[0] == 2 / (10**8 * 10**5)
+        assert res.pair_rates[1] == 2 / (10**8 * (10**5 - 1))
+
+
+class TestRecordsReader:
+    """PhotonRecords.from_file against the per-line reader it replaced
+    (tests/oracles.py): the same arrays, bit for bit with NaN included, or
+    the same error, on seeded mutations of a file run_timeline wrote."""
+
+    @pytest.fixture(scope="class")
+    def records_text(self, nominal_params, tmp_path_factory):
+        from dataclasses import replace
+        from spinshot.montecarlo import run_timeline
+        from spinshot.sequence import compile_sequence, parse_sequence
+        seq = "repeat 12 {\n  pulse optical A 0.02us 1pi\n  detect 3us\n  wait 6.98us\n}\n"
+        run = run_timeline(compile_sequence(parse_sequence(seq)),
+                           replace(nominal_params, dark_rate=3000.0), shots=60, seed=3)
+        path = tmp_path_factory.mktemp("records") / "events.txt"
+        run.records.to_file(path)
+        text = path.read_text(encoding="utf-8")
+        origins = set(run.records.origin_code.tolist())
+        assert origins == {0, 1} and len(run.records) > 40
+        return text
+
+    @staticmethod
+    def body_rows(text):
+        lines = text.splitlines(keepends=True)
+        return lines[:2], lines[2:]
+
+    # each mutation takes (header lines, body rows, rng) and returns the
+    # file's text; ``rng`` picks the rows it touches
+    @staticmethod
+    def _token(rows, rng, column, value):
+        i = int(rng.integers(len(rows)))
+        parts = rows[i].split()
+        parts[column] = value(parts[column])
+        rows[i] = " ".join(parts) + "\n"
+
+    MUTATIONS = {
+        "as written": lambda h, r, g: "".join(h + r),
+        "crlf": lambda h, r, g: "".join(h + r).replace("\n", "\r\n"),
+        "lone cr": lambda h, r, g: "".join(h + r).replace("\n", "\r", 3),
+        "tabs and runs of spaces": lambda h, r, g: "".join(h + [
+            row.replace(" ", "\t" if g.random() < 0.5 else "   ", 2) for row in r]),
+        "leading and trailing spaces": lambda h, r, g: "".join(h + [
+            "  " + row[:-1] + " \t\n" for row in r]),
+        "blank lines": lambda h, r, g: "".join(h + [
+            row + ("\n" if g.random() < 0.2 else "") + ("  \t\n" if g.random() < 0.1 else "")
+            for row in r]),
+        "comment between rows": lambda h, r, g: "".join(
+            h + r[:5] + ["# a note\n", "   # indented note\n"] + r[5:]),
+        "trailing note on a row": lambda h, r, g: "".join(
+            h + r[:3] + [r[3][:-1] + " # note\n"] + r[4:]),
+        "missing column": lambda h, r, g: "".join(
+            h + r[:7] + [r[7].rsplit(" ", 1)[0] + "\n"] + r[8:]),
+        "extra column": lambda h, r, g: "".join(h + r[:7] + [r[7][:-1] + " 1\n"] + r[8:]),
+        "missing header": lambda h, r, g: "".join(r),
+        "no shots value": lambda h, r, g: "".join([h[0], "# shots= pulses=12\n"] + r),
+        "header repeated": lambda h, r, g: "".join(h + r[:9] + h + r[9:]),
+        "header repeated smaller": lambda h, r, g: "".join(
+            h + r[:9] + ["# shots=1\n"] + r[9:]),
+        "header leading zeros": lambda h, r, g: "".join(
+            [h[0], "# shots=" + "0" * 5000 + "60 pulses=0012\n"] + r),
+        "header past int64": lambda h, r, g: "".join(
+            [h[0], "# shots=99999999999999999999 pulses=12\n"] + r),
+        "header at int64": lambda h, r, g: "".join(
+            [h[0], f"# shots={2**63 - 1} pulses=12\n"] + r),
+        "header non-ascii digit": lambda h, r, g: "".join([h[0], "# shots=\u0663\n"] + r),
+        "header only": lambda h, r, g: "".join(h),
+        "header and blank lines only": lambda h, r, g: "".join(h) + "\n  \n\n",
+        "empty file": lambda h, r, g: "",
+        "no final newline": lambda h, r, g: "".join(h + r)[:-1],
+        "bom": lambda h, r, g: "\ufeff" + "".join(h + r),
+    }
+    TOKENS = {
+        # (column, replacement of the token)
+        "plus sign": (0, lambda t: "+" + t),
+        "minus zero": (1, lambda t: "-0"),
+        "leading zeros": (1, lambda t: "000" + t),
+        "underscore in int": (1, lambda t: "1_0"),
+        "underscore in float": (2, lambda t: "1_0.5"),
+        "arabic-indic digit": (0, lambda t: "\u0663"),
+        "fullwidth digit": (2, lambda t: "\uff15.5"),
+        "non-ascii digit in a float": (2, lambda t: t + "\u0663"),
+        "double sign": (0, lambda t: "+-" + t),
+        "trailing sign": (1, lambda t: t + "-"),
+        "float shot": (0, lambda t: t + ".0"),
+        "exponent shot": (1, lambda t: "1e1"),
+        "hex timestamp": (2, lambda t: "0x10"),
+        "nan": (2, lambda t: "nan"),
+        "minus nan": (2, lambda t: "-nan"),
+        "NaN": (2, lambda t: "NaN"),
+        "inf": (2, lambda t: "inf"),
+        "minus inf": (2, lambda t: "-inf"),
+        "infinity": (2, lambda t: "infinity"),
+        "1e400": (2, lambda t: "1e400"),
+        "1e-400": (2, lambda t: "-1e-400"),
+        "bare point": (2, lambda t: "."),
+        "dangling exponent": (2, lambda t: t + "e"),
+        "long float": (2, lambda t: "1." + "3" * 400 + "e-2"),
+        "shot past int64": (0, lambda t: "99999999999999999999"),
+        "shot at int64 min": (0, lambda t: str(-2**63)),
+        "pulse past header": (1, lambda t: "12"),
+        "negative shot": (0, lambda t: "-" + t),
+        "long origin": (3, lambda t: t + "e"),
+        "truncatable origin": (3, lambda t: "emitteree"),
+        "capital origin": (3, lambda t: t.capitalize()),
+        "nul byte": (2, lambda t: t + "\x00"),
+    }
+    SEPARATORS = ["\u00a0", "\u2003", "\u3000", "\x0b", "\x0c", "\x1c", "\x1f",
+                  "\x85", "\u2028", "\x00"]
+
+    def cases(self):
+        yield from self.MUTATIONS
+        yield from self.TOKENS
+        yield from (f"separator {ord(c):#x}" for c in self.SEPARATORS)
+        yield "invalid utf-8"
+
+    def mutate(self, name, text, rng):
+        head, rows = self.body_rows(text)
+        if name in self.MUTATIONS:
+            return self.MUTATIONS[name](head, rows, rng).encode("utf-8")
+        if name in self.TOKENS:
+            self._token(rows, rng, *self.TOKENS[name])
+        elif name.startswith("separator"):
+            sep = chr(int(name.split()[1], 16))
+            i = int(rng.integers(len(rows)))
+            rows[i] = rows[i].replace(" ", sep, int(rng.integers(1, 4)))
+        else:
+            i = int(rng.integers(len(rows)))
+            return "".join(head + rows[:i]).encode() + b"\xff" + "".join(rows[i:]).encode()
+        return "".join(head + rows).encode("utf-8")
+
+    @staticmethod
+    def read(reader, path):
+        try:
+            return reader(path)
+        except ValueError as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    # the fast path must take these; every other file may go either way
+    COLUMN_WISE = {"as written", "crlf", "lone cr", "tabs and runs of spaces",
+                   "leading and trailing spaces", "blank lines", "missing header",
+                   "header leading zeros", "header at int64", "no final newline",
+                   "plus sign", "minus zero", "leading zeros", "nan", "minus nan",
+                   "inf", "minus inf", "1e400", "1e-400", "long float"}
+
+    def test_fast_path_matches_per_line_reader(self, records_text, tmp_path):
+        taken, names = set(), list(self.cases())
+        for name in names:
+            for seed in range(3):
+                path = tmp_path / f"case{names.index(name)}-{seed}.txt"
+                path.write_bytes(self.mutate(name, records_text,
+                                             np.random.default_rng(seed)))
+                want = self.read(oracles.read_records_per_line, path)
+                got = self.read(PhotonRecords.from_file, path)
+                if isinstance(want, str):
+                    assert got == want, (name, seed)
+                    continue
+                assert not isinstance(got, str), (name, seed, got)
+                for field, ours, theirs in zip(
+                        ("shot_id", "pulse_index", "timestamp_us", "origin_code"),
+                        (got.shot_id, got.pulse_index, got.timestamp_us,
+                         got.origin_code), want[:4]):
+                    assert ours.dtype == theirs.dtype, (name, seed, field)
+                    assert ours.tobytes() == theirs.tobytes(), (name, seed, field)
+                assert (got.n_shots, got.n_pulses) == want[4:], (name, seed)
+                try:
+                    if estimators._read_columns(path) is not None:
+                        taken.add(name)
+                except ValueError:
+                    pass
+        assert taken >= self.COLUMN_WISE, self.COLUMN_WISE - taken
 
 
 class TestEmpiricalFidelity:
