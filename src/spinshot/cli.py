@@ -35,9 +35,12 @@ EXIT_NUMERIC = 3
 # protocols at MAX_SHOTS peaks at 0.3 GB RSS and runs 2 minutes (2-core
 # x86 VM); an area-sweep point takes about 4 ms per 20000 shots at
 # paper.cfg, whatever eta_detect, and 10 ms where flips are dense
-# (a = b = 0.3).
+# (a = b = 0.3).  g2's pair count costs records x lags: at MAX_LAGS a
+# fully occupied 10-shot x 10^4-pulse records file (10^5 cells, every lag
+# in reach) takes 10 s at 40 MB RSS, and 1000 lags take 2.3 s.
 MAX_SHOTS = 10**6
 MAX_POINTS = 1000
+MAX_LAGS = 10**4
 _DP_CAPACITY = " (the exact-DP capacity, readout.CAPACITY_PULSES)"  # --n-pulses/--n-max
 
 # `protocols`: sweep grid (np.linspace arguments), fit model and its
@@ -147,7 +150,8 @@ def build_parser() -> _Parser:
                        help="pulsed autocorrelation of a photon-records file")
     p.add_argument("records", help="event file: shot_id pulse_index timestamp origin")
     p.add_argument("--lags", type=int, default=20,
-                   help="cross lags used for normalization (default 20)")
+                   help=f"cross lags used for normalization, at most {MAX_LAGS} "
+                        "(default 20)")
 
     p = sub.add_parser("area-sweep", parents=[configured],
                        help="cyclicity and fidelity vs excitation pulse area")
@@ -293,7 +297,7 @@ def _write_fit_csv(path, result):
 
 
 def _cmd_g2(args, _cfg, out: OutputDir) -> str:
-    _at_least_one("--lags", args.lags)
+    _at_least_one("--lags", args.lags, MAX_LAGS)
     from .estimators import PhotonRecords, g2_pulsed, write_csv
 
     records = PhotonRecords.from_file(args.records)

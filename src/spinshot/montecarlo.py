@@ -16,6 +16,10 @@ plus gates), carrying each shot's spin state from one segment to the
 next, so it holds one segment and 16 bytes per gate however long the
 program is.
 
+Bloch vectors are (3, ...) component arrays (x, y, z), which
+:func:`_rotate` broadcasts against scalar or per-shot drive parameters;
+echo runs its two first-pulse phases as the two rows of one pass.
+
 Unit conventions: optical lifetimes and gate/pulse times in us, MW
 Rabi/detuning frequencies in kHz, spectroscopy offsets in MHz, spin
 lifetime in s.
@@ -255,27 +259,25 @@ def simulate_readout_shots(params: ReadoutParams, initial: str = "bright",
 # Bloch rotations
 # ---------------------------------------------------------------------------
 
-def _rotate(spins, rabi_khz, detuning_khz, duration_us, phase_rad=0.0):
-    """Rodrigues rotation of Bloch vectors about the driven-frame axis
-    (O cos phi, O sin phi, Delta)/O_eff by angle 2*pi*O_eff*t; every
-    parameter is a scalar or one value per vector."""
-    spins = np.asarray(spins, dtype=float)
-    single = spins.ndim == 1
-    v = spins.reshape(1, 3) if single else spins
-    omega = np.broadcast_to(np.asarray(rabi_khz, dtype=float), v.shape[:1]).copy()
-    delta = np.broadcast_to(np.asarray(detuning_khz, dtype=float), v.shape[:1]).copy()
-    eff = np.hypot(omega, delta)
+def _rotate(spin, rabi_khz, detuning_khz, duration_us, phase_rad=0.0):
+    """Rodrigues rotation of Bloch vectors ``spin = (x, y, z)``, shape
+    (3, ...), about the driven-frame axis (O cos phi, O sin phi, Delta)/O_eff
+    by angle 2*pi*O_eff*t; the components broadcast against every
+    parameter, and the result has their joint shape after the 3."""
+    x, y, z = spin
+    eff = np.hypot(rabi_khz, detuning_khz)
+    moving = eff > 0.0
+    safe = np.where(moving, eff, 1.0)
+    ax = rabi_khz * np.cos(phase_rad) / safe
+    ay = rabi_khz * np.sin(phase_rad) / safe
+    az = detuning_khz / safe
     angle = 2.0 * np.pi * eff * duration_us * 1e-3
-    safe = np.where(eff > 0.0, eff, 1.0)
-    axis = np.stack([omega * np.cos(phase_rad) / safe,
-                     omega * np.sin(phase_rad) / safe,
-                     delta / safe], axis=1)
-    cos_t = np.cos(angle)[:, None]
-    sin_t = np.sin(angle)[:, None]
-    dot = np.sum(axis * v, axis=1, keepdims=True)
-    out = v * cos_t + np.cross(axis, v) * sin_t + axis * dot * (1.0 - cos_t)
-    out = np.where((eff > 0.0)[:, None], out, v)
-    return out[0] if single else out
+    c, s = np.cos(angle), np.sin(angle)
+    dot, k = ax * x + ay * y + az * z, 1.0 - c
+    return np.array([
+        np.where(moving, x * c + (ay * z - az * y) * s + ax * dot * k, x),
+        np.where(moving, y * c + (az * x - ax * z) * s + ay * dot * k, y),
+        np.where(moving, z * c + (ax * y - ay * x) * s + az * dot * k, z)])
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +297,13 @@ class ProtocolCurve:
                   [self.shots] * len(self.x))
 
 
+_UP = (0.0, 0.0, 1.0)   # the spin before any MW pulse
+
+
 def _bernoulli_stats(rng, p, shots):
     hits = rng.random(shots) < p
     m = float(hits.mean())
     return m, math.sqrt(max(m * (1.0 - m), 0.0) / shots)
-
-
-def _spins_up(shots):
-    """``shots`` Bloch vectors along +z, the spin before any MW pulse."""
-    return np.tile([0.0, 0.0, 1.0], (shots, 1))
 
 
 def run_protocol(protocol: str, sweep, bath: BathParams, shots: int = 1000,
@@ -320,8 +320,8 @@ def run_protocol(protocol: str, sweep, bath: BathParams, shots: int = 1000,
     optionally, fractional drive-amplitude jitter — both knobs exist
     because the data does not pin down the mechanism.  echo: total
     sequence lengths in us; pi/2 - pi - pi/2 with the two opposite
-    first-pulse phases subtracted and transverse components damped by
-    exp(-(t/t2_echo)^echo_exponent).
+    first-pulse phases (two rows of one pass) subtracted and transverse
+    components damped by exp(-(t/t2_echo)^echo_exponent).
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; choose from {PROTOCOLS}")
@@ -345,49 +345,42 @@ def run_protocol(protocol: str, sweep, bath: BathParams, shots: int = 1000,
         elif protocol == "odmr":
             offsets = _sample_mixture(rng, bath, shots)
             detuning = (value - offsets) * 1e3
-            spins = _rotate(_spins_up(shots), mw_rabi_khz, detuning, pi_time)
-            p_flip = 0.5 * (1.0 - spins[:, 2])
-            mean[i], stderr[i] = _bernoulli_stats(rng, p_flip, shots)
+            z = _rotate(_UP, mw_rabi_khz, detuning, pi_time)[2]
+            mean[i], stderr[i] = _bernoulli_stats(rng, 0.5 * (1.0 - z), shots)
         elif protocol == "rabi":
             detuning = rng.normal(0.0, detuning_sigma_khz, shots)
-            omega = np.full(shots, mw_rabi_khz)
+            omega = mw_rabi_khz
             if drive_jitter > 0.0:
                 omega = np.clip(omega * (1.0 + drive_jitter *
                                          rng.normal(0.0, 1.0, shots)), 0.0, None)
-            spins = _rotate(_spins_up(shots), omega, detuning, value)
-            p_flip = 0.5 * (1.0 - spins[:, 2])
-            mean[i], stderr[i] = _bernoulli_stats(rng, p_flip, shots)
+            z = _rotate(_UP, omega, detuning, value)[2]
+            mean[i], stderr[i] = _bernoulli_stats(rng, 0.5 * (1.0 - z), shots)
         else:  # echo
             offsets_khz = _sample_mixture(rng, bath, shots) * 1e3
             with np.errstate(over="ignore"):   # a power past the float range damps to 0
                 damping = math.exp(-((value / bath.t2_echo) ** bath.echo_exponent))
-            results = []
-            for phase in (math.pi, 0.0):   # first pi/2 about -x, then +x
-                spins = _rotate(_spins_up(shots), mw_rabi_khz, 0.0, 0.5 * pi_time,
-                                phase)
-                spins = _free_precession(spins, offsets_khz, 0.5 * value)
-                spins = _rotate(spins, mw_rabi_khz, 0.0, pi_time)
-                spins = _free_precession(spins, offsets_khz, 0.5 * value)
-                spins[:, 0] *= damping
-                spins[:, 1] *= damping
-                spins = _rotate(spins, mw_rabi_khz, 0.0, 0.5 * pi_time)
-                p_dark = 0.5 * (1.0 - spins[:, 2])
-                hits = rng.random(shots) < p_dark
-                m = float(hits.mean())
-                results.append((m, m * (1.0 - m) / shots))
-            mean[i] = results[0][0] - results[1][0]
-            stderr[i] = math.sqrt(results[0][1] + results[1][1])
+            phase = np.array([[math.pi], [0.0]])   # first pi/2 about -x, then +x
+            spin = _rotate(_UP, mw_rabi_khz, 0.0, 0.5 * pi_time, phase)
+            spin = _free_precession(spin, offsets_khz, 0.5 * value)
+            spin = _rotate(spin, mw_rabi_khz, 0.0, pi_time)
+            sx, sy, sz = _free_precession(spin, offsets_khz, 0.5 * value)
+            z = _rotate((sx * damping, sy * damping, sz), mw_rabi_khz, 0.0,
+                        0.5 * pi_time)[2]
+            m = (rng.random((2, shots)) < 0.5 * (1.0 - z)).mean(axis=1)
+            var = m * (1.0 - m) / shots
+            mean[i] = m[0] - m[1]
+            stderr[i] = math.sqrt(var[0] + var[1])
     return ProtocolCurve(protocol=protocol, x=x, mean=mean, stderr=stderr,
                          shots=shots)
 
 
-def _free_precession(spins, detuning_khz, duration_us):
+def _free_precession(spin, detuning_khz, duration_us):
+    """``spin = (x, y, z)`` turned about z by 2*pi*Delta*t, as a tuple of
+    components; z passes through as it is."""
+    x, y, z = spin
     angle = 2.0 * np.pi * detuning_khz * duration_us * 1e-3
-    cos_t, sin_t = np.cos(angle), np.sin(angle)
-    out = spins.copy()
-    out[:, 0] = spins[:, 0] * cos_t - spins[:, 1] * sin_t
-    out[:, 1] = spins[:, 0] * sin_t + spins[:, 1] * cos_t
-    return out
+    c, s = np.cos(angle), np.sin(angle)
+    return x * c - y * s, x * s + y * c, z
 
 
 # ---------------------------------------------------------------------------
@@ -614,26 +607,24 @@ def _timeline_segment(plan: _TimelinePlan, params: ReadoutParams, offsets,
         runs, row_of = np.unique(run_of, return_inverse=True)
         position = np.arange(len(mw)) - np.searchsorted(run_of, run_of)
         mw_row = tl.row[mw]
-        spins = np.zeros((len(runs), n_block, 3))
-        spins[..., 2] = 1.0
+        spin = np.zeros((3, len(runs), n_block))
+        spin[2] = 1.0
         for j in range(int(position.max()) + 1):
             at = position == j
             rows, step = row_of[at], mw_row[at]
             with np.errstate(over="ignore", invalid="ignore"):   # NaN: checked below
                 detuning = (table.frequency_mhz[step][:, None] - offsets) * 1e3
-                turned = _rotate(
-                    spins[rows].reshape(-1, 3), mw_rabi_khz, detuning.ravel(),
-                    np.repeat(table.duration_us[step], n_block),
-                    np.repeat(plan.mw_rad[step], n_block),
-                ).reshape(len(rows), n_block, 3)
-            bad = step[~np.isfinite(turned).all(axis=(1, 2))]
+                turned = _rotate(spin[:, rows], mw_rabi_khz, detuning,
+                                 table.duration_us[step][:, None],
+                                 plan.mw_rad[step][:, None])
+            bad = step[~np.isfinite(turned).all(axis=(0, 2))]
             if bad.size:
                 raise ValueError(
                     f"the MW pulse at {table.frequency_mhz[bad[0]]:g} MHz for "
                     f"{table.duration_us[bad[0]]:g} us rotates the spin by an angle "
                     "past the float range")
-            spins[rows] = turned
-        z[runs] = spins[..., 2]
+            spin[:, rows] = turned
+        z[runs] = spin[2]
 
     # optical pulses are projective; evaluate each pulse's map from both
     # prior states on the same draws, then chain the maps in one scan

@@ -144,6 +144,33 @@ def decay_pulses_from_relaxation(relaxation_constant):
     return -1.0 / math.log(1.0 - 1.0 / relaxation_constant)
 
 
+def rotate_rows(spins, rabi_khz, detuning_khz, duration_us, phase_rad=0.0):
+    """Rodrigues rotation of Bloch vectors about the driven-frame axis
+    (O cos phi, O sin phi, Delta)/O_eff by angle 2*pi*O_eff*t; every
+    parameter is a scalar or one value per vector.
+
+    Row layout: ``spins`` is one 3-vector or an (n, 3) array.  This is
+    the package's rotation before it took (3, ...) component arrays,
+    kept verbatim as the bitwise reference for the broadcasting one."""
+    spins = np.asarray(spins, dtype=float)
+    single = spins.ndim == 1
+    v = spins.reshape(1, 3) if single else spins
+    omega = np.broadcast_to(np.asarray(rabi_khz, dtype=float), v.shape[:1]).copy()
+    delta = np.broadcast_to(np.asarray(detuning_khz, dtype=float), v.shape[:1]).copy()
+    eff = np.hypot(omega, delta)
+    angle = 2.0 * np.pi * eff * duration_us * 1e-3
+    safe = np.where(eff > 0.0, eff, 1.0)
+    axis = np.stack([omega * np.cos(phase_rad) / safe,
+                     omega * np.sin(phase_rad) / safe,
+                     delta / safe], axis=1)
+    cos_t = np.cos(angle)[:, None]
+    sin_t = np.sin(angle)[:, None]
+    dot = np.sum(axis * v, axis=1, keepdims=True)
+    out = v * cos_t + np.cross(axis, v) * sin_t + axis * dot * (1.0 - cos_t)
+    out = np.where((eff > 0.0)[:, None], out, v)
+    return out[0] if single else out
+
+
 def _rotate_one(spin, rabi_khz, detuning_khz, duration_us, phase_rad):
     """Rodrigues rotation of one Bloch vector about the driven-frame axis."""
     eff = math.hypot(rabi_khz, detuning_khz)

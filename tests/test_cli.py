@@ -456,6 +456,7 @@ class TestExitCodes:
          "--components"),
         (["g2", "RECORDS", "--lags", "0"], "--lags"),
         (["g2", "RECORDS", "--lags", "-1"], "--lags"),
+        (["g2", "RECORDS", "--lags", str(cli.MAX_LAGS + 1)], "--lags"),
     ], ids=["points-1e12", "points-above-max", "area-sweep-shots-1e12",
             "protocols-shots-1e12", "simulate-shots-1e12",
             "simulate-shots-above-max", "n-min-0", "n-max-0",
@@ -465,7 +466,8 @@ class TestExitCodes:
             "target-f-above-1", "area-min-nan", "area-max-inf", "flip-slope-nan",
             "area-span-overflows",
             "flip-slope-negative-a", "negative-area-negative-a",
-            "components-0", "components-negative", "lags-0", "lags-negative"])
+            "components-0", "components-negative", "lags-0", "lags-negative",
+            "lags-above-max"])
     def test_flag_out_of_range(self, argv, flag, tmp_path, series_file,
                                records_file, seq_file, capsys):
         names = {"SERIES": series_file, "RECORDS": records_file, "SEQ": seq_file}
@@ -770,6 +772,22 @@ class TestInputsFailFast:
             assert says in cap.out
         assert "Traceback" not in cap.err and "Warning" not in cap.err
 
+    @pytest.mark.parametrize("pulses,lags", [
+        (10**6, 10**5),         # ran, writing a 100002-line g2.csv
+        (10**12, 10**11),       # asked numpy for 745 GiB
+    ], ids=["lags-1e5", "lags-1e11"])
+    def test_g2_lags_above_rated_maximum(self, pulses, lags, tmp_path, capsys):
+        path = tmp_path / "events.txt"
+        path.write_text("# photon records: shot_id pulse_index timestamp_us origin\n"
+                        f"# shots=1 pulses={pulses}\n0 0 2.5 emitter\n"
+                        "0 1 12.5 emitter\n")
+        out = tmp_path / "o"
+        code, cap = run_cli_within(2.0, ["g2", str(path), "--lags", str(lags),
+                                         "--out-dir", str(out)], capsys)
+        assert code == 1
+        assert cap.err.startswith(f"--lags must be <= {cli.MAX_LAGS}, got {lags}\n")
+        assert not (out / "g2.csv").exists()
+
     def test_huge_pulse_count_prints_short(self, tmp_path, seq_file, capsys):
         config = paper_with(tmp_path, "n_pulses", "1e300")
         code, cap = run_cli(["simulate", seq_file, "--shots", "20", "--config",
@@ -846,8 +864,9 @@ HAND_RECORDS = ("# photon records: shot_id pulse_index timestamp_us origin\n"
 # calibration frozen before calibrate and pulse_area_scan took ReadoutParams;
 # area_sweep.csv re-frozen when the readout engine's run-length kernel
 # replaced its next-event kernel and per-pulse loop (its n0 and cyclicity
-# columns are realized samples).  A key is the CSV name, then any case
-# qualifier.
+# columns are realized samples); the protocols CSVs at --shots 1000 frozen
+# before Bloch vectors became (3, ...) component arrays.  A key is the CSV
+# name, then any case qualifier.
 GOLDEN_SHA256 = {
     "levels.csv":
         "dc4778f16f27dbc87a3ca246b2e5007e0a17b07cb505b5e6427da9a1d200d6cd",
@@ -863,6 +882,38 @@ GOLDEN_SHA256 = {
         "0f6b8fab7e303e1cbf1620152747133d4758c805355848c90dc7bbf9919217c6",
     "calibration.csv N=500":
         "c4c9cbf5dbc00e645dda646beb28b560f91e7bf283e478af7de4d0ccb69ef595",
+    "echo_curve.csv protocols seed=0":
+        "1a8a56b9a4742c8ea277de5c651e47317ddb91e2e866e0d90e90f6d57e2a2caf",
+    "echo_fit.csv protocols seed=0":
+        "83248d40c522bdcb0b137baa0e0778bff86e2d4b3adc13737cc84a28b82cd9d6",
+    "odmr_curve.csv protocols seed=0":
+        "42b2bab577d5fa4dcf594437af1b07cc104943cc6a1e739ed8f7fad1c60b573a",
+    "odmr_fit.csv protocols seed=0":
+        "5d7e84a835d5c9c968985ed330211bd80ebc0b229298b8141b5de54b61ac4e21",
+    "rabi_curve.csv protocols seed=0":
+        "8ad7b24335515862c24294fafb7a78a31c835e5c7124cb903fa0ed12c3d8498b",
+    "rabi_fit.csv protocols seed=0":
+        "467eaa7b16e514ac7c5afb5550374842f71835a5d24ba1d60038a3fc7f074e5e",
+    "t1_curve.csv protocols seed=0":
+        "4e3fddee5cede025426f1df194982e040de703aae7b1bfd693424fda8b29de76",
+    "t1_fit.csv protocols seed=0":
+        "426f5bd649da2871fda19b312eda26c003b7586f7911672ec3dc2175d642db9b",
+    "echo_curve.csv protocols seed=3":
+        "775ef3da32ce58f0a1185e1843e6bc750e3fa2e4ce8021629cbee8a7ec670f57",
+    "echo_fit.csv protocols seed=3":
+        "b7f3a911dc1aeee6e0a1c68fcbad68363a555099a589dba065307cfc60f074f6",
+    "odmr_curve.csv protocols seed=3":
+        "4fcd530930e264b716c2bbce3273cd7e807fe5e84456c6ade14784bbb90bdd4c",
+    "odmr_fit.csv protocols seed=3":
+        "23a591f39d2c57fe66eeffa80a4285efd7f683c3d0767a768007c6d1858d9e23",
+    "rabi_curve.csv protocols seed=3":
+        "466368ff67224e370f1cdba0e172c5c1c271d1ddc977099501a7862cc5b63104",
+    "rabi_fit.csv protocols seed=3":
+        "c315f65aadb71f5cd21b79756d17fd407099f3b6abe4cdd22c690b02e03516bb",
+    "t1_curve.csv protocols seed=3":
+        "6afb28edb1c2b3cfee0ea07715726e8e7afc8e86a5ea4ea15fabf903185bd0e4",
+    "t1_fit.csv protocols seed=3":
+        "be63fe9bb6eeda0d2cf38afadad1311a93610fa6a926a80a3f1d12297f1d28e7",
 }
 
 
@@ -894,3 +945,14 @@ class TestGoldenOutputs:
                for name, data in tree_bytes(out).items()
                if name.endswith(".csv")}
         assert got == {csv_name.split()[0]: GOLDEN_SHA256[csv_name]}
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_protocols_csv_sha256(self, seed, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        code, _ = run_cli(["protocols", "--shots", "1000", "--seed", str(seed),
+                           "--out-dir", out], capsys)
+        assert code == 0
+        got = {f"{name} protocols seed={seed}": hashlib.sha256(data).hexdigest()
+               for name, data in tree_bytes(out).items() if name.endswith(".csv")}
+        assert got == {key: digest for key, digest in GOLDEN_SHA256.items()
+                       if key.endswith(f" protocols seed={seed}")}

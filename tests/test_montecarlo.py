@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (enumerate_count_distribution, readout_block_three_draw,
-                     run_timeline_per_shot, spin_chain_per_pulse,
+                     rotate_rows, run_timeline_per_shot, spin_chain_per_pulse,
                      trace_closed_form)
 from test_readout import within_seconds
 from spinshot import montecarlo
@@ -397,6 +397,64 @@ class TestBloch:
         half_y = _rotate(UP, 250.0, 0.0, 1.0, math.pi / 2)
         assert half_x[1] == pytest.approx(-half_y[0], abs=1e-9)
         assert abs(half_x[2]) < 1e-9 and abs(half_y[2]) < 1e-9
+
+
+def assert_bitwise(got, want):
+    """Same shape and the same 64 bits in every element."""
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.uint64),
+                                  np.ascontiguousarray(want).view(np.uint64))
+
+
+def random_rotations(rng, n):
+    """n unit spins as rows and per-row (rabi, detuning, duration, phase),
+    with rabi = 0, detuning = 0 and both = 0 among them."""
+    spins = rng.normal(size=(n, 3))
+    spins /= np.linalg.norm(spins, axis=1, keepdims=True)
+    rabi = rng.uniform(0.0, 500.0, n)
+    detuning = rng.uniform(-2000.0, 2000.0, n)
+    rabi[rng.random(n) < 0.2] = 0.0
+    detuning[rng.random(n) < 0.2] = 0.0
+    return (spins, rabi, detuning, rng.uniform(0.0, 50.0, n),
+            rng.uniform(-2 * math.pi, 2 * math.pi, n))
+
+
+class TestRotateOracle:
+    """The component-array rotation against the row-layout one it
+    replaced, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_scalar_parameters(self, seed):
+        spins, *_ = random_rotations(np.random.default_rng(seed), 2000)
+        for args in [(217.4, 0.0, 2.3, 0.0), (250.0, -80.0, 1.7, 1.0),
+                     (0.0, 300.0, 4.1, 2.0), (0.0, 0.0, 3.0, 0.5)]:
+            assert_bitwise(_rotate(spins.T, *args), rotate_rows(spins, *args).T)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_per_vector_parameters(self, seed):
+        spins, *params = random_rotations(np.random.default_rng(seed), 20000)
+        assert_bitwise(_rotate(spins.T, *params), rotate_rows(spins, *params).T)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_spin_against_three_shots(self, seed):
+        # a (3,) spin with one parameter per shot at shots == 3: the
+        # components, not the shots, run along the first axis
+        spins, *params = random_rotations(np.random.default_rng(seed), 3)
+        for spin in (spins[0], UP):
+            assert_bitwise(_rotate(spin, *params),
+                           rotate_rows(np.tile(spin, (3, 1)), *params).T)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_runs_by_shots_with_run_columns(self, seed):
+        rng = np.random.default_rng(seed)
+        runs, shots = 114, 7
+        spins, _, detuning, *_ = random_rotations(rng, runs * shots)
+        duration, phase = rng.uniform(0.0, 50.0, runs), rng.uniform(-6.0, 6.0, runs)
+        got = _rotate(spins.T.reshape(3, runs, shots), 217.4,
+                      detuning.reshape(runs, shots), duration[:, None], phase[:, None])
+        want = rotate_rows(spins, 217.4, detuning, np.repeat(duration, shots),
+                           np.repeat(phase, shots))
+        assert_bitwise(got, want.T.reshape(3, runs, shots))
 
 
 @pytest.fixture(scope="module")
