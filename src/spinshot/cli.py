@@ -253,8 +253,8 @@ def _cmd_simulate(args, cfg, out: OutputDir) -> str:
     program = parse_sequence(text, filename=args.sequence)
     em, cav = emitter_config(cfg), cavity_config(cfg)
     timeline = compile_sequence(program)
-    # no DP runs here and the gates come from the sequence: no capacity bound
-    params = readout_params(cfg, max_pulses=math.inf)
+    # the gates come from the sequence and no DP runs: [readout] n_pulses is unread
+    params = readout_params(cfg, n_pulses=1)
     bath = bath_params(cfg)
     mw = microwave_settings(cfg)
     run = run_timeline(

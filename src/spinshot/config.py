@@ -249,11 +249,10 @@ def zeeman_config(cfg: Config) -> ZeemanConfig:
     )
 
 
-def readout_params(cfg: Config, n_pulses: int | None = None,
-                   max_pulses: float = CAPACITY_PULSES) -> ReadoutParams:
+def readout_params(cfg: Config, n_pulses: int | None = None) -> ReadoutParams:
     """Readout chain parameters from [readout] plus detector noise from
     [detection].  ``n_pulses`` overrides [readout] n_pulses, which must lie
-    in 1..max_pulses, by default the exact DP's capacity.
+    in 1..CAPACITY_PULSES, the exact DP's capacity.
 
     Flip probabilities come either from both explicit flip_bright/flip_dark
     keys or from (relaxation_constant, flip_asymmetry) by
@@ -264,7 +263,7 @@ def readout_params(cfg: Config, n_pulses: int | None = None,
     section = "readout"
     too_high_for = ""   # names the pulse count when it comes from the config
     if n_pulses is None:
-        cfg.bounded(section, "n_pulses", 1.0, max_pulses, open_high=False)
+        cfg.bounded(section, "n_pulses", 1.0, CAPACITY_PULSES, open_high=False)
         n_pulses = cfg.integer(section, "n_pulses")
         too_high_for = f" for [readout] n_pulses = {n_pulses:g}"
     flip_bright = cfg.number(section, "flip_bright", None)

@@ -10,11 +10,12 @@ pulse; it draws one binomial detection total and one Poisson dark-count
 total per shot and keeps counts only.  The timeline executor
 is the one source of photon records: it draws each emission's real time
 and assigns it to the gate that sees it.  It plans once per row of the
-timeline's per-statement table and walks a shot longer than its block
-budget in segments of at most TIMELINE_BLOCK_CELLS cells (optical pulses
-plus gates), carrying each shot's spin state from one segment to the
-next, so it holds one segment and 16 bytes per gate however long the
-program is.
+timeline's per-statement table and once over its events, and walks a
+shot longer than its block budget in segments of at most
+TIMELINE_BLOCK_CELLS cells (optical pulses plus gates), slices of that
+plan that carry only each shot's spin state from one to the next, so it
+holds one segment, 16 bytes per gate and 4 per optical pulse, gate and
+MW pulse however long the program is.
 
 Bloch vectors are (3, ...) component arrays (x, y, z), which
 :func:`_rotate` broadcasts against scalar or per-shot drive parameters;
@@ -37,8 +38,7 @@ from .estimators import PhotonRecords, gaussian_fwhm_to_sigma, write_csv
 from .physics import lorentzian_suppression
 from .readout import (CountDistribution, ReadoutParams, _distributions, _scan,
                       cyclicity, readout_fidelity)
-from .sequence import (_TRANSITION_LABELS, DETECT, KINDS, MAX_EVENTS, MW, OPTICAL,
-                       Timeline)
+from .sequence import _TRANSITION_LABELS, DETECT, MAX_EVENTS, MW, OPTICAL, Timeline
 
 _LABEL = {name: code for code, name in enumerate(_TRANSITION_LABELS)}
 
@@ -505,25 +505,26 @@ def _spin_chain(codes, state):
 @dataclass(frozen=True)
 class _TimelinePlan:
     """Shot-independent arrays of a timeline for the block executor: per
-    statement row (read at the rows of their kind), per gate, and the
-    segment bounds."""
+    statement row (read at the rows of their kind), the int32 event
+    positions of its optical pulses, gates and MW pulses, per gate, and
+    the segment bounds.  Segment i holds opt[opt_bounds[i]:opt_bounds[i +
+    1]], the same slices of gate and mw by gate_bounds and mw_bounds, and
+    so the MW pulses before its optical pulses."""
     timeline: Timeline
     keep_below: np.ndarray     # bright stays bright if r >= keep_below
     gain_below: np.ndarray     # dark turns bright if r < gain_below
     emit_below: np.ndarray     # a bright, unflipped spin emits if r < emit_below
     mw_rad: np.ndarray         # MW phase in radians
     gate_mu: np.ndarray        # dark-count mean of a gate
+    opt: np.ndarray            # event of each optical pulse
+    gate: np.ndarray           # event of each gate
+    mw: np.ndarray             # event of each MW pulse
     gate_start: np.ndarray     # per gate of the timeline
     gate_end: np.ndarray
-    bounds: tuple              # segment i holds events bounds[i]:bounds[i + 1]
+    opt_bounds: list
+    gate_bounds: list
+    mw_bounds: list
     block_shots: int
-
-
-def _windows(tl):
-    """(first event, statement kinds) of each run of TIMELINE_BLOCK_CELLS
-    events, so that a scan of the timeline holds one run at a time."""
-    for w in range(0, len(tl.start_us), TIMELINE_BLOCK_CELLS):
-        yield w, tl.table.kind[tl.row[w:w + TIMELINE_BLOCK_CELLS]]
 
 
 def _plan_timeline(tl, params: ReadoutParams, fwhm_mhz: float) -> _TimelinePlan:
@@ -546,53 +547,49 @@ def _plan_timeline(tl, params: ReadoutParams, fwhm_mhz: float) -> _TimelinePlan:
     with np.errstate(over="ignore"):   # a mean past the float range fails below
         gate_mu = params.dark_rate * table.duration_us * 1e-6
 
-    # two scans: count the cells, then fill the gate times and cut the
-    # segments, each just after its last cell
-    kinds = sum((np.bincount(k, minlength=len(KINDS)) for _, k in _windows(tl)),
-                np.zeros(len(KINDS), dtype=np.int64))
-    n_gates, cells = int(kinds[DETECT]), int(kinds[OPTICAL] + kinds[DETECT])
-    block_shots = max(1, TIMELINE_BLOCK_CELLS // max(cells, 1))
+    # the event kinds are gathered once and dropped, and every temporary is
+    # freed before the gate times are made, so planning peaks below a segment
+    kind = table.kind[tl.row]
+    opt, gate, mw = (np.flatnonzero(kind == k).astype(np.int32)
+                     for k in (OPTICAL, DETECT, MW))
+    del kind
+    # segment i holds cells (optical pulses and gates) [i budget,
+    # (i + 1) budget) of the shot, and begins at the event of cell i budget
+    block_shots = max(1, TIMELINE_BLOCK_CELLS // max(len(opt) + len(gate), 1))
     budget = TIMELINE_BLOCK_CELLS // block_shots
-    gate_start, gate_end = np.empty(n_gates), np.empty(n_gates)
-    bounds, cells_seen, gates_seen, dark_mean = [0], 0, 0, 0.0
-    for w, k in _windows(tl):
-        gate = w + np.flatnonzero(k == DETECT)
-        at = slice(gates_seen, gates_seen + gate.size)
-        gate_start[at] = tl.start_us[gate]
-        gate_end[at] = gate_start[at] + table.duration_us[tl.row[gate]]
-        gates_seen += gate.size
-        with np.errstate(over="ignore"):
-            dark_mean += float(gate_mu[tl.row[gate]].sum())
-        cell = np.flatnonzero((k == OPTICAL) | (k == DETECT))
-        number = cells_seen + 1 + np.arange(cell.size)   # in the shot, from 1
-        cut = (number % budget == 0) & (number < cells)
-        bounds.extend((w + 1 + cell[cut]).tolist())
-        cells_seen += cell.size
-    bounds.append(len(tl.start_us))
+    first = np.sort(np.concatenate((opt, gate)))[budget::budget].copy()
+    opt_bounds = [0, *np.searchsorted(opt, first).tolist(), len(opt)]
+    with np.errstate(over="ignore"):
+        dark_mean = float(gate_mu[tl.row[gate]].sum())
     if dark_mean > MAX_EVENTS:
         raise ValueError(
-            f"the dark-count mean {dark_mean:g} per shot over {n_gates} "
+            f"the dark-count mean {dark_mean:g} per shot over {len(gate)} "
             f"detection gates at a dark rate of {params.dark_rate:g} Hz exceeds "
             f"the {MAX_EVENTS} records one shot is rated to hold")
+    gate_start, gate_end = tl.start_us[gate], table.duration_us[tl.row[gate]]
+    gate_end += gate_start
     return _TimelinePlan(
         timeline=tl, keep_below=keep, gain_below=gain, emit_below=emit,
         mw_rad=np.radians(table.phase_deg), gate_mu=gate_mu,
-        gate_start=gate_start, gate_end=gate_end,
-        bounds=tuple(bounds), block_shots=block_shots)
+        opt=opt, gate=gate, mw=mw, gate_start=gate_start, gate_end=gate_end,
+        opt_bounds=opt_bounds,
+        gate_bounds=[0, *np.searchsorted(gate, first).tolist(), len(gate)],
+        # an MW pulse acts before the next optical pulse; after the last one,
+        # on nothing
+        mw_bounds=np.searchsorted(np.searchsorted(opt, mw), opt_bounds).tolist(),
+        block_shots=block_shots)
 
 
 def _timeline_segment(plan: _TimelinePlan, params: ReadoutParams, offsets,
-                      lifetime_us, mw_rabi_khz, rng, carry, e0, e1):
-    """(carry, per-shot totals, records columns) of events e0:e1 of a
-    block's shots.  ``carry`` is (each shot's state, 1 = bright, the MW
-    pulses since the last optical pulse, gates before e0)."""
+                      lifetime_us, mw_rabi_khz, rng, state, i):
+    """(each shot's state after the segment, per-shot totals, records
+    columns) of segment i of a block's shots, from each shot's ``state``
+    (1 = bright) before it."""
     tl, table = plan.timeline, plan.timeline.table
     n_block, n_gates = len(offsets), len(plan.gate_start)
-    state, pending, gates_seen = carry
-    kinds = table.kind[tl.row[e0:e1]]
-    opt = e0 + np.flatnonzero(kinds == OPTICAL)
-    gate = e0 + np.flatnonzero(kinds == DETECT)
-    mw = np.concatenate((pending, e0 + np.flatnonzero(kinds == MW)))
+    (o0, o1), (g0, g1), (m0, m1) = (bounds[i:i + 2] for bounds in (
+        plan.opt_bounds, plan.gate_bounds, plan.mw_bounds))
+    opt, gate, mw = plan.opt[o0:o1], plan.gate[g0:g1], plan.mw[m0:m1]
     opt_row, n_opt = tl.row[opt], len(opt)
 
     # MW pulses act on the spin before the next optical pulse; a run is
@@ -600,8 +597,6 @@ def _timeline_segment(plan: _TimelinePlan, params: ReadoutParams, offsets,
     # optical pulse is rotated from +z through the preceding run; from -z
     # it is the negative (rotations are linear)
     run_of = np.searchsorted(opt, mw)
-    live = run_of < n_opt
-    pending, mw, run_of = mw[~live], mw[live], run_of[live]
     z = np.ones((n_opt, n_block))
     if len(mw):
         runs, row_of = np.unique(run_of, return_inverse=True)
@@ -646,7 +641,7 @@ def _timeline_segment(plan: _TimelinePlan, params: ReadoutParams, offsets,
     k, shot = np.divmod(np.flatnonzero(emits), n_block)
     t = (tl.start_us[opt] + table.duration_us[opt_row])[k] \
         - lifetime_us * np.log1p(-rng.random(k.size))
-    first_gate = gates_seen + np.cumsum(kinds == DETECT)[opt - e0]
+    first_gate = g0 + np.searchsorted(gate, opt)
     seen_by = np.maximum(np.searchsorted(plan.gate_end, t), first_gate[k])
     covered = seen_by < n_gates
     covered[covered] = t[covered] >= plan.gate_start[seen_by[covered]]
@@ -658,12 +653,12 @@ def _timeline_segment(plan: _TimelinePlan, params: ReadoutParams, offsets,
     dark_shot, dark_gate = np.divmod(np.flatnonzero(n_dark), len(gate))
     reps = n_dark[dark_shot, dark_gate]
     dark_shot = np.repeat(dark_shot, reps)
-    dark_gate = gates_seen + np.repeat(dark_gate, reps)
+    dark_gate = g0 + np.repeat(dark_gate, reps)
     dark_t = plan.gate_start[dark_gate] + rng.random(dark_gate.size) * (
         plan.gate_end[dark_gate] - plan.gate_start[dark_gate])
     records = [(shot, seen_by, t, np.zeros(shot.size, dtype=np.int8)),
                (dark_shot, dark_gate, dark_t, np.ones(dark_shot.size, dtype=np.int8))]
-    return (chain[-1], pending, gates_seen + len(gate)), totals, records
+    return chain[-1], totals, records
 
 
 def _timeline_block(plan: _TimelinePlan, params: ReadoutParams, bath,
@@ -671,19 +666,18 @@ def _timeline_block(plan: _TimelinePlan, params: ReadoutParams, bath,
     """(per-shot totals, (), records columns) of one block, for
     :func:`_run_blocks`.
 
-    The block runs the plan's segments in order.  Each shot's spin state
-    after a segment's last optical pulse, and the MW pulses since that
-    pulse, carry into the next segment, and emissions are looked up in
-    every gate of the timeline.  A single segment draws exactly as a
-    whole-shot block would."""
+    The block runs the plan's segments in order.  Only each shot's spin
+    state after a segment carries into the next: MW pulses belong to the
+    segment of the optical pulse they precede, and emissions are looked
+    up in every gate of the timeline.  A single segment draws exactly as
+    a whole-shot block would."""
     offsets = (_sample_mixture(rng, bath, n_block) if bath is not None
                else np.zeros(n_block))
-    # every shot starts bright, with no MW pulse pending and no gate seen
-    carry = (np.ones(n_block, dtype=np.int8), np.zeros(0, dtype=np.intp), 0)
+    state = np.ones(n_block, dtype=np.int8)   # every shot starts bright
     totals, records = np.zeros(n_block, dtype=np.int64), []
-    for e0, e1 in zip(plan.bounds[:-1], plan.bounds[1:]):
-        carry, counts, columns = _timeline_segment(
-            plan, params, offsets, lifetime_us, mw_rabi_khz, rng, carry, e0, e1)
+    for i in range(len(plan.opt_bounds) - 1):
+        state, counts, columns = _timeline_segment(
+            plan, params, offsets, lifetime_us, mw_rabi_khz, rng, state, i)
         totals += counts
         records += columns
     # record columns (shot, gate, time, origin code) sorted by (shot, time)
@@ -713,11 +707,11 @@ def run_timeline(timeline, params: ReadoutParams, bath: BathParams | None = None
     TIMELINE_BLOCK_CELLS // (optical pulses + gates) shots (at least
     one) keyed by the seed, each vectorized over (event, shot).  A block
     walks the timeline in segments of at most TIMELINE_BLOCK_CELLS //
-    (block shots) cells, each cut just after its last cell; a shot that
-    fits the budget is one segment.  Each shot's spin state and the MW
-    pulses pending since its last optical pulse carry into the next
-    segment, and emissions are looked up in every gate of the timeline,
-    so the cut changes only which draws a longer shot takes.
+    (block shots) cells, slices of one plan of the timeline; a shot that
+    fits the budget is one segment.  An MW pulse runs in the segment of
+    the optical pulse it precedes, each shot's spin state carries into
+    the next segment, and emissions are looked up in every gate of the
+    timeline, so the cut changes only which draws a longer shot takes.
     """
     plan = _plan_timeline(timeline, params, spectral_diffusion_fwhm_mhz)
     n_gates = len(plan.gate_start)

@@ -49,10 +49,11 @@ __all__ = [
 # Rated peak bytes per event of compile_sequence plus one single-shot block
 # of run_timeline.  The timeline keeps 12 (start time and statement row),
 # compiling adds 8 while it sums the starts, and run_timeline adds 16 per
-# gate and one segment of at most TIMELINE_BLOCK_CELLS cells, about 5.7 MB
-# with MW pulses.  Measured peaks: 26 per event at 200000 MW+optical
-# repeats, 32 at 200000 gates, 153 at 20000 MW+optical repeats, where the
-# segment dominates.  MAX_EVENTS holds a program near 512 MiB; each further
+# gate, 4 per optical pulse, gate and MW pulse, and one segment of at most
+# TIMELINE_BLOCK_CELLS cells, about 4.3 MB with MW pulses.  Measured peaks
+# (numpy 2.4, x86-64): 27 per event at 200000 MW+optical repeats, 36 at
+# 200000 gates, 143 at 20000 MW+optical repeats, where the segment
+# dominates.  MAX_EVENTS holds a program near 512 MiB; each further
 # executor thread adds a block.
 BYTES_PER_EVENT = 240
 MAX_EVENTS = (512 << 20) // BYTES_PER_EVENT

@@ -283,6 +283,40 @@ def spin_chain_per_pulse(codes, state):
     return chain
 
 
+def timeline_segments_per_event(timeline, block_cells):
+    """The executor's segments by a walk over the events, one at a time.
+
+    A cell is an optical pulse or a gate.  A block runs block_cells //
+    (cells per shot) shots, at least one, and a segment holds budget =
+    block_cells // (block shots) cells of the shot: a new segment opens at
+    each cell that follows a multiple of budget cells.  A program without
+    cells is one empty segment.  Returns ([(optical events, gate events)
+    of each segment], {MW event: event of the optical pulse it precedes,
+    or None after the last one})."""
+    kinds = [KINDS[k] for k in timeline.table.kind.tolist()]
+    rows = timeline.row.tolist()
+    cells = sum(kinds[row] in ("optical", "detect") for row in rows)
+    budget = block_cells // max(1, block_cells // max(cells, 1))
+    segments, precedes, pending, seen = [([], [])], {}, [], 0
+    for event, row in enumerate(rows):
+        if kinds[row] == "mw":
+            pending.append(event)
+            continue
+        if kinds[row] not in ("optical", "detect"):
+            continue
+        if seen and seen % budget == 0:
+            segments.append(([], []))
+        seen += 1
+        if kinds[row] == "optical":
+            segments[-1][0].append(event)
+            precedes.update((mw, event) for mw in pending)
+            pending = []
+        else:
+            segments[-1][1].append(event)
+    precedes.update((mw, None) for mw in pending)
+    return segments, precedes
+
+
 def chain_full_axis(a, b, d, starts, n_pulses):
     """The count DP before it was trimmed to its live support, kept
     verbatim: every pulse steps all n_pulses + 1 counts."""

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spinshot import cli, estimators
+from spinshot import cli, estimators, montecarlo
 from spinshot.config import load_config
 from spinshot.estimators import FitError
 
@@ -653,14 +653,21 @@ class TestInputsFailFast:
                     [["protocols", "--shots", "500"],
                      ["simulate", str(seq), "--shots", "20"]])
         for argv in commands:
+            out = tmp_path / argv[0]
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 code, cap = run_cli_within(10.0, argv + [
                     "--config", config, "--format", "csv",
-                    "--out-dir", str(tmp_path / "o")], capsys)
+                    "--out-dir", str(out)], capsys)
             assert code in (0, 1, 2, 3), (argv[0], code)
             assert "Traceback" not in cap.err and "Warning" not in cap.err
-            if code == 2 or value in ("nan", "inf", "-inf"):
+            if section == "readout" and argv[0] == "simulate":
+                # simulate takes its gates from the sequence: the key is unread
+                assert code == 0, cap.err
+                assert run_cli(argv + ["--format", "csv", "--out-dir",
+                                       str(tmp_path / "paper")])[0] == 0
+                assert tree_bytes(out) == tree_bytes(tmp_path / "paper")
+            elif code == 2 or value in ("nan", "inf", "-inf"):
                 assert code == 2 and f"[{section}] {key}" in cap.err, \
                     (argv[0], cap.err)
 
@@ -789,12 +796,39 @@ class TestInputsFailFast:
         assert not (out / "g2.csv").exists()
 
     def test_huge_pulse_count_prints_short(self, tmp_path, seq_file, capsys):
+        # simulate does not read the key; calibrate names it, briefly
         config = paper_with(tmp_path, "n_pulses", "1e300")
-        code, cap = run_cli(["simulate", seq_file, "--shots", "20", "--config",
-                             config, "--out-dir", str(tmp_path / "o")], capsys)
+        argv = ["simulate", seq_file, "--shots", "20"]
+        code, cap = run_cli(argv + ["--config", config,
+                                    "--out-dir", str(tmp_path / "o")], capsys)
+        assert code == 0, cap.err
+        assert run_cli(argv + ["--out-dir", str(tmp_path / "paper")])[0] == 0
+        assert tree_bytes(tmp_path / "o") == tree_bytes(tmp_path / "paper")
+        code, cap = run_cli(["calibrate", "--config", config,
+                             "--out-dir", str(tmp_path / "c")], capsys)
         assert code == 2
-        assert "over 1e+300 gates of 3 us" in cap.err
+        assert "[readout] n_pulses must be finite and in [1, 4000], got 1e+300" \
+            in cap.err
         assert not re.search(r"\d{16}", cap.err), cap.err
+
+    def test_simulate_ignores_dp_dark_count_capacity(self, tmp_path, capsys):
+        # 10000 pulses at 1e9 Hz would be a dark-count mean of 3e7 over the
+        # exact model's gates, past its capacity; simulate runs no DP, and
+        # its one gate holds 3000 dark counts a shot as it does at paper.cfg's
+        # pulse count
+        seq = tmp_path / "one.seq"
+        seq.write_text("pulse optical A 0.02us 1pi\ndetect 3us\n")
+        dark = paper_with(tmp_path, "dark_rate_hz", "1e9")
+        config = tmp_path / "dark_and_pulses.cfg"
+        config.write_text(re.sub(r"^n_pulses\s*=.*$", "n_pulses = 10000",
+                                 open(dark).read(), flags=re.M))
+        argv = ["simulate", str(seq), "--shots", "20"]
+        code, cap = run_cli_within(2.0, argv + [
+            "--config", str(config), "--out-dir", str(tmp_path / "o")], capsys)
+        assert code == 0, cap.err
+        assert run_cli(argv + ["--config", dark,
+                               "--out-dir", str(tmp_path / "at-71")])[0] == 0
+        assert tree_bytes(tmp_path / "o") == tree_bytes(tmp_path / "at-71")
 
     def test_components_beyond_points(self, tmp_path, capsys):
         # k components have 3k + 1 parameters and need 3k + 2 points; the
@@ -822,6 +856,45 @@ class TestInputsFailFast:
         assert code == 3
         assert "numerical failure: rabi: no start converged" in cap.err
         assert "unidentifiable" in cap.err
+
+
+# simulate's fuzz program: MW pulses, labelled and detuned optical pulses,
+# gates and waits, and a repeat; each of its numbers is replaced in turn
+FUZZ_SEQ = ("pulse mw 0MHz 2.3us 0deg\n"
+            "pulse optical D 0.02us 1pi\n"
+            "repeat 3 {\n"
+            " pulse optical A 0.02us 1pi\n"
+            " detect 3us\n"
+            " wait 6.98us\n"
+            " pulse mw 1.5MHz 0.6us 90deg\n"
+            " pulse optical -120MHz 0.1us 0.5pi\n"
+            "}\n"
+            "pulse optical C 1us 0.7pi\n"
+            "detect 2us\n")
+FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e300", "-1e300", "1e308",
+               "1e-300", "1e-320", "1" + "0" * 29, "1e", "1.2.3", "+5", "-0"]
+
+
+class TestSimulateFuzz:
+    @pytest.mark.parametrize("cells", [montecarlo.TIMELINE_BLOCK_CELLS, 3],
+                             ids=["default-budget", "3-cells"])
+    @pytest.mark.parametrize("value", FUZZ_VALUES)
+    def test_each_number_replaced(self, value, cells, tmp_path, monkeypatch,
+                                  capsys):
+        monkeypatch.setattr(montecarlo, "TIMELINE_BLOCK_CELLS", cells)
+        seq = tmp_path / "fuzz.seq"
+        numbers = list(re.finditer(r"-?\d+(?:\.\d+)?", FUZZ_SEQ))
+        assert len(numbers) == 19
+        for number in numbers:
+            seq.write_text(FUZZ_SEQ[:number.start()] + value + FUZZ_SEQ[number.end():])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, cap = run_cli_within(5.0, [
+                    "simulate", str(seq), "--shots", "4", "--seed", "1",
+                    "--out-dir", str(tmp_path / "o")], capsys)
+            case = (number.group(), number.start(), code, cap.err)
+            assert code in (0, 1, 2, 3), case
+            assert "Traceback" not in cap.err and "Warning" not in cap.err, case
 
 
 class TestHelp:

@@ -6,12 +6,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (enumerate_count_distribution, readout_block_three_draw,
                      rotate_rows, run_timeline_per_shot, spin_chain_per_pulse,
-                     trace_closed_form)
+                     timeline_segments_per_event, trace_closed_form)
 from test_readout import within_seconds
 from spinshot import montecarlo
 from spinshot import readout as readout_module
@@ -924,6 +924,48 @@ class TestSpinChain:
         state = rng.integers(0, 2, shots).astype(np.int8)
         chain = montecarlo._spin_chain(codes, state)
         assert np.array_equal(chain, spin_chain_per_pulse(codes, state))
+
+
+# statements of the plan's random programs, zero lengths among them
+PLAN_STATEMENTS = [f"pulse mw 0MHz {d}us 0deg" for d in (0, 1)] + [
+    f"pulse optical A {d}us 1pi" for d in (0, 0.02)] + [
+    f"detect {d}us" for d in (0, 3)] + ["wait 0us", "wait 1us"]
+
+
+class TestPlanSegments:
+    """The plan's segments, slices of its event positions, against a walk
+    over the events one at a time."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(PLAN_STATEMENTS), max_size=40),
+           st.sampled_from([1, 2, 3, 5, 48, TIMELINE_BLOCK_CELLS]))
+    @example([], 1)
+    @example(["pulse mw 0MHz 1us 0deg", "detect 3us", "wait 1us"] * 3, 2)   # no optical
+    @example(["pulse mw 0MHz 1us 0deg", "pulse optical A 0.02us 1pi"] * 4, 3)   # no gate
+    # an MW run that crosses two cuts, then MW pulses after the last optical pulse
+    @example(["pulse optical A 0.02us 1pi", "pulse mw 0MHz 1us 0deg", "detect 3us",
+              "pulse mw 0MHz 0us 0deg", "detect 0us", "pulse mw 0MHz 1us 0deg",
+              "pulse optical A 0us 1pi", "pulse mw 0MHz 1us 0deg"], 1)
+    def test_matches_per_event_walk(self, statements, cells):
+        tl = compile_sequence(parse_sequence("\n".join(statements)))
+        segments, precedes = timeline_segments_per_event(tl, cells)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "TIMELINE_BLOCK_CELLS", cells)
+            plan = montecarlo._plan_timeline(tl, make_params(), 13.5)
+        n_cells = sum(len(opt) + len(gate) for opt, gate in segments)
+        budget = cells // plan.block_shots
+        # the parent's cut rule, just after every budget-th cell but the last
+        assert len(plan.opt_bounds) - 1 == max(1, -(-n_cells // budget))
+        assert len(plan.gate_bounds) == len(plan.opt_bounds) == len(segments) + 1
+        bounds = (plan.opt_bounds, plan.gate_bounds, plan.mw_bounds)
+        for i, (opt, gate) in enumerate(segments):
+            # a segment's MW pulses are those before its optical pulses, so
+            # one after the last optical pulse is in none
+            mw = sorted(mw for mw, then in precedes.items() if then in opt)
+            for events, at, want in zip((plan.opt, plan.gate, plan.mw), bounds,
+                                        (opt, gate, mw)):
+                assert events[at[i]:at[i + 1]].tolist() == want, i
+        assert plan.opt.dtype == plan.gate.dtype == plan.mw.dtype == np.int32
 
 
 class TestTimelineExecutor:

@@ -23,7 +23,9 @@ CAPACITY_BODIES = ("pulse mw 0MHz 1us 0deg\n pulse optical A 0.02us 1pi",
                    "detect 3us")
 # run_timeline's own tracemalloc peak for one shot, less 16 bytes per gate
 # for the gate times: measured 5.66 MB at 200000 repeats of the MW+optical
-# body (numpy 2.4, x86-64), plus 25%
+# body (numpy 2.4, x86-64), plus 25%.  Since the plan keeps 4-byte
+# positions of the optical and MW pulses it reads 5.93 MB after the other
+# cases, and 6.70 MB run alone, where numpy.random's first import counts
 RUN_PEAK_BYTES = 7_080_000
 
 READOUT_TEXT = ("repeat 500 { pulse optical A 0.02us 0.5pi\n"
