@@ -242,10 +242,11 @@ def _cmd_readout_optimize(args, cfg, out: OutputDir) -> str:
 
 
 def _cmd_simulate(args, cfg, out: OutputDir) -> str:
-    from .config import (bath_params, cavity_config, emitter_config,
+    from .config import (ConfigError, bath_params, cavity_config, emitter_config,
                          microwave_settings, readout_params)
     from .montecarlo import run_timeline
     from .physics import effective_lifetime
+    from .readout import CapacityError
     from .sequence import compile_sequence, duration_report, parse_sequence
 
     with open(args.sequence, "r", encoding="utf-8") as fh:
@@ -253,15 +254,18 @@ def _cmd_simulate(args, cfg, out: OutputDir) -> str:
     program = parse_sequence(text, filename=args.sequence)
     em, cav = emitter_config(cfg), cavity_config(cfg)
     timeline = compile_sequence(program)
-    # the gates come from the sequence and no DP runs: [readout] n_pulses is unread
-    params = readout_params(cfg, n_pulses=1)
+    # the gates come from the sequence and no DP runs: n_pulses, gate_window_us unread
+    params = readout_params(cfg, n_pulses=1, gate_window=0.0)
     bath = bath_params(cfg)
     mw = microwave_settings(cfg)
-    run = run_timeline(
-        timeline, params, bath, shots=args.shots, seed=args.seed,
-        emission_lifetime_us=effective_lifetime(em, cav, 0.0),
-        mw_rabi_khz=mw["mw_rabi_khz"],
-        spectral_diffusion_fwhm_mhz=em.spectral_diffusion_fwhm_mhz)
+    try:
+        run = run_timeline(
+            timeline, params, bath, shots=args.shots, seed=args.seed,
+            emission_lifetime_us=effective_lifetime(em, cav, 0.0),
+            mw_rabi_khz=mw["mw_rabi_khz"],
+            spectral_diffusion_fwhm_mhz=em.spectral_diffusion_fwhm_mhz)
+    except CapacityError as exc:
+        raise ConfigError(f"{cfg.origin}: [detection] dark_rate_hz: {exc}") from exc
     run.histogram.to_csv(out.record("counts.csv"))
     run.records.to_file(out.record("events.txt"))
     durations = duration_report(program)

@@ -249,10 +249,12 @@ def zeeman_config(cfg: Config) -> ZeemanConfig:
     )
 
 
-def readout_params(cfg: Config, n_pulses: int | None = None) -> ReadoutParams:
+def readout_params(cfg: Config, n_pulses: int | None = None,
+                   gate_window: float | None = None) -> ReadoutParams:
     """Readout chain parameters from [readout] plus detector noise from
     [detection].  ``n_pulses`` overrides [readout] n_pulses, which must lie
-    in 1..CAPACITY_PULSES, the exact DP's capacity.
+    in 1..CAPACITY_PULSES, the exact DP's capacity, and ``gate_window``
+    overrides [detection] gate_window_us.
 
     Flip probabilities come either from both explicit flip_bright/flip_dark
     keys or from (relaxation_constant, flip_asymmetry) by
@@ -283,7 +285,8 @@ def readout_params(cfg: Config, n_pulses: int | None = None) -> ReadoutParams:
         flip_bright=flip_bright,
         flip_dark=flip_dark,
         dark_rate=cfg.bounded("detection", "dark_rate_hz", 0.0, default=0.0),
-        gate_window=cfg.bounded("detection", "gate_window_us", 0.0, default=3.0),
+        gate_window=(cfg.bounded("detection", "gate_window_us", 0.0, default=3.0)
+                     if gate_window is None else gate_window),
         pulse_period=cfg.bounded(section, "pulse_period_us", 0.0, default=10.0,
                                  open_low=True),
     )

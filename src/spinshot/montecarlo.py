@@ -36,8 +36,8 @@ import numpy as np
 
 from .estimators import PhotonRecords, gaussian_fwhm_to_sigma, write_csv
 from .physics import lorentzian_suppression
-from .readout import (CountDistribution, ReadoutParams, _distributions, _scan,
-                      cyclicity, readout_fidelity)
+from .readout import (CapacityError, CountDistribution, ReadoutParams, _distributions,
+                      _scan, cyclicity, readout_fidelity)
 from .sequence import _TRANSITION_LABELS, DETECT, MAX_EVENTS, MW, OPTICAL, Timeline
 
 _LABEL = {name: code for code, name in enumerate(_TRANSITION_LABELS)}
@@ -562,7 +562,7 @@ def _plan_timeline(tl, params: ReadoutParams, fwhm_mhz: float) -> _TimelinePlan:
     with np.errstate(over="ignore"):
         dark_mean = float(gate_mu[tl.row[gate]].sum())
     if dark_mean > MAX_EVENTS:
-        raise ValueError(
+        raise CapacityError(
             f"the dark-count mean {dark_mean:g} per shot over {len(gate)} "
             f"detection gates at a dark rate of {params.dark_rate:g} Hz exceeds "
             f"the {MAX_EVENTS} records one shot is rated to hold")

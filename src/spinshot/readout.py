@@ -72,8 +72,8 @@ _FIRST_CAP = 256        # counts optimize_readout's DP first keeps (doubled on n
 
 
 class CapacityError(ValueError):
-    """Pulse count or dark-count mean exceeds what the exact model is
-    rated for."""
+    """Pulse count or dark-count mean exceeds what the exact model (or
+    the timeline executor) is rated for."""
 
 
 class CalibrationError(NumericalError):
@@ -664,39 +664,47 @@ def calibrate_flip_asymmetry(params: ReadoutParams, relaxation_constant: float,
     F_bright - target on the falling branch.  The rising-branch solution
     thus wins: it has the smaller s, i.e. the smaller bright-state flip
     probability a.  Both roots are refined together by ITP, one batched
-    DP pass per step, to a bracket of 2e-12 in s; the result must reach
-    the target within CALIBRATION_TOL.
+    DP pass per step, to a bracket of 2e-12 in s.  The search reads F_dark
+    and 1 - F_bright as P(count < threshold), so its passes keep only the
+    counts below max(threshold, dark pmf length), exact as
+    :func:`optimize_readout` says.  One full-support pass at s = 0, s = 1
+    and each bracket's ends gives the reported fidelities; the result
+    must reach the target within CALIBRATION_TOL.
     """
     if not (math.isfinite(relaxation_constant) and relaxation_constant > 1.0):
         raise ValueError("relaxation_constant must be finite and exceed 1 pulse, "
                          f"got {relaxation_constant}")
     if not (0.0 < target_f < 1.0):
         raise ValueError("target_f must be in (0, 1)")
-    arms = {}                       # s -> (F_bright, F_dark)
+    n, noise = params.n_pulses, _poisson_pmf(params.dark_count_mean)
+    _check_capacity(n)
+    cap = min(n + 1, max(threshold, len(noise)))
 
-    def evaluate(s):                # one batched DP for all s
-        reports = [readout_fidelity(dist_b, dist_d, threshold)
-                   for dist_b, dist_d in _distributions(
-                       params, *flip_probabilities(relaxation_constant, s))]
-        values = [(report.f_bright, report.f_dark) for report in reports]
-        arms.update(zip(s.tolist(), values))
-        return np.array(values)
-
-    def f_min(s):
-        return min(arms[s])
+    def evaluate(s):                # one batched, capped DP for all s
+        for bright, dark in _chain(*flip_probabilities(relaxation_constant, s),
+                                   params.detection_probability, _STATES, n, cap):
+            pass
+        signal = np.zeros((bright.shape[0], cap))
+        signal[:, :bright.shape[1]] = bright + dark
+        below = np.array([np.convolve(pmf, noise)[:threshold].sum() for pmf in signal])
+        return np.column_stack((1.0 - below[0::2], below[1::2]))
 
     grid = np.linspace(0.0, 1.0, 9)
     values = evaluate(grid)
-    f_left, f_right = f_min(0.0), f_min(1.0)
+    rising = target_f >= values[0].min()
     # each root is of a non-decreasing c_bright*F_bright + c_dark*F_dark + c
     roots = [(-1.0, 1.0, 0.0)]                  # peak: F_dark - F_bright
-    if target_f >= f_left:                      # rising branch
+    if rising:
         roots.append((0.0, 1.0, -target_f))
-    elif target_f >= f_right:                   # falling branch
+    elif target_f >= values[-1].min():          # falling branch
         roots.append((-1.0, 0.0, target_f))
     lo, hi = _increasing_roots(evaluate, grid, values, np.array(roots), 1e-12)
-    s_peak = float(max(lo[0], hi[0], key=f_min))
-    f_max = f_min(s_peak)
+    ends = np.concatenate(([0.0, 1.0], lo, hi))     # one full-support pass
+    f_mins = {x: readout_fidelity(*pair, threshold).f_min for x, pair in zip(
+        ends.tolist(), _distributions(params, *flip_probabilities(relaxation_constant, ends)))}
+    f_left, f_right = f_mins[0.0], f_mins[1.0]
+    s_peak = float(max(lo[0], hi[0], key=f_mins.get))
+    f_max = f_mins[s_peak]
     attainable = (min(f_left, f_right), f_max)
     if target_f > f_max + CALIBRATION_TOL:
         raise CalibrationError(
@@ -710,9 +718,9 @@ def calibrate_flip_asymmetry(params: ReadoutParams, relaxation_constant: float,
             f"({f_left:.6g}, {f_right:.6g})",
             attainable=attainable)
 
-    s = float(min(lo[1], hi[1], key=lambda x: abs(f_min(x) - target_f)))
-    s = min(s, s_peak) if target_f >= f_left else max(s, s_peak)
-    f_s = f_min(s)
+    s = float(min(lo[1], hi[1], key=lambda x: abs(f_mins[x] - target_f)))
+    s = min(s, s_peak) if rising else max(s, s_peak)
+    f_s = f_mins[s]
     if abs(f_s - target_f) > CALIBRATION_TOL:
         raise CalibrationError(
             f"root search stalled at fidelity {f_s:.6g} for target {target_f:.6g}",

@@ -14,6 +14,9 @@ from functools import lru_cache
 import numpy as np
 
 from spinshot.estimators import _decay_tau_guess, _fft_frequency_guess, _span
+from spinshot.readout import (CALIBRATION_TOL, CalibrationError, FlipCalibration,
+                              _distributions, _increasing_roots, flip_probabilities,
+                              readout_fidelity)
 from spinshot.sequence import (DEFAULT_OVERHEAD_US, DETECT, KINDS, Detect,
                                MwPulse, OpticalPulse, ParseError, Repeat, Wait)
 
@@ -376,6 +379,83 @@ def optimize_readout_full_scan(params, n_range, poisson_pmf):
 
     columns = tuple(map(np.array, zip(*rows)))
     return (int(best[0]), int(best[1]), float(best[4])), columns
+
+
+# readout.calibrate_flip_asymmetry before its search passes were capped,
+# kept verbatim: the grid and every ITP step run full-support DP passes
+# and read both arms as readout_fidelity does
+def calibrate_flip_asymmetry_full_passes(params, relaxation_constant: float,
+                                         target_f: float, threshold: int):
+    """Invert the DP model for the flip asymmetry at fixed relaxation.
+
+    The DP runs at ``params``' pulse count, detection probability and
+    dark-count mean; its flip_bright and flip_dark are ignored, since
+    the search sets them.  With a = s/R and b = (1-s)/R
+    (:func:`flip_probabilities`, R = relaxation_constant, so a + b is
+    pinned to 1/R), the bright arm F_bright falls with s and the dark
+    arm F_dark rises, so their minimum peaks where F_dark - F_bright
+    changes sign (or at an endpoint when it does not).  One batched DP
+    pass over nine s-points, 0 and 1 included, brackets that peak and
+    the target: a root of F_dark - target on the rising branch
+    (s <= peak), or, only if the target is below the s = 0 fidelity, of
+    F_bright - target on the falling branch.  The rising-branch solution
+    thus wins: it has the smaller s, i.e. the smaller bright-state flip
+    probability a.  Both roots are refined together by ITP, one batched
+    DP pass per step, to a bracket of 2e-12 in s; the result must reach
+    the target within CALIBRATION_TOL.
+    """
+    if not (math.isfinite(relaxation_constant) and relaxation_constant > 1.0):
+        raise ValueError("relaxation_constant must be finite and exceed 1 pulse, "
+                         f"got {relaxation_constant}")
+    if not (0.0 < target_f < 1.0):
+        raise ValueError("target_f must be in (0, 1)")
+    arms = {}                       # s -> (F_bright, F_dark)
+
+    def evaluate(s):                # one batched DP for all s
+        reports = [readout_fidelity(dist_b, dist_d, threshold)
+                   for dist_b, dist_d in _distributions(
+                       params, *flip_probabilities(relaxation_constant, s))]
+        values = [(report.f_bright, report.f_dark) for report in reports]
+        arms.update(zip(s.tolist(), values))
+        return np.array(values)
+
+    def f_min(s):
+        return min(arms[s])
+
+    grid = np.linspace(0.0, 1.0, 9)
+    values = evaluate(grid)
+    f_left, f_right = f_min(0.0), f_min(1.0)
+    # each root is of a non-decreasing c_bright*F_bright + c_dark*F_dark + c
+    roots = [(-1.0, 1.0, 0.0)]                  # peak: F_dark - F_bright
+    if target_f >= f_left:                      # rising branch
+        roots.append((0.0, 1.0, -target_f))
+    elif target_f >= f_right:                   # falling branch
+        roots.append((-1.0, 0.0, target_f))
+    lo, hi = _increasing_roots(evaluate, grid, values, np.array(roots), 1e-12)
+    s_peak = float(max(lo[0], hi[0], key=f_min))
+    f_max = f_min(s_peak)
+    attainable = (min(f_left, f_right), f_max)
+    if target_f > f_max + CALIBRATION_TOL:
+        raise CalibrationError(
+            f"target fidelity {target_f:.6g} unreachable; attainable range "
+            f"[{attainable[0]:.6g}, {f_max:.6g}] at "
+            f"relaxation_constant={relaxation_constant:g}",
+            attainable=attainable)
+    if len(roots) == 1:
+        raise CalibrationError(
+            f"target fidelity {target_f:.6g} below both endpoints "
+            f"({f_left:.6g}, {f_right:.6g})",
+            attainable=attainable)
+
+    s = float(min(lo[1], hi[1], key=lambda x: abs(f_min(x) - target_f)))
+    s = min(s, s_peak) if target_f >= f_left else max(s, s_peak)
+    f_s = f_min(s)
+    if abs(f_s - target_f) > CALIBRATION_TOL:
+        raise CalibrationError(
+            f"root search stalled at fidelity {f_s:.6g} for target {target_f:.6g}",
+            attainable=attainable)
+    return FlipCalibration(*flip_probabilities(relaxation_constant, s),
+                           asymmetry=s, achieved_f=f_s, f_max=f_max)
 
 
 def write_csv_per_cell(path, header, *columns):

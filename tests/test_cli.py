@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spinshot import cli, estimators, montecarlo
+from spinshot import cli, estimators, montecarlo, sequence
 from spinshot.config import load_config
 from spinshot.estimators import FitError
 
@@ -829,6 +829,29 @@ class TestInputsFailFast:
         assert run_cli(argv + ["--config", dark,
                                "--out-dir", str(tmp_path / "at-71")])[0] == 0
         assert tree_bytes(tmp_path / "o") == tree_bytes(tmp_path / "at-71")
+
+    @pytest.mark.parametrize("rate,code", [("1e12", 0), ("1e14", 2)])
+    def test_simulate_checks_dark_counts_of_its_own_gates(self, rate, code,
+                                                          tmp_path, capsys):
+        # 1e12 Hz over paper.cfg's 3 us gate_window_us, a window simulate
+        # never reads, would be a dark-count mean of 3e6, past the exact
+        # model's capacity; the sequence's one 0.1 us gate holds 1e5 dark
+        # counts a shot, within the executor's own check, and 1e7 at 1e14 Hz
+        seq = tmp_path / "short-gate.seq"
+        seq.write_text("pulse optical A 0.02us 1pi\ndetect 0.1us\n")
+        config = paper_with(tmp_path, "dark_rate_hz", rate)
+        got, cap = run_cli_within(10.0, [
+            "simulate", str(seq), "--shots", "2", "--config", config,
+            "--out-dir", str(tmp_path / "o")], capsys)
+        assert got == code, cap.err
+        if code == 0:
+            mean = re.search(r"mean detected photons per shot: (\S+)", cap.out)
+            assert float(mean.group(1)) == pytest.approx(1e5, rel=0.01)
+        else:
+            assert cap.err == (
+                f"error: {config}: [detection] dark_rate_hz: the dark-count mean "
+                "1e+07 per shot over 1 detection gates at a dark rate of 1e+14 Hz "
+                f"exceeds the {sequence.MAX_EVENTS} records one shot is rated to hold\n")
 
     def test_components_beyond_points(self, tmp_path, capsys):
         # k components have 3k + 1 parameters and need 3k + 2 points; the

@@ -5,12 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (chain_full_axis, convolve_poisson,
-                     decay_pulses_from_relaxation, enumerate_count_distribution,
-                     optimize_readout_full_scan, trace_closed_form)
+from oracles import (calibrate_flip_asymmetry_full_passes, chain_full_axis,
+                     convolve_poisson, decay_pulses_from_relaxation,
+                     enumerate_count_distribution, optimize_readout_full_scan,
+                     trace_closed_form)
 from spinshot.config import load_config, readout_params
 from spinshot.readout import (CAPACITY_DARK_MEAN, CAPACITY_PULSES,
                               CalibrationError, CapacityError,
@@ -663,16 +664,14 @@ class TestCalibration:
 
     @pytest.mark.parametrize("n", [71, 500])
     def test_dp_pass_count(self, n, monkeypatch):
-        passes = []
-        chain = readout_module._chain
-
-        def counting(*args):
-            passes.append(args)
-            return chain(*args)
-
-        monkeypatch.setattr(readout_module, "_chain", counting)
+        passes = chain_passes(monkeypatch)
         paper_calibration(n)
         assert 0 < len(passes) <= 20
+        # the search passes keep only the counts below the threshold and
+        # the dark pmf's length; one full-support pass gives the answer
+        caps = [args[5] if len(args) > 5 else None for args in passes]
+        assert caps.count(None) == 1
+        assert all(cap < n + 1 for cap in caps if cap is not None)
 
     @staticmethod
     @functools.lru_cache(maxsize=None)
@@ -734,6 +733,99 @@ class TestCalibration:
         cal = calibrate_flip_asymmetry(make_params(n=100, p=0.9, eta=0.2),
                                        200.0, 0.9, 1)
         assert cal.a + cal.b == pytest.approx(1.0 / 200.0, rel=1e-12)
+
+
+class _SearchEvaluate(Exception):
+    """Carries calibrate_flip_asymmetry's search evaluate out of the call."""
+
+
+def search_evaluate(params, relaxation, threshold):
+    """The function that calibrate_flip_asymmetry's root search evaluates:
+    s points -> (F_bright, F_dark) per point, from capped DP passes."""
+    def capture(evaluate, *args):
+        raise _SearchEvaluate(evaluate)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(readout_module, "_increasing_roots", capture)
+        with pytest.raises(_SearchEvaluate) as exc:
+            calibrate_flip_asymmetry(params, relaxation, 0.5, threshold)
+    return exc.value.args[0]
+
+
+def calibration_or_error(calibrate, *args):
+    try:
+        return calibrate(*args)
+    except CalibrationError as exc:
+        return exc
+
+
+def calibration_targets(params, threshold):
+    """Targets on the rising branch, on the falling branch where there is
+    one, and past both error edges, and the full-support fidelity at
+    s = 0.  The edges come from the oracle's attainable range and the
+    full-support fidelities at s = 0 and s = 1."""
+    top = calibration_or_error(calibrate_flip_asymmetry_full_passes,
+                               params, 131.0, 1.0 - 1e-9, threshold)
+    f_max = top.attainable[1]
+    f_left, f_right = (readout_fidelity(*pair, threshold).f_min for pair in
+                       _distributions(params, [0.0, 1.0 / 131.0], [1.0 / 131.0, 0.0]))
+    targets = [f_max + 2e-4, min(f_left, f_right) - 1e-3]
+    if f_left < f_max:
+        targets.append(0.5 * (f_left + f_max))
+    if f_right < f_left:
+        targets.append(0.5 * (f_right + f_left))
+    return [target for target in targets if 0.0 < target < 1.0], f_left
+
+
+class TestCalibrationSearchPasses:
+    """The root search runs on capped DP passes and one full-support pass
+    gives the reported values: against the search on full passes, a
+    rising-branch answer keeps every bit, and f_max and a falling-branch
+    root move at most within the search's own bracket."""
+
+    @pytest.mark.parametrize("dark_rate", [0.0, 10.0, 1000.0])
+    @pytest.mark.parametrize("threshold", [1, 2, 3])
+    @pytest.mark.parametrize("n", [20, 71, 500])
+    def test_matches_full_pass_search(self, n, threshold, dark_rate):
+        params = make_params(n=n, dark_rate=dark_rate)
+        targets, f_left = calibration_targets(params, threshold)
+        for target in targets:
+            want = calibration_or_error(calibrate_flip_asymmetry_full_passes,
+                                        params, 131.0, target, threshold)
+            got = calibration_or_error(calibrate_flip_asymmetry, params, 131.0,
+                                       target, threshold)
+            assert type(got) is type(want), (target, got, want)
+            if isinstance(want, CalibrationError):
+                assert str(got).split(" ")[:4] == str(want).split(" ")[:4]
+                assert got.attainable[0] == want.attainable[0]
+                assert got.attainable[1] == pytest.approx(want.attainable[1], abs=1e-12)
+                continue
+            assert got.f_max == pytest.approx(want.f_max, abs=1e-12)
+            if target >= f_left:
+                # rising branch: the search reads only F_dark
+                assert (got.a, got.b, got.asymmetry, got.achieved_f) == \
+                    (want.a, want.b, want.asymmetry, want.achieved_f), target
+            else:
+                assert got.asymmetry == pytest.approx(want.asymmetry, abs=2e-12)
+                assert got.achieved_f == pytest.approx(want.achieved_f, abs=1e-12)
+
+    @given(n=st.integers(min_value=1, max_value=120),
+           threshold=st.integers(min_value=1, max_value=6),
+           dark_rate=st.sampled_from([0.0, 10.0, 1e4, 2e5, 1e6]),
+           s=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1,
+                      max_size=4))
+    # a dark pmf longer than the threshold, and one longer than N + 1
+    @example(n=120, threshold=2, dark_rate=1e4, s=[0.3, 0.9])
+    @example(n=3, threshold=1, dark_rate=1e6, s=[0.0, 1.0])
+    @settings(max_examples=60, deadline=None)
+    def test_capped_arms_match_full_support(self, n, threshold, dark_rate, s):
+        params = make_params(n=n, dark_rate=dark_rate)
+        s = np.array(s)
+        arms = search_evaluate(params, 131.0, threshold)(s)
+        for (f_bright, f_dark), (dist_b, dist_d) in zip(
+                arms, _distributions(params, s / 131.0, (1.0 - s) / 131.0)):
+            assert f_dark == dist_d.prob_below(threshold)
+            assert f_bright == 1.0 - dist_b.prob_below(threshold)
 
 
 class TestDarkPenalty:
