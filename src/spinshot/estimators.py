@@ -358,6 +358,10 @@ def _identifiable(names, p, x) -> bool:
     return True
 
 
+# float errors stay silent: data near the float range overflows the start
+# guesses, the cost and the covariance, and so do trial steps; the checks
+# on each start's cost, parameters and curvature decide what converged
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def fit_model(kind, x, y, sigma=None, initial=None,
               n_components=None) -> FitResult:
     """Least-squares fit of a named model to an (x, y[, sigma]) series.
@@ -384,10 +388,9 @@ def fit_model(kind, x, y, sigma=None, initial=None,
     spec = _resolve_spec(kind, n_components)
     weights = None
     if sigma is not None:
-        sigma = np.asarray(sigma, dtype=float)
-        if np.any(sigma <= 0):
-            raise ValueError("sigma entries must be > 0")
-        weights = 1.0 / sigma
+        weights = 1.0 / np.asarray(sigma, dtype=float)
+        if not np.all(np.isfinite(weights) & (weights > 0)):
+            raise ValueError("sigma entries must be finite and > 0, with a finite reciprocal")
 
     pos_mask = np.array([name in spec.positive for name in spec.names])
 
@@ -406,28 +409,26 @@ def fit_model(kind, x, y, sigma=None, initial=None,
 
     best = None
     diagnostics = []
-    # overflowing trial steps yield infinite cost and get rejected, and a
-    # log parameter can converge beyond exp's range; keep both silent
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for i, p0 in enumerate(starts):
-            if np.any(p0[pos_mask] <= 0):
-                diagnostics.append((i, "start violates positivity", np.inf))
-                continue
-            theta, cost, jac, converged, iters = _lm_minimize(
-                residuals, _to_internal(p0, pos_mask))
-            if converged:
-                p_end = _to_external(theta, pos_mask)
-                if not np.all(np.isfinite(p_end)):
-                    converged, status = False, "non-finite parameters"
-                elif not _identifiable(spec.names, p_end, x):
-                    converged, status = False, "unidentifiable"
-                else:
-                    status = "converged"
+    for i, p0 in enumerate(starts):
+        if np.any(p0[pos_mask] <= 0):
+            diagnostics.append((i, "start violates positivity", np.inf))
+            continue
+        theta, cost, jac, converged, iters = _lm_minimize(
+            residuals, _to_internal(p0, pos_mask))
+        if converged:
+            p_end = _to_external(theta, pos_mask)
+            if not (math.isfinite(cost) and np.all(np.isfinite(p_end))
+                    and np.all(np.isfinite(jac.T @ jac))):
+                converged, status = False, "non-finite cost, parameters or curvature"
+            elif not _identifiable(spec.names, p_end, x):
+                converged, status = False, "unidentifiable"
             else:
-                status = "not converged"
-            diagnostics.append((i, status, cost))
-            if converged and (best is None or cost < best[1]):
-                best = (theta, cost, jac, iters)
+                status = "converged"
+        else:
+            status = "not converged"
+        diagnostics.append((i, status, cost))
+        if converged and (best is None or cost < best[1]):
+            best = (theta, cost, jac, iters)
     if best is None:
         raise FitError(
             f"no start converged for model {kind!r} ("

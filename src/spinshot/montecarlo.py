@@ -36,8 +36,8 @@ import numpy as np
 
 from .estimators import PhotonRecords, gaussian_fwhm_to_sigma, write_csv
 from .physics import lorentzian_suppression
-from .readout import (CapacityError, CountDistribution, ReadoutParams, _distributions,
-                      _scan, cyclicity, readout_fidelity)
+from .readout import (CapacityError, CountDistribution, ReadoutParams, cyclicity,
+                      fidelity_reports)
 from .sequence import _TRANSITION_LABELS, DETECT, MAX_EVENTS, MW, OPTICAL, Timeline
 
 _LABEL = {name: code for code, name in enumerate(_TRANSITION_LABELS)}
@@ -448,20 +448,16 @@ def pulse_area_scan(areas, params: ReadoutParams, flip_slope: float = 0.0,
     n0, n0_se = np.array([_decay_pulses(simulate_readout_shots(
         point, "bright", shots, seed, _key=(i,), _counts=False).transitions)
         for i, point in enumerate(points)]).reshape(-1, 2).T
-    dists = _distributions(params, [point.flip_bright for point in points],
-                           [params.flip_dark] * len(points),
-                           d=[point.detection_probability for point in points])
-    n = [params.n_pulses] * len(points)
-    arms = np.array([(b.probabilities, d.probabilities) for b, d in dists])
-    thresholds = [row[1] for row in _scan(arms, n, n)] if points else []
+    reports = fidelity_reports(params, [point.flip_bright for point in points],
+                               [params.flip_dark] * len(points),
+                               d=[point.detection_probability for point in points])
     p = np.array([point.p_excite for point in points])
     return AreaScanResult(
         area=areas, p_excite=p, n0=n0, n0_se=n0_se,
         zeta=np.array([cyclicity(p_i, n0_i) if p_i > 0 else math.nan
                        for p_i, n0_i in zip(p.tolist(), n0.tolist())]),
-        f_min=np.array([readout_fidelity(*dist, t).f_min
-                        for dist, t in zip(dists, thresholds)]),
-        threshold=np.array(thresholds, dtype=int),
+        f_min=np.array([report.f_min for report in reports]),
+        threshold=np.array([report.threshold for report in reports], dtype=int),
     )
 
 

@@ -11,15 +11,17 @@ channel:
 
 with d = p_excite * eta_detect.  The full count distribution is computed
 by dynamic programming over (pulse, state, count) and convolved with a
-Poisson dark-count background over the total gated time.  Everything
-here is exact arithmetic on the model — no sampling — apart from
+Poisson dark-count background over the total gated time; one helper,
+:func:`_count_pmfs`, builds every exact count pmf from a DP buffer, and a
+zero dark rate is the one-point pmf [1.0].  Everything here is exact
+arithmetic on the model — no sampling — apart from
 :func:`empirical_fidelity`, the same threshold scan on measured counts.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -193,18 +195,13 @@ def _check_state(initial: str):
         raise ValueError(f"initial state must be one of {_STATES}, got {initial!r}")
 
 
-def _check_capacity(n: int):
-    if n > CAPACITY_PULSES:
-        raise CapacityError(
-            f"n_pulses={n} exceeds the exact-DP capacity of {CAPACITY_PULSES}")
-
-
 def _chain(a, b, d, starts, n_pulses, cap=None):
     """Yield the (state, pair, count) probabilities, bright then dark,
-    after each pulse for every (point, initial state) pair of the batch,
-    at one (a, b, d) per point; a scalar serves every point.  The
-    yielded array is the buffer that each pulse overwrites in place, so
-    it stays valid only until the generator resumes.
+    after each of n_pulses <= CAPACITY_PULSES pulses for every (point,
+    initial state) pair of the batch, at one (a, b, d) per point; a
+    scalar serves every point.  The yielded array is the buffer that
+    each pulse overwrites in place, so it stays valid only until the
+    generator resumes.
 
     Each yielded array holds only counts 0 .. w - 1 of the n_pulses + 1;
     every count at or above its width w is an exact zero, or dropped
@@ -219,6 +216,9 @@ def _chain(a, b, d, starts, n_pulses, cap=None):
     width before the next check.  The kept counts go through the same
     floating-point operations as on the full axis and keep their bits.
     """
+    if n_pulses > CAPACITY_PULSES:
+        raise CapacityError(
+            f"n_pulses={n_pulses} exceeds the exact-DP capacity of {CAPACITY_PULSES}")
     a, b, d = (np.repeat(x, len(starts))[:, None] for x in
                np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, d))))
     # probs[to] gains probs[from] * mix[from, to]; a detection also
@@ -250,12 +250,12 @@ def _chain(a, b, d, starts, n_pulses, cap=None):
 
 def _poisson_pmf(mu: float) -> np.ndarray:
     """Poisson pmf of mean mu, truncated as :func:`_poisson_pmfs` says."""
-    return _poisson_pmfs([mu])[0] if mu > 0.0 else np.array([1.0])
+    return _poisson_pmfs([mu])[0]
 
 
 def _poisson_pmfs(mus) -> list:
-    """Poisson pmf of each mean > 0 of ``mus``, truncated once the
-    missing tail is < 1e-13.
+    """Poisson pmf of each mean >= 0 of ``mus``, truncated once the
+    missing tail is < 1e-13; a zero mean gives the pmf [1.0].
 
     The upward recurrence from exp(-mu) steps all means at once, each
     through the float operations, in the order, of a loop over it alone.
@@ -290,12 +290,21 @@ def _poisson_from_mode(mu: float) -> np.ndarray:
     return pmf / pmf.sum()
 
 
-def _convolve_dark(pmfs, mu: float) -> list:
-    """Each pmf convolved with one Poisson dark-count pmf of mean mu."""
-    if mu <= 0.0:
-        return list(pmfs)
-    dark = _poisson_pmf(mu)
-    return [np.convolve(pmf, dark) for pmf in pmfs]
+def _count_pmfs(probs, width, dark, cut=None) -> np.ndarray:
+    """(row, count) pmfs of the DP buffer ``probs`` (state, row, count):
+    each row's two states summed over its first ``width`` counts, zero-
+    padded, convolved with the dark-count pmf ``dark`` ([1.0] at a zero
+    mean, which keeps every bit) and cut to ``cut`` counts.  A list gives
+    one width, dark pmf or cut per row; a shorter row ends in zeros."""
+    rows = probs.shape[1]
+    widths, darks, cuts = (x if isinstance(x, list) else [x] * rows for x in (width, dark, cut))
+    signal = np.zeros((rows, max(widths, default=0)))
+    kept = min(probs.shape[2], signal.shape[1])
+    signal[:, :kept] = probs[0, :, :kept] + probs[1, :, :kept]
+    pmfs = [np.convolve(row[:w], x)[:c] for row, w, x, c in zip(signal, widths, darks, cuts)]
+    size = max(map(len, pmfs), default=0)
+    return np.array([np.concatenate((x, np.zeros(size - len(x)))) if len(x) < size else x
+                     for x in pmfs]).reshape(rows, size)
 
 
 def _distributions(params: ReadoutParams, a, b, starts=_STATES, d=None):
@@ -303,13 +312,9 @@ def _distributions(params: ReadoutParams, a, b, starts=_STATES, d=None):
     point and initial state, from one batched DP; indexed [point][state].
     d defaults to params' detection probability."""
     n = params.n_pulses
-    _check_capacity(n)
-    d = params.detection_probability if d is None else d
-    for bright, dark in _chain(a, b, d, starts, n):
+    for probs in _chain(a, b, params.detection_probability if d is None else d, starts, n):
         pass
-    signal = np.zeros((bright.shape[0], n + 1))
-    signal[:, :bright.shape[1]] = bright + dark
-    rows, k = _convolve_dark(signal, params.dark_count_mean), len(starts)
+    rows, k = _count_pmfs(probs, n + 1, _poisson_pmf(params.dark_count_mean)), len(starts)
     return [[CountDistribution(pmf, state, n) for pmf, state in zip(rows[i:i + k], starts)]
             for i in range(0, len(rows), k)]
 
@@ -433,16 +438,23 @@ def readout_report(params: ReadoutParams, threshold: int | None = None) -> Fidel
     the chain relaxes observably (a > 0, b > 0, a + b < 1, d > 0).
     """
     a, b = params.flip_bright, params.flip_dark
-    dist_b, dist_d = _distributions(params, [a], [b])[0]
-    if threshold is None:
-        n = params.n_pulses
-        [(_, threshold, _, _, _)] = _scan(
-            np.stack((dist_b.probabilities, dist_d.probabilities))[None], [n], [n])
-    report = readout_fidelity(dist_b, dist_d, threshold)
+    [report] = fidelity_reports(params, [a], [b], threshold=threshold)
     report.readout_duration = params.duration_ms
     if a > 0.0 and b > 0.0 and a + b < 1.0 and params.detection_probability > 0.0:
         report.cyclicity = cyclicity(params.p_excite, -1.0 / math.log1p(-(a + b)))
     return report
+
+
+def fidelity_reports(params: ReadoutParams, a, b, d=None, threshold=None) -> list:
+    """:func:`readout_fidelity`'s report at ``threshold`` (None: the lowest
+    best one) per (a, b, d) point of one batched DP pass; readout_report,
+    calibrate_flip_asymmetry and pulse_area_scan share it (not in __all__)."""
+    dists, n = _distributions(params, a, b, d=d), params.n_pulses
+    thresholds = [threshold] * len(dists)
+    if threshold is None and dists:
+        pmfs = np.array([[dist.probabilities for dist in pair] for pair in dists])
+        thresholds = [row[1] for row in _scan(pmfs, [n] * len(dists), [n] * len(dists))]
+    return [readout_fidelity(*pair, t) for pair, t in zip(dists, thresholds)]
 
 
 @dataclass
@@ -496,45 +508,36 @@ def _scan_rows(params: ReadoutParams, start: int, n_hi: int, cap: int, rows: lis
     reads more counts and return how many it reads.
     """
     width = min(cap, n_hi + 1)
-    mu_per_pulse = params.dark_rate * params.gate_window * 1e-6
-    held = np.zeros((_SCAN_BLOCK, 2, 2, width))    # (pulse, state, start, count)
+    held = np.zeros((2, _SCAN_BLOCK, 2, width))    # (state, pulse, start, count)
     chain = _chain([params.flip_bright], [params.flip_dark],
                    params.detection_probability, _STATES, n_hi, width)
     for pulse, probs in enumerate(chain, start=1):
         if pulse < start:
             continue
         j = (pulse - start) % _SCAN_BLOCK
-        held[j, :, :, :probs.shape[2]] = probs     # widths never shrink: no stale tail
+        held[:, j, :, :probs.shape[2]] = probs     # widths never shrink: no stale tail
         if j < _SCAN_BLOCK - 1 and pulse < n_hi:
             continue
         pulses = np.arange(pulse - j, pulse + 1)
         threshold = rows[-1][1] if rows else 0
         # room for the crossing to move on within the block
         tops = np.minimum(pulses, threshold + max(8, threshold // 4) + len(pulses) // 4)
-        darks, sizes = None, tops
-        if mu_per_pulse > 0.0:
-            darks = _poisson_pmfs((mu_per_pulse * pulses).tolist())
-            sizes = np.minimum(pulses + 1, np.maximum(tops, [len(x) for x in darks]))
+        darks = _poisson_pmfs((params.dark_rate * params.gate_window * 1e-6 * pulses).tolist())
+        sizes = np.minimum(pulses + 1, np.maximum(tops, [len(x) for x in darks]))
         need = int(sizes.max())
         if need > width:
             return need
-        arms = signal = held[:len(pulses), 0, :, :need] + held[:len(pulses), 1, :, :need]
-        if darks is not None:
-            arms = np.zeros((len(pulses), 2, tops.max()))
-            for pmfs, pair, dark_pmf, size, top in zip(
-                    arms, signal, darks, sizes.tolist(), tops.tolist()):
-                pmfs[0, :top] = np.convolve(pair[0, :size], dark_pmf)[:top]
-                pmfs[1, :top] = np.convolve(pair[1, :size], dark_pmf)[:top]
-        block = _scan(arms, tops, pulses)
+        # one row per (pulse, start), each pulse's dark pmf for both starts
+        arms = _count_pmfs(held[:, :len(pulses)].reshape(2, -1, width),
+                           np.repeat(sizes, 2).tolist(), [x for x in darks for _ in _STATES],
+                           np.repeat(tops, 2).tolist())
+        block = _scan(arms.reshape(len(pulses), 2, -1), tops, pulses)
         for k, row in enumerate(block):
             if row is None:                 # the arms do not cross: scan all of N
                 n = int(pulses[k])
                 if n + 1 > width:
                     return n + 1
-                full = held[k, 0, :, :n + 1] + held[k, 1, :, :n + 1]
-                if darks is not None:
-                    full = np.array([np.convolve(arm, darks[k]) for arm in full])
-                [block[k]] = _scan(full[None], [n], [n])
+                [block[k]] = _scan(_count_pmfs(held[:, k], n + 1, darks[k])[None], [n], [n])
         rows += block
     return 0
 
@@ -561,7 +564,6 @@ def optimize_readout(params: ReadoutParams, n_range) -> OptimizeResult:
     n_lo, n_hi = int(n_range[0]), int(n_range[1])
     if n_lo < 1 or n_lo > n_hi:
         raise ValueError(f"empty or invalid pulse range ({n_lo}, {n_hi})")
-    _check_capacity(n_hi)
     rows, cap = [], _FIRST_CAP
     while len(rows) <= n_hi - n_lo:
         need = _scan_rows(params, n_lo + len(rows), n_hi, cap, rows)
@@ -677,16 +679,13 @@ def calibrate_flip_asymmetry(params: ReadoutParams, relaxation_constant: float,
     if not (0.0 < target_f < 1.0):
         raise ValueError("target_f must be in (0, 1)")
     n, noise = params.n_pulses, _poisson_pmf(params.dark_count_mean)
-    _check_capacity(n)
     cap = min(n + 1, max(threshold, len(noise)))
 
     def evaluate(s):                # one batched, capped DP for all s
-        for bright, dark in _chain(*flip_probabilities(relaxation_constant, s),
-                                   params.detection_probability, _STATES, n, cap):
+        for probs in _chain(*flip_probabilities(relaxation_constant, s),
+                            params.detection_probability, _STATES, n, cap):
             pass
-        signal = np.zeros((bright.shape[0], cap))
-        signal[:, :bright.shape[1]] = bright + dark
-        below = np.array([np.convolve(pmf, noise)[:threshold].sum() for pmf in signal])
+        below = _count_pmfs(probs, cap, noise, threshold).sum(axis=1)
         return np.column_stack((1.0 - below[0::2], below[1::2]))
 
     grid = np.linspace(0.0, 1.0, 9)
@@ -700,8 +699,8 @@ def calibrate_flip_asymmetry(params: ReadoutParams, relaxation_constant: float,
         roots.append((-1.0, 0.0, target_f))
     lo, hi = _increasing_roots(evaluate, grid, values, np.array(roots), 1e-12)
     ends = np.concatenate(([0.0, 1.0], lo, hi))     # one full-support pass
-    f_mins = {x: readout_fidelity(*pair, threshold).f_min for x, pair in zip(
-        ends.tolist(), _distributions(params, *flip_probabilities(relaxation_constant, ends)))}
+    f_mins = {x: report.f_min for x, report in zip(ends.tolist(), fidelity_reports(
+        params, *flip_probabilities(relaxation_constant, ends), threshold=threshold))}
     f_left, f_right = f_mins[0.0], f_mins[1.0]
     s_peak = float(max(lo[0], hi[0], key=f_mins.get))
     f_max = f_mins[s_peak]
@@ -733,11 +732,12 @@ def dark_count_penalty(params: ReadoutParams, threshold: int = 1) -> float:
     """Dark-state fidelity lost to detector dark counts at this threshold."""
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
-    [[without]] = _distributions(replace(params, dark_rate=0.0),
-                                 [params.flip_bright], [params.flip_dark], ("dark",))
-    [with_dark] = _convolve_dark([without.probabilities], params.dark_count_mean)
-    with_dark = CountDistribution(with_dark, "dark", params.n_pulses)
-    return without.prob_below(threshold) - with_dark.prob_below(threshold)
+    for probs in _chain([params.flip_bright], [params.flip_dark], params.detection_probability,
+                        ("dark",), params.n_pulses):
+        pass
+    without, with_dark = (float(_count_pmfs(probs, params.n_pulses + 1, dark, threshold).sum())
+                          for dark in _poisson_pmfs([0.0, params.dark_count_mean]))
+    return without - with_dark
 
 
 def format_fidelity_report(report: FidelityReport) -> str:

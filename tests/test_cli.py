@@ -1,6 +1,7 @@
 import filecmp
 import hashlib
 import json
+import math
 import os
 import re
 import signal
@@ -920,6 +921,87 @@ class TestSimulateFuzz:
             assert "Traceback" not in cap.err and "Warning" not in cap.err, case
 
 
+def series_with(tmp_path, x, y, sigma=None):
+    """A fit input CSV of columns x, y[, sigma]; returns its path."""
+    columns = [x, y] if sigma is None else [x, y, sigma]
+    path = tmp_path / "series.csv"
+    path.write_text("x,y" + ",sigma" * (sigma is not None) + "\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in zip(*columns)))
+    return str(path)
+
+
+def fit_quietly(path, model, tmp_path, capsys):
+    """run_cli on ``fit``, with any warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run_cli_within(10.0, ["fit", path, "--model", model,
+                                     "--out-dir", str(tmp_path / "o")], capsys)
+
+
+# rows of the fit input table: x grids, y series and sigma columns of 12
+# points, from ordinary to the edges of the float range
+FIT_X = {
+    "linear": np.linspace(0.0, 300.0, 12),
+    "tiny-steps": np.arange(12) * 1e-300,
+    "subnormal-steps": np.arange(12) * 1e-320,
+    "huge": np.linspace(0.0, 1e308, 12),
+    "span-overflows": np.linspace(-1.0, 1.0, 12) * 1e308,
+    "one-point": np.full(12, 5.0),
+}
+FIT_Y = {
+    "decay": 0.06 * np.exp(-np.arange(12) / 4.0) + 0.002,
+    "1e200": 1e200 * (1.0 + np.exp(-np.arange(12) / 3.0)),
+    "pm1e308": np.tile([1e308, -1e308], 6),
+    "1e-300": 1e-300 * (1.0 + np.exp(-np.arange(12) / 3.0)),
+    "zeros": np.zeros(12),
+}
+FIT_SIGMA = {"none": None, "one": np.ones(12), "1e-300": np.full(12, 1e-300),
+             "1e300": np.full(12, 1e300)}
+FIT_MODELS = ["exp_decay", "exp_relax", "gaussian_echo", "damped_sine", "lorentzian",
+              "gaussian_sum"]
+
+
+class TestFitInputs:
+    """sigma must be finite and > 0 with a finite reciprocal (exit 2), and
+    fit never exits 0 with a non-finite residual norm."""
+
+    @pytest.mark.parametrize("bad", [math.nan, 1e-320, math.inf],
+                             ids=["nan", "reciprocal-overflows", "inf"])
+    def test_sigma_rejected(self, bad, tmp_path, capsys):
+        x = np.linspace(0.0, 300.0, 12)
+        sigma = np.full(12, 0.01)
+        sigma[5] = bad
+        path = series_with(tmp_path, x, 0.06 * np.exp(-x / 127.0) + 0.002, sigma)
+        code, cap = fit_quietly(path, "exp_decay", tmp_path, capsys)
+        assert code == cli.EXIT_CONFIG, cap
+        assert "sigma" in cap.err and "Warning" not in cap.err
+
+    @pytest.mark.parametrize("y", [FIT_Y["1e200"][:6], FIT_Y["pm1e308"][:6]],
+                             ids=["1e200", "pm1e308"])
+    def test_overflowing_series_fails(self, y, tmp_path, capsys):
+        path = series_with(tmp_path, np.arange(6.0), y)
+        code, cap = fit_quietly(path, "exp_decay", tmp_path, capsys)
+        assert code == cli.EXIT_NUMERIC, cap
+        assert "Warning" not in cap.err
+
+    def test_input_table(self, tmp_path, capsys):
+        """Every (x, y, sigma) row, each with a seeded draw of the model,
+        exits with a code, quietly; a success reports a finite residual
+        norm and no NaN."""
+        models = np.random.default_rng(31).choice(
+            FIT_MODELS, len(FIT_X) * len(FIT_Y) * len(FIT_SIGMA)).tolist()
+        rows = [(xk, yk, sk) for xk in FIT_X for yk in FIT_Y for sk in FIT_SIGMA]
+        for (xk, yk, sk), model in zip(rows, models):
+            case = (xk, yk, sk, model)
+            path = series_with(tmp_path, FIT_X[xk], FIT_Y[yk], FIT_SIGMA[sk])
+            code, cap = fit_quietly(path, model, tmp_path, capsys)
+            assert code in (0, 1, 2, 3), case
+            assert "Traceback" not in cap.err and "Warning" not in cap.err, case
+            if code == 0:
+                norm = re.search(r"residual norm: (\S+)", cap.out).group(1)
+                assert math.isfinite(float(norm)) and "nan" not in cap.out, case
+
+
 class TestHelp:
     @pytest.mark.parametrize("command,flags", [
         ("levels", ["--config", "--out-dir", "--format"]),
@@ -961,8 +1043,9 @@ HAND_RECORDS = ("# photon records: shot_id pulse_index timestamp_us origin\n"
 # area_sweep.csv re-frozen when the readout engine's run-length kernel
 # replaced its next-event kernel and per-pulse loop (its n0 and cyclicity
 # columns are realized samples); the protocols CSVs at --shots 1000 frozen
-# before Bloch vectors became (3, ...) component arrays.  A key is the CSV
-# name, then any case qualifier.
+# before Bloch vectors became (3, ...) component arrays; the dark=0 cases
+# (paper.cfg at dark_rate_hz = 0) frozen before a zero dark rate became the
+# one-point dark pmf [1.0].  A key is the CSV name, then any case qualifier.
 GOLDEN_SHA256 = {
     "levels.csv":
         "dc4778f16f27dbc87a3ca246b2e5007e0a17b07cb505b5e6427da9a1d200d6cd",
@@ -978,6 +1061,14 @@ GOLDEN_SHA256 = {
         "0f6b8fab7e303e1cbf1620152747133d4758c805355848c90dc7bbf9919217c6",
     "calibration.csv N=500":
         "c4c9cbf5dbc00e645dda646beb28b560f91e7bf283e478af7de4d0ccb69ef595",
+    "fidelity_vs_n.csv dark=0":
+        "b2aeffc07a0725f7e5310c47dda76fb82bed6517f6620557778367ced2f23566",
+    "calibration.csv dark=0":
+        "97f11eacc1096fde06c1cdd621260b5ff9cfde3bc2c3ae4774436fb82b34d552",
+    "calibration.csv N=500 dark=0":
+        "fc3d9a81df6596e8a14a5a0033d4ca1fa85ebde422adb2b7cfc120686619b5b0",
+    "area_sweep.csv dark=0":
+        "88314114e364b63f9b6219e7b39496d8c408586df9d18a63acf990e0fa6f5d50",
     "echo_curve.csv protocols seed=0":
         "1a8a56b9a4742c8ea277de5c651e47317ddb91e2e866e0d90e90f6d57e2a2caf",
     "echo_fit.csv protocols seed=0":
@@ -1027,12 +1118,21 @@ class TestGoldenOutputs:
         ("area-sweep", ["--points", "5", "--shots", "2000", "--flip-slope", "0.004"],
          "area_sweep.csv"),
         ("calibrate", ["--n-pulses", "500"], "calibration.csv N=500"),
+        # DARK0: paper.cfg without dark counts, where the dark pmf is [1.0]
+        ("readout-optimize", ["--n-max", "90", "--config", "DARK0"],
+         "fidelity_vs_n.csv dark=0"),
+        ("calibrate", ["--config", "DARK0"], "calibration.csv dark=0"),
+        ("calibrate", ["--n-pulses", "500", "--config", "DARK0"],
+         "calibration.csv N=500 dark=0"),
+        ("area-sweep", ["--points", "5", "--shots", "2000", "--flip-slope", "0.004",
+                        "--config", "DARK0"], "area_sweep.csv dark=0"),
     ])
     def test_csv_sha256(self, command, extra, csv_name, tmp_path, series_file,
                         capsys):
         records = tmp_path / "hand.txt"
         records.write_text(HAND_RECORDS)
-        names = {"SERIES": series_file, "RECORDS": str(records)}
+        names = {"SERIES": series_file, "RECORDS": str(records),
+                 "DARK0": paper_with(tmp_path, "dark_rate_hz", 0)}
         out = str(tmp_path / "o")
         code, _ = run_cli([command, *(names.get(a, a) for a in extra),
                            "--out-dir", out], capsys)
