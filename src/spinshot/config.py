@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .estimators import gaussian_fwhm_to_sigma
-from .montecarlo import BathParams
+from .montecarlo import MW_DEFAULTS, BathParams
 from .physics import CavityConfig, EmitterConfig, ZeemanConfig
 from .readout import (CAPACITY_PULSES, CapacityError, ReadoutParams,
                       flip_probabilities)
@@ -222,7 +222,8 @@ def emitter_config(cfg: Config) -> EmitterConfig:
         bulk_lifetime_us=cfg.bounded(section, "bulk_lifetime_us", 0.0,
                                      open_low=True),
         spectral_diffusion_fwhm_mhz=cfg.bounded(
-            section, "spectral_diffusion_fwhm_mhz", 0.0, default=13.5),
+            section, "spectral_diffusion_fwhm_mhz", 0.0,
+            default=EmitterConfig.spectral_diffusion_fwhm_mhz),
     )
 
 
@@ -230,9 +231,9 @@ def cavity_config(cfg: Config) -> CavityConfig:
     """[cavity] plus the collection efficiencies of [detection].  The
     cavity adds (purcell_on_resonance - 1) times the bulk decay rate, so
     that key is at least 1."""
-    eta = {f"eta_{stage}": cfg.bounded("detection", f"eta_{stage}", 0.0, 1.0,
-                                       default=1.0, open_high=False)
-           for stage in ("waveguide", "offchip", "switch", "detector")}
+    eta = {key: cfg.bounded("detection", key, 0.0, 1.0,
+                            default=getattr(CavityConfig, key), open_high=False)
+           for key in ("eta_waveguide", "eta_offchip", "eta_switch", "eta_detector")}
     return CavityConfig(
         resonance_frequency_ghz=cfg.bounded("cavity", "resonance_frequency_ghz",
                                             0.0, open_low=True),
@@ -245,7 +246,7 @@ def cavity_config(cfg: Config) -> CavityConfig:
 def zeeman_config(cfg: Config) -> ZeemanConfig:
     return ZeemanConfig(
         magnetic_field_t=cfg.bounded("field", "magnetic_field_t", 0.0),
-        field_axis=cfg.string("field", "axis", "(100)"),
+        field_axis=cfg.string("field", "axis", ZeemanConfig.field_axis),
     )
 
 
@@ -284,17 +285,20 @@ def readout_params(cfg: Config, n_pulses: int | None = None,
         eta_detect=cfg.number(section, "eta_detect"),
         flip_bright=flip_bright,
         flip_dark=flip_dark,
-        dark_rate=cfg.bounded("detection", "dark_rate_hz", 0.0, default=0.0),
-        gate_window=(cfg.bounded("detection", "gate_window_us", 0.0, default=3.0)
+        dark_rate=cfg.bounded("detection", "dark_rate_hz", 0.0,
+                              default=ReadoutParams.dark_rate),
+        gate_window=(cfg.bounded("detection", "gate_window_us", 0.0,
+                                 default=ReadoutParams.gate_window)
                      if gate_window is None else gate_window),
-        pulse_period=cfg.bounded(section, "pulse_period_us", 0.0, default=10.0,
-                                 open_low=True),
+        pulse_period=cfg.bounded(section, "pulse_period_us", 0.0, open_low=True,
+                                 default=ReadoutParams.pulse_period),
     )
     try:
         return ReadoutParams(**fields)
     except CapacityError as exc:
         raise ConfigError(f"{cfg.origin}: [detection] dark_rate_hz = "
-                          f"{fields['dark_rate']:g} is too high{too_high_for}: "
+                          f"{fields['dark_rate']:g} at gate_window_us = "
+                          f"{fields['gate_window']:g} is too high{too_high_for}: "
                           f"{exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{cfg.origin}: [readout] {exc}") from exc
@@ -311,8 +315,8 @@ def bath_params(cfg: Config) -> BathParams:
     within MAX_SPIN_FREQUENCY_MHZ (linewidth >= 0), and finite lifetimes
     and echo exponent > 0."""
     section = "bath"
-    centers = cfg.numbers(section, "odmr_centers_mhz", (-3.3, 0.0, 3.3))
-    weights = cfg.numbers(section, "odmr_weights", (0.25, 0.5, 0.25))
+    centers = cfg.numbers(section, "odmr_centers_mhz", BathParams.odmr_centers)
+    weights = cfg.numbers(section, "odmr_weights", BathParams.odmr_weights)
     for key, values, limit in (("odmr_centers_mhz", centers, MAX_SPIN_FREQUENCY_MHZ),
                                ("odmr_weights", weights, math.inf)):
         if len(values) != len(centers) or not all(
@@ -322,16 +326,16 @@ def bath_params(cfg: Config) -> BathParams:
                 f"{cfg.origin}: [{section}] {key} must be {len(centers)} finite "
                 f"numbers{within}, one per odmr_centers_mhz value, got "
                 f"{', '.join(f'{v:g}' for v in values)}")
-    fwhm = cfg.bounded(section, "odmr_fwhm_mhz", 0.0, MAX_SPIN_FREQUENCY_MHZ,
-                       default=2.37, open_high=False)
-    positive = {name: cfg.bounded(section, key, 0.0, default=default,
-                                  open_low=True)
-                for name, key, default in (("t1_spin", "t1_spin_s", 0.44),
-                                           ("t2_echo", "t2_echo_us", 48.0),
-                                           ("echo_exponent", "echo_exponent", 2.0))}
+    # BathParams holds the sigma: an absent linewidth leaves its default
+    fields = {} if cfg.number(section, "odmr_fwhm_mhz", None) is None else {
+        "odmr_sigma": gaussian_fwhm_to_sigma(cfg.bounded(
+            section, "odmr_fwhm_mhz", 0.0, MAX_SPIN_FREQUENCY_MHZ, open_high=False))}
+    for name, key in (("t1_spin", "t1_spin_s"), ("t2_echo", "t2_echo_us"),
+                      ("echo_exponent", "echo_exponent")):
+        fields[name] = cfg.bounded(section, key, 0.0, open_low=True,
+                                   default=getattr(BathParams, name))
     try:
-        return BathParams(odmr_centers=centers, odmr_weights=weights,
-                          odmr_sigma=gaussian_fwhm_to_sigma(fwhm), **positive)
+        return BathParams(odmr_centers=centers, odmr_weights=weights, **fields)
     except ValueError as exc:
         raise ConfigError(f"{cfg.origin}: [{section}] {exc}") from exc
 
@@ -342,10 +346,11 @@ def microwave_settings(cfg: Config) -> dict:
     section = "microwave"
     max_khz = 1e3 * MAX_SPIN_FREQUENCY_MHZ
     return {
-        "mw_rabi_khz": cfg.bounded(section, "rabi_khz", 0.0, max_khz,
-                                   default=217.4, open_low=True, open_high=False),
-        "detuning_sigma_khz": cfg.bounded(section, "detuning_sigma_khz", 0.0,
-                                          max_khz, default=20.0, open_high=False),
-        "drive_jitter": cfg.bounded(section, "drive_jitter", 0.0, 1.0, default=0.0,
-                                    open_high=False),
+        "mw_rabi_khz": cfg.bounded(section, "rabi_khz", 0.0, max_khz, open_low=True,
+                                   open_high=False, default=MW_DEFAULTS["mw_rabi_khz"]),
+        "detuning_sigma_khz": cfg.bounded(section, "detuning_sigma_khz", 0.0, max_khz,
+                                          open_high=False,
+                                          default=MW_DEFAULTS["detuning_sigma_khz"]),
+        "drive_jitter": cfg.bounded(section, "drive_jitter", 0.0, 1.0, open_high=False,
+                                    default=MW_DEFAULTS["drive_jitter"]),
     }

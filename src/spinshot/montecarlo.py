@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimators import PhotonRecords, gaussian_fwhm_to_sigma, write_csv
-from .physics import lorentzian_suppression
+from .physics import EmitterConfig, lorentzian_suppression
 from .readout import (CapacityError, CountDistribution, ReadoutParams, cyclicity,
                       fidelity_reports)
 from .sequence import _TRANSITION_LABELS, DETECT, MAX_EVENTS, MW, OPTICAL, Timeline
@@ -45,6 +45,7 @@ _LABEL = {name: code for code, name in enumerate(_TRANSITION_LABELS)}
 __all__ = [
     "BLOCK_SHOTS",
     "TIMELINE_BLOCK_CELLS",
+    "MW_DEFAULTS",
     "BathParams",
     "ReadoutSimResult",
     "ProtocolCurve",
@@ -60,6 +61,10 @@ __all__ = [
 BLOCK_SHOTS = 65536
 _MASK64 = (1 << 64) - 1
 PROTOCOLS = ("t1", "odmr", "rabi", "echo")
+# the MW drive when none is given, as run_protocol's keywords: a 2.3 us pi
+# pulse on the central line, a detuning spread that sets the Rabi decay
+# envelope, and no drive jitter
+MW_DEFAULTS = {"mw_rabi_khz": 217.4, "detuning_sigma_khz": 20.0, "drive_jitter": 0.0}
 
 
 def worker_count() -> int:
@@ -307,9 +312,9 @@ def _bernoulli_stats(rng, p, shots):
 
 
 def run_protocol(protocol: str, sweep, bath: BathParams, shots: int = 1000,
-                 seed: int = 0, mw_rabi_khz: float = 217.4,
-                 detuning_sigma_khz: float = 20.0,
-                 drive_jitter: float = 0.0) -> ProtocolCurve:
+                 seed: int = 0, mw_rabi_khz: float = MW_DEFAULTS["mw_rabi_khz"],
+                 detuning_sigma_khz: float = MW_DEFAULTS["detuning_sigma_khz"],
+                 drive_jitter: float = MW_DEFAULTS["drive_jitter"]) -> ProtocolCurve:
     """Simulate one spin-characterization protocol over a sweep grid.
 
     t1: wait times in s, signal = P(still bright) after relaxation of z
@@ -685,8 +690,9 @@ def _timeline_block(plan: _TimelinePlan, params: ReadoutParams, bath,
 def run_timeline(timeline, params: ReadoutParams, bath: BathParams | None = None,
                  shots: int = 1000, seed: int = 0,
                  emission_lifetime_us: float = 0.803,
-                 mw_rabi_khz: float = 217.4,
-                 spectral_diffusion_fwhm_mhz: float = 13.5) -> TimelineRun:
+                 mw_rabi_khz: float = MW_DEFAULTS["mw_rabi_khz"],
+                 spectral_diffusion_fwhm_mhz: float =
+                 EmitterConfig.spectral_diffusion_fwhm_mhz) -> TimelineRun:
     """Execute a compiled sequence timeline for ``shots`` shots.
 
     Semantics per event: optical pulses on the readout transition (A,
@@ -698,6 +704,13 @@ def run_timeline(timeline, params: ReadoutParams, bath: BathParams | None = None
     not detected.  Every optical pulse projects the spin.  MW pulse
     frequencies are offsets (MHz) from the nominal spin transition of
     the shot.  Dark counts are Poisson per gate with uniform timestamps.
+
+    The default ``emission_lifetime_us``, 0.803 us, is within 0.1% of
+    the cavity-enhanced lifetime at `paper.cfg`, 142/177 = 0.8023 us, and
+    stays as it is, since every draw of a caller that takes it depends on
+    it.  `simulate` passes the lifetime it computes from [emitter] and
+    [cavity] (:func:`physics.effective_lifetime` on resonance).  The
+    other two defaults are MW_DEFAULTS' and EmitterConfig's.
 
     Shots run through :func:`_run_blocks` in blocks of
     TIMELINE_BLOCK_CELLS // (optical pulses + gates) shots (at least

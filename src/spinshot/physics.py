@@ -32,7 +32,7 @@ class EmitterConfig:
     g_ground: float
     g_excited: float
     bulk_lifetime_us: float
-    spectral_diffusion_fwhm_mhz: float
+    spectral_diffusion_fwhm_mhz: float = 13.5   # MHz, low end of the measured range
 
     def __post_init__(self):
         if self.bulk_lifetime_us <= 0:

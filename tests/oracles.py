@@ -6,6 +6,7 @@ package internals they verify.
 """
 from __future__ import annotations
 
+import inspect
 import math
 import re
 from dataclasses import dataclass
@@ -14,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from spinshot.estimators import _decay_tau_guess, _fft_frequency_guess, _span
+from spinshot.montecarlo import run_timeline
 from spinshot.readout import (CALIBRATION_TOL, CalibrationError, FlipCalibration,
                               _distributions, _increasing_roots, flip_probabilities,
                               readout_fidelity)
@@ -187,9 +189,16 @@ def _rotate_one(spin, rabi_khz, detuning_khz, duration_us, phase_rad):
             + axis * np.sum(axis * spin) * (1.0 - c))
 
 
-def run_timeline_per_shot(timeline, params, bath=None, shots=1000, seed=0,
-                          emission_lifetime_us=0.803, mw_rabi_khz=217.4,
-                          spectral_diffusion_fwhm_mhz=13.5):
+# run_timeline's defaults, read from its signature so that the two cannot drift
+_TIMELINE_DEFAULTS = {name: parameter.default for name, parameter
+                      in inspect.signature(run_timeline).parameters.items()}
+
+
+def run_timeline_per_shot(
+        timeline, params, bath=None, shots=1000, seed=0,
+        emission_lifetime_us=_TIMELINE_DEFAULTS["emission_lifetime_us"],
+        mw_rabi_khz=_TIMELINE_DEFAULTS["mw_rabi_khz"],
+        spectral_diffusion_fwhm_mhz=_TIMELINE_DEFAULTS["spectral_diffusion_fwhm_mhz"]):
     """Reference timeline executor: one shot at a time, one event at a time.
 
     Each shot draws from its own Philox stream keyed by (seed, shot).

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
 import signal
 import subprocess
@@ -919,6 +920,74 @@ class TestSimulateFuzz:
             case = (number.group(), number.start(), code, cap.err)
             assert code in (0, 1, 2, 3), case
             assert "Traceback" not in cap.err and "Warning" not in cap.err, case
+
+
+# the config keys that no table test above covers, and the values each is
+# drawn from; None leaves the key out.  flip_bright and flip_dark replace
+# flip_asymmetry; the other keys replace their paper.cfg line.
+CONFIG_FUZZ_KEYS = ["p_excite", "eta_detect", "relaxation_constant", "flip_asymmetry",
+                    "pulse_period_us", "target_fidelity", "flip_bright", "flip_dark",
+                    "gate_window_us", "axis"]
+CONFIG_FUZZ_VALUES = [None, "nan", "inf", "-inf", "-1", "0", "1e300", "1e-300", "2.5",
+                      "abc", "1, 2"]
+CONFIG_FUZZ_COMMANDS = [["calibrate", "--n-pulses", "30"],
+                        ["readout-optimize", "--n-max", "30"],
+                        ["area-sweep", "--points", "2", "--shots", "200"],
+                        ["levels"]]   # the one reader of [field] axis
+
+
+def fuzzed_config(tmp_path, values):
+    """paper.cfg with each key of ``values`` set to its value (None: left
+    out); a flip key brings its partner and drops flip_asymmetry."""
+    text = load_config("paper.cfg").text
+    if {"flip_bright", "flip_dark"} & set(values):
+        values = {"flip_asymmetry": None, "flip_bright": "0.004", "flip_dark": "0.003",
+                  **values}
+    for key, value in values.items():
+        line = "" if value is None else f"{key} = {value}\n"
+        if key in ("flip_bright", "flip_dark"):
+            text = text.replace("[readout]\n", f"[readout]\n{line}")
+            continue
+        text, n = re.subn(rf"(?m)^{key}\s*=.*\n", line, text)
+        assert n == 1, key
+    path = tmp_path / "fuzz.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+def run_config_fuzz(tmp_path, values, capsys):
+    """Each fuzz command on the fuzzed config, with any warning raised as an
+    error; returns [(argv, exit code, stderr without the config's path)]."""
+    config, runs = fuzzed_config(tmp_path, values), []
+    for argv in CONFIG_FUZZ_COMMANDS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, cap = run_cli_within(5.0, argv + [
+                "--config", config, "--out-dir", str(tmp_path / "o")], capsys)
+        case = (values, argv[0], code, cap.err)
+        assert code in (0, 1, 2, 3), case
+        assert "Traceback" not in cap.err and "Warning" not in cap.err, case
+        runs.append((argv, code, cap.err.replace(config, "CONFIG")))
+    return runs
+
+
+class TestConfigFuzz:
+    @pytest.mark.parametrize("key", CONFIG_FUZZ_KEYS)
+    def test_each_value(self, key, tmp_path, capsys):
+        """Every value of one key: a config error names the key."""
+        for value in CONFIG_FUZZ_VALUES:
+            for argv, code, err in run_config_fuzz(tmp_path, {key: value}, capsys):
+                if code == cli.EXIT_CONFIG:
+                    assert key in err, (value, argv[0], err)
+
+    def test_drawn_combinations(self, tmp_path, capsys):
+        """Two to four keys at a time, drawn with their values from a seeded
+        random.Random."""
+        draw = random.Random(32)
+        for _ in range(100):
+            keys = draw.sample(CONFIG_FUZZ_KEYS, draw.randint(2, 4))
+            run_config_fuzz(tmp_path, {key: draw.choice(CONFIG_FUZZ_VALUES)
+                                       for key in keys}, capsys)
 
 
 def series_with(tmp_path, x, y, sigma=None):

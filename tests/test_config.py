@@ -1,3 +1,4 @@
+import pickle
 import re
 
 import pytest
@@ -8,6 +9,10 @@ from spinshot.config import (KEYS, Config, ConfigError, bath_params,
                              microwave_settings, parse_config, readout_params,
                              relaxation_constant, resolve_config_path,
                              zeeman_config)
+from spinshot.montecarlo import MW_DEFAULTS, BathParams
+from spinshot.physics import CavityConfig, EmitterConfig, ZeemanConfig
+from spinshot.readout import ReadoutParams
+from test_cli import tree_bytes
 
 GOOD = """\
 ; full-line comment
@@ -284,3 +289,101 @@ class TestReadoutKeyRanges:
         assert code == 2
         assert err.startswith(f"error: {path}: [{section}] {key} must be "
                               "finite and in ")
+
+
+# the commands run on each config copy below, by the builders they call.
+# protocols runs at a seed and shot count where all four fits converge, so
+# that the echo keys reach its output.
+ABSENT_KEY_COMMANDS = {
+    "levels": ["levels"],
+    "readout-optimize": ["readout-optimize", "--n-max", "30"],
+    "calibrate": ["calibrate", "--n-pulses", "30"],
+    "area-sweep": ["area-sweep", "--points", "2", "--shots", "200"],
+    "simulate": ["simulate", "SEQ", "--shots", "20"],
+    "protocols": ["protocols", "--shots", "400", "--seed", "1"],
+}
+READERS = {
+    emitter_config: ("levels", "simulate"),
+    cavity_config: ("levels", "simulate"),
+    zeeman_config: ("levels",),
+    readout_params: ("readout-optimize", "calibrate", "area-sweep", "simulate"),
+    bath_params: ("simulate", "protocols"),
+    microwave_settings: ("simulate", "protocols"),
+}
+# every optional key of KEYS, the builder that reads it and the default its
+# owner holds.  BathParams holds the ODMR sigma, so its linewidth is written
+# as the FWHM 2.37 MHz; flip_asymmetry's 0.5 is config's own.
+OPTIONAL_KEYS = [
+    ("spectral_diffusion_fwhm_mhz", emitter_config,
+     EmitterConfig.spectral_diffusion_fwhm_mhz),
+    *((key, cavity_config, getattr(CavityConfig, key))
+      for key in ("eta_waveguide", "eta_offchip", "eta_switch", "eta_detector")),
+    ("axis", zeeman_config, ZeemanConfig.field_axis),
+    ("dark_rate_hz", readout_params, ReadoutParams.dark_rate),
+    ("gate_window_us", readout_params, ReadoutParams.gate_window),
+    ("pulse_period_us", readout_params, ReadoutParams.pulse_period),
+    ("flip_asymmetry", readout_params, 0.5),
+    ("odmr_centers_mhz", bath_params, BathParams.odmr_centers),
+    ("odmr_weights", bath_params, BathParams.odmr_weights),
+    ("odmr_fwhm_mhz", bath_params, 2.37),
+    ("t1_spin_s", bath_params, BathParams.t1_spin),
+    ("t2_echo_us", bath_params, BathParams.t2_echo),
+    ("echo_exponent", bath_params, BathParams.echo_exponent),
+    ("rabi_khz", microwave_settings, MW_DEFAULTS["mw_rabi_khz"]),
+    ("detuning_sigma_khz", microwave_settings, MW_DEFAULTS["detuning_sigma_khz"]),
+    ("drive_jitter", microwave_settings, MW_DEFAULTS["drive_jitter"]),
+]
+
+
+def config_text(value) -> str:
+    """A default as config text: floats by repr, so they parse to the same bits."""
+    if isinstance(value, tuple):
+        return ", ".join(map(repr, value))
+    return value if isinstance(value, str) else repr(value)
+
+
+class TestAbsentKeys:
+    """An optional key left out reads as its owner's default: the builders
+    return bitwise-equal objects and the commands write the same bytes."""
+
+    def test_every_other_key_is_required(self, paper_cfg):
+        """Leaving out a paper.cfg key outside the table fails a builder,
+        naming the key; target_fidelity is read by calibrate alone."""
+        optional = {key for key, _, _ in OPTIONAL_KEYS}
+        assert optional <= {key for keys in KEYS.values() for key in keys}
+        for values in paper_cfg.sections.values():
+            for key in set(values) - optional - {"target_fidelity"}:
+                text = re.sub(rf"(?m)^{key}\s*=.*\n", "", paper_text())
+                cfg = parse_config(text, origin="cut")
+                with pytest.raises(ConfigError, match=f"missing key '{key}'"):
+                    for build in TestKnownKeys.BUILDERS:
+                        build(cfg)
+
+    @pytest.mark.parametrize("key,builder,default", OPTIONAL_KEYS,
+                             ids=[key for key, _, _ in OPTIONAL_KEYS])
+    def test_absent_key_reads_as_its_default(self, key, builder, default,
+                                             tmp_path, capsys):
+        paths = {}
+        for name, line in (("absent", ""),
+                           ("default", f"{key} = {config_text(default)}\n")):
+            text, hits = re.subn(rf"(?m)^{key}\s*=.*\n", line, paper_text())
+            assert hits == 1
+            paths[name] = tmp_path / f"{name}.cfg"
+            paths[name].write_text(text)
+        absent, given = (load_config(str(paths[name])) for name in ("absent", "default"))
+        for build in TestKnownKeys.BUILDERS:
+            assert pickle.dumps(build(absent)) == pickle.dumps(build(given)), build
+        seq = tmp_path / "one.seq"
+        seq.write_text("pulse mw 0MHz 2.3us 0deg\npulse optical A 0.02us 1pi\n"
+                       "detect 3us\n")
+        for command in READERS[builder]:
+            argv = [str(seq) if arg == "SEQ" else arg
+                    for arg in ABSENT_KEY_COMMANDS[command]]
+            outputs = []
+            for name, path in paths.items():
+                out = tmp_path / f"{command}-{name}"
+                code = cli.main(argv + ["--config", str(path), "--out-dir", str(out)])
+                outputs.append((code, tree_bytes(out)))
+            capsys.readouterr()
+            assert outputs[0] == outputs[1], command
+            assert outputs[0][0] == 0, command
