@@ -6,19 +6,24 @@ sections into the typed parameter objects of the other modules; a
 config name that does not exist on disk falls back to the packaged
 presets (so `--config paper.cfg` works from any directory).  A loaded
 file may hold only the keys of KEYS, so a misspelt key fails instead
-of leaving its default in place.
+of leaving its default in place.  A key that sets a field of a
+parameter type reads its interval and its default from that field
+(:func:`_field`), and the [microwave] keys read theirs from
+montecarlo.MW_RANGES and MW_DEFAULTS, so this module restates no range
+that the types or engines own; :func:`physics.check_range` checks them.
 """
 from __future__ import annotations
 
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 
 from .estimators import gaussian_fwhm_to_sigma
-from .montecarlo import MW_DEFAULTS, BathParams
-from .physics import CavityConfig, EmitterConfig, ZeemanConfig
+from .montecarlo import MW_DEFAULTS, MW_RANGES, BathParams
+from .physics import (MAX_SPIN_FREQUENCY_MHZ, CavityConfig, EmitterConfig,
+                      InvalidConfigError, ZeemanConfig, check_range)
 from .readout import (CAPACITY_PULSES, CapacityError, ReadoutParams,
                       flip_probabilities)
 
@@ -36,11 +41,6 @@ __all__ = [
     "bath_params",
     "microwave_settings",
 ]
-
-# Ceiling of the [bath] and [microwave] frequency scales: 1 THz, far past
-# any spin transition, and low enough that every rotation angle 2*pi*f*t
-# the protocols build stays finite.
-MAX_SPIN_FREQUENCY_MHZ = 1e6
 
 # Every key a builder below reads, per section, plus [readout]
 # target_fidelity, which calibrate reads; load_config rejects any other.
@@ -98,18 +98,16 @@ class Config:
         return value if value is None else float(value)
 
     def bounded(self, section: str, key: str, low: float, high: float = math.inf,
-                default=_MISSING, open_low: bool = False, open_high: bool = True):
+                open_low: bool = False, open_high: bool = True, default=_MISSING):
         """number() that must be finite and inside the interval from low to
-        high, each end closed unless open_low/open_high."""
+        high, each end closed unless open_low/open_high
+        (:func:`physics.check_range`)."""
         value = self.number(section, key, default)
-        inside = ((low < value if open_low else low <= value)
-                  and (value < high if open_high else value <= high))
-        if not (math.isfinite(value) and inside):
-            interval = (f"{'(' if open_low else '['}{low:g}, "
-                        f"{high:g}{')' if open_high else ']'}")
-            raise ConfigError(f"{self.origin}: [{section}] {key} must be "
-                              f"finite and in {interval}, got {value:g}")
-        return value
+        try:
+            return check_range(f"[{section}] {key}", value, low, high,
+                               open_low, open_high)
+        except InvalidConfigError as exc:
+            raise ConfigError(f"{self.origin}: {exc}") from None
 
     def integer(self, section: str, key: str, default=_MISSING):
         value = self._fetch(section, key, default)
@@ -212,42 +210,42 @@ def load_config(path: str) -> Config:
 # typed builders
 # ---------------------------------------------------------------------------
 
+# the config key of each field or MW drive keyword whose name differs
+_KEY_OF = {"zero_field_frequency_ghz": "frequency_ghz", "field_axis": "axis",
+           "dark_rate": "dark_rate_hz", "gate_window": "gate_window_us",
+           "pulse_period": "pulse_period_us", "t1_spin": "t1_spin_s",
+           "t2_echo": "t2_echo_us", "mw_rabi_khz": "rabi_khz"}
+
+
+def _field(cfg: Config, section: str, spec):
+    """The [section] key that sets the dataclass field ``spec``: a string
+    for an unranged field, else a number in the field's interval; the
+    field's default, if it has one, stands in for an absent key."""
+    key = _KEY_OF.get(spec.name, spec.name)
+    default = _MISSING if spec.default is MISSING else spec.default
+    if "range" not in spec.metadata:
+        return cfg.string(section, key, default)
+    return cfg.bounded(section, key, *spec.metadata["range"], default=default)
+
+
+def _fields(cfg: Config, section: str, specs) -> dict:
+    return {spec.name: _field(cfg, section, spec) for spec in specs}
+
+
 def emitter_config(cfg: Config) -> EmitterConfig:
-    section = "emitter"
-    return EmitterConfig(
-        zero_field_frequency_ghz=cfg.bounded(section, "frequency_ghz", 0.0,
-                                             open_low=True),
-        g_ground=cfg.bounded(section, "g_ground", 0.0, open_low=True),
-        g_excited=cfg.bounded(section, "g_excited", 0.0, open_low=True),
-        bulk_lifetime_us=cfg.bounded(section, "bulk_lifetime_us", 0.0,
-                                     open_low=True),
-        spectral_diffusion_fwhm_mhz=cfg.bounded(
-            section, "spectral_diffusion_fwhm_mhz", 0.0,
-            default=EmitterConfig.spectral_diffusion_fwhm_mhz),
-    )
+    return EmitterConfig(**_fields(cfg, "emitter", fields(EmitterConfig)))
 
 
 def cavity_config(cfg: Config) -> CavityConfig:
-    """[cavity] plus the collection efficiencies of [detection].  The
-    cavity adds (purcell_on_resonance - 1) times the bulk decay rate, so
-    that key is at least 1."""
-    eta = {key: cfg.bounded("detection", key, 0.0, 1.0,
-                            default=getattr(CavityConfig, key), open_high=False)
-           for key in ("eta_waveguide", "eta_offchip", "eta_switch", "eta_detector")}
-    return CavityConfig(
-        resonance_frequency_ghz=cfg.bounded("cavity", "resonance_frequency_ghz",
-                                            0.0, open_low=True),
-        quality_factor=cfg.bounded("cavity", "quality_factor", 0.0, open_low=True),
-        purcell_on_resonance=cfg.bounded("cavity", "purcell_on_resonance", 1.0),
-        **eta,
-    )
+    """[cavity] plus the collection efficiencies of [detection], which are
+    read first."""
+    specs = fields(CavityConfig)
+    eta = _fields(cfg, "detection", specs[3:])     # the four eta_* fields
+    return CavityConfig(**_fields(cfg, "cavity", specs[:3]), **eta)
 
 
 def zeeman_config(cfg: Config) -> ZeemanConfig:
-    return ZeemanConfig(
-        magnetic_field_t=cfg.bounded("field", "magnetic_field_t", 0.0),
-        field_axis=cfg.string("field", "axis", ZeemanConfig.field_axis),
-    )
+    return ZeemanConfig(**_fields(cfg, "field", fields(ZeemanConfig)))
 
 
 def readout_params(cfg: Config, n_pulses: int | None = None,
@@ -278,27 +276,26 @@ def readout_params(cfg: Config, n_pulses: int | None = None,
     if flip_bright is None:
         flip_bright, flip_dark = flip_probabilities(
             relaxation_constant(cfg),
-            cfg.bounded(section, "flip_asymmetry", 0.0, 1.0, 0.5, open_high=False))
-    fields = dict(
+            cfg.bounded(section, "flip_asymmetry", 0.0, 1.0, open_high=False,
+                        default=0.5))
+    spec = {field.name: field for field in fields(ReadoutParams)}
+    values = dict(
         n_pulses=n_pulses,
-        p_excite=cfg.number(section, "p_excite"),
-        eta_detect=cfg.number(section, "eta_detect"),
+        p_excite=_field(cfg, section, spec["p_excite"]),
+        eta_detect=_field(cfg, section, spec["eta_detect"]),
         flip_bright=flip_bright,
         flip_dark=flip_dark,
-        dark_rate=cfg.bounded("detection", "dark_rate_hz", 0.0,
-                              default=ReadoutParams.dark_rate),
-        gate_window=(cfg.bounded("detection", "gate_window_us", 0.0,
-                                 default=ReadoutParams.gate_window)
+        dark_rate=_field(cfg, "detection", spec["dark_rate"]),
+        gate_window=(_field(cfg, "detection", spec["gate_window"])
                      if gate_window is None else gate_window),
-        pulse_period=cfg.bounded(section, "pulse_period_us", 0.0, open_low=True,
-                                 default=ReadoutParams.pulse_period),
+        pulse_period=_field(cfg, section, spec["pulse_period"]),
     )
     try:
-        return ReadoutParams(**fields)
+        return ReadoutParams(**values)
     except CapacityError as exc:
         raise ConfigError(f"{cfg.origin}: [detection] dark_rate_hz = "
-                          f"{fields['dark_rate']:g} at gate_window_us = "
-                          f"{fields['gate_window']:g} is too high{too_high_for}: "
+                          f"{values['dark_rate']:g} at gate_window_us = "
+                          f"{values['gate_window']:g} is too high{too_high_for}: "
                           f"{exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{cfg.origin}: [readout] {exc}") from exc
@@ -311,9 +308,9 @@ def relaxation_constant(cfg: Config) -> float:
 
 
 def bath_params(cfg: Config) -> BathParams:
-    """[bath]: one finite ODMR weight per center, centers and linewidth
-    within MAX_SPIN_FREQUENCY_MHZ (linewidth >= 0), and finite lifetimes
-    and echo exponent > 0."""
+    """[bath]: one finite ODMR weight per center, and centers and linewidth
+    within MAX_SPIN_FREQUENCY_MHZ (linewidth >= 0); the lifetimes and echo
+    exponent are read as BathParams' fields."""
     section = "bath"
     centers = cfg.numbers(section, "odmr_centers_mhz", BathParams.odmr_centers)
     weights = cfg.numbers(section, "odmr_weights", BathParams.odmr_weights)
@@ -327,30 +324,19 @@ def bath_params(cfg: Config) -> BathParams:
                 f"numbers{within}, one per odmr_centers_mhz value, got "
                 f"{', '.join(f'{v:g}' for v in values)}")
     # BathParams holds the sigma: an absent linewidth leaves its default
-    fields = {} if cfg.number(section, "odmr_fwhm_mhz", None) is None else {
+    sigma = {} if cfg.number(section, "odmr_fwhm_mhz", None) is None else {
         "odmr_sigma": gaussian_fwhm_to_sigma(cfg.bounded(
             section, "odmr_fwhm_mhz", 0.0, MAX_SPIN_FREQUENCY_MHZ, open_high=False))}
-    for name, key in (("t1_spin", "t1_spin_s"), ("t2_echo", "t2_echo_us"),
-                      ("echo_exponent", "echo_exponent")):
-        fields[name] = cfg.bounded(section, key, 0.0, open_low=True,
-                                   default=getattr(BathParams, name))
+    rest = _fields(cfg, section, fields(BathParams)[3:])   # the lifetimes, echo exponent
     try:
-        return BathParams(odmr_centers=centers, odmr_weights=weights, **fields)
+        return BathParams(odmr_centers=centers, odmr_weights=weights, **sigma, **rest)
     except ValueError as exc:
         raise ConfigError(f"{cfg.origin}: [{section}] {exc}") from exc
 
 
 def microwave_settings(cfg: Config) -> dict:
-    """[microwave]: Rabi frequency and detuning spread within
-    MAX_SPIN_FREQUENCY_MHZ, and a fractional drive jitter of at most 1."""
-    section = "microwave"
-    max_khz = 1e3 * MAX_SPIN_FREQUENCY_MHZ
-    return {
-        "mw_rabi_khz": cfg.bounded(section, "rabi_khz", 0.0, max_khz, open_low=True,
-                                   open_high=False, default=MW_DEFAULTS["mw_rabi_khz"]),
-        "detuning_sigma_khz": cfg.bounded(section, "detuning_sigma_khz", 0.0, max_khz,
-                                          open_high=False,
-                                          default=MW_DEFAULTS["detuning_sigma_khz"]),
-        "drive_jitter": cfg.bounded(section, "drive_jitter", 0.0, 1.0, open_high=False,
-                                    default=MW_DEFAULTS["drive_jitter"]),
-    }
+    """[microwave]: the keywords of run_protocol's drive, each in its
+    montecarlo.MW_RANGES interval and MW_DEFAULTS' value if absent."""
+    return {name: cfg.bounded("microwave", _KEY_OF.get(name, name), *interval,
+                              default=MW_DEFAULTS[name])
+            for name, interval in MW_RANGES.items()}

@@ -35,7 +35,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimators import PhotonRecords, gaussian_fwhm_to_sigma, write_csv
-from .physics import EmitterConfig, lorentzian_suppression
+from .physics import (MAX_SPIN_FREQUENCY_MHZ, EmitterConfig, InvalidConfigError,
+                      check_fields, check_range, lorentzian_suppression, ranged)
 from .readout import (CapacityError, CountDistribution, ReadoutParams, cyclicity,
                       fidelity_reports)
 from .sequence import _TRANSITION_LABELS, DETECT, MAX_EVENTS, MW, OPTICAL, Timeline
@@ -46,6 +47,7 @@ __all__ = [
     "BLOCK_SHOTS",
     "TIMELINE_BLOCK_CELLS",
     "MW_DEFAULTS",
+    "MW_RANGES",
     "BathParams",
     "ReadoutSimResult",
     "ProtocolCurve",
@@ -65,6 +67,10 @@ PROTOCOLS = ("t1", "odmr", "rabi", "echo")
 # pulse on the central line, a detuning spread that sets the Rabi decay
 # envelope, and no drive jitter
 MW_DEFAULTS = {"mw_rabi_khz": 217.4, "detuning_sigma_khz": 20.0, "drive_jitter": 0.0}
+# and the interval of each, as check_range's (low, high, open_low, open_high)
+MW_RANGES = {"mw_rabi_khz": (0.0, 1e3 * MAX_SPIN_FREQUENCY_MHZ, True, False),
+             "detuning_sigma_khz": (0.0, 1e3 * MAX_SPIN_FREQUENCY_MHZ, False, False),
+             "drive_jitter": (0.0, 1.0, False, False)}
 
 
 def worker_count() -> int:
@@ -130,27 +136,23 @@ class BathParams:
 
     The three-peak splitting and weights are assumptions (the split is
     visible but unquantified in the device data); the linewidth, T1 and
-    T2 defaults are the nominal device values.
+    T2 defaults are the nominal device values.  The weights, one per
+    center, are >= 0 and sum to 1.
     """
     odmr_centers: tuple = (-3.3, 0.0, 3.3)          # MHz
     odmr_weights: tuple = (0.25, 0.5, 0.25)
-    odmr_sigma: float = gaussian_fwhm_to_sigma(2.37)   # MHz, 1 SD
-    t1_spin: float = 0.44                            # s
-    t2_echo: float = 48.0                            # us
-    echo_exponent: float = 2.0
+    odmr_sigma: float = ranged(0.0, default=gaussian_fwhm_to_sigma(2.37))  # MHz, 1 SD
+    t1_spin: float = ranged(0.0, open_low=True, default=0.44)    # s
+    t2_echo: float = ranged(0.0, open_low=True, default=48.0)    # us
+    echo_exponent: float = ranged(0.0, open_low=True, default=2.0)
 
     def __post_init__(self):
         weights = np.asarray(self.odmr_weights, dtype=float)
         if len(self.odmr_centers) != len(self.odmr_weights):
-            raise ValueError("odmr_centers and odmr_weights must match in length")
-        if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
-            raise ValueError("odmr_weights must be >= 0 and sum to 1")
-        if self.odmr_sigma < 0:
-            raise ValueError("odmr_sigma must be >= 0")
-        if self.t1_spin <= 0 or self.t2_echo <= 0:
-            raise ValueError("t1_spin and t2_echo must be > 0")
-        if self.echo_exponent <= 0:
-            raise ValueError("echo_exponent must be > 0")
+            raise InvalidConfigError("odmr_centers and odmr_weights must match in length")
+        if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-9):
+            raise InvalidConfigError("odmr_weights must be >= 0 and sum to 1")
+        check_fields(self)
 
 
 def _sample_mixture(rng, bath: BathParams, size: int) -> np.ndarray:
@@ -332,8 +334,8 @@ def run_protocol(protocol: str, sweep, bath: BathParams, shots: int = 1000,
         raise ValueError(f"unknown protocol {protocol!r}; choose from {PROTOCOLS}")
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if not mw_rabi_khz > 0.0:
-        raise ValueError(f"mw_rabi_khz must be > 0, got {mw_rabi_khz}")
+    for name, value in zip(MW_RANGES, (mw_rabi_khz, detuning_sigma_khz, drive_jitter)):
+        check_range(name, value, *MW_RANGES[name])
     x = np.asarray(sweep, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("sweep grid must be a non-empty 1-d array")
@@ -722,6 +724,7 @@ def run_timeline(timeline, params: ReadoutParams, bath: BathParams | None = None
     the next segment, and emissions are looked up in every gate of the
     timeline, so the cut changes only which draws a longer shot takes.
     """
+    check_range("mw_rabi_khz", mw_rabi_khz, *MW_RANGES["mw_rabi_khz"])
     plan = _plan_timeline(timeline, params, spectral_diffusion_fwhm_mhz)
     n_gates = len(plan.gate_start)
     totals, _, columns = _run_blocks(

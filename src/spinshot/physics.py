@@ -3,6 +3,11 @@
 Everything in here is a pure function over immutable configs: no state,
 no randomness, safe to call concurrently.
 
+Each float field of the parameter types (these three, ReadoutParams and
+BathParams) states its interval once, as :func:`ranged`; the types check
+it on construction and config reads it from the field a key sets.
+:func:`check_range` is the package's one check of a finite interval.
+
 Unit conventions (fixed throughout the package):
     optical frequencies  GHz
     splittings           GHz
@@ -11,9 +16,16 @@ Unit conventions (fixed throughout the package):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
-from .constants import GHZ_PER_G_TESLA
+# Zeeman splitting in GHz per (g-factor * tesla): mu_B / h, CODATA 2018
+GHZ_PER_G_TESLA = 9.2740100783e-24 / 6.62607015e-34 / 1e9
+
+# Ceiling of the spin frequency scales ([bath] ODMR centers and linewidth,
+# the MW drive): 1 THz, far past any spin transition, and low enough that
+# every rotation angle 2*pi*f*t the protocols build stays finite.
+MAX_SPIN_FREQUENCY_MHZ = 1e6
 
 
 class InvalidConfigError(ValueError):
@@ -24,58 +36,76 @@ class CyclicityDivergenceError(ZeroDivisionError):
     """Flip branching is zero: infinite cyclicity."""
 
 
+def check_range(name, value, low, high, open_low, open_high):
+    """``value`` if it is finite and inside the interval from low to high,
+    each end open if open_low/open_high; else an InvalidConfigError that
+    names it."""
+    inside = ((low < value if open_low else low <= value)
+              and (value < high if open_high else value <= high))
+    if not (math.isfinite(value) and inside):
+        interval = (f"{'(' if open_low else '['}{low:g}, "
+                    f"{high:g}{')' if open_high else ']'}")
+        raise InvalidConfigError(f"{name} must be finite and in {interval}, "
+                                 f"got {value:g}")
+    return value
+
+
+def ranged(low, high=math.inf, open_low=False, open_high=True, **kwargs):
+    """A dataclass field (``kwargs`` as for dataclasses.field) whose value
+    :func:`check_fields` checks against the interval from low to high."""
+    return field(metadata={"range": (low, high, open_low, open_high)}, **kwargs)
+
+
+def check_fields(obj) -> None:
+    """Check each :func:`ranged` field of the dataclass instance ``obj``."""
+    for spec in fields(obj):
+        if "range" in spec.metadata:
+            check_range(spec.name, getattr(obj, spec.name), *spec.metadata["range"])
+
+
 @dataclass(frozen=True)
 class EmitterConfig:
-    """Single-emitter level structure and optical properties."""
+    """Single-emitter level structure and optical properties; each field
+    is checked against its interval on construction."""
 
-    zero_field_frequency_ghz: float
-    g_ground: float
-    g_excited: float
-    bulk_lifetime_us: float
-    spectral_diffusion_fwhm_mhz: float = 13.5   # MHz, low end of the measured range
+    zero_field_frequency_ghz: float = ranged(0.0, open_low=True)
+    g_ground: float = ranged(0.0, open_low=True)
+    g_excited: float = ranged(0.0, open_low=True)
+    bulk_lifetime_us: float = ranged(0.0, open_low=True)
+    # MHz, low end of the measured range
+    spectral_diffusion_fwhm_mhz: float = ranged(0.0, default=13.5)
 
     def __post_init__(self):
-        if self.bulk_lifetime_us <= 0:
-            raise InvalidConfigError("bulk_lifetime_us must be > 0")
-        if self.g_ground <= 0 or self.g_excited <= 0:
-            raise InvalidConfigError("effective g-factors must be > 0")
-        if self.spectral_diffusion_fwhm_mhz < 0:
-            raise InvalidConfigError("spectral_diffusion_fwhm_mhz must be >= 0")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class CavityConfig:
-    """Resonator properties plus the photon collection chain."""
+    """Resonator properties plus the photon collection chain.  The cavity
+    adds (F_P - 1) times the bulk decay rate, so F_P is at least 1."""
 
-    resonance_frequency_ghz: float
-    quality_factor: float
-    purcell_on_resonance: float
-    eta_waveguide: float = 1.0
-    eta_offchip: float = 1.0
-    eta_switch: float = 1.0
-    eta_detector: float = 1.0
+    resonance_frequency_ghz: float = ranged(0.0, open_low=True)
+    quality_factor: float = ranged(0.0, open_low=True)
+    purcell_on_resonance: float = ranged(1.0)
+    eta_waveguide: float = ranged(0.0, 1.0, open_high=False, default=1.0)
+    eta_offchip: float = ranged(0.0, 1.0, open_high=False, default=1.0)
+    eta_switch: float = ranged(0.0, 1.0, open_high=False, default=1.0)
+    eta_detector: float = ranged(0.0, 1.0, open_high=False, default=1.0)
 
     def __post_init__(self):
-        if self.quality_factor <= 0:
-            raise InvalidConfigError("quality_factor must be > 0")
-        if self.resonance_frequency_ghz <= 0:
-            raise InvalidConfigError("resonance_frequency_ghz must be > 0")
-        for name in ("eta_waveguide", "eta_offchip", "eta_switch", "eta_detector"):
-            eta = getattr(self, name)
-            if not 0.0 <= eta <= 1.0:
-                raise InvalidConfigError(f"{name} must lie in [0, 1], got {eta}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class ZeemanConfig:
-    """External magnetic field; the axis label is informational only."""
+    """External magnetic field, finite and >= 0; the axis label is
+    informational only."""
 
-    magnetic_field_t: float
+    magnetic_field_t: float = ranged(0.0)
     field_axis: str = "(100)"
 
     def __post_init__(self):
-        if self.magnetic_field_t < 0:
-            raise InvalidConfigError("magnetic_field_t must be >= 0")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -106,8 +136,6 @@ class TransitionSet:
 
 def cavity_linewidth(cfg: CavityConfig) -> float:
     """FWHM linewidth in GHz, resonance frequency over quality factor."""
-    if cfg.quality_factor <= 0:
-        raise InvalidConfigError("quality_factor must be > 0")
     return cfg.resonance_frequency_ghz / cfg.quality_factor
 
 

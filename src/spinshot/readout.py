@@ -20,6 +20,7 @@ arithmetic on the model — no sampling — apart from
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ import numpy as np
 
 from .estimators import (FitError, FitResult, NumericalError, fit_model,
                          write_csv)
+from .physics import InvalidConfigError, check_fields, check_range, ranged
 
 __all__ = [
     "CAPACITY_PULSES",
@@ -86,40 +88,33 @@ class CalibrationError(NumericalError):
         self.attainable = attainable
 
 
-def _probability(name, value):
-    if not (0.0 <= value <= 1.0):
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class ReadoutParams:
     """Knobs of one pulsed-readout sequence.
 
     Rates in Hz, times in microseconds; ``flip_bright``/``flip_dark``
     are the per-pulse flip probabilities of the bright and dark ground
-    state (a and b in the chain above).
+    state (a and b in the chain above).  ``n_pulses`` is an integer >= 1,
+    and the dark-count mean at most CAPACITY_DARK_MEAN (a CapacityError).
     """
     n_pulses: int
-    p_excite: float
-    eta_detect: float
-    flip_bright: float
-    flip_dark: float
-    dark_rate: float = 0.0
-    gate_window: float = 3.0
-    pulse_period: float = 10.0
+    p_excite: float = ranged(0.0, 1.0, open_high=False)
+    eta_detect: float = ranged(0.0, 1.0, open_high=False)
+    flip_bright: float = ranged(0.0, 1.0, open_high=False)
+    flip_dark: float = ranged(0.0, 1.0, open_high=False)
+    dark_rate: float = ranged(0.0, default=0.0)
+    gate_window: float = ranged(0.0, default=3.0)
+    pulse_period: float = ranged(0.0, open_low=True, default=10.0)
 
     def __post_init__(self):
-        if self.n_pulses < 1:
-            raise ValueError(f"n_pulses must be >= 1, got {self.n_pulses}")
-        for name in ("p_excite", "eta_detect", "flip_bright", "flip_dark"):
-            _probability(name, getattr(self, name))
-        for name, positive in (("dark_rate", False), ("gate_window", False),
-                               ("pulse_period", True)):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
-                raise ValueError(f"{name} must be finite and "
-                                 f"{'>' if positive else '>='} 0, got {value}")
+        try:
+            n_pulses = operator.index(self.n_pulses)
+        except TypeError:
+            raise InvalidConfigError(f"n_pulses must be an integer, got "
+                                     f"{self.n_pulses!r}") from None
+        if n_pulses < 1:
+            raise InvalidConfigError(f"n_pulses must be >= 1, got {n_pulses}")
+        check_fields(self)
         if not self.dark_count_mean <= CAPACITY_DARK_MEAN:
             raise CapacityError(
                 f"the dark-count mean {self.dark_count_mean:g} over "
@@ -673,11 +668,8 @@ def calibrate_flip_asymmetry(params: ReadoutParams, relaxation_constant: float,
     and each bracket's ends gives the reported fidelities; the result
     must reach the target within CALIBRATION_TOL.
     """
-    if not (math.isfinite(relaxation_constant) and relaxation_constant > 1.0):
-        raise ValueError("relaxation_constant must be finite and exceed 1 pulse, "
-                         f"got {relaxation_constant}")
-    if not (0.0 < target_f < 1.0):
-        raise ValueError("target_f must be in (0, 1)")
+    check_range("relaxation_constant", relaxation_constant, 1.0, math.inf, True, True)
+    check_range("target_f", target_f, 0.0, 1.0, True, True)
     n, noise = params.n_pulses, _poisson_pmf(params.dark_count_mean)
     cap = min(n + 1, max(threshold, len(noise)))
 

@@ -291,6 +291,45 @@ class TestReadoutKeyRanges:
                               "finite and in ")
 
 
+# each key that sets a field of a parameter type, or a [microwave] drive
+# keyword, the builder that reads it and that field's interval
+FIELD_KEYS = [
+    *(("emitter", key, emitter_config, "(0, inf)")
+      for key in ("frequency_ghz", "g_ground", "g_excited", "bulk_lifetime_us")),
+    ("emitter", "spectral_diffusion_fwhm_mhz", emitter_config, "[0, inf)"),
+    ("cavity", "resonance_frequency_ghz", cavity_config, "(0, inf)"),
+    ("cavity", "quality_factor", cavity_config, "(0, inf)"),
+    ("cavity", "purcell_on_resonance", cavity_config, "[1, inf)"),
+    *(("detection", key, cavity_config, "[0, 1]")
+      for key in ("eta_waveguide", "eta_offchip", "eta_switch", "eta_detector")),
+    ("field", "magnetic_field_t", zeeman_config, "[0, inf)"),
+    ("readout", "p_excite", readout_params, "[0, 1]"),
+    ("readout", "eta_detect", readout_params, "[0, 1]"),
+    ("detection", "dark_rate_hz", readout_params, "[0, inf)"),
+    ("detection", "gate_window_us", readout_params, "[0, inf)"),
+    ("readout", "pulse_period_us", readout_params, "(0, inf)"),
+    ("bath", "t1_spin_s", bath_params, "(0, inf)"),
+    ("bath", "t2_echo_us", bath_params, "(0, inf)"),
+    ("bath", "echo_exponent", bath_params, "(0, inf)"),
+    ("microwave", "rabi_khz", microwave_settings, "(0, 1e+09]"),
+    ("microwave", "detuning_sigma_khz", microwave_settings, "[0, 1e+09]"),
+    ("microwave", "drive_jitter", microwave_settings, "[0, 1]"),
+]
+
+
+class TestFieldKeyRanges:
+    @pytest.mark.parametrize("section,key,builder,interval", FIELD_KEYS,
+                             ids=[f"{s}-{k}" for s, k, _, _ in FIELD_KEYS])
+    def test_nan_names_the_key_and_the_field_interval(self, section, key, builder,
+                                                      interval):
+        text, hits = re.subn(rf"(?m)^{key} = .*$", f"{key} = nan", paper_text())
+        assert hits == 1
+        with pytest.raises(ConfigError) as exc:
+            builder(parse_config(text, origin="probe.cfg"))
+        assert str(exc.value) == (f"probe.cfg: [{section}] {key} must be finite "
+                                  f"and in {interval}, got nan")
+
+
 # the commands run on each config copy below, by the builders they call.
 # protocols runs at a seed and shot count where all four fits converge, so
 # that the echo keys reach its output.

@@ -22,6 +22,7 @@ from spinshot.montecarlo import (BLOCK_SHOTS, TIMELINE_BLOCK_CELLS, BathParams,
                                  excitation_probability, pulse_area_scan,
                                  run_protocol, run_timeline,
                                  simulate_readout_shots, worker_count)
+from spinshot.physics import InvalidConfigError
 from spinshot.readout import (CAPACITY_PULSES, ReadoutParams, _distributions,
                               count_distribution, expected_trace, readout_report)
 from spinshot.sequence import DETECT, compile_sequence, parse_sequence
@@ -468,8 +469,34 @@ class TestProtocols:
             run_protocol("ramsey", [0.0], bath)
 
     def test_drive_must_be_positive(self, bath):
-        with pytest.raises(ValueError, match="mw_rabi_khz must be > 0"):
+        with pytest.raises(ValueError, match=r"mw_rabi_khz must be finite and "
+                           r"in \(0, 1e\+09\], got 0"):
             run_protocol("rabi", [1.0], bath, mw_rabi_khz=0.0)
+
+    @pytest.mark.parametrize("name,value,interval", [
+        ("mw_rabi_khz", math.inf, r"\(0, 1e\+09\]"),
+        ("mw_rabi_khz", 1.000001e9, r"\(0, 1e\+09\]"),
+        ("detuning_sigma_khz", math.nan, r"\[0, 1e\+09\]"),
+        ("detuning_sigma_khz", -1.0, r"\[0, 1e\+09\]"),
+        ("drive_jitter", math.nan, r"\[0, 1\]"),
+        ("drive_jitter", 1.5, r"\[0, 1\]"),
+    ])
+    def test_drive_arguments_are_checked(self, bath, name, value, interval):
+        # a NaN spread or an infinite drive gave a curve of zeros; a NaN
+        # jitter was ignored
+        with pytest.raises(InvalidConfigError,
+                           match=rf"^{name} must be finite and in {interval}, got "):
+            run_protocol("rabi", [1.0, 2.0], bath, shots=50, **{name: value})
+
+    def test_drive_closed_ends_are_accepted(self, bath):
+        curve = run_protocol("rabi", [1.0], bath, shots=50, mw_rabi_khz=1e9,
+                             detuning_sigma_khz=0.0, drive_jitter=1.0)
+        assert np.isfinite(curve.mean).all()
+
+    def test_timeline_checks_its_drive(self):
+        timeline = compile_sequence(parse_sequence("pulse mw 0MHz 2.3us 0deg\n"))
+        with pytest.raises(InvalidConfigError, match=r"^mw_rabi_khz must be finite"):
+            run_timeline(timeline, make_params(n=1), shots=2, mw_rabi_khz=math.nan)
 
     def test_t1_limits(self, bath):
         curve = run_protocol("t1", [0.0, 10.0], bath, shots=20_000, seed=1)

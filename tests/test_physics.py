@@ -1,16 +1,19 @@
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinshot.constants import GHZ_PER_G_TESLA
-from spinshot.physics import (CavityConfig, CyclicityDivergenceError,
-                              EmitterConfig, InvalidConfigError, ZeemanConfig,
+from spinshot.physics import (GHZ_PER_G_TESLA, CavityConfig,
+                              CyclicityDivergenceError, EmitterConfig,
+                              InvalidConfigError, ZeemanConfig,
                               cavity_linewidth, detection_efficiency_budget,
                               effective_lifetime, lorentzian_suppression,
                               predicted_cyclicity, purcell_factor,
                               zeeman_transitions)
+from spinshot.montecarlo import BathParams
+from spinshot.readout import ReadoutParams
 
 positive = st.floats(min_value=1e-3, max_value=1e9,
                      allow_nan=False, allow_infinity=False)
@@ -184,3 +187,98 @@ def test_suppression_at_nominal_detuning():
 def test_constants_linear_zeeman():
     # mu_B / h in GHz per (g * tesla)
     assert GHZ_PER_G_TESLA == pytest.approx(13.9962, abs=1e-3)
+
+
+# a valid instance's arguments for each of the five parameter types, and the
+# interval of each of their numeric fields as (low, high, open_low, open_high)
+VALID = {
+    EmitterConfig: dict(zero_field_frequency_ghz=194954.05, g_ground=0.857,
+                        g_excited=1.2, bulk_lifetime_us=142.0),
+    CavityConfig: dict(resonance_frequency_ghz=194954.05, quality_factor=82000.0,
+                       purcell_on_resonance=177.0),
+    ZeemanConfig: dict(magnetic_field_t=0.3),
+    ReadoutParams: dict(n_pulses=71, p_excite=0.78, eta_detect=0.1,
+                        flip_bright=0.004, flip_dark=0.004),
+    BathParams: {},
+}
+POSITIVE = (0.0, math.inf, True, True)
+NON_NEGATIVE = (0.0, math.inf, False, True)
+UNIT = (0.0, 1.0, False, False)
+RANGES = {
+    (EmitterConfig, "zero_field_frequency_ghz"): POSITIVE,
+    (EmitterConfig, "g_ground"): POSITIVE,
+    (EmitterConfig, "g_excited"): POSITIVE,
+    (EmitterConfig, "bulk_lifetime_us"): POSITIVE,
+    (EmitterConfig, "spectral_diffusion_fwhm_mhz"): NON_NEGATIVE,
+    (CavityConfig, "resonance_frequency_ghz"): POSITIVE,
+    (CavityConfig, "quality_factor"): POSITIVE,
+    (CavityConfig, "purcell_on_resonance"): (1.0, math.inf, False, True),
+    (CavityConfig, "eta_waveguide"): UNIT,
+    (CavityConfig, "eta_offchip"): UNIT,
+    (CavityConfig, "eta_switch"): UNIT,
+    (CavityConfig, "eta_detector"): UNIT,
+    (ZeemanConfig, "magnetic_field_t"): NON_NEGATIVE,
+    (ReadoutParams, "p_excite"): UNIT,
+    (ReadoutParams, "eta_detect"): UNIT,
+    (ReadoutParams, "flip_bright"): UNIT,
+    (ReadoutParams, "flip_dark"): UNIT,
+    (ReadoutParams, "dark_rate"): NON_NEGATIVE,
+    (ReadoutParams, "gate_window"): NON_NEGATIVE,
+    (ReadoutParams, "pulse_period"): POSITIVE,
+    (BathParams, "odmr_sigma"): NON_NEGATIVE,
+    (BathParams, "t1_spin"): POSITIVE,
+    (BathParams, "t2_echo"): POSITIVE,
+    (BathParams, "echo_exponent"): POSITIVE,
+}
+
+
+class TestFieldRanges:
+    """Each numeric field of the five parameter types rejects NaN, +-inf
+    and the first values past its interval, naming itself, and accepts
+    its closed ends."""
+
+    def test_table_covers_every_numeric_field(self):
+        numeric = {(cls, spec.name) for cls in VALID for spec in fields(cls)
+                   if spec.type == "float"}
+        assert numeric == set(RANGES)
+
+    @pytest.mark.parametrize("cls,name", list(RANGES),
+                             ids=[f"{cls.__name__}.{name}" for cls, name in RANGES])
+    def test_field_interval(self, cls, name):
+        low, high, open_low, open_high = RANGES[cls, name]
+        outside = [math.nan, math.inf, -math.inf,
+                   low if open_low else math.nextafter(low, -math.inf)]
+        if high < math.inf:
+            outside.append(high if open_high else math.nextafter(high, math.inf))
+        for value in outside:
+            with pytest.raises(InvalidConfigError,
+                               match=rf"^{name} must be finite and in "):
+                cls(**{**VALID[cls], name: value})
+        closed_ends = [end for end, is_open in ((low, open_low), (high, open_high))
+                       if not is_open and math.isfinite(end)]
+        for value in closed_ends:
+            assert getattr(cls(**{**VALID[cls], name: value}), name) == value
+
+
+class TestRejectedConstructions:
+    """Constructions that used to pass and fail later, or not at all."""
+
+    @pytest.mark.parametrize("build,name", [
+        (lambda: EmitterConfig(194954.05, 0.857, 1.2, bulk_lifetime_us=math.nan),
+         "bulk_lifetime_us"),
+        (lambda: EmitterConfig(-1.0, 0.857, 1.2, 142.0), "zero_field_frequency_ghz"),
+        (lambda: ZeemanConfig(math.nan), "magnetic_field_t"),
+        (lambda: CavityConfig(194954.05, quality_factor=math.inf,
+                              purcell_on_resonance=177.0), "quality_factor"),
+        # a T1 curve of zeros
+        (lambda: BathParams(t1_spin=math.nan), "t1_spin"),
+        # numpy's "Probabilities contain NaN" at the first ODMR draw
+        (lambda: BathParams(odmr_weights=(math.nan,) * 3), "odmr_weights"),
+        # a ZeroDivisionError in effective_lifetime
+        (lambda: CavityConfig(194954.05, 82000.0, purcell_on_resonance=0),
+         "purcell_on_resonance"),
+    ], ids=["emitter-nan-lifetime", "emitter-negative-frequency", "zeeman-nan-field",
+            "cavity-inf-q", "bath-nan-t1", "bath-nan-weights", "cavity-zero-purcell"])
+    def test_fails_naming_the_field(self, build, name):
+        with pytest.raises(InvalidConfigError, match=rf"^{name} must "):
+            build()

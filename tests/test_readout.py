@@ -23,6 +23,7 @@ from spinshot.readout import (CAPACITY_DARK_MEAN, CAPACITY_PULSES,
                               readout_fidelity, readout_report)
 from spinshot import readout as readout_module
 from spinshot.estimators import FitError
+from spinshot.physics import InvalidConfigError
 
 
 def make_params(n=71, a=0.5 / 131, b=0.5 / 131, p=0.78, eta=0.10, **kw):
@@ -862,6 +863,13 @@ class TestParamsValidation:
     def test_bad_pulse_count(self):
         with pytest.raises(ValueError):
             make_params(n=0)
+
+    def test_pulse_count_must_be_an_integer(self):
+        # used to fail in the DP, as range()'s bare TypeError
+        with pytest.raises(InvalidConfigError,
+                           match=r"^n_pulses must be an integer, got 2\.5$"):
+            make_params(n=2.5)
+        assert make_params(n=np.int64(71)).n_pulses == 71
 
     def test_duration_property(self):
         assert make_params(n=71).duration_ms == pytest.approx(0.71)
