@@ -63,12 +63,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _at_least_one(flag: str, value, most=math.inf, most_is=""):
-    """Usage error unless an integer flag is unset or in 1..most, which
-    ``most_is`` names in the message."""
-    if value is not None and value < 1:
-        raise UsageError(f"{flag} must be >= 1, got {value}")
-    if value is not None and value > most:
-        raise UsageError(f"{flag} must be <= {most}{most_is}, got {value}")
+    """Usage error unless an integer flag is unset or in 1..most (``most_is``
+    names most); a value below 1 gets check_count's message."""
+    from .estimators import InvalidConfigError, check_count
+    try:
+        if value is not None and check_count(flag, value) > most:
+            raise UsageError(f"{flag} must be <= {most}{most_is}, got {value}")
+    except InvalidConfigError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _utc_now() -> str:

@@ -214,7 +214,7 @@ def load_config(path: str) -> Config:
 _KEY_OF = {"zero_field_frequency_ghz": "frequency_ghz", "field_axis": "axis",
            "dark_rate": "dark_rate_hz", "gate_window": "gate_window_us",
            "pulse_period": "pulse_period_us", "t1_spin": "t1_spin_s",
-           "t2_echo": "t2_echo_us", "mw_rabi_khz": "rabi_khz"}
+           "t2_echo": "t2_echo_us", "odmr_centers": "odmr_centers_mhz", "mw_rabi_khz": "rabi_khz"}
 
 
 def _field(cfg: Config, section: str, spec):
@@ -308,21 +308,11 @@ def relaxation_constant(cfg: Config) -> float:
 
 
 def bath_params(cfg: Config) -> BathParams:
-    """[bath]: one finite ODMR weight per center, and centers and linewidth
-    within MAX_SPIN_FREQUENCY_MHZ (linewidth >= 0); the lifetimes and echo
-    exponent are read as BathParams' fields."""
+    """[bath]: BathParams' fields, an error naming the key; odmr_fwhm_mhz is a
+    FWHM in [0, MAX_SPIN_FREQUENCY_MHZ] that becomes its sigma."""
     section = "bath"
     centers = cfg.numbers(section, "odmr_centers_mhz", BathParams.odmr_centers)
     weights = cfg.numbers(section, "odmr_weights", BathParams.odmr_weights)
-    for key, values, limit in (("odmr_centers_mhz", centers, MAX_SPIN_FREQUENCY_MHZ),
-                               ("odmr_weights", weights, math.inf)):
-        if len(values) != len(centers) or not all(
-                math.isfinite(v) and abs(v) <= limit for v in values):
-            within = f" in [-{limit:g}, {limit:g}]" if limit < math.inf else ""
-            raise ConfigError(
-                f"{cfg.origin}: [{section}] {key} must be {len(centers)} finite "
-                f"numbers{within}, one per odmr_centers_mhz value, got "
-                f"{', '.join(f'{v:g}' for v in values)}")
     # BathParams holds the sigma: an absent linewidth leaves its default
     sigma = {} if cfg.number(section, "odmr_fwhm_mhz", None) is None else {
         "odmr_sigma": gaussian_fwhm_to_sigma(cfg.bounded(
@@ -330,8 +320,9 @@ def bath_params(cfg: Config) -> BathParams:
     rest = _fields(cfg, section, fields(BathParams)[3:])   # the lifetimes, echo exponent
     try:
         return BathParams(odmr_centers=centers, odmr_weights=weights, **sigma, **rest)
-    except ValueError as exc:
-        raise ConfigError(f"{cfg.origin}: [{section}] {exc}") from exc
+    except ValueError as exc:       # its message begins with the field's name
+        name, _, says = str(exc).partition(" ")
+        raise ConfigError(f"{cfg.origin}: [{section}] {_KEY_OF.get(name, name)} {says}") from exc
 
 
 def microwave_settings(cfg: Config) -> dict:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,38 @@ _GAUSS_K = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 def gaussian_fwhm_to_sigma(fwhm: float) -> float:
     return fwhm / _GAUSS_K
+
+
+class InvalidConfigError(ValueError):
+    """A config value or argument violates one of its documented invariants."""
+
+
+def check_range(name, value, low, high, open_low, open_high):
+    """``value`` if it is finite and inside the interval from low to high,
+    each end open if open_low/open_high; else an InvalidConfigError that
+    names it."""
+    inside = ((low < value if open_low else low <= value)
+              and (value < high if open_high else value <= high))
+    try:
+        shown = None if inside and math.isfinite(value) else f"{value:g}"
+    except OverflowError:               # an int past the float range
+        shown = "an int past the float range"
+    if shown is not None:
+        interval = f"{'(' if open_low else '['}{low:g}, {high:g}{')' if open_high else ']'}"
+        raise InvalidConfigError(f"{name} must be finite and in {interval}, got {shown}")
+    return value
+
+
+def check_count(name, value, low=1):
+    """``value`` as an int if it is an integer >= low (``operator.index``: a
+    float never is); else an InvalidConfigError that names it."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise InvalidConfigError(f"{name} must be an integer, got {value!r}") from None
+    if count < low:
+        raise InvalidConfigError(f"{name} must be >= {low}, got {count}")
+    return count
 
 
 class NumericalError(RuntimeError):
@@ -205,8 +238,6 @@ _MODELS = {
 
 
 def _gaussian_sum_spec(k: int) -> _ModelSpec:
-    if k < 1:
-        raise ValueError("gaussian_sum needs at least one component")
     names = []
     for i in range(1, k + 1):
         names += [f"amplitude_{i}", f"center_{i}", f"sigma_{i}"]
@@ -245,9 +276,13 @@ def _gaussian_sum_spec(k: int) -> _ModelSpec:
     return _ModelSpec(tuple(names), positive, predict, starts)
 
 
+def _components(n_components) -> int:     # gaussian_sum's; None: 3
+    return 3 if n_components is None else check_count("n_components", n_components)
+
+
 def _resolve_spec(kind: str, n_components) -> _ModelSpec:
     if kind == "gaussian_sum":
-        return _gaussian_sum_spec(3 if n_components is None else int(n_components))
+        return _gaussian_sum_spec(_components(n_components))
     if kind not in _MODELS:
         raise ValueError(f"unknown model kind {kind!r}; known: "
                          f"{sorted(_MODELS)} + ['gaussian_sum']")
@@ -381,7 +416,7 @@ def fit_model(kind, x, y, sigma=None, initial=None,
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("data must be finite")
     # counted before gaussian_sum's 3k + 1 parameter names are built
-    n_par = (3 * (3 if n_components is None else int(n_components)) + 1
+    n_par = (3 * _components(n_components) + 1
              if kind == "gaussian_sum" else len(_resolve_spec(kind, None).names))
     if len(x) < n_par + 1:
         raise ValueError(f"need at least {n_par + 1} points to fit {kind}")
@@ -639,13 +674,12 @@ def g2_pulsed(records, n_lags: int = 20) -> G2Result:
     """Pulse-wise autocorrelation from detected-photon records.
 
     Same-pulse (ordered) pair rate over the mean of the pair rates at
-    lags 1..n_lags (n_lags >= 1, capped at the pulse count - 1).  Records
+    lags 1..n_lags (an integer >= 1, capped at the pulse count - 1).  Records
     need ``shot_id``/``pulse_index`` arrays plus ``n_shots``/``n_pulses``.
     Pairs are counted over the occupied (shot, pulse) cells only: in
     (shot, pulse) order, a cell's partner at lag l lies at most l cells on.
     """
-    if n_lags < 1:
-        raise ValueError(f"n_lags must be >= 1, got {n_lags}")
+    n_lags = check_count("n_lags", n_lags)
     shot = np.asarray(records.shot_id, dtype=np.int64)
     pulse = np.asarray(records.pulse_index, dtype=np.int64)
     if shot.size < 2:
@@ -656,9 +690,9 @@ def g2_pulsed(records, n_lags: int = 20) -> G2Result:
         raise ValueError("pulse indices fall outside the declared pulse grid")
     if np.any((shot < 0) | (shot >= n_shots)):
         raise ValueError("shot ids fall outside the declared shot count")
-    n_lags = min(n_lags, n_pulses - 1)
-    if n_lags < 1:
+    if n_pulses < 2:
         raise NormalizationError("need at least two pulses for a cross-lag")
+    n_lags = min(n_lags, n_pulses - 1)
 
     next_shot, next_pulse = np.diff(shot), np.diff(pulse)
     if np.any((next_shot < 0) | ((next_shot == 0) & (next_pulse < 0))):

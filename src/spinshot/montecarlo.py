@@ -36,9 +36,9 @@ import numpy as np
 
 from .estimators import PhotonRecords, gaussian_fwhm_to_sigma, write_csv
 from .physics import (MAX_SPIN_FREQUENCY_MHZ, EmitterConfig, InvalidConfigError,
-                      check_fields, check_range, lorentzian_suppression, ranged)
-from .readout import (CapacityError, CountDistribution, ReadoutParams, cyclicity,
-                      fidelity_reports)
+                      check_count, check_fields, check_range, lorentzian_suppression, ranged)
+from .readout import (CapacityError, CountDistribution, ReadoutParams, check_state,
+                      cyclicity, fidelity_reports)
 from .sequence import _TRANSITION_LABELS, DETECT, MAX_EVENTS, MW, OPTICAL, Timeline
 
 _LABEL = {name: code for code, name in enumerate(_TRANSITION_LABELS)}
@@ -91,8 +91,8 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
 
 
 def _run_blocks(run_block, shots: int, block: int, seed: int, key: tuple = ()):
-    """Simulate ``shots`` shots in blocks of ``block`` (the last may be
-    short) and join the blocks.
+    """Simulate ``shots`` shots, a count >= 1, in blocks of ``block`` (the
+    last may be short) and join the blocks.
 
     ``run_block(n, rng)`` simulates n shots and returns (per-shot totals,
     a tuple of arrays to sum over blocks, record columns or None); record
@@ -104,8 +104,7 @@ def _run_blocks(run_block, shots: int, block: int, seed: int, key: tuple = ()):
     thread count.  Block i's shot ids are offset by i * block.  Returns
     (totals, sums, columns or None).
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    shots = check_count("shots", shots)
     sizes = [min(block, shots - s) for s in range(0, shots, block)]
     workers = min(worker_count(), len(sizes))
     pool = None
@@ -136,23 +135,23 @@ class BathParams:
 
     The three-peak splitting and weights are assumptions (the split is
     visible but unquantified in the device data); the linewidth, T1 and
-    T2 defaults are the nominal device values.  The weights, one per
-    center, are >= 0 and sum to 1.
+    T2 defaults are the nominal device values.  Centers lie within
+    +-MAX_SPIN_FREQUENCY_MHZ; the weights, one per center, are >= 0 and sum to 1.
     """
-    odmr_centers: tuple = (-3.3, 0.0, 3.3)          # MHz
-    odmr_weights: tuple = (0.25, 0.5, 0.25)
+    odmr_centers: tuple = ranged(-MAX_SPIN_FREQUENCY_MHZ, MAX_SPIN_FREQUENCY_MHZ,
+                                 open_high=False, default=(-3.3, 0.0, 3.3))   # MHz
+    odmr_weights: tuple = ranged(0.0, default=(0.25, 0.5, 0.25))
     odmr_sigma: float = ranged(0.0, default=gaussian_fwhm_to_sigma(2.37))  # MHz, 1 SD
     t1_spin: float = ranged(0.0, open_low=True, default=0.44)    # s
     t2_echo: float = ranged(0.0, open_low=True, default=48.0)    # us
     echo_exponent: float = ranged(0.0, open_low=True, default=2.0)
 
     def __post_init__(self):
-        weights = np.asarray(self.odmr_weights, dtype=float)
-        if len(self.odmr_centers) != len(self.odmr_weights):
-            raise InvalidConfigError("odmr_centers and odmr_weights must match in length")
-        if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-9):
-            raise InvalidConfigError("odmr_weights must be >= 0 and sum to 1")
         check_fields(self)
+        n, total = len(self.odmr_centers), sum(map(float, self.odmr_weights))  # inf: no warning
+        if len(self.odmr_weights) != n or not abs(total - 1.0) <= 1e-9:
+            raise InvalidConfigError(f"odmr_weights must be {n} weights summing to 1, got "
+                                     f"{len(self.odmr_weights)} summing to {total:g}")
 
 
 def _sample_mixture(rng, bath: BathParams, size: int) -> np.ndarray:
@@ -247,8 +246,7 @@ def simulate_readout_shots(params: ReadoutParams, initial: str = "bright",
     with counts, and the histogram and per-shot counts are None.
     Photon records, with their timestamps, come from :func:`run_timeline`.
     """
-    if initial not in ("bright", "dark"):
-        raise ValueError("initial must be 'bright' or 'dark'")
+    check_state("initial", initial)
     counts, (transitions,), _ = _run_blocks(
         lambda n_block, rng: _readout_block(params, initial, n_block, rng, _counts),
         shots, BLOCK_SHOTS, seed, _key)
@@ -332,8 +330,7 @@ def run_protocol(protocol: str, sweep, bath: BathParams, shots: int = 1000,
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; choose from {PROTOCOLS}")
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    shots = check_count("shots", shots)
     for name, value in zip(MW_RANGES, (mw_rabi_khz, detuning_sigma_khz, drive_jitter)):
         check_range(name, value, *MW_RANGES[name])
     x = np.asarray(sweep, dtype=float)

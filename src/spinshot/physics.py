@@ -4,9 +4,9 @@ Everything in here is a pure function over immutable configs: no state,
 no randomness, safe to call concurrently.
 
 Each float field of the parameter types (these three, ReadoutParams and
-BathParams) states its interval once, as :func:`ranged`; the types check
-it on construction and config reads it from the field a key sets.
-:func:`check_range` is the package's one check of a finite interval.
+BathParams), and each entry of BathParams' ODMR lists, states its interval
+once, as :func:`ranged`, which the types check and config reads.  The one
+interval and count checks, check_range and check_count, are estimators'.
 
 Unit conventions (fixed throughout the package):
     optical frequencies  GHz
@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
+from .estimators import InvalidConfigError, check_count, check_range  # noqa: F401
+
 # Zeeman splitting in GHz per (g-factor * tesla): mu_B / h, CODATA 2018
 GHZ_PER_G_TESLA = 9.2740100783e-24 / 6.62607015e-34 / 1e9
 
@@ -28,31 +30,13 @@ GHZ_PER_G_TESLA = 9.2740100783e-24 / 6.62607015e-34 / 1e9
 MAX_SPIN_FREQUENCY_MHZ = 1e6
 
 
-class InvalidConfigError(ValueError):
-    """A config violates one of its documented invariants."""
-
-
 class CyclicityDivergenceError(ZeroDivisionError):
     """Flip branching is zero: infinite cyclicity."""
 
 
-def check_range(name, value, low, high, open_low, open_high):
-    """``value`` if it is finite and inside the interval from low to high,
-    each end open if open_low/open_high; else an InvalidConfigError that
-    names it."""
-    inside = ((low < value if open_low else low <= value)
-              and (value < high if open_high else value <= high))
-    if not (math.isfinite(value) and inside):
-        interval = (f"{'(' if open_low else '['}{low:g}, "
-                    f"{high:g}{')' if open_high else ']'}")
-        raise InvalidConfigError(f"{name} must be finite and in {interval}, "
-                                 f"got {value:g}")
-    return value
-
-
 def ranged(low, high=math.inf, open_low=False, open_high=True, **kwargs):
-    """A dataclass field (``kwargs`` as for dataclasses.field) whose value
-    :func:`check_fields` checks against the interval from low to high."""
+    """A dataclass field (``kwargs`` as for dataclasses.field) whose value,
+    each entry if a tuple, :func:`check_fields` checks from low to high."""
     return field(metadata={"range": (low, high, open_low, open_high)}, **kwargs)
 
 
@@ -60,7 +44,9 @@ def check_fields(obj) -> None:
     """Check each :func:`ranged` field of the dataclass instance ``obj``."""
     for spec in fields(obj):
         if "range" in spec.metadata:
-            check_range(spec.name, getattr(obj, spec.name), *spec.metadata["range"])
+            value = getattr(obj, spec.name)
+            for entry in value if spec.type == "tuple" else (value,):
+                check_range(spec.name, entry, *spec.metadata["range"])
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ arithmetic on the model — no sampling — apart from
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from .estimators import (FitError, FitResult, NumericalError, fit_model,
                          write_csv)
-from .physics import InvalidConfigError, check_fields, check_range, ranged
+from .physics import InvalidConfigError, check_count, check_fields, check_range, ranged
 
 __all__ = [
     "CAPACITY_PULSES",
@@ -38,6 +37,7 @@ __all__ = [
     "CalibrationError",
     "ReadoutParams",
     "CountDistribution",
+    "check_state",
     "FidelityReport",
     "DecayFit",
     "FlipCalibration",
@@ -107,13 +107,7 @@ class ReadoutParams:
     pulse_period: float = ranged(0.0, open_low=True, default=10.0)
 
     def __post_init__(self):
-        try:
-            n_pulses = operator.index(self.n_pulses)
-        except TypeError:
-            raise InvalidConfigError(f"n_pulses must be an integer, got "
-                                     f"{self.n_pulses!r}") from None
-        if n_pulses < 1:
-            raise InvalidConfigError(f"n_pulses must be >= 1, got {n_pulses}")
+        object.__setattr__(self, "n_pulses", check_count("n_pulses", self.n_pulses))
         check_fields(self)
         if not self.dark_count_mean <= CAPACITY_DARK_MEAN:
             raise CapacityError(
@@ -144,8 +138,7 @@ class CountDistribution:
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
         object.__setattr__(self, "probabilities", p)
-        if self.initial_state not in _STATES:
-            raise ValueError(f"initial_state must be one of {_STATES}")
+        check_state("initial_state", self.initial_state)
         if np.any(p < 0):
             raise ValueError("count probabilities must be non-negative")
         if abs(float(p.sum()) - 1.0) > 1e-12:
@@ -185,9 +178,11 @@ class FidelityReport:
 # dynamic programming over (pulse, state, count)
 # ---------------------------------------------------------------------------
 
-def _check_state(initial: str):
-    if initial not in _STATES:
-        raise ValueError(f"initial state must be one of {_STATES}, got {initial!r}")
+def check_state(name, value):
+    """``value`` if it is "bright" or "dark"; else an InvalidConfigError naming it."""
+    if value not in _STATES:
+        raise InvalidConfigError(f"{name} must be 'bright' or 'dark', got {value!r}")
+    return value
 
 
 def _chain(a, b, d, starts, n_pulses, cap=None):
@@ -316,9 +311,8 @@ def _distributions(params: ReadoutParams, a, b, starts=_STATES, d=None):
 
 def count_distribution(params: ReadoutParams, initial: str = "bright") -> CountDistribution:
     """Exact distribution of detected photons over the full sequence."""
-    _check_state(initial)
     return _distributions(params, [params.flip_bright], [params.flip_dark],
-                          (initial,))[0][0]
+                          (check_state("initial", initial),))[0][0]
 
 
 def expected_trace(params: ReadoutParams, initial: str = "bright") -> np.ndarray:
@@ -330,10 +324,9 @@ def expected_trace(params: ReadoutParams, initial: str = "bright") -> np.ndarray
     toward pi = b/(a+b) with per-pulse factor (1 - a - b); a = b = 0
     freezes the chain (constant trace).
     """
-    _check_state(initial)
     a, b = params.flip_bright, params.flip_dark
     d = params.detection_probability
-    p0 = 1.0 if initial == "bright" else 0.0
+    p0 = 1.0 if check_state("initial", initial) == "bright" else 0.0
     k = np.arange(params.n_pulses)
     s = a + b
     if s == 0.0:
@@ -380,8 +373,7 @@ def cyclicity(p_excite: float, n0: float) -> float:
 def readout_fidelity(dist_bright: CountDistribution, dist_dark: CountDistribution,
                      threshold: int) -> FidelityReport:
     """min-fidelity of thresholding: classify bright if count >= threshold."""
-    if threshold < 1:
-        raise ValueError("threshold must be >= 1")
+    threshold = check_count("threshold", threshold)
     if (len(dist_bright.probabilities) != len(dist_dark.probabilities)
             or dist_bright.n_pulses != dist_dark.n_pulses):
         raise ValueError("mismatched supports: distributions must share "
@@ -556,9 +548,8 @@ def optimize_readout(params: ReadoutParams, n_range) -> OptimizeResult:
     cap, and starts over with the cap doubled when a block reads more;
     no row depends on the cap.
     """
-    n_lo, n_hi = int(n_range[0]), int(n_range[1])
-    if n_lo < 1 or n_lo > n_hi:
-        raise ValueError(f"empty or invalid pulse range ({n_lo}, {n_hi})")
+    n_lo = check_count("n_range[0]", n_range[0])
+    n_hi = check_count("n_range[1]", n_range[1], n_lo)
     rows, cap = [], _FIRST_CAP
     while len(rows) <= n_hi - n_lo:
         need = _scan_rows(params, n_lo + len(rows), n_hi, cap, rows)
@@ -670,6 +661,7 @@ def calibrate_flip_asymmetry(params: ReadoutParams, relaxation_constant: float,
     """
     check_range("relaxation_constant", relaxation_constant, 1.0, math.inf, True, True)
     check_range("target_f", target_f, 0.0, 1.0, True, True)
+    threshold = check_count("threshold", threshold)
     n, noise = params.n_pulses, _poisson_pmf(params.dark_count_mean)
     cap = min(n + 1, max(threshold, len(noise)))
 
@@ -722,8 +714,7 @@ def calibrate_flip_asymmetry(params: ReadoutParams, relaxation_constant: float,
 
 def dark_count_penalty(params: ReadoutParams, threshold: int = 1) -> float:
     """Dark-state fidelity lost to detector dark counts at this threshold."""
-    if threshold < 1:
-        raise ValueError("threshold must be >= 1")
+    threshold = check_count("threshold", threshold)
     for probs in _chain([params.flip_bright], [params.flip_dark], params.detection_probability,
                         ("dark",), params.n_pulses):
         pass

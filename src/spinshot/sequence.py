@@ -180,7 +180,7 @@ class _TokenStream:
 
 
 _QUANTITY_RE = re.compile(r"([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)(.*)")
-_INT_RE = re.compile(r"^\d+$")
+_COUNT_RE = re.compile(r"^0*[1-9]\d*$")     # an integer >= 1
 # unit -> factor to the stored unit
 _DURATION_US = {"us": 1, "ns": 1e-3}
 _FREQUENCY_MHZ = {"MHz": 1, "GHz": 1e3}
@@ -260,11 +260,9 @@ def _parse_pulse(stream, origin):
 
 def _parse_repeat(stream, depth, origin):
     count_tok = stream.next("repeat count")
-    if not _INT_RE.match(count_tok.text):
-        stream.error(count_tok, f"expected integer repeat count, got {count_tok.text!r}")
+    if not _COUNT_RE.match(count_tok.text):
+        stream.error(count_tok, f"expected a repeat count >= 1, got {count_tok.text!r}")
     count = int(count_tok.text)
-    if count < 1:
-        stream.error(count_tok, "repeat count must be >= 1")
     brace = stream.next("'{'")
     if brace.text != "{":
         stream.error(brace, f"expected '{{' after repeat count, got {brace.text!r}")

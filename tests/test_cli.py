@@ -990,6 +990,61 @@ class TestConfigFuzz:
                                        for key in keys}, capsys)
 
 
+# each command's own flags with the values each is drawn from, and the
+# arguments it runs with ahead of the drawn ones, which keep a case fast (a
+# drawn flag comes later and wins); the weight is its share of the cases,
+# low for protocols, whose fits take about 0.1 s a run
+FUZZ_INTS = ["-1", "0", "1", "2", "3", "7", "40", "2.5", "1e3", str(10**30), "abc"]
+FUZZ_FLOATS = ["nan", "inf", "-inf", "-1", "0", "1e-300", "0.3", "0.5", "0.99", "1",
+               "2", "1e300", "abc"]
+FLAG_FUZZ = {
+    "calibrate": ([], {"--target-f": FUZZ_FLOATS, "--threshold": FUZZ_INTS,
+                       "--n-pulses": FUZZ_INTS}, 4),
+    "area-sweep": (["--points", "2", "--shots", "200"],
+                   {"--area-min": FUZZ_FLOATS, "--area-max": FUZZ_FLOATS,
+                    "--points": FUZZ_INTS, "--shots": FUZZ_INTS,
+                    "--flip-slope": FUZZ_FLOATS}, 4),
+    "levels": ([], {}, 2),
+    "readout-optimize": ([], {"--n-min": FUZZ_INTS, "--n-max": FUZZ_INTS}, 4),
+    "protocols": (["--shots", "20"], {"--shots": FUZZ_INTS}, 1),
+    "g2": (["RECORDS"], {"--lags": FUZZ_INTS}, 4),
+}
+FLAG_FUZZ_COMMON = {"--seed": FUZZ_INTS + [str(2**64 + 1)],
+                    "--format": ["csv", "report", "xml"]}
+
+
+class TestFlagFuzz:
+    def test_drawn_flags(self, tmp_path, capsys):
+        """One to three flags of a command other than simulate and fit,
+        drawn with their values from a seeded random.Random: every case
+        exits 0 to 3 without a traceback or warning, and a usage error
+        names a drawn flag."""
+        records = tmp_path / "events.txt"
+        records.write_text("# shots=2 pulses=3\n0 0 1.5 emitter\n"
+                           "0 1 12.5 dark\n1 1 11.5 emitter\n")
+        draw = random.Random(34)
+        names = list(FLAG_FUZZ)
+        weights = [FLAG_FUZZ[name][2] for name in names]
+        for _ in range(300):
+            command = draw.choices(names, weights)[0]
+            base, flags, _ = FLAG_FUZZ[command]
+            values = {**flags, **FLAG_FUZZ_COMMON}
+            drawn = draw.sample(sorted(values), draw.randint(1, min(3, len(values))))
+            argv = [command] + [str(records) if arg == "RECORDS" else arg
+                                for arg in base]
+            for flag in drawn:
+                argv += [flag, draw.choice(values[flag])]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, cap = run_cli_within(5.0, argv + [
+                    "--out-dir", str(tmp_path / "o")], capsys)
+            case = (argv, code, cap.err)
+            assert code in (0, 1, 2, 3), case
+            assert "Traceback" not in cap.err and "Warning" not in cap.err, case
+            if code == cli.EXIT_USAGE:
+                assert any(flag in cap.err for flag in drawn), case
+
+
 def series_with(tmp_path, x, y, sigma=None):
     """A fit input CSV of columns x, y[, sigma]; returns its path."""
     columns = [x, y] if sigma is None else [x, y, sigma]

@@ -138,7 +138,7 @@ class TestFitPlumbing:
     @pytest.mark.parametrize("k", [0, -1])
     def test_gaussian_sum_needs_a_component(self, k):
         x = np.linspace(-5.0, 5.0, 40)
-        with pytest.raises(ValueError, match="at least one component"):
+        with pytest.raises(ValueError, match="n_components must be >= 1"):
             fit_model("gaussian_sum", x, np.exp(-x * x), n_components=k)
         assert len(model_param_names("gaussian_sum")) == 10    # default 3
 

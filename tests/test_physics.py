@@ -1,19 +1,27 @@
+import dataclasses
 import math
+import re
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinshot.physics import (GHZ_PER_G_TESLA, CavityConfig,
+from test_readout import chain_passes
+from spinshot.estimators import PhotonRecords, fit_model, g2_pulsed
+from spinshot.physics import (GHZ_PER_G_TESLA, MAX_SPIN_FREQUENCY_MHZ, CavityConfig,
                               CyclicityDivergenceError, EmitterConfig,
                               InvalidConfigError, ZeemanConfig,
-                              cavity_linewidth, detection_efficiency_budget,
+                              cavity_linewidth, check_count, detection_efficiency_budget,
                               effective_lifetime, lorentzian_suppression,
                               predicted_cyclicity, purcell_factor,
                               zeeman_transitions)
-from spinshot.montecarlo import BathParams
-from spinshot.readout import ReadoutParams
+from spinshot.montecarlo import BathParams, run_protocol, simulate_readout_shots
+from spinshot.readout import (ReadoutParams, calibrate_flip_asymmetry,
+                              count_distribution, dark_count_penalty,
+                              fidelity_reports, optimize_readout, readout_fidelity,
+                              readout_report)
 
 positive = st.floats(min_value=1e-3, max_value=1e9,
                      allow_nan=False, allow_infinity=False)
@@ -281,4 +289,131 @@ class TestRejectedConstructions:
             "cavity-inf-q", "bath-nan-t1", "bath-nan-weights", "cavity-zero-purcell"])
     def test_fails_naming_the_field(self, build, name):
         with pytest.raises(InvalidConfigError, match=rf"^{name} must "):
+            build()
+
+
+# one call per count argument, with the count in the place of ``v``; each
+# runs at a small size so that the valid count 3 stays fast
+READOUT = ReadoutParams(71, 0.78, 0.1, 0.5 / 131, 0.5 / 131, dark_rate=10.0)
+ODMR_X = np.linspace(-6.0, 6.0, 49)
+ODMR_Y = sum(w * np.exp(-0.5 * ((ODMR_X - c) / 1.0) ** 2)
+             for c, w in ((-3.3, 0.25), (0.0, 0.5), (3.3, 0.25)))
+COUNT_CALLS = {
+    "n_pulses": lambda v: ReadoutParams(v, 0.78, 0.1, 0.004, 0.004),
+    "readout_fidelity": lambda v: readout_fidelity(
+        count_distribution(READOUT, "bright"), count_distribution(READOUT, "dark"), v),
+    "dark_count_penalty": lambda v: dark_count_penalty(READOUT, v),
+    "fidelity_reports": lambda v: fidelity_reports(READOUT, [0.004], [0.003], threshold=v),
+    "readout_report": lambda v: readout_report(READOUT, v),
+    "calibrate_flip_asymmetry": lambda v: calibrate_flip_asymmetry(READOUT, 131.0, 0.75, v),
+    "simulate_readout_shots": lambda v: simulate_readout_shots(READOUT, "bright", v, 1),
+    "run_protocol": lambda v: run_protocol("odmr", [0.0, 1.0], BathParams(), shots=v),
+    "g2_pulsed": lambda v: g2_pulsed(PhotonRecords(
+        np.array([0, 0, 1]), np.array([0, 1, 1]), np.array([1.0, 12.0, 11.0]),
+        np.zeros(3, dtype=np.int8), 2, 71), v),
+    "n_range_low": lambda v: optimize_readout(READOUT, (v, 5)),
+    "n_range_high": lambda v: optimize_readout(READOUT, (1, v)),
+    "n_components": lambda v: fit_model("gaussian_sum", ODMR_X, ODMR_Y, n_components=v),
+}
+COUNT_NAMES = {"readout_fidelity": "threshold", "dark_count_penalty": "threshold",
+               "fidelity_reports": "threshold", "readout_report": "threshold",
+               "calibrate_flip_asymmetry": "threshold",
+               "simulate_readout_shots": "shots", "run_protocol": "shots",
+               "g2_pulsed": "n_lags", "n_range_low": "n_range[0]",
+               "n_range_high": "n_range[1]"}
+
+
+def plain(result):
+    """``result`` with its dataclasses turned into dicts, for np.testing."""
+    if isinstance(result, list):
+        return [plain(item) for item in result]
+    return dataclasses.asdict(result) if dataclasses.is_dataclass(result) else result
+
+
+class TestCountArguments:
+    """Every count argument goes through check_count: a value below 1, or
+    one that is not an integer, is an InvalidConfigError that names it,
+    and a numpy integer counts as the int it equals."""
+
+    @pytest.mark.parametrize("call", list(COUNT_CALLS))
+    @pytest.mark.parametrize("value", [0, -1, 2.5, np.float64(3.0)],
+                             ids=["0", "-1", "2.5", "float64-3"])
+    def test_rejected(self, call, value):
+        name = re.escape(COUNT_NAMES.get(call, call))
+        with pytest.raises(InvalidConfigError, match=rf"^{name} must be (>= 1|an integer)"):
+            COUNT_CALLS[call](value)
+
+    @pytest.mark.parametrize("call", list(COUNT_CALLS))
+    def test_numpy_integer(self, call):
+        np.testing.assert_equal(plain(COUNT_CALLS[call](np.int64(3))),
+                                plain(COUNT_CALLS[call](3)))
+
+    def test_check_count_low(self):
+        assert check_count("n", 5, low=5) == 5
+        assert type(check_count("n", np.int64(5))) is int
+        with pytest.raises(InvalidConfigError, match=r"^n must be >= 6, got 5$"):
+            check_count("n", 5, low=6)
+
+    def test_threshold_checked_before_any_dp_pass(self, monkeypatch):
+        passes = chain_passes(monkeypatch)
+        with pytest.raises(InvalidConfigError, match=r"^threshold must be >= 1, got 0$"):
+            calibrate_flip_asymmetry(READOUT, 131.0, 0.75, 0)
+        assert passes == []
+
+
+class TestBathLists:
+    """BathParams checks its ODMR lists on construction: each center is
+    finite and within +-MAX_SPIN_FREQUENCY_MHZ, each weight finite and
+    >= 0, naming the field and the value."""
+
+    @pytest.mark.parametrize("value,shown", [(math.nan, "nan"), (math.inf, "inf"),
+                                             (-math.inf, "-inf"), (1e300, "1e+300"),
+                                             (2e6, "2e+06")])
+    def test_center_rejected(self, value, shown):
+        with pytest.raises(InvalidConfigError, match=rf"^odmr_centers must be finite "
+                           rf"and in \[-1e\+06, 1e\+06\], got {re.escape(shown)}$"):
+            BathParams(odmr_centers=(-3.3, value, 3.3))
+
+    @pytest.mark.parametrize("value,shown", [(math.nan, "nan"), (math.inf, "inf"),
+                                             (-0.1, "-0.1")])
+    def test_weight_rejected(self, value, shown):
+        with pytest.raises(InvalidConfigError, match=rf"^odmr_weights must be finite "
+                           rf"and in \[0, inf\), got {re.escape(shown)}$"):
+            BathParams(odmr_weights=(0.25, value, 0.25))
+
+    @pytest.mark.parametrize("weights,got", [
+        ((0.5, 0.5), "2 summing to 1"),
+        ((1e308, 1e308, 1e308), "3 summing to inf"),
+        ((0.25, 0.25, 0.25), "3 summing to 0.75"),
+    ], ids=["too-few", "sum-overflows", "sum-below-1"])
+    def test_weight_list_rejected(self, weights, got):
+        with pytest.raises(InvalidConfigError,
+                           match=rf"^odmr_weights must be 3 weights summing to 1, got {got}$"):
+            BathParams(odmr_weights=weights)
+
+    def test_extreme_centers_accepted(self):
+        bath = BathParams(odmr_centers=(-MAX_SPIN_FREQUENCY_MHZ, 0.0, MAX_SPIN_FREQUENCY_MHZ))
+        assert bath.odmr_centers[2] == MAX_SPIN_FREQUENCY_MHZ
+
+
+class TestIntPastTheFloatRange:
+    """A Python int too large for a float is out of every interval, and
+    the error still names the field (math.isfinite and the message's
+    float format both overflow on it)."""
+
+    @pytest.mark.parametrize("build,name", [
+        (lambda: EmitterConfig(**{**VALID[EmitterConfig], "g_ground": 10**400}), "g_ground"),
+        (lambda: CavityConfig(**{**VALID[CavityConfig], "quality_factor": 10**400}),
+         "quality_factor"),
+        (lambda: ZeemanConfig(10**400), "magnetic_field_t"),
+        (lambda: ReadoutParams(71, 0.78, 0.1, 0.004, 0.004, dark_rate=10**400), "dark_rate"),
+        (lambda: BathParams(t2_echo=10**400), "t2_echo"),
+        (lambda: BathParams(odmr_centers=(0.0, 10**400, 1.0)), "odmr_centers"),
+        (lambda: run_protocol("t1", [0.0], BathParams(), shots=3, mw_rabi_khz=10**400),
+         "mw_rabi_khz"),
+    ], ids=["emitter", "cavity", "zeeman", "readout", "bath", "bath-centers",
+            "run-protocol"])
+    def test_names_the_field(self, build, name):
+        with pytest.raises(InvalidConfigError, match=rf"^{name} must be finite and in "
+                           r".*, got an int past the float range$"):
             build()
