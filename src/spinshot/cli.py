@@ -62,15 +62,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage()}")
 
 
-def _at_least_one(flag: str, value, most=math.inf, most_is=""):
-    """Usage error unless an integer flag is unset or in 1..most (``most_is``
-    names most); a value below 1 gets check_count's message."""
-    from .estimators import InvalidConfigError, check_count
+def _check_flag(flag: str, value, high=math.inf, high_is="", interval=None):
+    """Usage error, with the check's message, unless a flag is unset or
+    passes check_range over ``interval`` or, without one, check_count from
+    1 to ``high`` (``high_is``, added past high, names it)."""
+    from .estimators import InvalidConfigError, check_count, check_range
     try:
-        if value is not None and check_count(flag, value) > most:
-            raise UsageError(f"{flag} must be <= {most}{most_is}, got {value}")
+        if value is not None and interval:
+            check_range(flag, value, *interval)
+        elif value is not None:
+            check_count(flag, value, 1, high)
     except InvalidConfigError as exc:
-        raise UsageError(str(exc)) from None
+        raise UsageError(f"{exc}{high_is if value > high else ''}") from None
 
 
 def _utc_now() -> str:
@@ -110,6 +113,8 @@ def _shots_flag(parser, default: int):
 
 
 def build_parser() -> _Parser:
+    from .estimators import MODEL_KINDS
+
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="random seed (default 0)")
@@ -142,9 +147,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fit", parents=[common],
                        help="least-squares fit of a CSV series")
     p.add_argument("series", help="CSV with columns x,y[,sigma]")
-    p.add_argument("--model", required=True,
-                   choices=("exp_decay", "exp_relax", "gaussian_echo",
-                            "damped_sine", "lorentzian", "gaussian_sum"))
+    p.add_argument("--model", required=True, choices=MODEL_KINDS)
     p.add_argument("--components", type=int, default=3,
                    help="components for gaussian_sum (default 3)")
 
@@ -220,10 +223,8 @@ def _cmd_readout_optimize(args, cfg, out: OutputDir) -> str:
     from .readout import (CAPACITY_PULSES, dark_count_penalty, format_fidelity_report,
                           optimize_readout, readout_report)
 
-    _at_least_one("--n-min", args.n_min)
-    _at_least_one("--n-max", args.n_max, CAPACITY_PULSES, _DP_CAPACITY)
-    if args.n_min > args.n_max:
-        raise UsageError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
+    _check_flag("--n-max", args.n_max, CAPACITY_PULSES, _DP_CAPACITY)
+    _check_flag("--n-min", args.n_min, args.n_max)
     params = readout_params(cfg, n_pulses=args.n_max)
     result = optimize_readout(params, (args.n_min, args.n_max))
     result.to_csv(out.record("fidelity_vs_n.csv"))
@@ -283,7 +284,7 @@ def _cmd_simulate(args, cfg, out: OutputDir) -> str:
 
 
 def _cmd_fit(args, _cfg, out: OutputDir) -> str:
-    _at_least_one("--components", args.components)
+    _check_flag("--components", args.components)
     from .estimators import fit_model, format_fit_report, read_series_csv
 
     x, y, sigma = read_series_csv(args.series)
@@ -303,7 +304,7 @@ def _write_fit_csv(path, result):
 
 
 def _cmd_g2(args, _cfg, out: OutputDir) -> str:
-    _at_least_one("--lags", args.lags, MAX_LAGS)
+    _check_flag("--lags", args.lags, MAX_LAGS)
     from .estimators import PhotonRecords, g2_pulsed, write_csv
 
     records = PhotonRecords.from_file(args.records)
@@ -317,12 +318,11 @@ def _cmd_g2(args, _cfg, out: OutputDir) -> str:
 
 
 def _cmd_area_sweep(args, cfg, out: OutputDir) -> str:
-    _at_least_one("--points", args.points, MAX_POINTS)
+    _check_flag("--points", args.points, MAX_POINTS)
     for flag, value in (("--area-min", args.area_min),
                         ("--area-max", args.area_max),
                         ("--flip-slope", args.flip_slope)):
-        if not math.isfinite(value):
-            raise UsageError(f"{flag} must be finite, got {value}")
+        _check_flag(flag, value, interval=(-math.inf, math.inf, True, True))
     reach = max(abs(args.area_min), abs(args.area_max))
     if not math.isfinite(2.0 * reach * max(abs(args.flip_slope), 1.0)):
         raise UsageError("--area-min, --area-max and --flip-slope overflow "
@@ -364,21 +364,16 @@ def _cmd_area_sweep(args, cfg, out: OutputDir) -> str:
 def _cmd_calibrate(args, cfg, out: OutputDir) -> str:
     from .config import readout_params, relaxation_constant
     from .estimators import write_csv
-    from .readout import CAPACITY_PULSES, calibrate_flip_asymmetry
+    from .readout import CALIBRATION_RANGES, CAPACITY_PULSES, calibrate_flip_asymmetry
 
-    _at_least_one("--n-pulses", args.n_pulses, CAPACITY_PULSES, _DP_CAPACITY)
-    _at_least_one("--threshold", args.threshold)
-    target = args.target_f
-    if target is not None and not 0.0 < target < 1.0:
-        raise UsageError(f"--target-f must be in (0, 1), got {target}")
+    _check_flag("--n-pulses", args.n_pulses, CAPACITY_PULSES, _DP_CAPACITY)
+    _check_flag("--target-f", args.target_f, interval=CALIBRATION_RANGES["target_f"])
     params = readout_params(cfg, n_pulses=args.n_pulses)
-    if args.threshold > params.n_pulses:
-        raise UsageError(f"--threshold {args.threshold} exceeds the pulse "
-                         f"count {params.n_pulses}")
+    _check_flag("--threshold", args.threshold, params.n_pulses)
     relaxation = relaxation_constant(cfg)
+    target = args.target_f
     if target is None:
-        target = cfg.bounded("readout", "target_fidelity", 0.0, 1.0,
-                             open_low=True)
+        target = cfg.bounded("readout", "target_fidelity", *CALIBRATION_RANGES["target_f"])
     cal = calibrate_flip_asymmetry(params, relaxation, target, args.threshold)
     write_csv(out.record("calibration.csv"), "a,b,asymmetry,achieved_f,f_max",
               [cal.a], [cal.b], [cal.asymmetry], [cal.achieved_f], [cal.f_max])
@@ -440,7 +435,7 @@ def main(argv=None) -> int:
         if args.command is None:
             raise UsageError(parser.format_usage())
         shots = getattr(args, "shots", None)
-        _at_least_one("--shots", shots, MAX_SHOTS)
+        _check_flag("--shots", shots, MAX_SHOTS)
         started = _utc_now()
         config = getattr(args, "config", None)
         cfg = digest = None

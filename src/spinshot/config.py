@@ -8,9 +8,9 @@ presets (so `--config paper.cfg` works from any directory).  A loaded
 file may hold only the keys of KEYS, so a misspelt key fails instead
 of leaving its default in place.  A key that sets a field of a
 parameter type reads its interval and its default from that field
-(:func:`_field`), and the [microwave] keys read theirs from
-montecarlo.MW_RANGES and MW_DEFAULTS, so this module restates no range
-that the types or engines own; :func:`physics.check_range` checks them.
+(:func:`_field`), the [microwave] keys from montecarlo.MW_RANGES and
+MW_DEFAULTS and relaxation_constant from readout.CALIBRATION_RANGES: this
+module restates no range that the types or engines own.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .estimators import gaussian_fwhm_to_sigma
 from .montecarlo import MW_DEFAULTS, MW_RANGES, BathParams
 from .physics import (MAX_SPIN_FREQUENCY_MHZ, CavityConfig, EmitterConfig,
                       InvalidConfigError, ZeemanConfig, check_range)
-from .readout import (CAPACITY_PULSES, CapacityError, ReadoutParams,
+from .readout import (CALIBRATION_RANGES, CAPACITY_PULSES, CapacityError, ReadoutParams,
                       flip_probabilities)
 
 __all__ = [
@@ -303,8 +303,9 @@ def readout_params(cfg: Config, n_pulses: int | None = None,
 
 def relaxation_constant(cfg: Config) -> float:
     """[readout] relaxation_constant: the two-state chain's 1/e constant,
-    in pulses, which must exceed 1 pulse."""
-    return cfg.bounded("readout", "relaxation_constant", 1.0, open_low=True)
+    in pulses, in its readout.CALIBRATION_RANGES interval."""
+    return cfg.bounded("readout", "relaxation_constant",
+                       *CALIBRATION_RANGES["relaxation_constant"])
 
 
 def bath_params(cfg: Config) -> BathParams:

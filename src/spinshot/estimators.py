@@ -23,6 +23,7 @@ __all__ = [
     "FitResult",
     "G2Result",
     "PhotonRecords",
+    "MODEL_KINDS",
     "fit_model",
     "model_param_names",
     "g2_pulsed",
@@ -60,15 +61,18 @@ def check_range(name, value, low, high, open_low, open_high):
     return value
 
 
-def check_count(name, value, low=1):
-    """``value`` as an int if it is an integer >= low (``operator.index``: a
-    float never is); else an InvalidConfigError that names it."""
+def check_count(name, value, low=1, high=math.inf):
+    """``value`` as an int if it is an integer in low..high (``operator.index``:
+    a float never is); else an InvalidConfigError that names it."""
     try:
         count = operator.index(value)
     except TypeError:
         raise InvalidConfigError(f"{name} must be an integer, got {value!r}") from None
-    if count < low:
-        raise InvalidConfigError(f"{name} must be >= {low}, got {count}")
+    if not low <= count <= high:
+        bound = f">= {low}" if count < low else f"<= {high}"
+        # worded as check_range's; Python refuses to print an int of 4300+ digits
+        shown = count if count.bit_length() <= 1024 else "an int past the float range"
+        raise InvalidConfigError(f"{name} must be {bound}, got {shown}")
     return count
 
 
@@ -235,6 +239,7 @@ _MODELS = {
         ("amplitude", "center", "fwhm", "offset"), frozenset({"fwhm"}),
         _predict_lorentzian, _starts_lorentzian),
 }
+MODEL_KINDS = (*_MODELS, "gaussian_sum")     # fit_model's kinds, as --model lists them
 
 
 def _gaussian_sum_spec(k: int) -> _ModelSpec:
@@ -284,8 +289,7 @@ def _resolve_spec(kind: str, n_components) -> _ModelSpec:
     if kind == "gaussian_sum":
         return _gaussian_sum_spec(_components(n_components))
     if kind not in _MODELS:
-        raise ValueError(f"unknown model kind {kind!r}; known: "
-                         f"{sorted(_MODELS)} + ['gaussian_sum']")
+        raise ValueError(f"unknown model kind {kind!r}; known: {list(MODEL_KINDS)}")
     return _MODELS[kind]
 
 

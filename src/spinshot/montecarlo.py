@@ -458,7 +458,7 @@ def pulse_area_scan(areas, params: ReadoutParams, flip_slope: float = 0.0,
     p = np.array([point.p_excite for point in points])
     return AreaScanResult(
         area=areas, p_excite=p, n0=n0, n0_se=n0_se,
-        zeta=np.array([cyclicity(p_i, n0_i) if p_i > 0 else math.nan
+        zeta=np.array([cyclicity(p_i, n0_i) if p_i > 0 and math.isfinite(n0_i) else math.nan
                        for p_i, n0_i in zip(p.tolist(), n0.tolist())]),
         f_min=np.array([report.f_min for report in reports]),
         threshold=np.array([report.threshold for report in reports], dtype=int),

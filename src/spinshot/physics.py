@@ -147,15 +147,13 @@ def zeeman_transitions(em: EmitterConfig, z: ZeemanConfig) -> TransitionSet:
 
 def purcell_factor(tau_bulk_us: float, tau_cavity_us: float) -> float:
     """Total-decay-rate ratio tau_bulk / tau_cavity."""
-    if tau_bulk_us <= 0 or tau_cavity_us <= 0:
-        raise InvalidConfigError("lifetimes must be > 0")
-    return tau_bulk_us / tau_cavity_us
+    return (check_range("tau_bulk_us", tau_bulk_us, 0.0, math.inf, True, True)
+            / check_range("tau_cavity_us", tau_cavity_us, 0.0, math.inf, True, True))
 
 
 def lorentzian_suppression(detuning_ghz: float, linewidth_fwhm_ghz: float) -> float:
     """Amplitude-Lorentzian weight 1 / (1 + (2 delta / kappa)^2) in (0, 1]."""
-    if linewidth_fwhm_ghz <= 0:
-        raise InvalidConfigError("linewidth_fwhm_ghz must be > 0")
+    check_range("linewidth_fwhm_ghz", linewidth_fwhm_ghz, 0.0, math.inf, True, True)
     x = 2.0 * detuning_ghz / linewidth_fwhm_ghz
     return 1.0 / (1.0 + x * x)
 
@@ -186,10 +184,7 @@ def predicted_cyclicity(branching_enhanced: float, branching_flip: float) -> flo
     collected (cavity-enhanced) transition to the rate on the spin-flip
     transition.
     """
-    if branching_enhanced < 0 or branching_flip < 0:
-        raise InvalidConfigError("branching rates must be >= 0")
-    if branching_flip == 0:
-        raise CyclicityDivergenceError(
-            "flip branching is zero: infinite cyclicity"
-        )
+    check_range("branching_enhanced", branching_enhanced, 0.0, math.inf, False, True)
+    if check_range("branching_flip", branching_flip, 0.0, math.inf, False, True) == 0:
+        raise CyclicityDivergenceError("flip branching is zero: infinite cyclicity")
     return branching_enhanced / branching_flip

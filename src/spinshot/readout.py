@@ -33,6 +33,7 @@ __all__ = [
     "CAPACITY_PULSES",
     "CAPACITY_DARK_MEAN",
     "CALIBRATION_TOL",
+    "CALIBRATION_RANGES",
     "CapacityError",
     "CalibrationError",
     "ReadoutParams",
@@ -68,6 +69,9 @@ CAPACITY_PULSES = 4000
 CAPACITY_DARK_MEAN = 1e6
 # largest |achieved - target| fidelity that calibrate_flip_asymmetry accepts
 CALIBRATION_TOL = 1e-4
+# calibrate_flip_asymmetry's intervals, as check_range's (low, high, open_low, open_high)
+CALIBRATION_RANGES = {"relaxation_constant": (1.0, math.inf, True, True),
+                      "target_f": (0.0, 1.0, True, True)}
 _STATES = ("bright", "dark")
 _POISSON_TAIL = 1e-13
 _SUPPORT_STEP = 16      # pulses between checks of the DP's top counts
@@ -94,8 +98,9 @@ class ReadoutParams:
 
     Rates in Hz, times in microseconds; ``flip_bright``/``flip_dark``
     are the per-pulse flip probabilities of the bright and dark ground
-    state (a and b in the chain above).  ``n_pulses`` is an integer >= 1,
-    and the dark-count mean at most CAPACITY_DARK_MEAN (a CapacityError).
+    state (a and b in the chain above).  ``n_pulses`` is an integer in
+    1..sys.maxsize (int64, as the engines hold it), and the dark-count
+    mean at most CAPACITY_DARK_MEAN (a CapacityError).
     """
     n_pulses: int
     p_excite: float = ranged(0.0, 1.0, open_high=False)
@@ -107,7 +112,7 @@ class ReadoutParams:
     pulse_period: float = ranged(0.0, open_low=True, default=10.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "n_pulses", check_count("n_pulses", self.n_pulses))
+        object.__setattr__(self, "n_pulses", check_count("n_pulses", self.n_pulses, 1, sys.maxsize))
         check_fields(self)
         if not self.dark_count_mean <= CAPACITY_DARK_MEAN:
             raise CapacityError(
@@ -365,9 +370,8 @@ def fit_decay_constant(trace) -> DecayFit:
 
 def cyclicity(p_excite: float, n0: float) -> float:
     """Mean photons emitted on the readout transition before a flip."""
-    if p_excite <= 0 or n0 <= 0:
-        raise ValueError("p_excite and n0 must be > 0")
-    return p_excite * n0
+    return (check_range("p_excite", p_excite, 0.0, 1.0, True, False)
+            * check_range("n0", n0, 0.0, math.inf, True, True))
 
 
 def readout_fidelity(dist_bright: CountDistribution, dist_dark: CountDistribution,
@@ -659,8 +663,8 @@ def calibrate_flip_asymmetry(params: ReadoutParams, relaxation_constant: float,
     and each bracket's ends gives the reported fidelities; the result
     must reach the target within CALIBRATION_TOL.
     """
-    check_range("relaxation_constant", relaxation_constant, 1.0, math.inf, True, True)
-    check_range("target_f", target_f, 0.0, 1.0, True, True)
+    for name, value in (("relaxation_constant", relaxation_constant), ("target_f", target_f)):
+        check_range(name, value, *CALIBRATION_RANGES[name])
     threshold = check_count("threshold", threshold)
     n, noise = params.n_pulses, _poisson_pmf(params.dark_count_mean)
     cap = min(n + 1, max(threshold, len(noise)))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import spinshot
+from spinshot import readout
 from spinshot.config import load_config
 from spinshot.physics import CavityConfig, EmitterConfig, ZeemanConfig
 from spinshot.readout import ReadoutParams
@@ -73,6 +74,20 @@ def nominal_params():
 @pytest.fixture(scope="session")
 def paper_cfg():
     return load_config("paper.cfg")
+
+
+@pytest.fixture
+def chain_passes(monkeypatch):
+    """The readout._chain passes of the test's calls, one tuple of
+    arguments per pass."""
+    passes, chain = [], readout._chain
+
+    def counting(*args):
+        passes.append(args)
+        return chain(*args)
+
+    monkeypatch.setattr(readout, "_chain", counting)
+    return passes
 
 
 @pytest.fixture

@@ -498,6 +498,21 @@ class TestExitCodes:
         assert cap.err.startswith(f"{flag} must be <= {readout.CAPACITY_PULSES}")
         assert "readout.CAPACITY_PULSES" in cap.err
 
+    @pytest.mark.parametrize("argv,says", [
+        (["readout-optimize", "--n-min", "5", "--n-max", "3"], "--n-min must be <= 3, got 5"),
+        (["calibrate", "--threshold", "72"], "--threshold must be <= 71, got 72"),
+        (["calibrate", "--n-pulses", "500", "--threshold", "501"],
+         "--threshold must be <= 500, got 501"),
+        (["calibrate", "--target-f", "1"], "--target-f must be finite and in (0, 1), got 1"),
+        (["calibrate", "--n-pulses", "4001"], "--n-pulses must be <= 4000, got 4001 "
+         "(the exact-DP capacity, readout.CAPACITY_PULSES)"),
+    ], ids=["n-min-above-n-max", "threshold-above-config-pulses",
+            "threshold-above-n-pulses-flag", "target-f-1", "n-pulses-above-capacity"])
+    def test_limit_messages(self, argv, says, tmp_path, capsys):
+        # each flag's limit comes from check_count or readout.CALIBRATION_RANGES
+        code, cap = run_cli(argv + ["--out-dir", str(tmp_path / "o")], capsys)
+        assert (code, cap.err) == (1, says + "\n")
+
     def test_records_beyond_header(self, tmp_path, capsys):
         path = tmp_path / "events.txt"
         path.write_text("# photon records: shot_id pulse_index timestamp_us origin\n"
@@ -1145,6 +1160,14 @@ class TestHelp:
         text = capsys.readouterr().out
         for flag in flags:
             assert flag in text, (command, flag)
+
+    def test_model_choices_are_the_fitter_kinds(self, capsys):
+        from spinshot.estimators import MODEL_KINDS, model_param_names
+        code, cap = run_cli(["fit", "x.csv", "--model", "nope"], capsys)
+        assert code == 1
+        assert f"(choose from {', '.join(map(repr, MODEL_KINDS))})" in cap.err
+        for kind in MODEL_KINDS:
+            assert model_param_names(kind)
 
 
 HAND_RECORDS = ("# photon records: shot_id pulse_index timestamp_us origin\n"

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from test_readout import chain_passes
 from spinshot.estimators import PhotonRecords, fit_model, g2_pulsed
 from spinshot.physics import (GHZ_PER_G_TESLA, MAX_SPIN_FREQUENCY_MHZ, CavityConfig,
                               CyclicityDivergenceError, EmitterConfig,
@@ -19,7 +19,7 @@ from spinshot.physics import (GHZ_PER_G_TESLA, MAX_SPIN_FREQUENCY_MHZ, CavityCon
                               zeeman_transitions)
 from spinshot.montecarlo import BathParams, run_protocol, simulate_readout_shots
 from spinshot.readout import (ReadoutParams, calibrate_flip_asymmetry,
-                              count_distribution, dark_count_penalty,
+                              count_distribution, cyclicity, dark_count_penalty,
                               fidelity_reports, optimize_readout, readout_fidelity,
                               readout_report)
 
@@ -160,6 +160,33 @@ class TestCyclicity:
     def test_zero_flip_diverges(self):
         with pytest.raises(CyclicityDivergenceError):
             predicted_cyclicity(177.0, 0.0)
+
+
+# each argument of the formula helpers: a call with the argument in the
+# place of ``v``, and the first value past each end of its interval
+HELPER_ARGUMENTS = {
+    "tau_bulk_us": (lambda v: purcell_factor(v, 1.0), [0.0, math.inf]),
+    "tau_cavity_us": (lambda v: purcell_factor(1.0, v), [0.0, math.inf]),
+    "linewidth_fwhm_ghz": (lambda v: lorentzian_suppression(0.0, v), [0.0, math.inf]),
+    "branching_enhanced": (lambda v: predicted_cyclicity(v, 1.0), [-5e-324, math.inf]),
+    "branching_flip": (lambda v: predicted_cyclicity(1.0, v), [-5e-324, math.inf]),
+    "p_excite": (lambda v: cyclicity(v, 100.0), [0.0, math.nextafter(1.0, 2.0)]),
+    "n0": (lambda v: cyclicity(0.5, v), [0.0, math.inf]),
+}
+
+
+class TestFormulaArguments:
+    """purcell_factor, lorentzian_suppression's linewidth,
+    predicted_cyclicity and readout.cyclicity check each argument with
+    check_range: NaN, +-inf and a value past either end raise an
+    InvalidConfigError naming the argument."""
+
+    @pytest.mark.parametrize("name,value", [
+        (name, value) for name, (_, past) in HELPER_ARGUMENTS.items()
+        for value in dict.fromkeys([math.nan, math.inf, -math.inf, *past])])
+    def test_rejected(self, name, value):
+        with pytest.raises(InvalidConfigError, match=rf"^{name} must be finite and in "):
+            HELPER_ARGUMENTS[name][0](value)
 
 
 class TestValidation:
@@ -336,8 +363,8 @@ class TestCountArguments:
     and a numpy integer counts as the int it equals."""
 
     @pytest.mark.parametrize("call", list(COUNT_CALLS))
-    @pytest.mark.parametrize("value", [0, -1, 2.5, np.float64(3.0)],
-                             ids=["0", "-1", "2.5", "float64-3"])
+    @pytest.mark.parametrize("value", [0, -1, 2.5, np.float64(3.0), -10**5000],
+                             ids=["0", "-1", "2.5", "float64-3", "huge-negative"])
     def test_rejected(self, call, value):
         name = re.escape(COUNT_NAMES.get(call, call))
         with pytest.raises(InvalidConfigError, match=rf"^{name} must be (>= 1|an integer)"):
@@ -354,11 +381,33 @@ class TestCountArguments:
         with pytest.raises(InvalidConfigError, match=r"^n must be >= 6, got 5$"):
             check_count("n", 5, low=6)
 
-    def test_threshold_checked_before_any_dp_pass(self, monkeypatch):
-        passes = chain_passes(monkeypatch)
+    def test_check_count_high(self):
+        assert check_count("n", 5, high=5) == 5
+        with pytest.raises(InvalidConfigError, match=r"^n must be <= 5, got 6$"):
+            check_count("n", 6, high=5)
+
+    @pytest.mark.parametrize("value,bound", [(-10**5000, ">= 1"), (10**5000, "<= 9")],
+                             ids=["negative", "positive"])
+    def test_check_count_huge(self, value, bound):
+        # Python refuses to print an int of over 4300 digits
+        with pytest.raises(InvalidConfigError,
+                           match=rf"^n must be {bound}, got an int past the float range$"):
+            check_count("n", value, high=9)
+
+    def test_n_pulses_bounded_by_int64(self):
+        assert ReadoutParams(sys.maxsize, 0.78, 0.1, 0.004, 0.004).n_pulses == sys.maxsize
+        with pytest.raises(InvalidConfigError,
+                           match=rf"^n_pulses must be <= {sys.maxsize}, got {sys.maxsize + 1}$"):
+            ReadoutParams(sys.maxsize + 1, 0.78, 0.1, 0.004, 0.004)
+        # an OverflowError naming nothing, from the dark-count mean, before
+        with pytest.raises(InvalidConfigError, match=rf"^n_pulses must be <= {sys.maxsize}, "
+                           "got an int past the float range$"):
+            ReadoutParams(10**400, 0.78, 0.1, 0.004, 0.004)
+
+    def test_threshold_checked_before_any_dp_pass(self, chain_passes):
         with pytest.raises(InvalidConfigError, match=r"^threshold must be >= 1, got 0$"):
             calibrate_flip_asymmetry(READOUT, 131.0, 0.75, 0)
-        assert passes == []
+        assert chain_passes == []
 
 
 class TestBathLists:

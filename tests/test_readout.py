@@ -480,52 +480,37 @@ class TestOptimizeAgainstFullScan:
         assert_same_bits_as_full_scan(params, (n_lo, n_hi))
 
 
-def chain_passes(monkeypatch):
-    """The _chain passes of the calls that follow, one list of
-    arguments per pass."""
-    passes, chain = [], readout_module._chain
-
-    def counting(*args):
-        passes.append(args)
-        return chain(*args)
-
-    monkeypatch.setattr(readout_module, "_chain", counting)
-    return passes
-
-
 class TestOptimizeCountCap:
     """optimize_readout's chain keeps only the counts below a cap and
     starts over with the cap doubled when a block reads more; no row may
     depend on the cap."""
 
-    def test_paper_preset_needs_one_pass(self, monkeypatch):
+    def test_paper_preset_needs_one_pass(self, chain_passes):
         params = readout_params(load_config("paper.cfg"), n_pulses=3000)
-        passes = chain_passes(monkeypatch)
         optimize_readout(params, (1, 3000))
-        assert [args[-1] for args in passes] == [readout_module._FIRST_CAP]
+        assert [args[-1] for args in chain_passes] == [readout_module._FIRST_CAP]
 
-    def test_paper_preset_from_cap_1(self, monkeypatch):
+    def test_paper_preset_from_cap_1(self, monkeypatch, chain_passes):
         monkeypatch.setattr(readout_module, "_FIRST_CAP", 1)
-        passes = chain_passes(monkeypatch)
         params = readout_params(load_config("paper.cfg"), n_pulses=3000)
         assert_same_bits_as_full_scan(params, (1, 3000))
-        caps = [args[-1] for args in passes]
+        caps = [args[-1] for args in chain_passes]
         assert caps[0] == 1 and len(caps) > 2
         assert caps == sorted(caps)
 
     @pytest.mark.parametrize("case,kw,n_range,falls_back", CORNER_CASES)
     @pytest.mark.parametrize("first_cap", [1, 3])
     def test_corner_from_small_cap(self, case, kw, n_range, falls_back, first_cap,
-                                   monkeypatch):
+                                   monkeypatch, chain_passes):
         monkeypatch.setattr(readout_module, "_FIRST_CAP", first_cap)
-        passes, scanned = chain_passes(monkeypatch), full_scans(monkeypatch)
+        scanned = full_scans(monkeypatch)
         assert_same_bits_as_full_scan(make_params(**kw), n_range)
         assert bool(scanned) == falls_back
         # a chain never keeps more than the n + 1 counts there are
-        assert passes[0][-1] == min(first_cap, n_range[1] + 1)
+        assert chain_passes[0][-1] == min(first_cap, n_range[1] + 1)
         # the first block reads at least one count past the cap, unless
         # the whole range fits under it
-        assert len(passes) > 1 or n_range[1] + 1 <= first_cap
+        assert len(chain_passes) > 1 or n_range[1] + 1 <= first_cap
 
 
 class TestChainSupport:
@@ -664,13 +649,12 @@ class TestCalibration:
         assert cal.a + cal.b == pytest.approx(1.0 / relaxation, rel=1e-12)
 
     @pytest.mark.parametrize("n", [71, 500])
-    def test_dp_pass_count(self, n, monkeypatch):
-        passes = chain_passes(monkeypatch)
+    def test_dp_pass_count(self, n, chain_passes):
         paper_calibration(n)
-        assert 0 < len(passes) <= 20
+        assert 0 < len(chain_passes) <= 20
         # the search passes keep only the counts below the threshold and
         # the dark pmf's length; one full-support pass gives the answer
-        caps = [args[5] if len(args) > 5 else None for args in passes]
+        caps = [args[5] if len(args) > 5 else None for args in chain_passes]
         assert caps.count(None) == 1
         assert all(cap < n + 1 for cap in caps if cap is not None)
 
