@@ -18,7 +18,6 @@ import math
 import os
 import re
 from dataclasses import MISSING, dataclass, fields
-from importlib import resources
 
 from .estimators import gaussian_fwhm_to_sigma
 from .montecarlo import MW_DEFAULTS, MW_RANGES, BathParams
@@ -183,9 +182,10 @@ def resolve_config_path(path: str) -> str:
     if os.path.exists(path):
         return path
     if os.path.basename(path) == path:
-        preset = resources.files("spinshot").joinpath("presets", path)
-        if preset.is_file():
-            return str(preset)
+        # the presets are installed as plain files next to this module
+        preset = os.path.join(os.path.dirname(__file__), "presets", path)
+        if os.path.isfile(preset):
+            return preset
     raise ConfigError(f"config file not found: {path}")
 
 

@@ -95,6 +95,7 @@ class NormalizationError(NumericalError):
 
 @dataclass
 class FitResult:
+    """One model's fitted parameters, their 1-SD uncertainties and the fit's diagnostics."""
     kind: str
     params: dict[str, float]
     uncertainties: dict[str, float]
@@ -114,6 +115,7 @@ class FitResult:
 
 @dataclass(frozen=True)
 class _ModelSpec:
+    """A fit model's parameter names, its positive ones, its prediction and its starts."""
     names: tuple
     positive: frozenset
     predict: object        # predict(x, params_vector) -> y
@@ -521,7 +523,7 @@ _ROW_DTYPE = np.dtype([("shot", "i8"), ("pulse", "i8"), ("t", "f8"),
                        ("origin", "U8")])    # U8 keeps a longer token unequal
 
 
-@dataclass
+@dataclass(eq=False)
 class PhotonRecords:
     """Columnar table of detected photons across shots."""
     shot_id: np.ndarray
@@ -666,8 +668,9 @@ def _read_columns(path):
             shots, pulses)
 
 
-@dataclass
+@dataclass(eq=False)
 class G2Result:
+    """g2(0) and the per-lag pair rates and counts it was taken from."""
     g2_zero: float
     lags: np.ndarray
     pair_rates: np.ndarray    # per-pulse-pair coincidence rates, lag 0..L

@@ -46,6 +46,7 @@ _LABEL = {name: code for code, name in enumerate(_TRANSITION_LABELS)}
 __all__ = [
     "BLOCK_SHOTS",
     "TIMELINE_BLOCK_CELLS",
+    "MAX_THREADS",
     "MW_DEFAULTS",
     "MW_RANGES",
     "BathParams",
@@ -73,16 +74,24 @@ MW_RANGES = {"mw_rabi_khz": (0.0, 1e3 * MAX_SPIN_FREQUENCY_MHZ, True, False),
              "drive_jitter": (0.0, 1.0, False, False)}
 
 
+# Rated maximum of SPINSHOT_THREADS.  Each worker holds one block in flight:
+# a readout block of BLOCK_SHOTS shots peaks at about 4.5 MB (tracemalloc,
+# paper.cfg at N = 3000) and a timeline block at about 1.6 MB, so 64 workers
+# hold at most 0.3 GB, the peak of protocols at its rated shot count.
+MAX_THREADS = 64
+
+
 def worker_count() -> int:
-    """Worker cap from SPINSHOT_THREADS (0 or unset = auto)."""
+    """Worker cap from SPINSHOT_THREADS, an integer in 0..MAX_THREADS; 0 or
+    unset is auto, the CPU count up to MAX_THREADS.  Any other value is an
+    InvalidConfigError that names the variable."""
     raw = os.environ.get("SPINSHOT_THREADS", "0")
     try:
-        n = int(raw)
+        raw = int(raw)
     except ValueError:
-        raise ValueError(f"SPINSHOT_THREADS must be an integer, got {raw!r}")
-    if n <= 0:
-        return os.cpu_count() or 1
-    return n
+        pass                                # check_count names the string
+    return (check_count("SPINSHOT_THREADS", raw, 0, MAX_THREADS)
+            or min(os.cpu_count() or 1, MAX_THREADS))
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -167,8 +176,9 @@ def _sample_mixture(rng, bath: BathParams, size: int) -> np.ndarray:
 # pulsed-readout engine
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class ReadoutSimResult:
+    """A readout run's count histogram, per-shot counts and spin transition counts."""
     histogram: CountDistribution
     per_shot_counts: np.ndarray
     transitions: np.ndarray    # (from, to) cell counts over (bright, dark)
@@ -289,8 +299,9 @@ def _rotate(spin, rabi_khz, detuning_khz, duration_us, phase_rad=0.0):
 # protocol curves
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class ProtocolCurve:
+    """A protocol's signal at each sweep point: mean and standard error over the shots."""
     protocol: str
     x: np.ndarray
     mean: np.ndarray
@@ -396,8 +407,9 @@ def excitation_probability(area_pi: float) -> float:
     return math.sin(area_pi * math.pi / 2.0) ** 2
 
 
-@dataclass
+@dataclass(eq=False)
 class AreaScanResult:
+    """Per pulse area: excitation probability, N0 and its SE, cyclicity, best fidelity."""
     area: np.ndarray
     p_excite: np.ndarray
     n0: np.ndarray
@@ -469,8 +481,9 @@ def pulse_area_scan(areas, params: ReadoutParams, flip_slope: float = 0.0,
 # compiled-timeline executor
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class TimelineRun:
+    """A compiled program's count histogram, photon records and gates per shot."""
     histogram: CountDistribution
     records: PhotonRecords
     gate_count: int
@@ -502,7 +515,7 @@ def _spin_chain(codes, state):
     return ((codes ^ odd).ravel()[last] ^ odd) & 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _TimelinePlan:
     """Shot-independent arrays of a timeline for the block executor: per
     statement row (read at the rows of their kind), the int32 event

@@ -134,8 +134,9 @@ class ReadoutParams:
         return self.n_pulses * self.pulse_period * 1e-3
 
 
-@dataclass
+@dataclass(eq=False)
 class CountDistribution:
+    """The probability of each photon count 0..N after N pulses from one spin state."""
     probabilities: np.ndarray
     initial_state: str
     n_pulses: int
@@ -165,6 +166,7 @@ class CountDistribution:
 
 @dataclass
 class FidelityReport:
+    """Bright and dark readout fidelities at one threshold and pulse count."""
     f_bright: float
     f_dark: float
     threshold: int
@@ -342,6 +344,7 @@ def expected_trace(params: ReadoutParams, initial: str = "bright") -> np.ndarray
 
 @dataclass
 class DecayFit:
+    """A per-pulse trace's decay constant N0 in pulses, with the fit behind it."""
     n0: float
     amplitude: float
     offset: float
@@ -448,8 +451,9 @@ def fidelity_reports(params: ReadoutParams, a, b, d=None, threshold=None) -> lis
     return [readout_fidelity(*pair, t) for pair, t in zip(dists, thresholds)]
 
 
-@dataclass
+@dataclass(eq=False)
 class OptimizeResult:
+    """The best pulse count and threshold, and the fidelities at every pulse count tried."""
     n_star: int
     threshold_star: int
     f_star: float
@@ -576,6 +580,7 @@ def optimize_readout(params: ReadoutParams, n_range) -> OptimizeResult:
 
 @dataclass
 class FlipCalibration:
+    """Flip probabilities a and b that reach the target fidelity, and the best reachable."""
     a: float
     b: float
     asymmetry: float

@@ -92,6 +92,7 @@ def _origin():
 
 @dataclass(frozen=True)
 class OpticalPulse:
+    """An optical pulse: duration, area and transition label or literal detuning."""
     duration_us: float
     area_pi: float
     transition: str | None = None     # one of A-D
@@ -101,6 +102,7 @@ class OpticalPulse:
 
 @dataclass(frozen=True)
 class MwPulse:
+    """A microwave pulse: frequency, duration and phase."""
     frequency_mhz: float
     duration_us: float
     phase_deg: float
@@ -109,18 +111,21 @@ class MwPulse:
 
 @dataclass(frozen=True)
 class Wait:
+    """An idle interval."""
     duration_us: float
     origin: str | None = _origin()
 
 
 @dataclass(frozen=True)
 class Detect:
+    """A detection gate of the given window."""
     window_us: float
     origin: str | None = _origin()
 
 
 @dataclass(frozen=True)
 class Repeat:
+    """A block of statements run ``count`` times."""
     count: int
     block: tuple
     origin: str | None = _origin()
@@ -128,6 +133,7 @@ class Repeat:
 
 @dataclass(frozen=True)
 class SequenceProgram:
+    """A parsed program: its top-level statements in source order."""
     statements: tuple = ()
 
 
@@ -137,6 +143,7 @@ class SequenceProgram:
 
 @dataclass(frozen=True)
 class _Token:
+    """A token's text and its 1-based line and column."""
     text: str
     line: int
     col: int
@@ -455,6 +462,7 @@ def compile_sequence(program: SequenceProgram) -> Timeline:
 
 @dataclass(frozen=True)
 class BlockTiming:
+    """A top-level block's label, repetitions, period and total time."""
     label: str
     repetitions: int
     period_us: float
@@ -463,6 +471,7 @@ class BlockTiming:
 
 @dataclass(frozen=True)
 class DurationReport:
+    """A program's total wall-clock time and its per-block timings."""
     total_ms: float
     blocks: tuple
 

@@ -404,6 +404,21 @@ class TestExitCodes:
         assert run_cli(["calibrate", "--config", str(bad),
                         "--out-dir", str(tmp_path / "y")], capsys)[0] == 2
 
+    @pytest.mark.parametrize("threads", ["-1", "65", "many"])
+    def test_thread_count_out_of_range(self, threads, tmp_path, seq_file, capsys,
+                                       monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was built")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setenv("SPINSHOT_THREADS", threads)
+        code, cap = run_cli(["simulate", seq_file, "--shots", "400",
+                             "--out-dir", str(tmp_path / "o")], capsys)
+        assert code == 2
+        assert cap.err.startswith("error: SPINSHOT_THREADS must be ")
+
     def test_parse_errors(self, tmp_path, capsys):
         seq = tmp_path / "bad.seq"
         seq.write_text("pulse optical A 0.02 1pi\n")  # missing unit

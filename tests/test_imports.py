@@ -119,6 +119,23 @@ SIMULATOR_STACK = ("spinshot.config", "spinshot.readout", "spinshot.sequence",
                    "spinshot.montecarlo", "spinshot.physics",
                    "concurrent.futures", "hashlib")
 
+# the spinshot modules each command loads.  config imports the simulator
+# stack at module level, so every configured command loads all of it: the
+# benchmark's tracer finds its targets in sys.modules after importing config.
+CONFIGURED = {"spinshot", "spinshot.cli", "spinshot.config", "spinshot.estimators",
+              "spinshot.montecarlo", "spinshot.physics", "spinshot.readout",
+              "spinshot.sequence"}
+COMMAND_MODULES = {
+    "levels": CONFIGURED,
+    "calibrate": CONFIGURED,
+    "readout-optimize": CONFIGURED,
+    "simulate": CONFIGURED,
+    "area-sweep": CONFIGURED,
+    "protocols": CONFIGURED,
+    "fit": {"spinshot", "spinshot.cli", "spinshot.estimators"},
+    "g2": {"spinshot", "spinshot.cli", "spinshot.estimators"},
+}
+
 LOADED = """\
 import json, sys
 from spinshot import cli
@@ -127,26 +144,45 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
-@pytest.mark.parametrize("command", ["fit", "g2"])
-def test_fit_and_g2_skip_the_simulator_stack(command, tmp_path):
+def _command_argv(command, tmp_path):
     if command == "fit":
         x = np.linspace(0.0, 3.0, 20)
         series = tmp_path / "t1.csv"
         series.write_text("".join(f"{xi:.6g},{np.exp(-xi / 0.4):.9g}\n"
                                   for xi in x))
-        argv = ["fit", str(series), "--model", "exp_decay"]
-    else:
+        return ["fit", str(series), "--model", "exp_decay"]
+    if command == "g2":
         records = tmp_path / "events.txt"
         records.write_text("# shots=2 pulses=3\n0 0 1.5 emitter\n"
                            "0 1 12.5 dark\n1 1 11.5 emitter\n")
-        argv = ["g2", str(records), "--lags", "2"]
+        return ["g2", str(records), "--lags", "2"]
+    if command == "simulate":
+        program = tmp_path / "readout.seq"
+        program.write_text("repeat 3 {\n  pulse optical A 0.02us 1pi\n"
+                           "  detect 3us\n  wait 6.98us\n}\n")
+        return ["simulate", str(program), "--shots", "10"]
+    return {"readout-optimize": ["readout-optimize", "--n-max", "50"],
+            "area-sweep": ["area-sweep", "--points", "2", "--shots", "100"],
+            "protocols": ["protocols", "--shots", "1000", "--seed", "0"],
+            }.get(command, [command])
+
+
+@pytest.mark.parametrize("command", list(COMMAND_MODULES))
+def test_each_command_loads_only_what_it_runs(command, tmp_path):
+    # -S: no site hook runs, so a module loaded here is the program's; numpy's
+    # directory goes on the path in its place
     src = os.path.dirname(PACKAGE_DIR)
-    env = dict(os.environ, PYTHONPATH=src, SPINSHOT_THREADS="2")
-    res = subprocess.run([sys.executable, "-c", LOADED, *argv,
+    numpy_dir = os.path.dirname(os.path.dirname(np.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, numpy_dir)),
+               SPINSHOT_THREADS="2")
+    res = subprocess.run([sys.executable, "-S", "-c", LOADED,
+                          *_command_argv(command, tmp_path), "--format", "csv",
                           "--out-dir", str(tmp_path / "o")],
                          capture_output=True, text=True, env=env, check=True)
     code, modules = json.loads(res.stdout.splitlines()[-1])
     assert code == 0, res.stderr
-    assert {m for m in modules if m.startswith("spinshot")} == {
-        "spinshot", "spinshot.cli", "spinshot.estimators"}
-    assert not set(SIMULATOR_STACK) & set(modules)
+    assert {m for m in modules if m.startswith("spinshot")} == COMMAND_MODULES[command]
+    # the packaged presets are plain files, found by path
+    assert not [m for m in modules if m.startswith("importlib.resources")]
+    if "spinshot.config" not in COMMAND_MODULES[command]:
+        assert not set(SIMULATOR_STACK) & set(modules)

@@ -17,8 +17,8 @@ from spinshot import montecarlo
 from spinshot import readout as readout_module
 from spinshot.config import readout_params
 from spinshot.estimators import fit_model
-from spinshot.montecarlo import (BLOCK_SHOTS, TIMELINE_BLOCK_CELLS, BathParams,
-                                 PhotonRecords, _decay_pulses, _rotate, _stream,
+from spinshot.montecarlo import (BLOCK_SHOTS, MAX_THREADS, TIMELINE_BLOCK_CELLS,
+                                 BathParams, PhotonRecords, _decay_pulses, _rotate, _stream,
                                  excitation_probability, pulse_area_scan,
                                  run_protocol, run_timeline,
                                  simulate_readout_shots, worker_count)
@@ -69,6 +69,36 @@ class TestRngStreams:
         assert worker_count() >= 1
         monkeypatch.delenv("SPINSHOT_THREADS")
         assert worker_count() >= 1
+
+    def test_worker_count_auto_is_rated(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 10**6)
+        monkeypatch.setenv("SPINSHOT_THREADS", "0")
+        assert worker_count() == MAX_THREADS
+        monkeypatch.setenv("SPINSHOT_THREADS", str(MAX_THREADS))
+        assert worker_count() == MAX_THREADS
+
+    @pytest.mark.parametrize("raw,error", [
+        ("-1", "must be >= 0, got -1"),
+        (str(MAX_THREADS + 1), f"must be <= {MAX_THREADS}, got {MAX_THREADS + 1}"),
+        ("100000", f"must be <= {MAX_THREADS}, got 100000"),
+        ("2.5", "must be an integer, got '2.5'"),
+        ("many", "must be an integer, got 'many'"),
+    ], ids=["negative", "above-max", "huge", "float", "word"])
+    def test_worker_count_out_of_range(self, raw, error, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was built")
+
+        # the check fires before any pool exists
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setenv("SPINSHOT_THREADS", raw)
+        with pytest.raises(InvalidConfigError,
+                           match=f"^SPINSHOT_THREADS {re.escape(error)}$"):
+            worker_count()
+        with pytest.raises(InvalidConfigError, match="^SPINSHOT_THREADS "):
+            simulate_readout_shots(make_params(n=5), "bright", shots=2 * BLOCK_SHOTS,
+                                   seed=1)
 
 
 class TestReadoutSimulation:
