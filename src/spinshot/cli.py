@@ -283,24 +283,25 @@ def _cmd_simulate(args, cfg, out: OutputDir) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_fit(args, _cfg, out: OutputDir) -> str:
-    _check_flag("--components", args.components)
-    from .estimators import fit_model, format_fit_report, read_series_csv
+def _fit_section(out: OutputDir, name: str, kind, x, y, sigma, components) -> str:
+    """Fit ``kind`` to (x, y, sigma), record its parameters as the CSV
+    ``name`` and return the report section."""
+    from .estimators import fit_model, format_fit_report, write_csv
 
-    x, y, sigma = read_series_csv(args.series)
-    kind = args.model
-    result = fit_model(kind, x, y, sigma=sigma,
-                       n_components=args.components if kind == "gaussian_sum" else None)
-    _write_fit_csv(out.record("fit_params.csv"), result)
+    result = fit_model(kind, x, y, sigma=sigma, n_components=components)
+    write_csv(out.record(name), "parameter,value,uncertainty", result.params.keys(),
+              result.params.values(),
+              [result.uncertainties[param] for param in result.params])
     return format_fit_report(result)
 
 
-def _write_fit_csv(path, result):
-    from .estimators import write_csv
+def _cmd_fit(args, _cfg, out: OutputDir) -> str:
+    _check_flag("--components", args.components)
+    from .estimators import read_series_csv
 
-    write_csv(path, "parameter,value,uncertainty", result.params.keys(),
-              result.params.values(),
-              [result.uncertainties[name] for name in result.params])
+    x, y, sigma = read_series_csv(args.series)
+    components = args.components if args.model == "gaussian_sum" else None
+    return _fit_section(out, "fit_params.csv", args.model, x, y, sigma, components)
 
 
 def _cmd_g2(args, _cfg, out: OutputDir) -> str:
@@ -392,7 +393,7 @@ def _cmd_protocols(args, cfg, out: OutputDir) -> str:
     import numpy as np
 
     from .config import bath_params, microwave_settings
-    from .estimators import FitError, fit_model, format_fit_report
+    from .estimators import FitError
     from .montecarlo import run_protocol
 
     bath = bath_params(cfg)
@@ -403,14 +404,12 @@ def _cmd_protocols(args, cfg, out: OutputDir) -> str:
                              seed=args.seed, **mw)
         curve.to_csv(out.record(f"{name}_curve.csv"))
         try:
-            result = fit_model(kind, curve.x, curve.mean,
-                               sigma=np.clip(curve.stderr, 1e-4, None),
-                               n_components=n_components)
+            section = _fit_section(out, f"{name}_fit.csv", kind, curve.x, curve.mean,
+                                   np.clip(curve.stderr, 1e-4, None), n_components)
         except FitError as exc:
             raise FitError(f"{name}: {exc}", exc.diagnostics) from None
-        _write_fit_csv(out.record(f"{name}_fit.csv"), result)
         sections.append(f"--- {name} ({name}_curve.csv, {name}_fit.csv) ---\n"
-                        + format_fit_report(result))
+                        + section)
     return "\n".join(sections)
 
 

@@ -316,12 +316,6 @@ class ProtocolCurve:
 _UP = (0.0, 0.0, 1.0)   # the spin before any MW pulse
 
 
-def _bernoulli_stats(rng, p, shots):
-    hits = rng.random(shots) < p
-    m = float(hits.mean())
-    return m, math.sqrt(max(m * (1.0 - m), 0.0) / shots)
-
-
 def run_protocol(protocol: str, sweep, bath: BathParams, shots: int = 1000,
                  seed: int = 0, mw_rabi_khz: float = MW_DEFAULTS["mw_rabi_khz"],
                  detuning_sigma_khz: float = MW_DEFAULTS["detuning_sigma_khz"],
@@ -338,6 +332,10 @@ def run_protocol(protocol: str, sweep, bath: BathParams, shots: int = 1000,
     sequence lengths in us; pi/2 - pi - pi/2 with the two opposite
     first-pulse phases (two rows of one pass) subtracted and transverse
     components damped by exp(-(t/t2_echo)^echo_exponent).
+
+    Each branch gives every shot (and echo row) the probability of its
+    counted outcome; one draw of those outcomes ends the point, whose
+    stderr is sqrt(sum over rows of m (1 - m) / shots).
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; choose from {PROTOCOLS}")
@@ -356,20 +354,18 @@ def run_protocol(protocol: str, sweep, bath: BathParams, shots: int = 1000,
         if protocol == "t1":
             with np.errstate(over="ignore"):   # a ratio past the float range relaxes fully
                 z = math.exp(-value / bath.t1_spin)
-            mean[i], stderr[i] = _bernoulli_stats(rng, 0.5 * (1.0 + z), shots)
+            p = np.full(shots, 0.5 * (1.0 + z))
         elif protocol == "odmr":
             offsets = _sample_mixture(rng, bath, shots)
             detuning = (value - offsets) * 1e3
-            z = _rotate(_UP, mw_rabi_khz, detuning, pi_time)[2]
-            mean[i], stderr[i] = _bernoulli_stats(rng, 0.5 * (1.0 - z), shots)
+            p = 0.5 * (1.0 - _rotate(_UP, mw_rabi_khz, detuning, pi_time)[2])
         elif protocol == "rabi":
             detuning = rng.normal(0.0, detuning_sigma_khz, shots)
             omega = mw_rabi_khz
             if drive_jitter > 0.0:
                 omega = np.clip(omega * (1.0 + drive_jitter *
                                          rng.normal(0.0, 1.0, shots)), 0.0, None)
-            z = _rotate(_UP, omega, detuning, value)[2]
-            mean[i], stderr[i] = _bernoulli_stats(rng, 0.5 * (1.0 - z), shots)
+            p = 0.5 * (1.0 - _rotate(_UP, omega, detuning, value)[2])
         else:  # echo
             offsets_khz = _sample_mixture(rng, bath, shots) * 1e3
             with np.errstate(over="ignore"):   # a power past the float range damps to 0
@@ -379,12 +375,12 @@ def run_protocol(protocol: str, sweep, bath: BathParams, shots: int = 1000,
             spin = _free_precession(spin, offsets_khz, 0.5 * value)
             spin = _rotate(spin, mw_rabi_khz, 0.0, pi_time)
             sx, sy, sz = _free_precession(spin, offsets_khz, 0.5 * value)
-            z = _rotate((sx * damping, sy * damping, sz), mw_rabi_khz, 0.0,
-                        0.5 * pi_time)[2]
-            m = (rng.random((2, shots)) < 0.5 * (1.0 - z)).mean(axis=1)
-            var = m * (1.0 - m) / shots
-            mean[i] = m[0] - m[1]
-            stderr[i] = math.sqrt(var[0] + var[1])
+            p = 0.5 * (1.0 - _rotate((sx * damping, sy * damping, sz), mw_rabi_khz,
+                                     0.0, 0.5 * pi_time)[2])
+        # the last draw of the point's stream: one outcome a shot and row
+        m = (rng.random(p.shape) < p).mean(axis=-1)
+        mean[i] = m[0] - m[1] if protocol == "echo" else m
+        stderr[i] = math.sqrt(np.sum(m * (1.0 - m) / shots))
     return ProtocolCurve(protocol=protocol, x=x, mean=mean, stderr=stderr,
                          shots=shots)
 

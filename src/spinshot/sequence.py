@@ -3,7 +3,7 @@
 Grammar (see docs/sequence_grammar.ebnf):
 
     pulse optical <A|B|C|D|offset MHz/GHz> <duration us/ns> <area pi>
-    pulse mw <frequency MHz/GHz> <duration us/ns> <phase deg|pi>
+    pulse mw <offset from the spin transition MHz/GHz> <duration us/ns> <phase deg|pi>
     wait <duration us/ns>
     detect <window us/ns>
     repeat <count> { <statements> }

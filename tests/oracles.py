@@ -189,6 +189,61 @@ def _rotate_one(spin, rabi_khz, detuning_khz, duration_us, phase_rad):
             + axis * np.sum(axis * spin) * (1.0 - c))
 
 
+def protocol_outcome_probabilities(protocol, x, bath, mw_rabi_khz, detuning_sigma_khz,
+                                   nodes=120):
+    """Exact probability of each sweep point's counted outcome under
+    ``run_protocol``'s model without drive jitter: rows (1, len(x)), or
+    (2, len(x)) for echo's first-pulse phases pi and 0, so the expected
+    mean is row 0 (echo: row 0 - row 1).
+
+    t1 is (1 + exp(-t/T1))/2.  A pulse of Rabi frequency O detuned by D
+    flips an up spin with probability (O/O_eff)^2 sin^2(pi O_eff t 1e-3),
+    O_eff = hypot(O, D): rabi averages it over D ~ N(0, detuning_sigma_khz),
+    odmr at the pi time 500/O over the offset mixture.  echo runs its
+    sequence with ``rotate_rows`` and a free precession of its own.  Each
+    Gaussian is averaged by ``nodes``-point Gauss-Hermite quadrature
+    (Golub & Welsch, Math. Comp. 23, 221, 1969)."""
+    x = np.asarray(x, dtype=float)
+    u, w = np.polynomial.hermite.hermgauss(nodes)
+    w = w / math.sqrt(math.pi)              # E f(N(m, s)) = sum w f(m + sqrt(2) s u)
+
+    def flip(rabi, detuning, duration):
+        eff = np.hypot(rabi, detuning)
+        return (rabi / eff) ** 2 * np.sin(math.pi * eff * duration * 1e-3) ** 2
+
+    if protocol == "t1":
+        return 0.5 * (1.0 + np.exp(-x / bath.t1_spin))[None, :]
+    if protocol == "rabi":
+        detuning = math.sqrt(2.0) * detuning_sigma_khz * u
+        return (flip(mw_rabi_khz, detuning, x[:, None]) @ w)[None, :]
+    # the offset mixture's quadrature nodes (MHz) and weights
+    offsets = np.concatenate([c + math.sqrt(2.0) * bath.odmr_sigma * u
+                              for c in bath.odmr_centers])
+    weights = np.concatenate([p * w for p in bath.odmr_weights])
+    pi_time = 500.0 / mw_rabi_khz
+    if protocol == "odmr":
+        detuning = (x[:, None] - offsets) * 1e3
+        return (flip(mw_rabi_khz, detuning, pi_time) @ weights)[None, :]
+
+    def precess(v, duration):
+        angle = 2.0 * np.pi * offsets * 1e3 * duration * 1e-3
+        c, s = np.cos(angle), np.sin(angle)
+        return np.stack([v[:, 0] * c - v[:, 1] * s, v[:, 0] * s + v[:, 1] * c,
+                         v[:, 2]], axis=1)
+
+    rows = np.empty((2, len(x)))
+    up = np.tile([0.0, 0.0, 1.0], (len(offsets), 1))
+    for j, t in enumerate(x):
+        damping = math.exp(-((t / bath.t2_echo) ** bath.echo_exponent))
+        for r, phase in enumerate((math.pi, 0.0)):
+            v = precess(rotate_rows(up, mw_rabi_khz, 0.0, 0.5 * pi_time, phase), 0.5 * t)
+            v = precess(rotate_rows(v, mw_rabi_khz, 0.0, pi_time), 0.5 * t)
+            v[:, :2] *= damping
+            z = rotate_rows(v, mw_rabi_khz, 0.0, 0.5 * pi_time)[:, 2]
+            rows[r, j] = 0.5 * (1.0 - z) @ weights
+    return rows
+
+
 # run_timeline's defaults, read from its signature so that the two cannot drift
 _TIMELINE_DEFAULTS = {name: parameter.default for name, parameter
                       in inspect.signature(run_timeline).parameters.items()}

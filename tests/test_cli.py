@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from spinshot import cli, estimators, montecarlo, sequence
-from spinshot.config import load_config
+from spinshot.config import bath_params, load_config, microwave_settings
 from spinshot.estimators import FitError
 
 SEQ_TEXT = ("repeat 25 { pulse optical A 0.02us 1pi\n"
@@ -1154,6 +1154,37 @@ class TestFitInputs:
             if code == 0:
                 norm = re.search(r"residual norm: (\S+)", cap.out).group(1)
                 assert math.isfinite(float(norm)) and "nan" not in cap.out, case
+
+
+class TestProtocolsFitStep:
+    """protocols fits each curve by the step that fit runs: the curve at
+    repr precision, with protocols' sigma max(stderr, 1e-4), gives fit's
+    fit_params.csv the bytes of protocols' <name>_fit.csv."""
+
+    SEED, SHOTS = 1, 1000
+
+    @pytest.fixture(scope="class")
+    def protocols_out(self, tmp_path_factory):
+        out = str(tmp_path_factory.mktemp("protocols"))
+        assert cli.main(["protocols", "--shots", str(self.SHOTS), "--seed",
+                         str(self.SEED), "--format", "csv", "--out-dir", out]) == 0
+        return out
+
+    @pytest.mark.parametrize("name", cli.PROTOCOLS)
+    def test_fit_writes_protocols_fit_csv(self, name, protocols_out, tmp_path, capsys):
+        cfg = load_config("paper.cfg")
+        grid, kind, n_components = cli.PROTOCOLS[name]
+        curve = montecarlo.run_protocol(name, np.linspace(*grid), bath_params(cfg),
+                                        shots=self.SHOTS, seed=self.SEED,
+                                        **microwave_settings(cfg))
+        path = series_with(tmp_path, curve.x, curve.mean, np.maximum(curve.stderr, 1e-4))
+        out = str(tmp_path / "fit")
+        components = ["--components", str(n_components)] if n_components else []
+        code, _ = run_cli(["fit", path, "--model", kind, *components, "--out-dir", out],
+                          capsys)
+        assert code == 0
+        assert filecmp.cmp(os.path.join(out, "fit_params.csv"),
+                           os.path.join(protocols_out, f"{name}_fit.csv"), shallow=False)
 
 
 class TestHelp:

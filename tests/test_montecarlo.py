@@ -9,13 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (enumerate_count_distribution, readout_block_three_draw,
-                     rotate_rows, run_timeline_per_shot, spin_chain_per_pulse,
-                     timeline_segments_per_event, trace_closed_form)
+from oracles import (enumerate_count_distribution, protocol_outcome_probabilities,
+                     readout_block_three_draw, rotate_rows, run_timeline_per_shot,
+                     spin_chain_per_pulse, timeline_segments_per_event,
+                     trace_closed_form)
 from test_readout import within_seconds
 from spinshot import montecarlo
 from spinshot import readout as readout_module
-from spinshot.config import readout_params
+from spinshot.cli import PROTOCOLS
+from spinshot.config import bath_params, load_config, microwave_settings, readout_params
 from spinshot.estimators import fit_model
 from spinshot.montecarlo import (BLOCK_SHOTS, MAX_THREADS, TIMELINE_BLOCK_CELLS,
                                  BathParams, PhotonRecords, _decay_pulses, _rotate, _stream,
@@ -597,6 +599,49 @@ class TestProtocols:
         lines = path.read_text().splitlines()
         assert lines[0] == "x,mean,stderr,shots"
         assert len(lines) == 3
+
+
+@pytest.fixture(scope="module")
+def paper_drive():
+    """paper.cfg's bath and drive, as `protocols` runs them."""
+    cfg = load_config("paper.cfg")
+    mw = microwave_settings(cfg)
+    assert mw["drive_jitter"] == 0.0      # the oracle has no jitter
+    return bath_params(cfg), mw
+
+
+def expected_outcomes(name, x, paper_drive, nodes=120):
+    bath, mw = paper_drive
+    return protocol_outcome_probabilities(name, x, bath, mw["mw_rabi_khz"],
+                                          mw["detuning_sigma_khz"], nodes)
+
+
+class TestProtocolExpectation:
+    """Each `protocols` curve at paper.cfg against the exact probability of
+    its counted outcome, so the estimator is checked by value, not shape."""
+
+    @pytest.mark.parametrize("name", PROTOCOLS)
+    def test_quadrature_converged(self, paper_drive, name):
+        # ODMR's narrow flip line needs the most nodes: 6.6e-7 at 80
+        x = np.linspace(*PROTOCOLS[name][0])
+        nodes, twice = (expected_outcomes(name, x, paper_drive, k) for k in (120, 240))
+        assert np.abs(nodes - twice).max() <= 1e-10
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", PROTOCOLS)
+    def test_curve_matches_expectation(self, paper_drive, name, seed):
+        shots = 5000
+        x = np.linspace(*PROTOCOLS[name][0])
+        p = expected_outcomes(name, x, paper_drive)
+        curve = run_protocol(name, x, paper_drive[0], shots=shots, seed=seed,
+                             **paper_drive[1])
+        expect = p[0] - p[1] if name == "echo" else p[0]
+        se = np.sqrt(np.sum(p * (1.0 - p), axis=0) / shots)
+        # largest |z| over seeds 0-2 is 3.02 (rabi); t1 at t = 0 has se 0
+        assert np.all(np.abs(curve.mean - expect) <= 5.0 * se)
+        # the reported variances, pooled over the curve, are the exact ones:
+        # 0.981-1.002 at these seeds; a stderr without echo's second row reads 0.5
+        assert np.sum(curve.stderr ** 2) / np.sum(se ** 2) == pytest.approx(1.0, abs=0.1)
 
 
 class TestAreaScan:
